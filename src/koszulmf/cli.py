@@ -446,7 +446,7 @@ def cmd_witness_check(args):
         raise Precondition("witness-check needs --witness PATH")
     log, points = docs.load_witness(args.witness)
     doc = docs.load_document(args.input) if args.input else None
-    if doc is not None and doc.ring != log.start.ring:
+    if doc is not None and doc.ring is not log.start.ring:
         raise Precondition("document ring differs from the witness ring")
     extra = _resolve_points(doc, log.start.ring, args)
     for pname, pt in extra.items():

@@ -3,52 +3,87 @@
 Complexes are cochain complexes: the differential at degree m maps degree m
 to degree m+1 and composites are taken right to left, so the matrix of
 d_{m+1} ∘ d_m is diff(m+1) * diff(m).  Matrices act on column vectors; a map
-from a rank-c free module to a rank-r one is an r-by-c matrix, stored dense
-row-major.
+from a rank-c free module to a rank-r one is an r-by-c matrix.
+
+A PolyMatrix stores its nonzero entries only, row index -> {column index:
+Poly}, and never stores a zero, so products, sums, blocks, submatrices,
+equality and evaluation cost time in the number of nonzeros rather than
+in rows * cols.  The public constructor takes a flat row-major entry list
+and checks that every entry is a Poly over the matrix ring; results built
+inside the library hand their rows to the keyword-only `trusted` argument
+and skip that per-entry check.
 """
 
 from itertools import combinations
 
 from koszulmf import linalg
-from koszulmf.ring import Poly, evaluate
+from koszulmf.ring import Poly, evaluate_at, normalize_scalar, point_values
+
+
+def _check_indices(idx, bound):
+    if idx and (min(idx) < 0 or max(idx) >= bound):
+        raise IndexError(f"index out of range 0..{bound - 1}")
 
 
 class PolyMatrix:
-    """Dense matrix of Polys.  Shape is explicit so 0-by-n edges stay sane."""
+    """Sparse matrix of Polys.  Shape is explicit so 0-by-n edges stay sane.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    `nz` maps each row index that has a nonzero entry to {column index:
+    nonzero Poly}.  Read it freely; change entries only through `put`.
+    """
 
-    def __init__(self, ring, rows, cols, entries):
+    __slots__ = ("ring", "rows", "cols", "nz")
+
+    def __init__(self, ring, rows, cols, entries=(), *, trusted=None):
+        """`entries` is a flat row-major list of rows*cols Polys over `ring`.
+
+        `trusted` instead takes rows already in the layout of `nz`, built
+        inside the library: fresh dicts, indices in range, every value a
+        nonzero Poly over `ring`.  They are used as they are, unchecked.
+        """
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if not isinstance(e, Poly) or e.ring != ring:
-                raise ValueError("entries must be Polys over the matrix ring")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = list(entries)
+        if trusted is not None:
+            if entries:
+                raise ValueError("give entries or trusted rows, not both")
+            self.nz = trusted
+            return
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        nz = {}
+        it = iter(entries)
+        for i in range(rows):
+            row = {}
+            for j in range(cols):
+                e = next(it)
+                if not isinstance(e, Poly) or e.ring is not ring:
+                    raise ValueError("entries must be Polys over the matrix ring")
+                if e.terms:
+                    row[j] = e
+            if row:
+                nz[i] = row
+        self.nz = nz
 
     # --- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, ring, rows, cols):
-        z = Poly.zero(ring)
-        return cls(ring, rows, cols, [z] * (rows * cols))
+        return cls(ring, rows, cols, trusted={})
 
     @classmethod
     def identity(cls, ring, n):
-        z, one = Poly.zero(ring), Poly.one(ring)
-        return cls(ring, n, n, [one if i == j else z
-                                for i in range(n) for j in range(n)])
+        return cls.scalar(ring, n, Poly.one(ring))
 
     @classmethod
     def scalar(cls, ring, n, poly):
-        z = Poly.zero(ring)
-        return cls(ring, n, n, [poly if i == j else z
-                                for i in range(n) for j in range(n)])
+        if not isinstance(poly, Poly) or poly.ring is not ring:
+            raise ValueError("scalar must be a Poly over the matrix ring")
+        if poly.is_zero:
+            return cls.zero(ring, n, n)
+        return cls(ring, n, n, trusted={i: {i: poly} for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, rowlists, cols=None):
@@ -67,8 +102,7 @@ class PolyMatrix:
     @classmethod
     def block(cls, ring, grid, row_sizes, col_sizes):
         """Assemble from a grid of blocks; None means a zero block."""
-        rows, cols = sum(row_sizes), sum(col_sizes)
-        out = cls.zero(ring, rows, cols)
+        nz = {}
         r0 = 0
         for bi, rs in enumerate(row_sizes):
             c0 = 0
@@ -79,88 +113,198 @@ class PolyMatrix:
                         raise ValueError(
                             f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, "
                             f"slot is {rs}x{cs}")
-                    for i in range(rs):
-                        row = (r0 + i) * cols + c0
-                        out.entries[row:row + cs] = \
-                            [a for a in blk.entries[i * cs:(i + 1) * cs]]
+                    if blk.ring is not ring:
+                        raise ValueError(f"block ({bi},{bj}) has another ring")
+                    for i, brow in blk.nz.items():
+                        row = nz.setdefault(r0 + i, {})
+                        for j, e in brow.items():
+                            row[c0 + j] = e
                 c0 += cs
             r0 += rs
-        return out
+        return cls(ring, sum(row_sizes), sum(col_sizes), trusted=nz)
 
     # --- access -------------------------------------------------------------
 
+    def _check_cell(self, i, j):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a "
+                             f"{self.rows}x{self.cols} matrix")
+
     def at(self, i, j):
-        return self.entries[i * self.cols + j]
+        self._check_cell(i, j)
+        e = self.nz.get(i, {}).get(j)
+        return Poly.zero(self.ring) if e is None else e
 
     def put(self, i, j, poly):
-        self.entries[i * self.cols + j] = poly
+        self._check_cell(i, j)
+        if not isinstance(poly, Poly) or poly.ring is not self.ring:
+            raise ValueError("entries must be Polys over the matrix ring")
+        if poly.terms:
+            self.nz.setdefault(i, {})[j] = poly
+            return
+        row = self.nz.get(i)
+        if row is not None and row.pop(j, None) is not None and not row:
+            del self.nz[i]
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside a {self.rows}-row matrix")
+        z = Poly.zero(self.ring)
+        r = self.nz.get(i, {})
+        return [r.get(j, z) for j in range(self.cols)]
+
+    @property
+    def entries(self):
+        """Every entry, zeros included, as a fresh flat row-major list."""
+        z = Poly.zero(self.ring)
+        out = [z] * (self.rows * self.cols)
+        for i, row in self.nz.items():
+            base = i * self.cols
+            for j, e in row.items():
+                out[base + j] = e
+        return out
 
     def submatrix(self, row_idx, col_idx):
-        return PolyMatrix(self.ring, len(row_idx), len(col_idx),
-                          [self.at(i, j) for i in row_idx for j in col_idx])
+        _check_indices(row_idx, self.rows)
+        _check_indices(col_idx, self.cols)
+        new_cols = {}
+        for new, old in enumerate(col_idx):
+            new_cols.setdefault(old, []).append(new)
+        nz = {}
+        for new_i, old_i in enumerate(row_idx):
+            row = {}
+            for j, e in self.nz.get(old_i, {}).items():
+                for new_j in new_cols.get(j, ()):
+                    row[new_j] = e
+            if row:
+                nz[new_i] = row
+        return PolyMatrix(self.ring, len(row_idx), len(col_idx), trusted=nz)
+
+    def map_entries(self, fn, ring=None):
+        """The matrix of fn(e) for every entry e, over `ring` (default: this
+        matrix's ring).  fn must send zero to zero: it only sees nonzeros."""
+        ring = self.ring if ring is None else ring
+        nz = {}
+        for i, row in self.nz.items():
+            out = {}
+            for j, e in row.items():
+                t = fn(e)
+                if not isinstance(t, Poly) or t.ring is not ring:
+                    raise ValueError("mapped entries must be Polys over the "
+                                     "target ring")
+                if t.terms:
+                    out[j] = t
+            if out:
+                nz[i] = out
+        return PolyMatrix(ring, self.rows, self.cols, trusted=nz)
 
     # --- arithmetic ---------------------------------------------------------
+
+    def _same_ring(self, other):
+        if other.ring is not self.ring:
+            raise ValueError("mixed rings")
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
-        z = Poly.zero(self.ring)
-        out = [z] * (self.rows * other.cols)
-        # sparse-aware: most entries in this domain are zero
-        for i in range(self.rows):
-            arow = self.entries[i * self.cols:(i + 1) * self.cols]
-            for k, a in enumerate(arow):
-                if a.is_zero:
+        self._same_ring(other)
+        bnz = other.nz
+        nz = {}
+        for i, arow in self.nz.items():
+            acc = {}
+            for k, a in arow.items():
+                brow = bnz.get(k)
+                if brow is None:
                     continue
-                brow = other.entries[k * other.cols:(k + 1) * other.cols]
-                base = i * other.cols
-                for j, b in enumerate(brow):
-                    if not b.is_zero:
-                        out[base + j] = out[base + j] + a * b
-        return PolyMatrix(self.ring, self.rows, other.cols, out)
+                for j, b in brow.items():
+                    t = a * b
+                    s = acc.get(j)
+                    acc[j] = t if s is None else s + t
+            row = {j: e for j, e in acc.items() if e.terms}
+            if row:
+                nz[i] = row
+        return PolyMatrix(self.ring, self.rows, other.cols, trusted=nz)
+
+    def _combine(self, other, sub):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in "
+                             + ("subtraction" if sub else "addition"))
+        self._same_ring(other)
+        nz = {i: dict(row) for i, row in self.nz.items()}
+        for i, brow in other.nz.items():
+            row = nz.setdefault(i, {})
+            for j, b in brow.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = -b if sub else b
+                    continue
+                s = a - b if sub else a + b
+                if s.terms:
+                    row[j] = s
+                else:
+                    del row[j]
+            if not row:
+                del nz[i]
+        return PolyMatrix(self.ring, self.rows, self.cols, trusted=nz)
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [a - b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, True)
 
     def __neg__(self):
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [-a for a in self.entries])
+        return self.map_entries(Poly.__neg__)
 
     def scale(self, poly):
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [poly * a for a in self.entries])
+        self._same_ring(poly)
+        return self.map_entries(poly.__mul__)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyMatrix) and self.ring == other.ring
+        return (isinstance(other, PolyMatrix) and self.ring is other.ring
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.nz == other.nz)
 
     @property
     def is_zero(self):
-        return all(e.is_zero for e in self.entries)
+        return not self.nz
 
     def evaluate(self, point):
-        """List of rows of base-field scalars."""
-        return [[evaluate(self.at(i, j), point) for j in range(self.cols)]
-                for i in range(self.rows)]
+        """List of rows of base-field scalars.  The point is normalized once;
+        absent entries are the base-field zero without an evaluation."""
+        zero = normalize_scalar(self.ring, 0)
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        if self.rows and self.cols:
+            vals = point_values(self.ring, point)
+            for i, row in self.nz.items():
+                out_row = out[i]
+                for j, e in row.items():
+                    out_row[j] = evaluate_at(e, vals)
+        return out
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in self.row(i))
                          for i in range(self.rows))
         return f"PolyMatrix({self.rows}x{self.cols}: {body})"
+
+
+def kron(a, b):
+    """Kronecker product, left factor major."""
+    if a.ring is not b.ring:
+        raise ValueError("mixed rings")
+    nz = {}
+    for ia, arow in a.nz.items():
+        for ib, brow in b.nz.items():
+            row = {}
+            for ja, e in arow.items():
+                for jb, g in brow.items():
+                    t = e * g
+                    if t.terms:
+                        row[ja * b.cols + jb] = t
+            if row:
+                nz[ia * b.rows + ib] = row
+    return PolyMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, trusted=nz)
 
 
 class FreeComplex:
@@ -204,7 +348,7 @@ class FreeComplex:
         return range(self.lo, self.hi + 1)
 
     def __eq__(self, other):
-        return (isinstance(other, FreeComplex) and self.ring == other.ring
+        return (isinstance(other, FreeComplex) and self.ring is other.ring
                 and self.lo == other.lo and self.hi == other.hi
                 and self.ranks == other.ranks and self.diffs == other.diffs)
 
@@ -261,7 +405,7 @@ class ChainMap:
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source, target, components):
-        if source.ring != target.ring:
+        if source.ring is not target.ring:
             raise ValueError("mixed rings")
         self.source = source
         self.target = target
@@ -335,7 +479,7 @@ def koszul_complex(ring, potential):
     if n == 0:
         raise ValueError("potential must have at least one entry")
     for f in potential:
-        if not isinstance(f, Poly) or f.ring != ring:
+        if not isinstance(f, Poly) or f.ring is not ring:
             raise ValueError("potential entries must be Polys over the ring")
     ranks = {}
     subsets = {}
@@ -365,11 +509,7 @@ def koszul_complex(ring, potential):
 def homology_dims_at(c, point):
     """Dimensions of the cohomology of the evaluated complex, degree by degree."""
     p = c.ring.char
-    out = {}
-    for m in c.degrees():
-        dm = c.diff(m).evaluate(point)
-        din = c.diff(m - 1).evaluate(point) if m > c.lo else []
-        ker = linalg.kernel_dim(dm, c.rank(m), p)
-        im = linalg.rank(din, p) if din else 0
-        out[m] = ker - im
-    return out
+    ranks = {m: linalg.rank(c.diff(m).evaluate(point), p)
+             for m in c.degrees()}
+    return {m: c.rank(m) - ranks[m] - ranks.get(m - 1, 0)
+            for m in c.degrees()}

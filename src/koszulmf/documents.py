@@ -37,7 +37,7 @@ from koszulmf.complexes import FreeComplex, PolyMatrix
 from koszulmf.koszul import KoszulModule, KoszulMorphism
 from koszulmf.mf import MFMorphism, MFObject
 from koszulmf.reduce import WitnessLog, WitnessStep
-from koszulmf.ring import (ParseError, normalize_scalar, parse_poly,
+from koszulmf.ring import (ParseError, Poly, normalize_scalar, parse_poly,
                            polynomial_ring, prime_field, rationals)
 
 WITNESS_SCHEMA = "koszulmf.witness/1"
@@ -99,7 +99,14 @@ def parse_ring_payload(payload):
     raise DocumentError(f"unknown ring kind {kind!r}")
 
 
+def _is_zero_text(text):
+    # nearly every entry of a real document is zero: skip the tokenizer
+    return text == "0" or (type(text) is int and text == 0)
+
+
 def _parse_entry(ring, text, where):
+    if _is_zero_text(text):
+        return Poly.zero(ring)
     if isinstance(text, int):
         text = str(text)
     _expect(isinstance(text, str), f"{where}: matrix entry must be a string")
@@ -113,8 +120,17 @@ def _parse_matrix(ring, payload, rows, cols, where):
     _expect(isinstance(payload, list) and len(payload) == rows
             and all(isinstance(r, list) and len(r) == cols for r in payload),
             f"{where}: expected a {rows}x{cols} matrix")
-    flat = [_parse_entry(ring, e, where) for row in payload for e in row]
-    return PolyMatrix(ring, rows, cols, flat)
+    nz = {}
+    for i, row in enumerate(payload):
+        parsed = {}
+        for j, text in enumerate(row):
+            if not _is_zero_text(text):
+                e = _parse_entry(ring, text, where)
+                if e.terms:
+                    parsed[j] = e
+        if parsed:
+            nz[i] = parsed
+    return PolyMatrix(ring, rows, cols, trusted=nz)
 
 
 def _parse_window(payload, where):
@@ -329,8 +345,11 @@ def ring_payload(ring):
 
 
 def _matrix_payload(mat):
-    return [[str(mat.at(i, j)) for j in range(mat.cols)]
-            for i in range(mat.rows)]
+    out = [["0"] * mat.cols for _ in range(mat.rows)]
+    for i, row in mat.nz.items():
+        for j, e in row.items():
+            out[i][j] = str(e)
+    return out
 
 
 def complex_payload(c):

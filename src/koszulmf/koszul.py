@@ -15,28 +15,10 @@ underlying free module.  That order reproduces the classical block shapes
 from itertools import combinations
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
-                                cone_chain, homology_dims_at, shift_complex,
-                                validate_chain_map, validate_complex)
-from koszulmf.ring import Poly, polynomial_ring
-
-
-def kron(a, b):
-    """Kronecker product, left factor major."""
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = PolyMatrix.zero(a.ring, rows, cols)
-    for ia in range(a.rows):
-        for ja in range(a.cols):
-            e = a.at(ia, ja)
-            if e.is_zero:
-                continue
-            for ib in range(b.rows):
-                for jb in range(b.cols):
-                    g = b.at(ib, jb)
-                    if not g.is_zero:
-                        out.put(ia * b.rows + ib, ja * b.cols + jb, e * g)
-    return out
+                                cone_chain, homology_dims_at, kron,
+                                shift_complex, validate_chain_map,
+                                validate_complex)
+from koszulmf.ring import Poly, embed, polynomial_ring
 
 
 class KoszulModule:
@@ -47,9 +29,9 @@ class KoszulModule:
         if not potential:
             raise ValueError("potential must be nonempty")
         for f in potential:
-            if not isinstance(f, Poly) or f.ring != ring:
+            if not isinstance(f, Poly) or f.ring is not ring:
                 raise ValueError("potential entries must be Polys over the ring")
-        if underlying.ring != ring:
+        if underlying.ring is not ring:
             raise ValueError("underlying complex has a different ring")
         if len(h) != len(potential):
             raise ValueError(f"need {len(potential)} h-families, got {len(h)}")
@@ -96,7 +78,7 @@ class KoszulModule:
         return g
 
     def __eq__(self, other):
-        return (isinstance(other, KoszulModule) and self.ring == other.ring
+        return (isinstance(other, KoszulModule) and self.ring is other.ring
                 and self.potential == other.potential
                 and self.underlying == other.underlying
                 and self.h == other.h)
@@ -247,7 +229,7 @@ class KoszulMorphism:
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source, target, components):
-        if source.ring != target.ring:
+        if source.ring is not target.ring:
             raise ValueError("mixed rings")
         if source.potential != target.potential:
             raise ValueError("sources of a morphism must share the potential")
@@ -325,10 +307,12 @@ def counit_map(m):
             if r == 0:
                 continue
             # h_{i1}(u+1) * h_{i2}(u+2) * ... * h_{ik}(u+k); identity for k=0
-            prod = PolyMatrix.identity(m.ring, e.rank(u))
+            prod = None
             for pos, i_j in enumerate(S):
-                prod = prod * m.hop(i_j, u + pos + 1)
-            grid[0][col] = prod
+                h = m.hop(i_j, u + pos + 1)
+                prod = h if prod is None else prod * h
+            grid[0][col] = (PolyMatrix.identity(m.ring, e.rank(u))
+                            if prod is None else prod)
         comps[u] = PolyMatrix.block(m.ring, grid, [e.rank(u)],
                                     [r for (_, _, _, r) in layout])
     return KoszulMorphism(free, m, comps)
@@ -338,21 +322,11 @@ def cone_koszul(g):
     """Mapping cone of a Koszul morphism; shifted source block first."""
     src, tgt = g.source, g.target
     ring = src.ring
-    lo = min(src.lo - 1, tgt.lo)
-    hi = max(src.hi - 1, tgt.hi)
-    ranks = {m: src.rank(m + 1) + tgt.rank(m) for m in range(lo, hi + 1)}
-    diffs = {}
-    for m in range(lo, hi):
-        diffs[m] = PolyMatrix.block(
-            ring,
-            [[-src.diff(m + 1), None],
-             [g.component(m + 1), tgt.diff(m)]],
-            [src.rank(m + 2), tgt.rank(m + 1)],
-            [src.rank(m + 1), tgt.rank(m)])
+    underlying = cone_chain(g.chain_map())
     h = []
     for i in range(src.n):
         fam = {}
-        for m in range(lo, hi + 1):
+        for m in range(underlying.lo, underlying.hi + 1):
             fam[m] = PolyMatrix.block(
                 ring,
                 [[-src.hop(i, m + 1), None],
@@ -360,7 +334,6 @@ def cone_koszul(g):
                 [src.rank(m), tgt.rank(m - 1)],
                 [src.rank(m + 1), tgt.rank(m)])
         h.append(fam)
-    underlying = FreeComplex(ring, lo, hi, ranks, diffs)
     return KoszulModule(ring, src.potential, underlying, h)
 
 
@@ -386,7 +359,7 @@ def shift_koszul(m, k):
 def _merge_rings(ra, rb):
     """Polynomial ring on the disjoint union of variables, left vars first."""
     base_a, base_b = ra.base_field, rb.base_field
-    if base_a != base_b:
+    if base_a is not base_b:
         raise ValueError("tensor factors must share the base field")
     va, vb = ra.varnames, rb.varnames
     if set(va) & set(vb):
@@ -395,15 +368,6 @@ def _merge_rings(ra, rb):
     if not merged_vars:
         return base_a
     return polynomial_ring(base_a, merged_vars)
-
-
-def _promote(poly, merged, offset, total):
-    """Re-embed a polynomial into the merged ring at a variable offset."""
-    pad_left, pad_right = offset, total - offset - len(poly.ring.varnames)
-    terms = {}
-    for exps, c in poly.terms.items():
-        terms[(0,) * pad_left + exps + (0,) * pad_right] = c
-    return Poly(merged, terms)
 
 
 def box_tensor(a, b):
@@ -416,16 +380,9 @@ def box_tensor(a, b):
     if a.n != b.n:
         raise ValueError("tensor factors must have the same potential length")
     merged = _merge_rings(a.ring, b.ring)
-    total = len(merged.varnames)
     off_b = len(a.ring.varnames)
-
-    def pa(poly):
-        return _promote(poly, merged, 0, total)
-
-    def pb(poly):
-        return _promote(poly, merged, off_b, total)
-
-    potential = tuple(pa(f) + pb(g) for f, g in zip(a.potential, b.potential))
+    potential = tuple(embed(f, merged) + embed(g, merged, off_b)
+                      for f, g in zip(a.potential, b.potential))
 
     lo, hi = a.lo + b.lo, a.hi + b.hi
     # summands (p, q) with p+q = m, ascending in p; Kronecker a-major inside
@@ -437,9 +394,11 @@ def box_tensor(a, b):
                 out.append((p, q, a.rank(p) * b.rank(q)))
         return out
 
-    def promote_mat(mat, which):
-        f = pa if which == "a" else pb
-        return PolyMatrix(merged, mat.rows, mat.cols, [f(e) for e in mat.entries])
+    def pa(mat):
+        return mat.map_entries(lambda e: embed(e, merged), merged)
+
+    def pb(mat):
+        return mat.map_entries(lambda e: embed(e, merged, off_b), merged)
 
     ranks = {m: sum(r for (_, _, r) in layout(m)) for m in range(lo, hi + 1)}
     diffs = {}
@@ -454,12 +413,12 @@ def box_tensor(a, b):
                 if r == 0:
                     continue
                 if (p + 1, q) in tpos:
-                    blk = kron(promote_mat(a.diff(p), "a"),
+                    blk = kron(pa(a.diff(p)),
                                PolyMatrix.identity(merged, b.rank(q)))
                     grid[tpos[(p + 1, q)]][col] = blk
                 if (p, q + 1) in tpos:
                     blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                               promote_mat(b.diff(q), "b"))
+                               pb(b.diff(q)))
                     grid[tpos[(p, q + 1)]][col] = blk if p % 2 == 0 else -blk
             diffs[m] = PolyMatrix.block(merged, grid,
                                         [r for (_, _, r) in tgt],
@@ -472,12 +431,12 @@ def box_tensor(a, b):
                 if r == 0:
                     continue
                 if (p - 1, q) in tpos:
-                    blk = kron(promote_mat(a.hop(i, p), "a"),
+                    blk = kron(pa(a.hop(i, p)),
                                PolyMatrix.identity(merged, b.rank(q)))
                     grid[tpos[(p - 1, q)]][col] = blk
                 if (p, q - 1) in tpos:
                     blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                               promote_mat(b.hop(i, q), "b"))
+                               pb(b.hop(i, q)))
                     grid[tpos[(p, q - 1)]][col] = blk if p % 2 == 0 else -blk
             hfams[i][m] = PolyMatrix.block(merged, grid,
                                            [r for (_, _, r) in tgt],

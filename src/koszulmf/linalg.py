@@ -1,42 +1,42 @@
 """Exact Gaussian elimination over the rationals or a prime field.
 
 Inputs are dense lists of rows whose entries are Fractions (char 0) or ints
-in [0, p).  Only ranks and kernel dimensions are needed upstream.
+in [0, p).  Only ranks and kernel dimensions are needed upstream.  The
+evaluated matrices are mostly zero, so elimination works on the nonzero
+entries of each row only.
 """
+
+from fractions import Fraction
 
 
 def rank(mat, p=0):
-    rows = [list(r) for r in mat]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        pivot = None
-        for i in range(r, nr):
-            v = rows[i][c] % p if p else rows[i][c]
-            if v:
-                pivot = i
+    # echelon rows keyed by their leading column; each input row is reduced
+    # against them until it vanishes or leads in a new column
+    pivots = {}
+    for r in mat:
+        if p:
+            row = {c: v % p for c, v in enumerate(r) if v % p}
+        else:
+            row = {c: Fraction(v) for c, v in enumerate(r) if v}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        inv = pow(pv, p - 2, p) if p else None
-        for i in range(r + 1, nr):
-            v = rows[i][c]
             if p:
-                v %= p
-            if not v:
-                continue
-            factor = v * inv % p if p else v / pv
-            if p:
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
+                factor = row[lead] * pow(piv[lead], p - 2, p) % p
             else:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+                factor = row[lead] / piv[lead]
+            for c, v in piv.items():
+                w = row.get(c, 0) - factor * v
+                if p:
+                    w %= p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def kernel_dim(mat, cols, p=0):

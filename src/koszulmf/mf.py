@@ -9,16 +9,16 @@ two-term inverse.
 """
 
 from koszulmf import linalg
-from koszulmf.complexes import FreeComplex, PolyMatrix
-from koszulmf.koszul import KoszulModule, kron
-from koszulmf.ring import Poly, evaluate
+from koszulmf.complexes import FreeComplex, PolyMatrix, kron
+from koszulmf.koszul import KoszulModule
+from koszulmf.ring import Poly, embed, evaluate
 
 
 class MFObject:
     __slots__ = ("ring", "potential", "r0", "r1", "phi0", "phi1")
 
     def __init__(self, ring, potential, r0, r1, phi0, phi1):
-        if not isinstance(potential, Poly) or potential.ring != ring:
+        if not isinstance(potential, Poly) or potential.ring is not ring:
             raise ValueError("potential must be a Poly over the ring")
         if (phi0.rows, phi0.cols) != (r1, r0):
             raise ValueError(f"phi0 is {phi0.rows}x{phi0.cols}, want {r1}x{r0}")
@@ -32,7 +32,7 @@ class MFObject:
         self.phi1 = phi1
 
     def __eq__(self, other):
-        return (isinstance(other, MFObject) and self.ring == other.ring
+        return (isinstance(other, MFObject) and self.ring is other.ring
                 and self.potential == other.potential
                 and (self.r0, self.r1) == (other.r0, other.r1)
                 and self.phi0 == other.phi0 and self.phi1 == other.phi1)
@@ -47,7 +47,8 @@ class MFMorphism:
     __slots__ = ("source", "target", "alpha0", "alpha1")
 
     def __init__(self, source, target, alpha0, alpha1):
-        if source.ring != target.ring or source.potential != target.potential:
+        if (source.ring is not target.ring
+                or source.potential != target.potential):
             raise ValueError("morphism endpoints must share ring and potential")
         if (alpha0.rows, alpha0.cols) != (target.r0, source.r0):
             raise ValueError("alpha0 shape mismatch")
@@ -108,7 +109,7 @@ def mf_cone(a):
 
 
 def mf_direct_sum(m1, m2):
-    if m1.ring != m2.ring or m1.potential != m2.potential:
+    if m1.ring is not m2.ring or m1.potential != m2.potential:
         raise ValueError("direct sum needs matching ring and potential")
     ring = m1.ring
     phi0 = PolyMatrix.block(ring, [[m1.phi0, None], [None, m2.phi0]],
@@ -127,33 +128,20 @@ def mf_tensor(a, b):
     the same ring stay over that ring; otherwise the variable lists must be
     disjoint and are concatenated.
     """
-    from koszulmf.koszul import _merge_rings, _promote
+    from koszulmf.koszul import _merge_rings
 
-    if a.ring == b.ring:
-        merged = a.ring
-
-        def pa(m):
-            return m
-
-        pb = pa
-        f = a.potential + b.potential
+    if a.ring is b.ring:
+        merged, off = a.ring, 0
     else:
-        merged = _merge_rings(a.ring, b.ring)
-        total = len(merged.varnames)
-        off = len(a.ring.varnames)
+        merged, off = _merge_rings(a.ring, b.ring), len(a.ring.varnames)
 
-        def pa(m):
-            return PolyMatrix(merged, m.rows, m.cols,
-                              [_promote(e, merged, 0, total)
-                               for e in m.entries])
+    def pa(m):
+        return m.map_entries(lambda e: embed(e, merged), merged)
 
-        def pb(m):
-            return PolyMatrix(merged, m.rows, m.cols,
-                              [_promote(e, merged, off, total)
-                               for e in m.entries])
+    def pb(m):
+        return m.map_entries(lambda e: embed(e, merged, off), merged)
 
-        f = (_promote(a.potential, merged, 0, total)
-             + _promote(b.potential, merged, off, total))
+    f = embed(a.potential, merged) + embed(b.potential, merged, off)
     p0, p1 = pa(a.phi0), pa(a.phi1)
     q0, q1 = pb(b.phi0), pb(b.phi1)
     i_r0 = PolyMatrix.identity(merged, a.r0)

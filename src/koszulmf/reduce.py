@@ -23,7 +23,7 @@ from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
                              cone_koszul, counit_map, fk_layout, free_koszul,
                              shift_koszul, validate_koszul_morphism)
 from koszulmf.mf import MFMorphism, orlov_fold
-from koszulmf.ring import Poly, evaluate, polynomial_ring
+from koszulmf.ring import Poly, embed, evaluate, polynomial_ring
 
 
 class WitnessError(RuntimeError):
@@ -165,44 +165,25 @@ def _permute_module(x, orders):
 
     orders[s] lists old indices in their new order.  Returns the permuted
     module and the permutation matrices (as the morphism components x -> x').
+    Conjugating by permutations only reindexes a matrix, so every permuted
+    map is a submatrix of the old one taken in the new orders.
     """
     ring = x.ring
+    one = Poly.one(ring)
 
-    def pmat(s):
-        order = orders.get(s)
-        r = x.rank(s)
-        if order is None:
-            return PolyMatrix.identity(ring, r)
-        mat = PolyMatrix.zero(ring, r, r)
-        one = Poly.one(ring)
-        for new, old in enumerate(order):
-            mat.put(new, old, one)
-        return mat
+    def order(s):
+        return orders.get(s, range(x.rank(s)))
 
-    mats = {s: pmat(s) for s in range(x.lo, x.hi + 1)}
-
-    def inv(s):
-        mat = mats.get(s)
-        if mat is None:
-            return PolyMatrix.identity(ring, x.rank(s))
-        out = PolyMatrix.zero(ring, mat.cols, mat.rows)
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                out.put(j, i, mat.at(i, j))
-        return out
-
+    mats = {s: PolyMatrix(ring, x.rank(s), x.rank(s),
+                          trusted={new: {old: one}
+                                   for new, old in enumerate(order(s))})
+            for s in range(x.lo, x.hi + 1)}
     ranks = {s: x.rank(s) for s in range(x.lo, x.hi + 1)}
-    diffs = {}
-    for s in range(x.lo, x.hi):
-        pm_next = mats.get(s + 1, PolyMatrix.identity(ring, x.rank(s + 1)))
-        diffs[s] = pm_next * x.diff(s) * inv(s)
-    hfams = []
-    for i in range(x.n):
-        fam = {}
-        for s in range(x.lo, x.hi + 1):
-            pm_prev = mats.get(s - 1, PolyMatrix.identity(ring, x.rank(s - 1)))
-            fam[s] = pm_prev * x.hop(i, s) * inv(s)
-        hfams.append(fam)
+    diffs = {s: x.diff(s).submatrix(order(s + 1), order(s))
+             for s in range(x.lo, x.hi)}
+    hfams = [{s: x.hop(i, s).submatrix(order(s - 1), order(s))
+              for s in range(x.lo, x.hi + 1)}
+             for i in range(x.n)]
     permuted = _module_from(ring, x.potential, x.lo, x.hi, ranks, diffs, hfams)
     return permuted, mats
 
@@ -303,13 +284,10 @@ def _graph_truncate(x, slots, mid_tag, det_tag):
 
     # graph matrix gamma: non-mid coordinates are free, mid ones determined
     rdet = r_full.submatrix(det_rows, nonmid)
-    gamma = PolyMatrix.zero(ring, x.rank(tm), len(nonmid))
     one = Poly.one(ring)
-    for pos, j in enumerate(nonmid):
-        gamma.put(j, pos, one)
-    for q, j in enumerate(mid_cols):
-        for pos in range(len(nonmid)):
-            gamma.put(j, pos, -rdet.at(q, pos))
+    graph = {j: {pos: one} for pos, j in enumerate(nonmid)}
+    graph.update((mid_cols[q], row) for q, row in (-rdet).nz.items())
+    gamma = PolyMatrix(ring, x.rank(tm), len(nonmid), trusted=graph)
     leftover = r_full.submatrix(other_rows, list(range(x.rank(tm)))) * gamma
     if not leftover.is_zero:
         raise WitnessError("kernel graph does not kill the remaining rows")
@@ -569,16 +547,14 @@ def _check_fold_transport(m0, direct, end, labels):
     if sorted(wit_evens) != sorted(evens) or sorted(wit_odds) != sorted(odds):
         raise WitnessError("transcription drift: summand labels do not "
                            "match the input module")
-    pos0 = {lab: j for j, lab in enumerate(evens)}
-    pos1 = {lab: j for j, lab in enumerate(odds)}
-    for r, lab_r in enumerate(wit_odds):
-        for c, lab_c in enumerate(wit_evens):
-            if folded.phi0.at(r, c) != direct.phi0.at(pos1[lab_r], pos0[lab_c]):
-                raise WitnessError("transcription drift in the even-to-odd map")
-    for r, lab_r in enumerate(wit_evens):
-        for c, lab_c in enumerate(wit_odds):
-            if folded.phi1.at(r, c) != direct.phi1.at(pos0[lab_r], pos1[lab_c]):
-                raise WitnessError("transcription drift in the odd-to-even map")
+    index0 = {lab: j for j, lab in enumerate(evens)}
+    index1 = {lab: j for j, lab in enumerate(odds)}
+    pos0 = [index0[lab] for lab in wit_evens]
+    pos1 = [index1[lab] for lab in wit_odds]
+    if folded.phi0 != direct.phi0.submatrix(pos1, pos0):
+        raise WitnessError("transcription drift in the even-to-odd map")
+    if folded.phi1 != direct.phi1.submatrix(pos0, pos1):
+        raise WitnessError("transcription drift in the odd-to-even map")
 
 
 # ---------------------------------------------------------------------------
@@ -602,29 +578,23 @@ def codim_reduce_chart(m):
         raise ValueError(f"chart coordinates collide with ring variables: "
                          f"{sorted(clash)}")
     ring2 = polynomial_ring(base, old_vars + new_vars)
-    total = len(old_vars) + len(new_vars)
 
-    def promote(poly):
-        terms = {exps + (0,) * (total - len(old_vars)): c
-                 for exps, c in poly.terms.items()}
-        return Poly(ring2, terms)
-
-    def promote_mat(mat):
-        return PolyMatrix(ring2, mat.rows, mat.cols,
-                          [promote(e) for e in mat.entries])
+    def lift(mat):
+        return mat.map_entries(lambda e: embed(e, ring2), ring2)
 
     ts = [Poly.var(ring2, v) for v in new_vars]
-    potential = sum((promote(m.potential[i]) * ts[i] for i in range(n - 1)),
-                    start=promote(m.potential[n - 1]))
+    potential = sum((embed(m.potential[i], ring2) * ts[i]
+                     for i in range(n - 1)),
+                    start=embed(m.potential[n - 1], ring2))
 
     lo, hi = m.lo, m.hi
     ranks = {s: m.rank(s) for s in range(lo, hi + 1)}
-    diffs = {s: promote_mat(m.diff(s)) for s in range(lo, hi)}
+    diffs = {s: lift(m.diff(s)) for s in range(lo, hi)}
     fam = {}
     for s in range(lo, hi + 1):
-        acc = promote_mat(m.hop(n - 1, s))
+        acc = lift(m.hop(n - 1, s))
         for i in range(n - 1):
-            acc = acc + promote_mat(m.hop(i, s)).scale(ts[i])
+            acc = acc + lift(m.hop(i, s)).scale(ts[i])
         fam[s] = acc
     return _module_from(ring2, (potential,), lo, hi, ranks, diffs, [fam])
 

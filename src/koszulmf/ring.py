@@ -8,7 +8,6 @@ significant; printing lists terms with the leading term first, and
 """
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from koszulmf._kernel import terms_add, terms_mul, terms_neg, terms_scale
@@ -29,66 +28,77 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
+def _check_spec(kind, p, vars, base):
+    if kind == "rationals":
+        if p or vars or base is not None:
+            raise ValueError("rationals take no parameters")
+    elif kind == "prime_field":
+        if not _is_prime(p):
+            raise ValueError(f"prime_field characteristic {p} is not prime")
+        if vars or base is not None:
+            raise ValueError("prime_field takes only p")
+    elif kind == "polynomial":
+        if not isinstance(base, RingSpec) or base.kind == "polynomial":
+            raise ValueError("polynomial ring needs a field as base")
+        if not vars:
+            raise ValueError("polynomial ring needs at least one variable")
+        seen = set()
+        for v in vars:
+            if not isinstance(v, str) or not _VAR_RE.match(v):
+                raise ValueError(f"bad variable name {v!r}")
+            if v in seen:
+                raise ValueError(f"duplicate variable {v!r}")
+            seen.add(v)
+        if p:
+            raise ValueError("characteristic lives on the base field")
+    else:
+        raise ValueError(f"unknown ring kind {kind!r}")
+
+
 class RingSpec:
     """A base field, or a polynomial ring in finitely many variables over one.
 
     kind is one of "rationals", "prime_field", "polynomial".  Nesting depth
     is at most two: a polynomial ring's base must be a field.
+
+    Specs are interned and immutable: constructing a spec equal to an
+    existing one returns that same object, so equality is identity and the
+    ring checks throughout the library are `is` tests.  `char`, `is_field`,
+    `varnames` (empty for a field) and `base_field` (the spec itself for a
+    field) are fixed when the spec is first built.
     """
 
-    kind: str
-    p: int = 0
-    vars: tuple = ()
-    base: "RingSpec | None" = field(default=None)
+    __slots__ = ("kind", "p", "vars", "base",
+                 "char", "is_field", "varnames", "base_field")
+    _interned = {}
 
-    def __post_init__(self):
-        if self.kind == "rationals":
-            if self.p or self.vars or self.base is not None:
-                raise ValueError("rationals take no parameters")
-        elif self.kind == "prime_field":
-            if not _is_prime(self.p):
-                raise ValueError(f"prime_field characteristic {self.p} is not prime")
-            if self.vars or self.base is not None:
-                raise ValueError("prime_field takes only p")
-        elif self.kind == "polynomial":
-            if self.base is None or self.base.kind == "polynomial":
-                raise ValueError("polynomial ring needs a field as base")
-            if not self.vars:
-                raise ValueError("polynomial ring needs at least one variable")
-            seen = set()
-            for v in self.vars:
-                if not _VAR_RE.match(v):
-                    raise ValueError(f"bad variable name {v!r}")
-                if v in seen:
-                    raise ValueError(f"duplicate variable {v!r}")
-                seen.add(v)
-            if self.p:
-                raise ValueError("characteristic lives on the base field")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+    def __new__(cls, kind, p=0, vars=(), base=None):
+        vars = tuple(vars)
+        key = (kind, p, vars, base)
+        spec = cls._interned.get(key)
+        if spec is None:
+            _check_spec(kind, p, vars, base)
+            spec = super().__new__(cls)
+            field = kind != "polynomial"
+            fields = {"kind": kind, "p": p, "vars": vars, "base": base,
+                      "char": p if field else base.char,
+                      "is_field": field,
+                      "varnames": () if field else vars,
+                      "base_field": spec if field else base}
+            for name, value in fields.items():
+                object.__setattr__(spec, name, value)
+            spec = cls._interned.setdefault(key, spec)
+        return spec
 
-    # --- conveniences -----------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError("RingSpec is immutable")
 
-    @property
-    def char(self):
-        if self.kind == "prime_field":
-            return self.p
-        if self.kind == "polynomial":
-            return self.base.char
-        return 0
+    def __reduce__(self):
+        return (RingSpec, (self.kind, self.p, self.vars, self.base))
 
-    @property
-    def is_field(self):
-        return self.kind != "polynomial"
-
-    @property
-    def varnames(self):
-        return self.vars if self.kind == "polynomial" else ()
-
-    @property
-    def base_field(self):
-        return self.base if self.kind == "polynomial" else self
+    def __repr__(self):
+        return (f"RingSpec(kind={self.kind!r}, p={self.p!r}, "
+                f"vars={self.vars!r}, base={self.base!r})")
 
 
 def rationals():
@@ -177,7 +187,7 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise ValueError("mixed rings")
 
     def __add__(self, other):
@@ -207,12 +217,17 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = Poly.one(self.ring)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and other.ring == self.ring
+        return (isinstance(other, Poly) and other.ring is self.ring
                 and other.terms == self.terms)
 
     def __bool__(self):
@@ -409,20 +424,20 @@ def parse_poly(text, ring):
     return _Parser(text, ring).parse()
 
 
-def evaluate(poly, point):
-    """Evaluate at a point (mapping variable name -> base-field scalar).
-
-    Every ring variable must be assigned.  Returns a Fraction, or an int in
-    [0, p) over a prime field.
-    """
-    ring = poly.ring
+def point_values(ring, point):
+    """The coordinates of a point (variable name -> scalar) in ring order,
+    normalized into the base field.  Every ring variable must be assigned."""
     names = ring.varnames
     missing = [v for v in names if v not in point]
     if missing:
         raise ValueError(f"point does not assign variables {missing}")
-    p = ring.char
-    vals = [normalize_scalar(ring, point[v]) for v in names]
-    total = normalize_scalar(ring, 0)
+    return [normalize_scalar(ring, point[v]) for v in names]
+
+
+def evaluate_at(poly, vals):
+    """Evaluate at coordinates already normalized by `point_values`."""
+    p = poly.ring.char
+    total = normalize_scalar(poly.ring, 0)
     for exps, c in poly.terms.items():
         term = c
         for v, e in zip(vals, exps):
@@ -434,3 +449,29 @@ def evaluate(poly, point):
         if p:
             total %= p
     return total
+
+
+def evaluate(poly, point):
+    """Evaluate at a point (mapping variable name -> base-field scalar).
+
+    Every ring variable must be assigned.  Returns a Fraction, or an int in
+    [0, p) over a prime field.
+    """
+    return evaluate_at(poly, point_values(poly.ring, point))
+
+
+def embed(poly, ring, offset=0):
+    """The image of `poly` in a polynomial ring over the same base field
+    whose variables at positions offset, offset+1, ... are the variables of
+    poly's ring, in order; every other variable gets exponent zero."""
+    if ring is poly.ring and offset == 0:
+        return poly
+    src = poly.ring.varnames
+    if (offset < 0 or ring.base_field is not poly.ring.base_field
+            or ring.varnames[offset:offset + len(src)] != src):
+        raise ValueError("ring does not contain the polynomial's ring "
+                         f"at offset {offset}")
+    left = (0,) * offset
+    right = (0,) * (len(ring.varnames) - offset - len(src))
+    return Poly(ring, {left + exps + right: c for exps, c in poly.terms.items()},
+                _normalized=True)

@@ -3,16 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix, cone_chain,
-                                homology_dims_at, koszul_complex,
+                                homology_dims_at, koszul_complex, kron,
                                 shift_complex, validate_chain_map,
                                 validate_complex, wedge_subsets)
-from koszulmf.ring import Poly, parse_poly, polynomial_ring, prime_field, \
-    rationals
+from koszulmf.ring import Poly, evaluate, parse_poly, polynomial_ring, \
+    prime_field, rationals
 
 QXY = polynomial_ring(rationals(), ("x", "y"))
 QUV = polynomial_ring(rationals(), ("u", "v"))
+F5XY = polynomial_ring(prime_field(5), ("x", "y"))
 
 
 def _m(ring, rows, cols, entries):
@@ -46,6 +48,41 @@ def test_matrix_shape_errors():
         PolyMatrix(QXY, 2, 2, [Poly.zero(QXY)] * 3)
 
 
+def test_public_constructor_rejects_foreign_entries():
+    x = parse_poly("x", QXY)
+    with pytest.raises(ValueError, match="matrix ring"):
+        PolyMatrix(QXY, 1, 2, [x, parse_poly("u", QUV)])
+    with pytest.raises(ValueError, match="matrix ring"):
+        PolyMatrix(QXY, 1, 1, [parse_poly("x", F5XY)])
+    with pytest.raises(ValueError, match="matrix ring"):
+        PolyMatrix(QXY, 1, 1, ["x"])
+    with pytest.raises(ValueError, match="expected 2 entries"):
+        PolyMatrix(QXY, 1, 2, [x])
+    with pytest.raises(ValueError):
+        PolyMatrix(QXY, -1, 2, [])
+    a = PolyMatrix(QXY, 1, 1, [x])
+    with pytest.raises(ValueError, match="matrix ring"):
+        a.put(0, 0, parse_poly("u", QUV))
+    with pytest.raises(ValueError, match="mixed rings"):
+        a * PolyMatrix.identity(QUV, 1)
+    with pytest.raises(ValueError, match="mixed rings"):
+        a + PolyMatrix.zero(QUV, 1, 1)
+    with pytest.raises(IndexError):
+        a.at(1, 0)
+
+
+def test_zero_entries_are_never_stored():
+    a = _m(QXY, 2, 3, ["x", "0", "0", "0", "0", "y"])
+    assert a.nz == {0: {0: parse_poly("x", QXY)}, 1: {2: parse_poly("y", QXY)}}
+    a.put(0, 0, Poly.zero(QXY))
+    assert a.nz == {1: {2: parse_poly("y", QXY)}}
+    a.put(1, 2, parse_poly("y - y", QXY))
+    assert a.nz == {} and a.is_zero
+    assert (a - a).nz == {}
+    b = _m(QXY, 1, 1, ["x"])
+    assert (b - b).nz == {} and b.scale(Poly.zero(QXY)).nz == {}
+
+
 def test_matrix_block_and_submatrix():
     a = _m(QXY, 1, 1, ["x"])
     d = _m(QXY, 2, 2, ["1", "0", "0", "y"])
@@ -69,6 +106,104 @@ def test_zero_size_matrices_multiply():
     b = PolyMatrix.zero(QXY, 2, 3)
     assert (a * b).rows == 0 and (a * b).cols == 3
     assert (a * b).is_zero
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices against a dense list-of-lists reference
+# ---------------------------------------------------------------------------
+
+def _entries(ring):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, st.integers(-3, 3), min_size=1,
+                           max_size=3).map(lambda d: Poly(ring, d))
+
+
+def _dense(draw, ring, rows, cols, density):
+    """rows x cols list of lists; each entry is drawn nonzero-ish with
+    probability `density` (a drawn poly may still cancel to zero mod p)."""
+    zero = Poly.zero(ring)
+    return [[draw(_entries(ring)) if draw(st.integers(0, 99)) < density * 100
+             else zero for _ in range(cols)] for _ in range(rows)]
+
+
+def _flat(dense):
+    return [e for row in dense for e in row]
+
+
+def _same(mat, dense, rows, cols):
+    """mat holds exactly `dense`, stores no zero and no foreign entry."""
+    assert (mat.rows, mat.cols) == (rows, cols)
+    assert [[mat.at(i, j) for j in range(cols)] for i in range(rows)] == dense
+    assert mat == PolyMatrix(mat.ring, rows, cols, _flat(dense))
+    for i, row in mat.nz.items():
+        assert 0 <= i < rows and row
+        for j, e in row.items():
+            assert 0 <= j < cols and e.terms and e.ring is mat.ring
+
+
+def _dense_mul(a, b, ring, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Poly.zero(ring))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def _dense_kron(a, b, acols, bcols):
+    return [[a[ia][ja] * b[ib][jb] for ja in range(acols)
+             for jb in range(bcols)]
+            for ia in range(len(a)) for ib in range(len(b))]
+
+
+@pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
+@pytest.mark.parametrize("density", [0, 0.05, 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_matrix_matches_dense_reference(ring, density, data):
+    draw = data.draw
+    zero = Poly.zero(ring)
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = _dense(draw, ring, r, k, density)
+    a2 = _dense(draw, ring, r, k, density)
+    b = _dense(draw, ring, k, c, density)
+    A, A2, B = (PolyMatrix(ring, len(m), n, _flat(m))
+                for m, n in ((a, k), (a2, k), (b, c)))
+    _same(A, a, r, k)
+    assert A.entries == _flat(a)
+    assert A.is_zero == all(e.is_zero for e in _flat(a))
+    assert (A == A2) == (a == a2)
+
+    _same(A * B, _dense_mul(a, b, ring, k, c), r, c)
+    _same(A + A2, [[x + y for x, y in zip(p, q)] for p, q in zip(a, a2)], r, k)
+    _same(A - A2, [[x - y for x, y in zip(p, q)] for p, q in zip(a, a2)], r, k)
+    _same(-A, [[-x for x in p] for p in a], r, k)
+    s = draw(_entries(ring) | st.just(zero))
+    _same(A.scale(s), [[s * x for x in p] for p in a], r, k)
+    _same(kron(A, B), _dense_kron(a, b, k, c), r * k, k * c)
+
+    rows_idx = draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
+    cols_idx = draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
+    _same(A.submatrix(rows_idx, cols_idx),
+          [[a[i][j] for j in cols_idx] for i in rows_idx],
+          len(rows_idx), len(cols_idx))
+
+    # the grid [[A, zero], [A2, lower]]
+    lower = _dense(draw, ring, r, c, density)
+    blk = PolyMatrix.block(ring, [[A, None], [A2, PolyMatrix.from_rows(
+        ring, lower, c)]], [r, r], [k, c])
+    _same(blk, [p + [zero] * c for p in a] + [p + q for p, q in zip(a2, lower)],
+          2 * r, k + c)
+
+    point = {"x": draw(st.integers(-3, 3)),
+             "y": Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))}
+    assert A.evaluate(point) == [[evaluate(e, point) for e in p] for p in a]
+
+    if r and k:
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, k - 1))
+        e = draw(_entries(ring) | st.just(zero))
+        A.put(i, j, e)
+        a[i][j] = e
+        _same(A, a, r, k)
+        assert A.at(i, j) == e
+        assert A.row(i) == a[i]
+        assert A.entries == _flat(a)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import corpus
+from koszulmf import cli
 from koszulmf import documents as docs
 from koszulmf.complexes import FreeComplex, PolyMatrix
 from koszulmf.koszul import KoszulMorphism, validate_koszul
 from koszulmf.mf import MFObject
 from koszulmf.reduce import fold_with_witness, validate_log
-from koszulmf.ring import parse_poly
+from koszulmf.ring import parse_poly, polynomial_ring, prime_field, rationals
 
 DATA = corpus.DATA
 
@@ -275,3 +276,39 @@ def test_empty_matrix_payloads_are_fine():
     assert payload["d"]["-1"] == []
     again = docs.parse_complex_payload(ring, payload, "c")
     assert again == c
+
+
+# ---------------------------------------------------------------------------
+# the zero fast path of the entry parser
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", [
+    polynomial_ring(rationals(), ("x", "y")),
+    polynomial_ring(prime_field(5), ("x", "y")),
+])
+@pytest.mark.parametrize("entry", ["0", " 0", "-0", "0*x", "0 ", "00", 0])
+def test_zero_entries_parse_like_parse_poly(ring, entry):
+    got = docs._parse_entry(ring, entry, "here")
+    want = parse_poly(str(entry), ring)
+    assert got == want
+    assert got.ring is ring and got.is_zero
+
+
+@pytest.mark.parametrize("entry", ["0x", "0 0", "0*", "", "z", None, 0.0,
+                                   False, [0]])
+def test_malformed_entries_are_document_errors(entry, tmp_path, capsys):
+    raw = _m3_payload()
+    raw["objects"]["m3"]["h"][0]["0"] = [["y"], [entry]]
+    with pytest.raises(docs.DocumentError):
+        docs.parse_document(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("error=parse")
+
+
+def test_parsed_matrices_store_only_nonzeros():
+    m3 = _doc("m3.json").objects["m3"]
+    h0 = m3.hop(0, 0)
+    assert h0.nz == {0: {0: parse_poly("y", m3.ring)}}
+    assert h0.entries == [parse_poly("y", m3.ring), parse_poly("0", m3.ring)]

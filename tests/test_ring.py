@@ -1,13 +1,16 @@
 """Coefficient rings, polynomial arithmetic, parsing, evaluation."""
 
+import copy
+import pickle
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulmf.ring import (ParseError, Poly, evaluate,
-                           normalize_scalar, parse_poly, polynomial_ring,
-                           prime_field, rationals)
+from koszulmf.ring import (ParseError, Poly, embed, evaluate, evaluate_at,
+                           normalize_scalar, parse_poly, point_values,
+                           polynomial_ring, prime_field, rationals)
 
 QX = polynomial_ring(rationals(), ("x",))
 QXY = polynomial_ring(rationals(), ("x", "y"))
@@ -26,6 +29,19 @@ def test_ring_spec_basics():
     assert QXY.varnames == ("x", "y")
     assert rationals().varnames == ()
     assert F5XY.base_field == prime_field(5)
+
+
+def test_ring_specs_are_interned():
+    assert (polynomial_ring(rationals(), ("x", "y"))
+            is polynomial_ring(rationals(), ["x", "y"]))
+    assert polynomial_ring(rationals(), ("x", "y")) is QXY
+    assert prime_field(5) is F5XY.base_field
+    assert polynomial_ring(rationals(), ("y", "x")) is not QXY
+    assert polynomial_ring(prime_field(5), ("x", "y")) != QXY
+    assert copy.deepcopy(QXY) is QXY
+    assert pickle.loads(pickle.dumps(F5XY)) is F5XY
+    with pytest.raises(AttributeError):
+        QXY.vars = ("z",)
 
 
 def test_ring_spec_rejects_bad_input():
@@ -169,3 +185,49 @@ def test_evaluate_requires_all_vars():
     p = parse_poly("x + y", QXY)
     with pytest.raises(ValueError):
         evaluate(p, {"x": 1})
+
+
+def test_evaluate_at_matches_evaluate():
+    p = parse_poly("x^2*y - 1/2*y + 3", QXY)
+    point = {"x": Fraction(2, 3), "y": -4, "z": 9}
+    assert evaluate_at(p, point_values(QXY, point)) == evaluate(p, point)
+    assert point_values(F5XY, {"x": 7, "y": Fraction(1, 2)}) == [2, 3]
+    with pytest.raises(ValueError):
+        point_values(QXY, {"y": 0})
+
+
+# ---------------------------------------------------------------------------
+# powers and embeddings
+# ---------------------------------------------------------------------------
+
+def test_power_by_squaring_matches_repeated_product():
+    p = parse_poly("x+1", QX)
+    want = Poly.one(QX)
+    for _ in range(64):
+        want = want * p
+    assert parse_poly("(x+1)^64", QX) == want
+    q = parse_poly("x - 2*y + 1", F5XY)
+    for n in range(12):
+        want = Poly.one(F5XY)
+        for _ in range(n):
+            want = want * q
+        assert q ** n == want
+
+
+def test_large_monomial_power_is_fast():
+    start = time.perf_counter()
+    p = parse_poly("x^100000", QX)
+    assert time.perf_counter() - start < 1.0
+    assert p.terms == {(100000,): Fraction(1)}
+
+
+def test_embed_pads_exponents():
+    big = polynomial_ring(rationals(), ("a", "x", "y", "b"))
+    p = parse_poly("x^2*y - 3", QXY)
+    assert embed(p, big, 1) == parse_poly("x^2*y - 3", big)
+    assert embed(p, QXY) is p
+    assert embed(parse_poly("x", QX), QXY) == parse_poly("x", QXY)
+    with pytest.raises(ValueError):
+        embed(p, big, 0)
+    with pytest.raises(ValueError):
+        embed(p, polynomial_ring(prime_field(5), ("x", "y")))
