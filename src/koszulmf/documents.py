@@ -26,8 +26,16 @@ Witness logs are a separate self-contained format (`witness_payload` /
 start and end modules, and one payload per step with full matrices, enough
 to re-run every check without the emitting document.
 
+Reading a document or a log parses each distinct entry string once: one
+memo per document maps entry text to its Poly, which every repeat shares
+(polys are immutable).  Nesting deeper than the JSON decoder or the
+polynomial parser allows is a DocumentError like any other malformed input.
+
 All dumps are deterministic: canonical polynomial strings, sorted keys,
-two-space indent, trailing newline.
+two-space indent, trailing newline.  `dumps` writes exactly the text of
+`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, escaping
+strings with the C encoder instead of the pure-Python one that `indent`
+selects; `write_json` is the one function that writes files.
 """
 
 import json
@@ -104,28 +112,40 @@ def _is_zero_text(text):
     return text == "0" or (type(text) is int and text == 0)
 
 
-def _parse_entry(ring, text, where):
+def _parse_entry(ring, text, where, memo=None):
+    """Parse one entry.  `memo` is the document's entry memo: entry text
+    (after the int -> str conversion, so JSON `true` and `1` never share a
+    slot) -> the Poly it parsed to.  Only successful parses are stored, so a
+    malformed entry is reported at its first location.  Sharing a Poly
+    between entries is safe because polys are never mutated."""
     if _is_zero_text(text):
         return Poly.zero(ring)
     if isinstance(text, int):
         text = str(text)
     _expect(isinstance(text, str), f"{where}: matrix entry must be a string")
-    try:
-        return parse_poly(text, ring)
-    except ParseError as e:
-        raise DocumentError(f"{where}: {e}")
+    if memo is None:
+        memo = {}
+    poly = memo.get(text)
+    if poly is None:
+        try:
+            poly = memo[text] = parse_poly(text, ring)
+        except ParseError as e:
+            raise DocumentError(f"{where}: {e}")
+    return poly
 
 
-def _parse_matrix(ring, payload, rows, cols, where):
+def _parse_matrix(ring, payload, rows, cols, where, memo):
     _expect(isinstance(payload, list) and len(payload) == rows
             and all(isinstance(r, list) and len(r) == cols for r in payload),
             f"{where}: expected a {rows}x{cols} matrix")
     nz = {}
     for i, row in enumerate(payload):
+        if row.count("0") == cols:
+            continue
         parsed = {}
         for j, text in enumerate(row):
-            if not _is_zero_text(text):
-                e = _parse_entry(ring, text, where)
+            if text != "0":
+                e = _parse_entry(ring, text, where, memo)
                 if e.terms:
                     parsed[j] = e
         if parsed:
@@ -154,7 +174,7 @@ def _parse_window(payload, where):
     return lo, hi, ranks
 
 
-def _parse_degree_matrices(ring, payload, lo, hi, rank, shift, where):
+def _parse_degree_matrices(ring, payload, rank, shift, where, memo):
     """Degree-keyed matrix map; at degree m the shape is
     rank(m + shift) x rank(m)."""
     out = {}
@@ -167,15 +187,15 @@ def _parse_degree_matrices(ring, payload, lo, hi, rank, shift, where):
         except ValueError:
             raise DocumentError(f"{where}: bad degree key {key!r}")
         out[deg] = _parse_matrix(ring, val, rank(deg + shift), rank(deg),
-                                 f"{where}[{deg}]")
+                                 f"{where}[{deg}]", memo)
     return out
 
 
-def parse_complex_payload(ring, payload, where):
+def parse_complex_payload(ring, payload, where, memo=None):
     lo, hi, ranks = _parse_window(payload, where)
     rank = lambda m: ranks.get(m, 0) if lo <= m <= hi else 0
-    diffs = _parse_degree_matrices(ring, payload.get("d"), lo, hi, rank, 1,
-                                   f"{where}.d")
+    diffs = _parse_degree_matrices(ring, payload.get("d"), rank, 1,
+                                   f"{where}.d", memo)
     for deg in diffs:
         _expect(lo <= deg < hi, f"{where}.d: degree {deg} outside window")
     try:
@@ -184,16 +204,16 @@ def parse_complex_payload(ring, payload, where):
         raise DocumentError(f"{where}: {e}")
 
 
-def parse_module_payload(ring, potential, payload, where):
-    underlying = parse_complex_payload(ring, payload, where)
+def parse_module_payload(ring, potential, payload, where, memo=None):
+    underlying = parse_complex_payload(ring, payload, where, memo)
     lo, hi = underlying.lo, underlying.hi
     hs = payload.get("h")
     _expect(isinstance(hs, list) and len(hs) == len(potential),
             f"{where}: need {len(potential)} h families")
     fams = []
     for i, fam_payload in enumerate(hs):
-        fam = _parse_degree_matrices(ring, fam_payload, lo, hi,
-                                     underlying.rank, -1, f"{where}.h[{i}]")
+        fam = _parse_degree_matrices(ring, fam_payload, underlying.rank, -1,
+                                     f"{where}.h[{i}]", memo)
         for deg in fam:
             _expect(lo <= deg <= hi,
                     f"{where}.h[{i}]: degree {deg} outside window")
@@ -204,13 +224,15 @@ def parse_module_payload(ring, potential, payload, where):
         raise DocumentError(f"{where}: {e}")
 
 
-def parse_mf_payload(ring, payload, where):
-    f = _parse_entry(ring, payload.get("f", ""), f"{where}.f")
+def parse_mf_payload(ring, payload, where, memo=None):
+    f = _parse_entry(ring, payload.get("f", ""), f"{where}.f", memo)
     r0, r1 = payload.get("r0"), payload.get("r1")
     _expect(isinstance(r0, int) and isinstance(r1, int) and r0 >= 0 and r1 >= 0,
             f"{where}: r0 and r1 must be nonnegative integers")
-    phi0 = _parse_matrix(ring, payload.get("phi0"), r1, r0, f"{where}.phi0")
-    phi1 = _parse_matrix(ring, payload.get("phi1"), r0, r1, f"{where}.phi1")
+    phi0 = _parse_matrix(ring, payload.get("phi0"), r1, r0, f"{where}.phi0",
+                         memo)
+    phi1 = _parse_matrix(ring, payload.get("phi1"), r0, r1, f"{where}.phi1",
+                         memo)
     try:
         return MFObject(ring, f, r0, r1, phi0, phi1)
     except ValueError as e:
@@ -242,24 +264,31 @@ def parse_point_payload(ring, payload, where):
     return point
 
 
-def load_document(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: not valid JSON: {e}")
-    return parse_document(raw)
+    except RecursionError:
+        # the C decoder refuses nesting deeper than the recursion limit
+        raise DocumentError(f"{path}: not valid JSON: nested too deeply")
+
+
+def load_document(path):
+    return parse_document(_read_json(path))
 
 
 def parse_document(raw):
     _expect(isinstance(raw, dict), "document must be a JSON object")
+    memo = {}
     ring = parse_ring_payload(raw.get("ring"))
     pot_raw = raw.get("potential")
     _expect(isinstance(pot_raw, list) and pot_raw,
             "potential must be a nonempty list")
-    potential = tuple(_parse_entry(ring, f, f"potential[{i}]")
+    potential = tuple(_parse_entry(ring, f, f"potential[{i}]", memo)
                       for i, f in enumerate(pot_raw))
 
     # two passes: morphisms may name their endpoints anywhere in the file
@@ -271,19 +300,20 @@ def parse_document(raw):
         typ = payload.get("type")
         where = f"objects.{name}"
         if typ == "complex":
-            objects[name] = parse_complex_payload(ring, payload, where)
+            objects[name] = parse_complex_payload(ring, payload, where, memo)
         elif typ == "koszul_module":
             objects[name] = parse_module_payload(ring, potential, payload,
-                                                 where)
+                                                 where, memo)
         elif typ == "mf":
-            objects[name] = parse_mf_payload(ring, payload, where)
+            objects[name] = parse_mf_payload(ring, payload, where, memo)
         elif typ in ("koszul_morphism", "mf_morphism"):
             objects[name] = None    # placeholder keeps document order
             deferred.append((name, payload, where, typ))
         else:
             raise DocumentError(f"{where}: unknown type {typ!r}")
     for name, payload, where, typ in deferred:
-        objects[name] = _parse_morphism(ring, payload, objects, where, typ)
+        objects[name] = _parse_morphism(ring, payload, objects, where, typ,
+                                        memo)
 
     points = {}
     for name, payload in (raw.get("points") or {}).items():
@@ -299,7 +329,7 @@ def _resolve(objects, name, want, where):
     return obj
 
 
-def _parse_morphism(ring, payload, objects, where, typ):
+def _parse_morphism(ring, payload, objects, where, typ, memo):
     if typ == "koszul_morphism":
         src = _resolve(objects, payload.get("source"), KoszulModule,
                        f"{where}.source")
@@ -312,7 +342,7 @@ def _parse_morphism(ring, payload, objects, where, typ):
             except ValueError:
                 raise DocumentError(f"{where}.components: bad degree {key!r}")
             comps[deg] = _parse_matrix(ring, val, tgt.rank(deg), src.rank(deg),
-                                       f"{where}.components[{deg}]")
+                                       f"{where}.components[{deg}]", memo)
         try:
             return KoszulMorphism(src, tgt, comps)
         except ValueError as e:
@@ -320,9 +350,9 @@ def _parse_morphism(ring, payload, objects, where, typ):
     src = _resolve(objects, payload.get("source"), MFObject, f"{where}.source")
     tgt = _resolve(objects, payload.get("target"), MFObject, f"{where}.target")
     a0 = _parse_matrix(ring, payload.get("alpha0"), tgt.r0, src.r0,
-                       f"{where}.alpha0")
+                       f"{where}.alpha0", memo)
     a1 = _parse_matrix(ring, payload.get("alpha1"), tgt.r1, src.r1,
-                       f"{where}.alpha1")
+                       f"{where}.alpha1", memo)
     try:
         return MFMorphism(src, tgt, a0, a1)
     except ValueError as e:
@@ -405,8 +435,73 @@ def document_payload(ring, potential, objects, points=None):
     return out
 
 
+_encode_str = json.encoder.encode_basestring_ascii   # the C encoder
+
+
+def _write_value(obj, nl, out):
+    """Append the canonical text of `obj` to `out`; `nl` is a newline plus
+    the indent of the line `obj` starts on."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode_str(obj))
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if type(obj[0]) is str:
+            # a matrix row: one join, unless a non-string follows
+            try:
+                out.append("[" + inner + sep.join(map(_encode_str, obj))
+                           + nl + "]")
+                return
+            except TypeError:
+                pass
+        out.append("[" + inner)
+        _write_value(obj[0], inner, out)
+        for item in obj[1:]:
+            out.append(sep)
+            _write_value(item, inner, out)
+        out.append(nl + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"object keys must be strings, not "
+                                f"{type(key).__name__}")
+        inner = nl + "  "
+        out.append("{")
+        sep = inner
+        for key in sorted(obj):
+            out.append(sep + _encode_str(key) + ": ")
+            _write_value(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif kind is int:
+        out.append(repr(obj))
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+
 def dumps(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text of a payload of dicts with string keys, lists,
+    strings, ints, booleans and None: the bytes of
+    `json.dumps(payload, indent=2, sort_keys=True)` plus a newline, written
+    without the pure-Python encoder that `indent` selects.  Any other type
+    raises TypeError."""
+    out = []
+    _write_value(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, payload):
@@ -461,16 +556,17 @@ def parse_witness(raw):
     _expect(isinstance(raw, dict), "witness must be a JSON object")
     _expect(raw.get("schema") == WITNESS_SCHEMA,
             f"unknown witness schema {raw.get('schema')!r}")
+    memo = {}
     ring = parse_ring_payload(raw.get("ring"))
     pot_raw = raw.get("potential")
     _expect(isinstance(pot_raw, list) and pot_raw,
             "potential must be a nonempty list")
-    potential = tuple(_parse_entry(ring, f, f"potential[{i}]")
+    potential = tuple(_parse_entry(ring, f, f"potential[{i}]", memo)
                       for i, f in enumerate(pot_raw))
 
     def module_at(payload, where):
         _expect(isinstance(payload, dict), f"{where}: must be an object")
-        return parse_module_payload(ring, potential, payload, where)
+        return parse_module_payload(ring, potential, payload, where, memo)
 
     start = module_at(raw.get("start"), "start")
     end = module_at(raw.get("end"), "end")
@@ -483,7 +579,7 @@ def parse_witness(raw):
             except ValueError:
                 raise DocumentError(f"{where}: bad degree {key!r}")
             comps[deg] = _parse_matrix(ring, val, tgt.rank(deg), src.rank(deg),
-                                       f"{where}[{deg}]")
+                                       f"{where}[{deg}]", memo)
         return comps
 
     steps = []
@@ -498,7 +594,7 @@ def parse_witness(raw):
                 f"{where}: bad orientation {orientation!r}")
         if kind == "cone_off_free":
             gens = parse_complex_payload(ring, sp.get("generators"),
-                                         f"{where}.generators")
+                                         f"{where}.generators", memo)
             target = module_at(sp.get("target"), f"{where}.target")
             source = free_koszul(gens, potential)
             comps = components_between(sp.get("components"), source, target,
@@ -534,11 +630,4 @@ def parse_witness(raw):
 
 
 def load_witness(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"{path}: not valid JSON: {e}")
-    return parse_witness(raw)
+    return parse_witness(_read_json(path))

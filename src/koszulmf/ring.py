@@ -132,6 +132,10 @@ class Poly:
 
     Over a bare field the exponent tuples are empty and the poly is just a
     boxed scalar, which keeps the matrix layer uniform.
+
+    Polys are immutable: every operation builds a new `terms` dict and none
+    changes one in place, so one Poly may be shared by many matrix entries
+    (the document reader's entry memo relies on this).
     """
 
     __slots__ = ("ring", "terms")
@@ -323,11 +327,18 @@ def _tokenize(text):
     return tokens
 
 
+# Each parenthesis level costs the recursive-descent parser five stack
+# frames; deeper input is refused as malformed rather than left to exhaust
+# the interpreter's recursion limit.
+MAX_PAREN_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text, ring):
         self.tokens = _tokenize(text)
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -372,12 +383,15 @@ class _Parser:
                 return p
 
     def unary(self):
+        # a run of signs is folded in a loop, so its length costs no stack
+        negate = False
         kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
+        while kind == "op" and val in "+-":
             self.take()
-            q = self.unary()
-            return -q if val == "-" else q
-        return self.power()
+            negate ^= val == "-"
+            kind, val, _ = self.peek()
+        p = self.power()
+        return -p if negate else p
 
     def power(self):
         base = self.atom()
@@ -413,8 +427,13 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos)
             return Poly.var(self.ring, val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError("parentheses nested deeper than "
+                                 f"{MAX_PAREN_DEPTH}", pos)
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 

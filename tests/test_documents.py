@@ -1,9 +1,11 @@
 """Document and witness file formats: loading, round trips, rejections."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 from koszulmf import cli
@@ -12,7 +14,8 @@ from koszulmf.complexes import FreeComplex, PolyMatrix
 from koszulmf.koszul import KoszulMorphism, validate_koszul
 from koszulmf.mf import MFObject
 from koszulmf.reduce import fold_with_witness, validate_log
-from koszulmf.ring import parse_poly, polynomial_ring, prime_field, rationals
+from koszulmf.ring import (Poly, parse_poly, polynomial_ring, prime_field,
+                           rationals)
 
 DATA = corpus.DATA
 
@@ -312,3 +315,166 @@ def test_parsed_matrices_store_only_nonzeros():
     h0 = m3.hop(0, 0)
     assert h0.nz == {0: {0: parse_poly("y", m3.ring)}}
     assert h0.entries == [parse_poly("y", m3.ring), parse_poly("0", m3.ring)]
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer matches json.dumps(indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+def _reference_dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_strings = st.text(alphabet=st.characters(blacklist_categories=())) | \
+    st.sampled_from(["", "0", '"', "\\", "\\n", "\x00", "\x1f", "\x7f",
+                     "\u2028", "\ud800", "\U0001f600", "é", "x*y"])
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10 ** 300, max_value=10 ** 300)
+            | _strings)
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(_strings, children, max_size=6),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_dumps_matches_json_dumps(payload):
+    assert docs.dumps(payload) == _reference_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, [[]], [{}], {"a": [], "b": {}}, [[[]], [{}, []]], ["a", 1],
+    [1, "a"], ["a", ["b"]], ["a", None, True, False], -(10 ** 40), "é\n",
+])
+def test_dumps_edge_cases(payload):
+    assert docs.dumps(payload) == _reference_dumps(payload)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(DATA)))
+def test_dumps_matches_json_dumps_on_shipped_files(name):
+    with open(os.path.join(DATA, name)) as fh:
+        payload = json.load(fh)
+    assert docs.dumps(payload) == _reference_dumps(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fold", "--input", os.path.join(DATA, "m3.json")],
+    ["reduce-codim", "--input", os.path.join(DATA, "koszul_uv.json"),
+     "--then", "fold", "--points", "origin"],
+])
+def test_emitted_witness_files_match_json_dumps(argv, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    assert cli.main(argv + ["--witness", str(path)]) == 0
+    text = path.read_text()
+    payload = json.loads(text)
+    assert payload["steps"]
+    assert text == _reference_dumps(payload) == docs.dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, [0.0], {"a": {"b": 2.0}}, ["a", 1e9],
+    {1: "x"}, {None: 1}, {"a": {True: 1}}, (1, 2), [b"x"], {"x": {1, 2}},
+])
+def test_dumps_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        docs.dumps(payload)
+
+
+# ---------------------------------------------------------------------------
+# the per-document entry memo
+# ---------------------------------------------------------------------------
+
+def test_memo_keeps_true_apart_from_one(tmp_path, capsys):
+    ring = polynomial_ring(rationals(), ("x", "y"))
+    one = docs._parse_matrix(ring, [[1, "1"]], 1, 2, "m", {})
+    assert one.at(0, 0) == one.at(0, 1) == Poly.one(ring)
+    # the int 1 is parsed (and memoized) before JSON true is reached
+    raw = _m3_payload()
+    raw["objects"]["m3"]["h"][0]["0"] = [[1], [True]]
+    with pytest.raises(docs.DocumentError, match="'True'"):
+        docs.parse_document(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("error=parse")
+
+
+def test_memo_int_and_string_entries_agree():
+    ring = polynomial_ring(prime_field(5), ("x", "y"))
+    memo = {}
+    m = docs._parse_matrix(ring, [[5, "5", 7, "7", "x"]], 1, 5, "m", memo)
+    assert m.at(0, 0) == m.at(0, 1) == parse_poly("5", ring)
+    assert m.at(0, 2) == m.at(0, 3) == parse_poly("2", ring)
+    assert set(memo) == {"5", "7", "x"}
+
+
+def test_memo_reports_a_repeated_bad_entry_at_its_first_location():
+    raw = _m3_payload()
+    raw["objects"]["m3"]["d"]["-2"] = [["y"], ["z"]]
+    raw["objects"]["m3"]["d"]["-1"] = [["z", "y"]]
+    with pytest.raises(docs.DocumentError,
+                       match=r"^objects\.m3\.d\[-2\]: unknown variable"):
+        docs.parse_document(raw)
+
+
+def test_parsing_a_document_twice_gives_equal_objects():
+    raw = _m3_payload()
+    first, second = docs.parse_document(raw), docs.parse_document(raw)
+    assert first.objects == second.objects
+    assert first.potential == second.potential
+    assert first.points == second.points
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    payload = json.loads(docs.dumps(docs.witness_payload(log)))
+    (log1, _), (log2, _) = docs.parse_witness(payload), \
+        docs.parse_witness(payload)
+    assert (log1.start, log1.end) == (log2.start, log2.end) == \
+        (log.start, log.end)
+    assert docs.dumps(docs.witness_payload(log1)) == \
+        docs.dumps(docs.witness_payload(log2))
+
+
+# ---------------------------------------------------------------------------
+# input nested too deeply ends in a parse error, not a traceback
+# ---------------------------------------------------------------------------
+
+def _fold_m3_witness(path, capsys):
+    assert cli.main(["fold", "--input", os.path.join(DATA, "m3.json"),
+                     "--witness", str(path)]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_deeply_parenthesized_entry_is_a_parse_error(tmp_path, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    raw = _m3_payload()
+    raw["objects"]["m3"]["h"][0]["0"] = [["y"], [deep]]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error=parse objects.m3.h[0][0]: parentheses")
+
+    wpath = tmp_path / "w.json"
+    payload = _fold_m3_witness(wpath, capsys)
+    payload["end"]["d"] = {k: [[deep] * len(row) for row in mat]
+                           for k, mat in payload["end"]["d"].items()}
+    wpath.write_text(json.dumps(payload))
+    assert cli.main(["witness-check", "--witness", str(wpath)]) == 2
+    assert capsys.readouterr().out.startswith("error=parse end.d")
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(docs.DocumentError, match="nested too deeply"):
+        docs.load_document(path)
+    with pytest.raises(docs.DocumentError, match="nested too deeply"):
+        docs.load_witness(path)
+    for argv in (["validate", "--input", str(path)],
+                 ["witness-check", "--witness", str(path)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out.startswith("error=parse")

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulmf.ring import (ParseError, Poly, embed, evaluate, evaluate_at,
-                           normalize_scalar, parse_poly, point_values,
-                           polynomial_ring, prime_field, rationals)
+from koszulmf.ring import (MAX_PAREN_DEPTH, ParseError, Poly, embed,
+                           evaluate, evaluate_at, normalize_scalar,
+                           parse_poly, point_values, polynomial_ring,
+                           prime_field, rationals)
 
 QX = polynomial_ring(rationals(), ("x",))
 QXY = polynomial_ring(rationals(), ("x", "y"))
@@ -231,3 +232,21 @@ def test_embed_pads_exponents():
         embed(p, big, 0)
     with pytest.raises(ValueError):
         embed(p, polynomial_ring(prime_field(5), ("x", "y")))
+
+
+def test_parse_nesting_depth_is_limited():
+    deep = "(" * MAX_PAREN_DEPTH + "x" + ")" * MAX_PAREN_DEPTH
+    assert parse_poly(deep, QXY) == parse_poly("x", QXY)
+    too_deep = "(" + deep + ")"
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_poly(too_deep, QXY)
+    assert exc.value.position == MAX_PAREN_DEPTH
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_poly("(" * 3000 + "x" + ")" * 3000, QXY)
+
+
+def test_long_sign_runs_parse_without_recursion():
+    assert parse_poly("-" * 3000 + "x", QXY) == parse_poly("x", QXY)
+    assert parse_poly("-" * 3001 + "x^2", QXY) == parse_poly("-x^2", QXY)
+    assert parse_poly("y * +-+-" + "-" * 2999 + "x", QXY) == \
+        parse_poly("-x*y", QXY)
