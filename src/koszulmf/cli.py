@@ -4,6 +4,10 @@ Reports are line-oriented key=value text on stdout.  Exit codes: 0 when all
 requested validations pass, 1 for a validation failure (the report names the
 failing identity), 2 for parse errors, 3 for precondition violations.
 Output is byte-identical across runs for fixed input and flags.
+
+Subcommands validate what they read and build through `_require_valid`
+and raise; `main` alone turns an exception into its report lines and exit
+code.
 """
 
 import argparse
@@ -25,6 +29,11 @@ from koszulmf.ring import evaluate, normalize_scalar
 
 class Precondition(Exception):
     """A subcommand was invoked on a document it cannot apply to."""
+
+
+class Invalid(Exception):
+    """A validation failed.  `main` prints the exception's arguments as
+    report lines, then status=failed, and exits 1."""
 
 
 def _build_parser():
@@ -76,6 +85,26 @@ def _build_parser():
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
+
+_VALIDATORS = {
+    FreeComplex: validate_complex,
+    KoszulModule: validate_koszul,
+    MFObject: validate_mf,
+    KoszulMorphism: validate_koszul_morphism,
+    MFMorphism: validate_mf_morphism,
+}
+
+
+def _report(name, problems):
+    return f"{name}=invalid {problems[0]}" if problems else f"{name}=valid"
+
+
+def _require_valid(name, obj):
+    problems = _VALIDATORS[type(obj)](obj)
+    if problems:
+        raise Invalid(_report(name, problems))
+    return obj
+
 
 def _load(args):
     if not args.input:
@@ -133,12 +162,69 @@ def _require_on_locus(potential, points):
                                    f"to {val}")
 
 
-def _dims_text(dims):
-    return f"even={dims[0]} odd={dims[1]}"
+def _print_shape(obj):
+    if isinstance(obj, MFObject):
+        print(f"r0={obj.r0}")
+        print(f"r1={obj.r1}")
+    else:
+        ranks = ",".join(str(obj.rank(m)) for m in range(obj.lo, obj.hi + 1))
+        print(f"degrees={obj.lo}..{obj.hi}")
+        print(f"ranks={ranks}")
 
 
-def _ranks_text(thing):
-    return ",".join(str(thing.rank(m)) for m in range(thing.lo, thing.hi + 1))
+def _print_steps(log):
+    for i, step in enumerate(log.steps):
+        print(f"step_{i}={step.kind}:{step.orientation}:ok")
+
+
+def _print_residue_homology(mf, points):
+    for pname, pt in points.items():
+        even, odd = residue_homology(mf, pt)
+        print(f"residue_homology[{pname}]=even={even} odd={odd}")
+
+
+def _write_output(args, objects, points=None):
+    """Write `objects` (name -> Koszul module, factorization or ready
+    payload) to --output as one document over the first object's ring and
+    potential."""
+    if not args.output:
+        return
+    payloads = {}
+    for name, obj in objects.items():
+        if isinstance(obj, KoszulModule):
+            obj = {"type": "koszul_module", **docs.module_payload(obj)}
+        elif isinstance(obj, MFObject):
+            obj = docs.mf_payload(obj)
+        payloads[name] = obj
+    first = next(iter(objects.values()))
+    potential = first.potential
+    if isinstance(first, MFObject):
+        potential = (potential,)
+    docs.write_json(args.output, docs.document_payload(
+        first.ring, potential, payloads, points))
+
+
+def _write_witness(args, log, points):
+    if args.witness:
+        docs.write_json(args.witness, docs.witness_payload(log, points))
+
+
+def _fold_and_report(args, name, m, points, header=(), list_steps=False):
+    """Fold the valid one-potential module `m` with a witness at `points`
+    (default: the origin, if on the locus) and report; `header` lines are
+    printed once the fold has been built."""
+    points = points or _default_point_map(m)
+    _require_on_locus(m.potential, points)
+    mf, log = fold_with_witness(m, list(points.values()))
+    for line in header:
+        print(line)
+    _print_shape(mf)
+    print(f"witness_steps={len(log.steps)}")
+    if list_steps:
+        _print_steps(log)
+    _print_residue_homology(mf, points)
+    _write_witness(args, log, points)
+    _write_output(args, {f"{name}_folded": mf}, points)
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +235,13 @@ def cmd_validate(args):
     doc = _load(args)
     ok = True
     for name, obj in doc.objects.items():
-        if isinstance(obj, FreeComplex):
-            rep = validate_complex(obj)
-        elif isinstance(obj, KoszulModule):
-            rep = validate_koszul(obj)
-        elif isinstance(obj, MFObject):
-            rep = validate_mf(obj)
-        elif isinstance(obj, KoszulMorphism):
-            rep = validate_koszul_morphism(obj)
-        else:
-            rep = validate_mf_morphism(obj)
-        if rep:
-            ok = False
-            print(f"{name}=invalid {rep[0]}")
-        else:
-            print(f"{name}=valid")
-    print(f"status={'ok' if ok else 'failed'}")
-    return 0 if ok else 1
+        problems = _VALIDATORS[type(obj)](obj)
+        print(_report(name, problems))
+        ok = ok and not problems
+    if not ok:
+        raise Invalid()
+    print("status=ok")
+    return 0
 
 
 def cmd_fold(args):
@@ -173,29 +249,9 @@ def cmd_fold(args):
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     if m.n != 1:
         raise Precondition("fold needs exactly one potential entry")
-    rep = validate_koszul(m)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
-    points = _resolve_points(doc, doc.ring, args) or _default_point_map(m)
-    _require_on_locus(m.potential, points)
-    mf, log = fold_with_witness(m, list(points.values()))
-    print(f"object={name}")
-    print(f"r0={mf.r0}")
-    print(f"r1={mf.r1}")
-    print(f"witness_steps={len(log.steps)}")
-    for i, step in enumerate(log.steps):
-        print(f"step_{i}={step.kind}:{step.orientation}:ok")
-    for pname, pt in points.items():
-        print(f"residue_homology[{pname}]={_dims_text(residue_homology(mf, pt))}")
-    if args.witness:
-        docs.write_json(args.witness, docs.witness_payload(log, points))
-    if args.output:
-        payload = docs.document_payload(
-            doc.ring, doc.potential,
-            {f"{name}_folded": docs.mf_payload(mf)}, points)
-        docs.write_json(args.output, payload)
+    _require_valid(name, m)
+    _fold_and_report(args, name, m, _resolve_points(doc, doc.ring, args),
+                     header=[f"object={name}"], list_steps=True)
     print("status=ok")
     return 0
 
@@ -203,26 +259,11 @@ def cmd_fold(args):
 def cmd_unfold(args):
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
-    rep = validate_mf(mf)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
-    m = orlov_unfold(mf)
-    rep = validate_koszul(m)
-    if rep:
-        print(f"{name}_unfolded=invalid {rep[0]}")
-        print("status=failed")
-        return 1
+    _require_valid(name, mf)
+    m = _require_valid(f"{name}_unfolded", orlov_unfold(mf))
     print(f"object={name}")
-    print(f"degrees={m.lo}..{m.hi}")
-    print(f"ranks={_ranks_text(m)}")
-    if args.output:
-        payload = docs.document_payload(
-            m.ring, m.potential,
-            {f"{name}_unfolded": {"type": "koszul_module",
-                                  **docs.module_payload(m)}}, doc.points)
-        docs.write_json(args.output, payload)
+    _print_shape(m)
+    _write_output(args, {f"{name}_unfolded": m}, doc.points)
     print("status=ok")
     return 0
 
@@ -230,47 +271,12 @@ def cmd_unfold(args):
 def cmd_cone(args):
     doc = _load(args)
     name, g = _the_object(doc, (KoszulMorphism, MFMorphism), "morphism")
-    if isinstance(g, KoszulMorphism):
-        rep = validate_koszul_morphism(g)
-        if rep:
-            print(f"{name}=invalid {rep[0]}")
-            print("status=failed")
-            return 1
-        cone = cone_koszul(g)
-        rep = validate_koszul(cone)
-        if rep:
-            print(f"{name}_cone=invalid {rep[0]}")
-            print("status=failed")
-            return 1
-        print(f"object={name}")
-        print(f"degrees={cone.lo}..{cone.hi}")
-        print(f"ranks={_ranks_text(cone)}")
-        if args.output:
-            payload = docs.document_payload(
-                cone.ring, cone.potential,
-                {f"{name}_cone": {"type": "koszul_module",
-                                  **docs.module_payload(cone)}}, doc.points)
-            docs.write_json(args.output, payload)
-    else:
-        rep = validate_mf_morphism(g)
-        if rep:
-            print(f"{name}=invalid {rep[0]}")
-            print("status=failed")
-            return 1
-        cone = mf_cone(g)
-        rep = validate_mf(cone)
-        if rep:
-            print(f"{name}_cone=invalid {rep[0]}")
-            print("status=failed")
-            return 1
-        print(f"object={name}")
-        print(f"r0={cone.r0}")
-        print(f"r1={cone.r1}")
-        if args.output:
-            payload = docs.document_payload(
-                cone.ring, (cone.potential,),
-                {f"{name}_cone": docs.mf_payload(cone)}, doc.points)
-            docs.write_json(args.output, payload)
+    _require_valid(name, g)
+    build = cone_koszul if isinstance(g, KoszulMorphism) else mf_cone
+    cone = _require_valid(f"{name}_cone", build(g))
+    print(f"object={name}")
+    _print_shape(cone)
+    _write_output(args, {f"{name}_cone": cone}, doc.points)
     print("status=ok")
     return 0
 
@@ -278,20 +284,10 @@ def cmd_cone(args):
 def cmd_shift(args):
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
-    rep = validate_mf(mf)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
-    shifted = mf_shift(mf)
+    shifted = mf_shift(_require_valid(name, mf))
     print(f"object={name}")
-    print(f"r0={shifted.r0}")
-    print(f"r1={shifted.r1}")
-    if args.output:
-        payload = docs.document_payload(
-            shifted.ring, (shifted.potential,),
-            {f"{name}_shifted": docs.mf_payload(shifted)}, doc.points)
-        docs.write_json(args.output, payload)
+    _print_shape(shifted)
+    _write_output(args, {f"{name}_shifted": shifted}, doc.points)
     print("status=ok")
     return 0
 
@@ -301,28 +297,14 @@ def cmd_tensor(args):
     found = [(n, o) for n, o in doc.objects.items() if isinstance(o, MFObject)]
     if len(found) != 2:
         raise Precondition(f"need exactly two mf objects, found {len(found)}")
-    (name_a, a), (name_b, b) = found
     for name, mf in found:
-        rep = validate_mf(mf)
-        if rep:
-            print(f"{name}=invalid {rep[0]}")
-            print("status=failed")
-            return 1
-    product = mf_tensor(a, b)
-    rep = validate_mf(product)
-    if rep:
-        print(f"tensor=invalid {rep[0]}")
-        print("status=failed")
-        return 1
+        _require_valid(name, mf)
+    (name_a, a), (name_b, b) = found
+    product = _require_valid("tensor", mf_tensor(a, b))
     print(f"object={name_a}*{name_b}")
     print(f"f={product.potential}")
-    print(f"r0={product.r0}")
-    print(f"r1={product.r1}")
-    if args.output:
-        payload = docs.document_payload(
-            product.ring, (product.potential,),
-            {f"{name_a}_{name_b}_tensor": docs.mf_payload(product)}, doc.points)
-        docs.write_json(args.output, payload)
+    _print_shape(product)
+    _write_output(args, {f"{name_a}_{name_b}_tensor": product}, doc.points)
     print("status=ok")
     return 0
 
@@ -330,34 +312,21 @@ def cmd_tensor(args):
 def cmd_reduce_amplitude(args):
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
-    rep = validate_koszul(m)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
+    _require_valid(name, m)
     points = _resolve_points(doc, doc.ring, args) or _default_point_map(m)
     _require_on_locus(m.potential, points)
     reduced, log = amplitude_reduce(m)
-    rep = validate_log(log, list(points.values()))
-    if rep:
-        print(f"witness=invalid {rep[0]}")
-        print("status=failed")
-        return 1
+    problems = validate_log(log, list(points.values()))
+    if problems:
+        raise Invalid(_report("witness", problems))
     nred = sum(1 for s in log.steps
                if s.kind == "cone_off_free" and s.orientation == "forward")
     print(f"object={name}")
     print(f"reduction_steps={nred}")
     print(f"witness_steps={len(log.steps)}")
-    print(f"degrees={reduced.lo}..{reduced.hi}")
-    print(f"ranks={_ranks_text(reduced)}")
-    if args.witness:
-        docs.write_json(args.witness, docs.witness_payload(log, points))
-    if args.output:
-        payload = docs.document_payload(
-            doc.ring, doc.potential,
-            {f"{name}_reduced": {"type": "koszul_module",
-                                 **docs.module_payload(reduced)}}, points)
-        docs.write_json(args.output, payload)
+    _print_shape(reduced)
+    _write_witness(args, log, points)
+    _write_output(args, {f"{name}_reduced": reduced}, points)
     print("status=ok")
     return 0
 
@@ -365,12 +334,7 @@ def cmd_reduce_amplitude(args):
 def cmd_reduce_codim(args):
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
-    rep = validate_koszul(m)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
-    reduced = codim_reduce_chart(m)
+    reduced = codim_reduce_chart(_require_valid(name, m))
     print(f"object={name}")
     print(f"potentials_in={m.n}")
     print(f"potentials_out={reduced.n}")
@@ -386,33 +350,13 @@ def cmd_reduce_codim(args):
     points = {pname: {**pt, **{v: zero for v in chart_vars}}
               for pname, pt in points.items()}
 
-    if getattr(args, "then", None) == "fold":
-        points = points or _default_point_map(reduced)
-        _require_on_locus(reduced.potential, points)
-        mf, log = fold_with_witness(reduced, list(points.values()))
-        print(f"r0={mf.r0}")
-        print(f"r1={mf.r1}")
-        print(f"witness_steps={len(log.steps)}")
-        for pname, pt in points.items():
-            print(f"residue_homology[{pname}]="
-                  f"{_dims_text(residue_homology(mf, pt))}")
-        if args.witness:
-            docs.write_json(args.witness, docs.witness_payload(log, points))
-        if args.output:
-            payload = docs.document_payload(
-                reduced.ring, reduced.potential,
-                {f"{name}_folded": docs.mf_payload(mf)}, points)
-            docs.write_json(args.output, payload)
+    if args.then == "fold":
+        _fold_and_report(args, name, reduced, points)
     else:
         if args.witness:
             raise Precondition("reduce-codim emits a witness only with "
                                "--then fold")
-        if args.output:
-            payload = docs.document_payload(
-                reduced.ring, reduced.potential,
-                {f"{name}_reduced": {"type": "koszul_module",
-                                     **docs.module_payload(reduced)}}, points)
-            docs.write_json(args.output, payload)
+        _write_output(args, {f"{name}_reduced": reduced}, points)
     print("status=ok")
     return 0
 
@@ -420,11 +364,7 @@ def cmd_reduce_codim(args):
 def cmd_residue_homology(args):
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
-    rep = validate_mf(mf)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
+    _require_valid(name, mf)
     points = _resolve_points(doc, doc.ring, args)
     if not points:
         origin = {v: 0 for v in mf.ring.varnames}
@@ -434,9 +374,7 @@ def cmd_residue_homology(args):
             raise Precondition("no points supplied and the origin does not "
                                "lie on the hypersurface")
     print(f"object={name}")
-    for pname, pt in points.items():
-        print(f"residue_homology[{pname}]="
-              f"{_dims_text(residue_homology(mf, pt))}")
+    _print_residue_homology(mf, points)
     print("status=ok")
     return 0
 
@@ -454,14 +392,10 @@ def cmd_witness_check(args):
     _require_on_locus(log.start.potential, points)
     print(f"steps={len(log.steps)}")
     print(f"points={len(points)}")
-    rep = validate_log(log, list(points.values()))
-    if rep:
-        for line in rep:
-            print(f"check={line}")
-        print("status=failed")
-        return 1
-    for i, step in enumerate(log.steps):
-        print(f"step_{i}={step.kind}:{step.orientation}:ok")
+    problems = validate_log(log, list(points.values()))
+    if problems:
+        raise Invalid(*(f"check={line}" for line in problems))
+    _print_steps(log)
     print(f"start_degrees={log.start.lo}..{log.start.hi}")
     print(f"end_degrees={log.end.lo}..{log.end.hi}")
     print("status=ok")
@@ -473,45 +407,31 @@ def cmd_eisenbud(args):
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     if m.n < 2:
         raise Precondition("operators need at least two potential entries")
-    rep = validate_koszul(m)
-    if rep:
-        print(f"{name}=invalid {rep[0]}")
-        print("status=failed")
-        return 1
-    reduced = codim_reduce_chart(m)
+    reduced = codim_reduce_chart(_require_valid(name, m))
     mf = orlov_fold(reduced)
     ops = {k: eisenbud_operator(m, k) for k in range(1, m.n)}
     print(f"object={name}")
     print(f"operators={len(ops)}")
     ok = True
     for k, op in ops.items():
-        rep = validate_mf_morphism(op)
-        if rep:
-            print(f"eisenbud_{k}=invalid {rep[0]}")
-            ok = False
-        else:
-            print(f"eisenbud_{k}=valid")
+        problems = validate_mf_morphism(op)
+        print(_report(f"eisenbud_{k}", problems))
+        ok = ok and not problems
     for i in range(1, m.n):
         for j in range(i + 1, m.n):
-            left = compose_mf_morphisms(ops[i], ops[j])
-            right = compose_mf_morphisms(ops[j], ops[i])
-            if left == right:
-                print(f"commute_{i}_{j}=ok")
-            else:
-                print(f"commute_{i}_{j}=failed")
-                ok = False
-    if args.output:
-        objects = {f"{name}_reduced": {"type": "koszul_module",
-                                       **docs.module_payload(reduced)},
-                   f"{name}_folded": docs.mf_payload(mf)}
-        for k, op in ops.items():
-            objects[f"t{k}"] = docs.mf_morphism_payload(
-                op, f"{name}_folded", f"{name}_folded")
-        payload = docs.document_payload(reduced.ring, reduced.potential,
-                                        objects)
-        docs.write_json(args.output, payload)
-    print(f"status={'ok' if ok else 'failed'}")
-    return 0 if ok else 1
+            commute = (compose_mf_morphisms(ops[i], ops[j])
+                       == compose_mf_morphisms(ops[j], ops[i]))
+            print(f"commute_{i}_{j}={'ok' if commute else 'failed'}")
+            ok = ok and commute
+    folded = f"{name}_folded"
+    objects = {f"{name}_reduced": reduced, folded: mf}
+    for k, op in ops.items():
+        objects[f"t{k}"] = docs.mf_morphism_payload(op, folded, folded)
+    _write_output(args, objects)
+    if not ok:
+        raise Invalid()
+    print("status=ok")
+    return 0
 
 
 _HANDLERS = {
@@ -533,6 +453,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except Invalid as e:
+        for line in e.args:
+            print(line)
+        print("status=failed")
+        return 1
     except DocumentError as e:
         print(f"error=parse {e}")
         return 2

@@ -17,7 +17,8 @@ and skip that per-entry check.
 from itertools import combinations
 
 from koszulmf import linalg
-from koszulmf.ring import Poly, evaluate_at, normalize_scalar, point_values
+from koszulmf.ring import (Poly, embed, evaluate_at, normalize_scalar,
+                           point_values)
 
 
 def _check_indices(idx, bound):
@@ -305,6 +306,12 @@ def kron(a, b):
             if row:
                 nz[ia * b.rows + ib] = row
     return PolyMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, trusted=nz)
+
+
+def embed_matrix(mat, ring, offset=0):
+    """`mat` over a larger ring: every entry e becomes
+    `embed(e, ring, offset)` (see `koszulmf.ring.embed`)."""
+    return mat.map_entries(lambda e: embed(e, ring, offset), ring)
 
 
 class FreeComplex:

@@ -71,6 +71,30 @@ def _expect(cond, msg):
         raise DocumentError(msg)
 
 
+def _construct(where, cls, *args):
+    """cls(*args), with the constructor's ValueError reported at `where`."""
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise DocumentError(f"{where}: {e}")
+
+
+def _mapping(payload, where, what):
+    """An optional JSON object (absent reads as empty); `what` names what it
+    maps, for the error."""
+    if payload is None:
+        return {}
+    _expect(isinstance(payload, dict), f"{where}: must map {what}")
+    return payload
+
+
+def _degree(key, where):
+    try:
+        return int(key)
+    except ValueError:
+        raise DocumentError(f"{where}: bad degree key {key!r}")
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -154,6 +178,7 @@ def _parse_matrix(ring, payload, rows, cols, where, memo):
 
 
 def _parse_window(payload, where):
+    _expect(isinstance(payload, dict), f"{where}: must be an object")
     degs = payload.get("degrees")
     _expect(isinstance(degs, list) and len(degs) == 2
             and all(isinstance(d, int) for d in degs) and degs[0] <= degs[1],
@@ -163,10 +188,7 @@ def _parse_window(payload, where):
     _expect(isinstance(ranks_raw, dict), f"{where}: ranks must be an object")
     ranks = {}
     for key, val in ranks_raw.items():
-        try:
-            deg = int(key)
-        except ValueError:
-            raise DocumentError(f"{where}: bad degree key {key!r}")
+        deg = _degree(key, where)
         _expect(isinstance(val, int) and val >= 0,
                 f"{where}: rank at {deg} must be a nonnegative integer")
         _expect(lo <= deg <= hi, f"{where}: rank at {deg} outside window")
@@ -174,34 +196,33 @@ def _parse_window(payload, where):
     return lo, hi, ranks
 
 
-def _parse_degree_matrices(ring, payload, rank, shift, where, memo):
-    """Degree-keyed matrix map; at degree m the shape is
-    rank(m + shift) x rank(m)."""
+def _parse_degree_matrices(ring, payload, target_rank, source_rank, shift,
+                           where, memo):
+    """Degree-keyed matrix map (differentials, contractions, morphism
+    components); at degree m the shape is
+    target_rank(m + shift) x source_rank(m)."""
     out = {}
-    if payload is None:
-        return out
-    _expect(isinstance(payload, dict), f"{where}: must map degrees to matrices")
-    for key, val in payload.items():
-        try:
-            deg = int(key)
-        except ValueError:
-            raise DocumentError(f"{where}: bad degree key {key!r}")
-        out[deg] = _parse_matrix(ring, val, rank(deg + shift), rank(deg),
-                                 f"{where}[{deg}]", memo)
+    for key, val in _mapping(payload, where, "degrees to matrices").items():
+        deg = _degree(key, where)
+        out[deg] = _parse_matrix(ring, val, target_rank(deg + shift),
+                                 source_rank(deg), f"{where}[{deg}]", memo)
     return out
+
+
+def _parse_koszul_morphism(ring, source, target, components, where, memo):
+    comps = _parse_degree_matrices(ring, components, target.rank, source.rank,
+                                   0, f"{where}.components", memo)
+    return _construct(where, KoszulMorphism, source, target, comps)
 
 
 def parse_complex_payload(ring, payload, where, memo=None):
     lo, hi, ranks = _parse_window(payload, where)
     rank = lambda m: ranks.get(m, 0) if lo <= m <= hi else 0
-    diffs = _parse_degree_matrices(ring, payload.get("d"), rank, 1,
+    diffs = _parse_degree_matrices(ring, payload.get("d"), rank, rank, 1,
                                    f"{where}.d", memo)
     for deg in diffs:
         _expect(lo <= deg < hi, f"{where}.d: degree {deg} outside window")
-    try:
-        return FreeComplex(ring, lo, hi, ranks, diffs)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}")
+    return _construct(where, FreeComplex, ring, lo, hi, ranks, diffs)
 
 
 def parse_module_payload(ring, potential, payload, where, memo=None):
@@ -212,16 +233,14 @@ def parse_module_payload(ring, potential, payload, where, memo=None):
             f"{where}: need {len(potential)} h families")
     fams = []
     for i, fam_payload in enumerate(hs):
-        fam = _parse_degree_matrices(ring, fam_payload, underlying.rank, -1,
-                                     f"{where}.h[{i}]", memo)
+        fam = _parse_degree_matrices(ring, fam_payload, underlying.rank,
+                                     underlying.rank, -1, f"{where}.h[{i}]",
+                                     memo)
         for deg in fam:
             _expect(lo <= deg <= hi,
                     f"{where}.h[{i}]: degree {deg} outside window")
         fams.append(fam)
-    try:
-        return KoszulModule(ring, potential, underlying, fams)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}")
+    return _construct(where, KoszulModule, ring, potential, underlying, fams)
 
 
 def parse_mf_payload(ring, payload, where, memo=None):
@@ -233,10 +252,7 @@ def parse_mf_payload(ring, payload, where, memo=None):
                          memo)
     phi1 = _parse_matrix(ring, payload.get("phi1"), r0, r1, f"{where}.phi1",
                          memo)
-    try:
-        return MFObject(ring, f, r0, r1, phi0, phi1)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}")
+    return _construct(where, MFObject, ring, f, r0, r1, phi0, phi1)
 
 
 def _parse_scalar(ring, value, where):
@@ -251,6 +267,12 @@ def _parse_scalar(ring, value, where):
         return normalize_scalar(ring, Fraction(value))
     except ZeroDivisionError:
         raise DocumentError(f"{where}: denominator vanishes mod p")
+
+
+def _parse_points(ring, payload):
+    return {name: parse_point_payload(ring, pt, f"points.{name}")
+            for name, pt in _mapping(payload, "points",
+                                     "names to points").items()}
 
 
 def parse_point_payload(ring, payload, where):
@@ -270,7 +292,9 @@ def _read_json(path):
             return json.load(fh)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, UnicodeDecodeError, or an integer literal longer
+        # than the interpreter converts
         raise DocumentError(f"{path}: not valid JSON: {e}")
     except RecursionError:
         # the C decoder refuses nesting deeper than the recursion limit
@@ -281,21 +305,26 @@ def load_document(path):
     return parse_document(_read_json(path))
 
 
-def parse_document(raw):
-    _expect(isinstance(raw, dict), "document must be a JSON object")
-    memo = {}
+def _parse_ring_and_potential(raw, memo):
     ring = parse_ring_payload(raw.get("ring"))
     pot_raw = raw.get("potential")
     _expect(isinstance(pot_raw, list) and pot_raw,
             "potential must be a nonempty list")
-    potential = tuple(_parse_entry(ring, f, f"potential[{i}]", memo)
-                      for i, f in enumerate(pot_raw))
+    return ring, tuple(_parse_entry(ring, f, f"potential[{i}]", memo)
+                       for i, f in enumerate(pot_raw))
+
+
+def parse_document(raw):
+    _expect(isinstance(raw, dict), "document must be a JSON object")
+    memo = {}
+    ring, potential = _parse_ring_and_potential(raw, memo)
 
     # two passes: morphisms may name their endpoints anywhere in the file
     # (canonical dumps sort object names, so "earlier" is not reliable)
     objects = {}
     deferred = []
-    for name, payload in (raw.get("objects") or {}).items():
+    objects_raw = _mapping(raw.get("objects"), "objects", "names to objects")
+    for name, payload in objects_raw.items():
         _expect(isinstance(payload, dict), f"objects.{name}: must be an object")
         typ = payload.get("type")
         where = f"objects.{name}"
@@ -314,11 +343,8 @@ def parse_document(raw):
     for name, payload, where, typ in deferred:
         objects[name] = _parse_morphism(ring, payload, objects, where, typ,
                                         memo)
-
-    points = {}
-    for name, payload in (raw.get("points") or {}).items():
-        points[name] = parse_point_payload(ring, payload, f"points.{name}")
-    return Document(ring, potential, objects, points)
+    return Document(ring, potential, objects,
+                    _parse_points(ring, raw.get("points")))
 
 
 def _resolve(objects, name, want, where):
@@ -335,28 +361,15 @@ def _parse_morphism(ring, payload, objects, where, typ, memo):
                        f"{where}.source")
         tgt = _resolve(objects, payload.get("target"), KoszulModule,
                        f"{where}.target")
-        comps = {}
-        for key, val in (payload.get("components") or {}).items():
-            try:
-                deg = int(key)
-            except ValueError:
-                raise DocumentError(f"{where}.components: bad degree {key!r}")
-            comps[deg] = _parse_matrix(ring, val, tgt.rank(deg), src.rank(deg),
-                                       f"{where}.components[{deg}]", memo)
-        try:
-            return KoszulMorphism(src, tgt, comps)
-        except ValueError as e:
-            raise DocumentError(f"{where}: {e}")
+        return _parse_koszul_morphism(ring, src, tgt,
+                                      payload.get("components"), where, memo)
     src = _resolve(objects, payload.get("source"), MFObject, f"{where}.source")
     tgt = _resolve(objects, payload.get("target"), MFObject, f"{where}.target")
     a0 = _parse_matrix(ring, payload.get("alpha0"), tgt.r0, src.r0,
                        f"{where}.alpha0", memo)
     a1 = _parse_matrix(ring, payload.get("alpha1"), tgt.r1, src.r1,
                        f"{where}.alpha1", memo)
-    try:
-        return MFMorphism(src, tgt, a0, a1)
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}")
+    return _construct(where, MFMorphism, src, tgt, a0, a1)
 
 
 # ---------------------------------------------------------------------------
@@ -557,30 +570,13 @@ def parse_witness(raw):
     _expect(raw.get("schema") == WITNESS_SCHEMA,
             f"unknown witness schema {raw.get('schema')!r}")
     memo = {}
-    ring = parse_ring_payload(raw.get("ring"))
-    pot_raw = raw.get("potential")
-    _expect(isinstance(pot_raw, list) and pot_raw,
-            "potential must be a nonempty list")
-    potential = tuple(_parse_entry(ring, f, f"potential[{i}]", memo)
-                      for i, f in enumerate(pot_raw))
+    ring, potential = _parse_ring_and_potential(raw, memo)
 
     def module_at(payload, where):
-        _expect(isinstance(payload, dict), f"{where}: must be an object")
         return parse_module_payload(ring, potential, payload, where, memo)
 
     start = module_at(raw.get("start"), "start")
     end = module_at(raw.get("end"), "end")
-
-    def components_between(payload, src, tgt, where):
-        comps = {}
-        for key, val in (payload or {}).items():
-            try:
-                deg = int(key)
-            except ValueError:
-                raise DocumentError(f"{where}: bad degree {key!r}")
-            comps[deg] = _parse_matrix(ring, val, tgt.rank(deg), src.rank(deg),
-                                       f"{where}[{deg}]", memo)
-        return comps
 
     steps = []
     steps_raw = raw.get("steps")
@@ -596,24 +592,16 @@ def parse_witness(raw):
             gens = parse_complex_payload(ring, sp.get("generators"),
                                          f"{where}.generators", memo)
             target = module_at(sp.get("target"), f"{where}.target")
-            source = free_koszul(gens, potential)
-            comps = components_between(sp.get("components"), source, target,
-                                       f"{where}.components")
-            try:
-                psi = KoszulMorphism(source, target, comps)
-            except ValueError as e:
-                raise DocumentError(f"{where}: {e}")
+            psi = _parse_koszul_morphism(ring, free_koszul(gens, potential),
+                                         target, sp.get("components"), where,
+                                         memo)
             steps.append(WitnessStep(kind, orientation, morphism=psi,
                                      generators=gens))
         elif kind == "explicit_quasi_iso":
             source = module_at(sp.get("source"), f"{where}.source")
             target = module_at(sp.get("target"), f"{where}.target")
-            comps = components_between(sp.get("components"), source, target,
-                                       f"{where}.components")
-            try:
-                g = KoszulMorphism(source, target, comps)
-            except ValueError as e:
-                raise DocumentError(f"{where}: {e}")
+            g = _parse_koszul_morphism(ring, source, target,
+                                       sp.get("components"), where, memo)
             steps.append(WitnessStep(kind, orientation, morphism=g))
         elif kind == "shift_by_two":
             offset = sp.get("offset")
@@ -623,9 +611,7 @@ def parse_witness(raw):
         else:
             raise DocumentError(f"{where}: unknown kind {kind!r}")
 
-    points = {}
-    for name, payload in (raw.get("points") or {}).items():
-        points[name] = parse_point_payload(ring, payload, f"points.{name}")
+    points = _parse_points(ring, raw.get("points"))
     return WitnessLog(start, end, steps), points
 
 

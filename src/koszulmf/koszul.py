@@ -15,10 +15,10 @@ underlying free module.  That order reproduces the classical block shapes
 from itertools import combinations
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
-                                cone_chain, homology_dims_at, kron,
-                                shift_complex, validate_chain_map,
+                                cone_chain, embed_matrix, homology_dims_at,
+                                kron, shift_complex, validate_chain_map,
                                 validate_complex)
-from koszulmf.ring import Poly, embed, polynomial_ring
+from koszulmf.ring import Poly, embed, merge_rings
 
 
 class KoszulModule:
@@ -356,20 +356,6 @@ def shift_koszul(m, k):
 # external tensor product
 # ---------------------------------------------------------------------------
 
-def _merge_rings(ra, rb):
-    """Polynomial ring on the disjoint union of variables, left vars first."""
-    base_a, base_b = ra.base_field, rb.base_field
-    if base_a is not base_b:
-        raise ValueError("tensor factors must share the base field")
-    va, vb = ra.varnames, rb.varnames
-    if set(va) & set(vb):
-        raise ValueError(f"variable names collide: {sorted(set(va) & set(vb))}")
-    merged_vars = va + vb
-    if not merged_vars:
-        return base_a
-    return polynomial_ring(base_a, merged_vars)
-
-
 def box_tensor(a, b):
     """External tensor product over the merged polynomial ring.
 
@@ -379,7 +365,7 @@ def box_tensor(a, b):
     """
     if a.n != b.n:
         raise ValueError("tensor factors must have the same potential length")
-    merged = _merge_rings(a.ring, b.ring)
+    merged = merge_rings(a.ring, b.ring)
     off_b = len(a.ring.varnames)
     potential = tuple(embed(f, merged) + embed(g, merged, off_b)
                       for f, g in zip(a.potential, b.potential))
@@ -394,12 +380,6 @@ def box_tensor(a, b):
                 out.append((p, q, a.rank(p) * b.rank(q)))
         return out
 
-    def pa(mat):
-        return mat.map_entries(lambda e: embed(e, merged), merged)
-
-    def pb(mat):
-        return mat.map_entries(lambda e: embed(e, merged, off_b), merged)
-
     ranks = {m: sum(r for (_, _, r) in layout(m)) for m in range(lo, hi + 1)}
     diffs = {}
     hfams = [dict() for _ in range(a.n)]
@@ -413,12 +393,12 @@ def box_tensor(a, b):
                 if r == 0:
                     continue
                 if (p + 1, q) in tpos:
-                    blk = kron(pa(a.diff(p)),
+                    blk = kron(embed_matrix(a.diff(p), merged),
                                PolyMatrix.identity(merged, b.rank(q)))
                     grid[tpos[(p + 1, q)]][col] = blk
                 if (p, q + 1) in tpos:
                     blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                               pb(b.diff(q)))
+                               embed_matrix(b.diff(q), merged, off_b))
                     grid[tpos[(p, q + 1)]][col] = blk if p % 2 == 0 else -blk
             diffs[m] = PolyMatrix.block(merged, grid,
                                         [r for (_, _, r) in tgt],
@@ -431,12 +411,12 @@ def box_tensor(a, b):
                 if r == 0:
                     continue
                 if (p - 1, q) in tpos:
-                    blk = kron(pa(a.hop(i, p)),
+                    blk = kron(embed_matrix(a.hop(i, p), merged),
                                PolyMatrix.identity(merged, b.rank(q)))
                     grid[tpos[(p - 1, q)]][col] = blk
                 if (p, q - 1) in tpos:
                     blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                               pb(b.hop(i, q)))
+                               embed_matrix(b.hop(i, q), merged, off_b))
                     grid[tpos[(p, q - 1)]][col] = blk if p % 2 == 0 else -blk
             hfams[i][m] = PolyMatrix.block(merged, grid,
                                            [r for (_, _, r) in tgt],

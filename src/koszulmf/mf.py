@@ -9,9 +9,9 @@ two-term inverse.
 """
 
 from koszulmf import linalg
-from koszulmf.complexes import FreeComplex, PolyMatrix, kron
+from koszulmf.complexes import FreeComplex, PolyMatrix, embed_matrix, kron
 from koszulmf.koszul import KoszulModule
-from koszulmf.ring import Poly, embed, evaluate
+from koszulmf.ring import Poly, embed, evaluate, merge_rings
 
 
 class MFObject:
@@ -128,22 +128,14 @@ def mf_tensor(a, b):
     the same ring stay over that ring; otherwise the variable lists must be
     disjoint and are concatenated.
     """
-    from koszulmf.koszul import _merge_rings
-
     if a.ring is b.ring:
         merged, off = a.ring, 0
     else:
-        merged, off = _merge_rings(a.ring, b.ring), len(a.ring.varnames)
-
-    def pa(m):
-        return m.map_entries(lambda e: embed(e, merged), merged)
-
-    def pb(m):
-        return m.map_entries(lambda e: embed(e, merged, off), merged)
-
+        merged, off = merge_rings(a.ring, b.ring), len(a.ring.varnames)
     f = embed(a.potential, merged) + embed(b.potential, merged, off)
-    p0, p1 = pa(a.phi0), pa(a.phi1)
-    q0, q1 = pb(b.phi0), pb(b.phi1)
+    p0, p1 = embed_matrix(a.phi0, merged), embed_matrix(a.phi1, merged)
+    q0 = embed_matrix(b.phi0, merged, off)
+    q1 = embed_matrix(b.phi1, merged, off)
     i_r0 = PolyMatrix.identity(merged, a.r0)
     i_r1 = PolyMatrix.identity(merged, a.r1)
     i_s0 = PolyMatrix.identity(merged, b.r0)

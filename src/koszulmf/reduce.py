@@ -18,7 +18,7 @@ mid coordinates); that permutation is emitted as its own explicit_quasi_iso
 step rather than silently rebasing.
 """
 
-from koszulmf.complexes import FreeComplex, PolyMatrix
+from koszulmf.complexes import FreeComplex, PolyMatrix, embed_matrix
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
                              cone_koszul, counit_map, fk_layout, free_koszul,
                              shift_koszul, validate_koszul_morphism)
@@ -579,9 +579,6 @@ def codim_reduce_chart(m):
                          f"{sorted(clash)}")
     ring2 = polynomial_ring(base, old_vars + new_vars)
 
-    def lift(mat):
-        return mat.map_entries(lambda e: embed(e, ring2), ring2)
-
     ts = [Poly.var(ring2, v) for v in new_vars]
     potential = sum((embed(m.potential[i], ring2) * ts[i]
                      for i in range(n - 1)),
@@ -589,12 +586,12 @@ def codim_reduce_chart(m):
 
     lo, hi = m.lo, m.hi
     ranks = {s: m.rank(s) for s in range(lo, hi + 1)}
-    diffs = {s: lift(m.diff(s)) for s in range(lo, hi)}
+    diffs = {s: embed_matrix(m.diff(s), ring2) for s in range(lo, hi)}
     fam = {}
     for s in range(lo, hi + 1):
-        acc = lift(m.hop(n - 1, s))
+        acc = embed_matrix(m.hop(n - 1, s), ring2)
         for i in range(n - 1):
-            acc = acc + lift(m.hop(i, s)).scale(ts[i])
+            acc = acc + embed_matrix(m.hop(i, s), ring2).scale(ts[i])
         fam[s] = acc
     return _module_from(ring2, (potential,), lo, hi, ranks, diffs, [fam])
 

@@ -314,7 +314,12 @@ def _tokenize(text):
         num, name, op = m.groups()
         tokpos = m.start() + (len(m.group()) - len(m.group().lstrip()))
         if num is not None:
-            tokens.append(("num", int(num), tokpos))
+            try:
+                value = int(num)
+            except ValueError:      # past the interpreter's digit limit
+                raise ParseError(f"integer literal of {len(num)} digits is "
+                                 f"too long", tokpos)
+            tokens.append(("num", value, tokpos))
         elif name is not None:
             tokens.append(("name", name, tokpos))
         else:
@@ -494,3 +499,17 @@ def embed(poly, ring, offset=0):
     right = (0,) * (len(ring.varnames) - offset - len(src))
     return Poly(ring, {left + exps + right: c for exps, c in poly.terms.items()},
                 _normalized=True)
+
+
+def merge_rings(ra, rb):
+    """Polynomial ring on the disjoint union of variables, left vars first."""
+    base_a, base_b = ra.base_field, rb.base_field
+    if base_a is not base_b:
+        raise ValueError("tensor factors must share the base field")
+    va, vb = ra.varnames, rb.varnames
+    if set(va) & set(vb):
+        raise ValueError(f"variable names collide: {sorted(set(va) & set(vb))}")
+    merged_vars = va + vb
+    if not merged_vars:
+        return base_a
+    return polynomial_ring(base_a, merged_vars)

@@ -420,3 +420,128 @@ def test_seed_flag_is_accepted(capsys):
     code, lines = run(capsys, ["validate", "--input", A1, "--seed", "7"])
     assert code == 0
     assert lines == ["a1=valid", "status=ok"]
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends in exit 2 (error=parse), never exit 3 or a traceback
+# ---------------------------------------------------------------------------
+
+def _emitted_witness(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    code, _ = run(capsys, ["fold", "--input", M3, "--witness", str(wpath)])
+    assert code == 0
+    return json.loads(wpath.read_text())
+
+
+def _huge_int_json(raw):
+    """JSON text of `raw` whose first potential entry is an integer literal
+    of 5000 digits."""
+    raw = dict(raw, potential=["HUGE"])
+    return json.dumps(raw).replace('"HUGE"', "1" * 5000)
+
+
+def _expect_parse_error(capsys, argv):
+    code, lines = run(capsys, argv)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error=parse ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "witness-check"])
+def test_bytes_that_are_not_utf8_exit_2(capsys, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"ring": "\xff\xfe"}')
+    flag = "--input" if command == "validate" else "--witness"
+    line = _expect_parse_error(capsys, [command, flag, str(bad)])
+    assert "utf-8" in line
+
+
+def test_huge_json_integer_exit_2(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(_huge_int_json(json.load(open(A1))))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert "not valid JSON" in line
+    wpath = tmp_path / "w.json"
+    wpath.write_text(_huge_int_json(_emitted_witness(capsys, tmp_path)))
+    _expect_parse_error(capsys, ["witness-check", "--witness", str(wpath)])
+
+
+def test_huge_integer_entry_exit_2(capsys, tmp_path):
+    raw = json.load(open(A1))
+    raw["objects"]["a1"]["phi0"] = [["1" * 5000]]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert "objects.a1.phi0" in line and "5000 digits" in line
+    w = _emitted_witness(capsys, tmp_path)
+    w["start"]["d"]["-1"][0][0] = "1" * 5000
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert "start.d[-1]" in line
+
+
+@pytest.mark.parametrize("field,where", [
+    ("objects", "objects: must map names to objects"),
+    ("points", "points: must map names to points"),
+])
+def test_document_maps_given_as_lists_exit_2(capsys, tmp_path, field, where):
+    raw = json.load(open(M3))
+    raw[field] = [raw[field]]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert line == f"error=parse {where}"
+
+
+def test_morphism_components_given_as_list_exit_2(capsys, tmp_path):
+    raw = json.load(open(M3))
+    raw["objects"]["zid"] = {"type": "koszul_morphism", "source": "m3",
+                             "target": "m3", "components": [[["1"]]]}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert line == ("error=parse objects.zid.components: must map degrees "
+                    "to matrices")
+
+
+def test_morphism_component_degree_keys_are_checked(capsys, tmp_path):
+    raw = json.load(open(M3))
+    raw["objects"]["zid"] = {"type": "koszul_morphism", "source": "m3",
+                             "target": "m3", "components": {"top": [["1"]]}}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert line == "error=parse objects.zid.components: bad degree key 'top'"
+
+
+def _step(w, kind):
+    return next(s for s in w["steps"] if s["kind"] == kind)
+
+
+@pytest.mark.parametrize("edit,where", [
+    (lambda w: _step(w, "explicit_quasi_iso").update(components=[]),
+     "components: must map degrees to matrices"),
+    (lambda w: _step(w, "cone_off_free").update(components=[[["1"]]]),
+     "components: must map degrees to matrices"),
+    (lambda w: _step(w, "cone_off_free").update(generators=[]),
+     "generators: must be an object"),
+    (lambda w: _step(w, "cone_off_free").update(generators=None),
+     "generators: must be an object"),
+    (lambda w: w.update(points=[]), "points: must map names to points"),
+], ids=["quasi_iso_components", "cone_components", "generators_list",
+        "generators_null", "points_list"])
+def test_witness_shapes_exit_2(capsys, tmp_path, edit, where):
+    ipath = tmp_path / "in.json"
+    _write_module_doc(ipath, corpus.by_name("fk_xy").module)
+    wpath = tmp_path / "w.json"
+    code, _ = run(capsys, ["reduce-amplitude", "--input", str(ipath),
+                           "--witness", str(wpath)])
+    assert code == 0
+    w = json.loads(wpath.read_text())
+    edit(w)
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert line.endswith(where)

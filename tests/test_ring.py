@@ -103,6 +103,14 @@ def test_parse_parentheses_and_signs():
     assert parse_poly("2^3", QXY) == parse_poly("8", QXY)
 
 
+def test_parse_refuses_integer_literals_past_the_digit_limit():
+    # past the interpreter's int <-> str limit (4300 digits by default)
+    with pytest.raises(ParseError, match="5000 digits") as exc:
+        parse_poly("x + " + "1" * 5000, QXY)
+    assert exc.value.position == 4
+    assert parse_poly("1" * 300, QXY) == Poly.const(QXY, int("1" * 300))
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_poly("x + z", QXY)
@@ -140,25 +148,42 @@ def _polys(ring):
                        {e: Fraction(c) for e, c in d.items() if c}))
 
 
+def nf(poly):
+    """Assert that `poly` is in term normal form, and return it: exponent
+    tuples of the ring's arity, no zero coefficients, and every coefficient
+    a residue in 1..p-1 over F_p or an int / Fraction over Q."""
+    p = poly.ring.char
+    for exps, c in poly.terms.items():
+        assert len(exps) == len(poly.ring.varnames)
+        assert c != 0
+        if p:
+            assert type(c) is int and 0 < c < p
+        else:
+            assert isinstance(c, (int, Fraction))
+    return poly
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys(QXY), _polys(QXY), _polys(QXY))
 def test_ring_laws_rationals(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a - a == Poly.zero(QXY)
-    assert a * Poly.one(QXY) == a
+    assert nf(a + b) == nf(b + a)
+    assert nf(a * b) == nf(b * a)
+    assert nf(nf(a + b) + c) == nf(a + nf(b + c))
+    assert nf(nf(a * b) * c) == nf(a * nf(b * c))
+    assert nf(a * nf(b + c)) == nf(nf(a * b) + nf(a * c))
+    assert nf(a - a) == Poly.zero(QXY)
+    assert nf(a * Poly.one(QXY)) == a
+    assert nf(nf(-a) + a) == Poly.zero(QXY)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_polys(F5XY), _polys(F5XY))
 def test_ring_laws_mod_p(a, b):
-    assert a * b == b * a
-    assert (a + b) - b == a
+    assert nf(a * b) == nf(b * a)
+    assert nf(nf(a + b) - b) == a
+    assert nf(nf(-a) + a) == Poly.zero(F5XY)
     # freshman's dream in characteristic 5
-    assert (a + b) ** 5 == a ** 5 + b ** 5
+    assert nf(nf(a + b) ** 5) == nf(nf(a ** 5) + nf(b ** 5))
 
 
 @settings(max_examples=40, deadline=None)
