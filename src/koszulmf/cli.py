@@ -11,6 +11,7 @@ code.
 """
 
 import argparse
+import functools
 
 from koszulmf import documents as docs
 from koszulmf.complexes import FreeComplex, validate_complex
@@ -36,7 +37,10 @@ class Invalid(Exception):
     report lines, then status=failed, and exits 1."""
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and reused by every later
+    `main` call (each parse returns a fresh namespace)."""
     ap = argparse.ArgumentParser(
         prog="koszulmf",
         description="Exact homological algebra for Koszul modules and "
@@ -189,19 +193,12 @@ def _write_output(args, objects, points=None):
     potential."""
     if not args.output:
         return
-    payloads = {}
-    for name, obj in objects.items():
-        if isinstance(obj, KoszulModule):
-            obj = {"type": "koszul_module", **docs.module_payload(obj)}
-        elif isinstance(obj, MFObject):
-            obj = docs.mf_payload(obj)
-        payloads[name] = obj
     first = next(iter(objects.values()))
     potential = first.potential
     if isinstance(first, MFObject):
         potential = (potential,)
     docs.write_json(args.output, docs.document_payload(
-        first.ring, potential, payloads, points))
+        first.ring, potential, objects, points))
 
 
 def _write_witness(args, log, points):
@@ -450,7 +447,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except Invalid as e:

@@ -15,7 +15,9 @@ A document is a single JSON object:
     }
 
 Matrix entries are polynomial strings (bare integers also accepted).
-Omitted matrices are zero; ranks default to zero inside the window.
+Omitted matrices are zero; ranks default to zero inside the window.  A
+window spans at most MAX_DEGREE_SPAN + 1 degrees: every degree of it is
+materialized, so a wider one is refused as malformed.
 Object types: complex, koszul_module, mf, koszul_morphism, mf_morphism.
 Morphisms name their endpoints, which may appear anywhere in the document.
 MF payloads carry their own potential entry "f"; everything graded uses the
@@ -49,6 +51,10 @@ from koszulmf.ring import (ParseError, Poly, normalize_scalar, parse_poly,
                            polynomial_ring, prime_field, rationals)
 
 WITNESS_SCHEMA = "koszulmf.witness/1"
+
+# largest hi - lo of a degree window [lo, hi] in a document or witness log;
+# the constructions build a rank and a differential for every degree of it
+MAX_DEGREE_SPAN = 1000
 
 
 class DocumentError(ValueError):
@@ -184,9 +190,12 @@ def _parse_window(payload, where):
             and all(isinstance(d, int) for d in degs) and degs[0] <= degs[1],
             f"{where}: degrees must be [lo, hi] with lo <= hi")
     lo, hi = degs
+    _expect(hi - lo <= MAX_DEGREE_SPAN,
+            f"{where}: degree window [{lo}, {hi}] spans more than "
+            f"{MAX_DEGREE_SPAN} degrees")
     ranks_raw = payload.get("ranks")
     _expect(isinstance(ranks_raw, dict), f"{where}: ranks must be an object")
-    ranks = {}
+    ranks = dict.fromkeys(range(lo, hi + 1), 0)
     for key, val in ranks_raw.items():
         deg = _degree(key, where)
         _expect(isinstance(val, int) and val >= 0,
@@ -387,38 +396,49 @@ def ring_payload(ring):
     return out
 
 
-def _matrix_payload(mat):
+def _matrix_payload(mat, texts=None):
+    """Rows of entry strings.  `texts` is the print memo of one payload:
+    id(poly) -> (poly, str(poly)).  A witness log repeats a few distinct
+    polys many times over, and each is printed once; the memo holds the
+    poly itself, so its id cannot be reused while the payload is built."""
+    if texts is None:
+        texts = {}
     out = [["0"] * mat.cols for _ in range(mat.rows)]
     for i, row in mat.nz.items():
+        out_row = out[i]
         for j, e in row.items():
-            out[i][j] = str(e)
+            hit = texts.get(id(e))
+            if hit is None:
+                hit = texts[id(e)] = (e, str(e))
+            out_row[j] = hit[1]
     return out
 
 
-def complex_payload(c):
+def complex_payload(c, texts=None):
     return {
         "degrees": [c.lo, c.hi],
         "ranks": {str(m): c.rank(m) for m in range(c.lo, c.hi + 1)},
-        "d": {str(m): _matrix_payload(c.diff(m)) for m in range(c.lo, c.hi)},
+        "d": {str(m): _matrix_payload(c.diff(m), texts)
+              for m in range(c.lo, c.hi)},
     }
 
 
-def module_payload(m):
-    out = complex_payload(m.underlying)
-    out["h"] = [{str(deg): _matrix_payload(m.hop(i, deg))
+def module_payload(m, texts=None):
+    out = complex_payload(m.underlying, texts)
+    out["h"] = [{str(deg): _matrix_payload(m.hop(i, deg), texts)
                  for deg in range(m.lo, m.hi + 1)}
                 for i in range(m.n)]
     return out
 
 
-def mf_payload(mf):
+def mf_payload(mf, texts=None):
     return {
         "type": "mf",
         "f": str(mf.potential),
         "r0": mf.r0,
         "r1": mf.r1,
-        "phi0": _matrix_payload(mf.phi0),
-        "phi1": _matrix_payload(mf.phi1),
+        "phi0": _matrix_payload(mf.phi0, texts),
+        "phi1": _matrix_payload(mf.phi1, texts),
     }
 
 
@@ -437,11 +457,20 @@ def point_payload(point):
 
 
 def document_payload(ring, potential, objects, points=None):
-    """objects: name -> ready payload dict (with its "type" key)."""
+    """objects: name -> Koszul module, factorization, or ready payload dict
+    (with its "type" key).  Entries the objects share are printed once."""
+    texts = {}
+    payloads = {}
+    for name, obj in objects.items():
+        if isinstance(obj, KoszulModule):
+            obj = {"type": "koszul_module", **module_payload(obj, texts)}
+        elif isinstance(obj, MFObject):
+            obj = mf_payload(obj, texts)
+        payloads[name] = obj
     out = {
         "ring": ring_payload(ring),
         "potential": [str(f) for f in potential],
-        "objects": objects,
+        "objects": payloads,
     }
     if points:
         out["points"] = {name: point_payload(pt) for name, pt in points.items()}
@@ -526,23 +555,23 @@ def write_json(path, payload):
 # witness logs
 # ---------------------------------------------------------------------------
 
-def _morphism_components_payload(g):
+def _morphism_components_payload(g, texts=None):
     lo = min(g.source.lo, g.target.lo)
     hi = max(g.source.hi, g.target.hi)
-    return {str(deg): _matrix_payload(g.component(deg))
+    return {str(deg): _matrix_payload(g.component(deg), texts)
             for deg in range(lo, hi + 1)}
 
 
-def _step_payload(step):
+def _step_payload(step, texts):
     out = {"kind": step.kind, "orientation": step.orientation}
     if step.kind == "cone_off_free":
-        out["generators"] = complex_payload(step.generators)
-        out["target"] = module_payload(step.morphism.target)
-        out["components"] = _morphism_components_payload(step.morphism)
+        out["generators"] = complex_payload(step.generators, texts)
+        out["target"] = module_payload(step.morphism.target, texts)
+        out["components"] = _morphism_components_payload(step.morphism, texts)
     elif step.kind == "explicit_quasi_iso":
-        out["source"] = module_payload(step.morphism.source)
-        out["target"] = module_payload(step.morphism.target)
-        out["components"] = _morphism_components_payload(step.morphism)
+        out["source"] = module_payload(step.morphism.source, texts)
+        out["target"] = module_payload(step.morphism.target, texts)
+        out["components"] = _morphism_components_payload(step.morphism, texts)
     else:
         out["offset"] = step.offset
     return out
@@ -550,15 +579,16 @@ def _step_payload(step):
 
 def witness_payload(log, points=None):
     ring = log.start.ring
+    texts = {}      # one print memo for the whole log
     return {
         "schema": WITNESS_SCHEMA,
         "ring": ring_payload(ring),
         "potential": [str(f) for f in log.start.potential],
         "points": {name: point_payload(pt)
                    for name, pt in (points or {}).items()},
-        "start": module_payload(log.start),
-        "end": module_payload(log.end),
-        "steps": [_step_payload(s) for s in log.steps],
+        "start": module_payload(log.start, texts),
+        "end": module_payload(log.end, texts),
+        "steps": [_step_payload(s, texts) for s in log.steps],
     }
 
 

@@ -1,7 +1,9 @@
 """Exact Gaussian elimination over the rationals or a prime field.
 
-Inputs are dense lists of rows whose entries are Fractions (char 0) or ints
-in [0, p).  Only ranks and kernel dimensions are needed upstream.  The
+Inputs are dense lists of rows of base-field scalars: rationals in the
+normal form of `koszulmf.ring` (int, or Fraction with denominator > 1) in
+char 0, ints in [0, p) mod p.  Over Q each row is converted to Fractions
+before elimination divides, so no float can appear.  Only ranks and kernel dimensions are needed upstream.  The
 evaluated matrices are mostly zero, so elimination works on the nonzero
 entries of each row only.
 """

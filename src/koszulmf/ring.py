@@ -1,7 +1,11 @@
 """Exact coefficient rings: rationals, prime fields, flat polynomial rings.
 
-Polynomials are dicts from exponent tuples to nonzero coefficients
-(Fraction over the rationals, canonical int representatives mod p).  The
+Polynomials are dicts from exponent tuples to nonzero coefficients in
+normal form: over the rationals an int when the value is integral and a
+Fraction with denominator > 1 otherwise (`normalize_scalar`, and the kernel
+keeps the form after every operation); mod p the canonical int
+representative in [1, p).  Integral values are the common case, and int
+arithmetic is far cheaper than Fraction arithmetic.  The
 term order everywhere is graded lexicographic with earlier variables more
 significant; printing lists terms with the leading term first, and
 `parse_poly(str(p), ring) == p` round-trips.
@@ -114,7 +118,9 @@ def polynomial_ring(base, varnames):
 
 
 def normalize_scalar(ring, c):
-    """Coerce c (int or Fraction) into the base field of `ring`."""
+    """Coerce c (int or Fraction) into the base field of `ring`, in its
+    normal form: over F_p the residue in [0, p); over Q an int when c is
+    integral and a Fraction with denominator > 1 otherwise."""
     p = ring.char
     if p:
         if isinstance(c, Fraction):
@@ -122,9 +128,10 @@ def normalize_scalar(ring, c):
                 raise ZeroDivisionError(f"denominator {c.denominator} vanishes mod {p}")
             return c.numerator * pow(c.denominator, p - 2, p) % p
         return int(c) % p
-    if isinstance(c, Fraction):
+    if type(c) is int:
         return c
-    return Fraction(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
@@ -472,14 +479,17 @@ def evaluate_at(poly, vals):
         total = total + term
         if p:
             total %= p
+    if type(total) is Fraction and total.denominator == 1:
+        total = total.numerator
     return total
 
 
 def evaluate(poly, point):
     """Evaluate at a point (mapping variable name -> base-field scalar).
 
-    Every ring variable must be assigned.  Returns a Fraction, or an int in
-    [0, p) over a prime field.
+    Every ring variable must be assigned.  Returns a base-field scalar in
+    normal form (see `normalize_scalar`): over Q an int or a Fraction with
+    denominator > 1, over a prime field an int in [0, p).
     """
     return evaluate_at(poly, point_values(poly.ring, point))
 

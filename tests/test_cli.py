@@ -422,6 +422,30 @@ def test_seed_flag_is_accepted(capsys):
     assert lines == ["a1=valid", "status=ok"]
 
 
+def test_parser_is_built_once_and_carries_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    args = cli._parser().parse_args(["fold", "--input", M3, "--points",
+                                     "axis", "--point", "x=0,y=0"])
+    assert args.points == "axis" and args.point == ["x=0,y=0"]
+    again = cli._parser().parse_args(["fold", "--input", M3])
+    assert again.points is None and again.point == []
+    assert cli._parser().parse_args(
+        ["reduce-codim", "--input", KUV, "--then", "fold"]).then == "fold"
+    assert cli._parser().parse_args(
+        ["reduce-codim", "--input", KUV]).then is None
+    # end to end: a run with points leaves the next run without them
+    plain = run(capsys, ["fold", "--input", M3])
+    assert plain[0] == 0
+    assert "residue_homology[origin]=even=2 odd=2" in plain[1]
+    code, lines = run(capsys, ["fold", "--input", M3, "--points", "axis",
+                               "--point", "x=0,y=0"])
+    assert code == 0
+    assert [l for l in lines if l.startswith("residue_homology")] == [
+        "residue_homology[axis]=even=0 odd=0",
+        "residue_homology[point0]=even=2 odd=2"]
+    assert run(capsys, ["fold", "--input", M3]) == plain
+
+
 # ---------------------------------------------------------------------------
 # malformed input ends in exit 2 (error=parse), never exit 3 or a traceback
 # ---------------------------------------------------------------------------
@@ -545,3 +569,76 @@ def test_witness_shapes_exit_2(capsys, tmp_path, edit, where):
     line = _expect_parse_error(capsys, ["witness-check", "--witness",
                                         str(wpath)])
     assert line.endswith(where)
+
+
+# ---------------------------------------------------------------------------
+# degree windows: missing ranks are zero, and the width is bounded
+# ---------------------------------------------------------------------------
+
+def test_window_wider_than_its_ranks_validates(capsys, tmp_path):
+    raw = json.load(open(M3))
+    raw["objects"]["m3"]["degrees"][1] = 1      # no rank listed at 1
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["validate", "--input", str(doc)])
+    assert (code, lines) == (0, ["m3=valid", "status=ok"])
+    code, lines = run(capsys, ["fold", "--input", str(doc)])
+    assert code == 0 and lines[-1] == "status=ok"
+
+
+def _windows(w):
+    """Every degree window of a witness log, as (where, payload)."""
+    yield "start", w["start"]
+    yield "end", w["end"]
+    for i, step in enumerate(w["steps"]):
+        for key in ("generators", "source", "target"):
+            if key in step:
+                yield f"steps[{i}].{key}", step[key]
+
+
+def test_witness_windows_wider_than_their_ranks(capsys, tmp_path):
+    # one more degree at either end of any window: no rank is listed there,
+    # so it is zero, and the replay gives a verdict, never a traceback
+    w0 = _emitted_witness(capsys, tmp_path)
+    wpath = tmp_path / "wide.json"
+    widened = 0
+    for index, (where, _) in enumerate(_windows(w0)):
+        for end, delta in ((0, -1), (1, 1)):
+            w = json.loads(json.dumps(w0))
+            window = dict(_windows(w))[where]
+            window["degrees"][end] += delta
+            wpath.write_text(json.dumps(w))
+            code, lines = run(capsys, ["witness-check", "--witness",
+                                       str(wpath)])
+            assert code in (0, 1), (where, end, lines)
+            assert lines[-1] == ("status=ok" if code == 0
+                                 else "status=failed")
+            widened += 1
+    assert widened >= 10
+
+
+def test_huge_degree_window_is_refused(capsys, tmp_path):
+    raw = json.load(open(M3))
+    raw["objects"]["m3"]["degrees"] = [-1000000000, 0]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert line == ("error=parse objects.m3: degree window [-1000000000, 0] "
+                    f"spans more than {docs.MAX_DEGREE_SPAN} degrees")
+    w = _emitted_witness(capsys, tmp_path)
+    _step(w, "cone_off_free")["generators"]["degrees"] = [-1000000000, 0]
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert "generators: degree window" in line
+
+
+def test_degree_window_at_the_limit_is_accepted(capsys, tmp_path):
+    raw = json.load(open(M3))
+    for hi, code in ((docs.MAX_DEGREE_SPAN - 2, 0),
+                     (docs.MAX_DEGREE_SPAN - 1, 2)):
+        raw["objects"]["m3"]["degrees"] = [-2, hi]
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(raw))
+        assert run(capsys, ["validate", "--input", str(doc)])[0] == code

@@ -126,6 +126,47 @@ def test_witness_round_trip_and_determinism(tmp_path):
     assert docs.dumps(docs.witness_payload(reparsed, stored)) == text
 
 
+def _count_prints(monkeypatch):
+    """Record every Poly printed from now on."""
+    printed = []
+    real = Poly.__str__
+
+    def counting(p):
+        printed.append(p)
+        return real(p)
+
+    monkeypatch.setattr(Poly, "__str__", counting)
+    return printed
+
+
+def test_witness_payload_prints_each_entry_once(monkeypatch):
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    want = docs.dumps(docs.witness_payload(log))
+    printed = _count_prints(monkeypatch)
+    assert docs.dumps(docs.witness_payload(log)) == want
+    potential = {id(f) for f in log.start.potential}
+    entries = [id(p) for p in printed if id(p) not in potential]
+    assert entries and len(entries) == len(set(entries))
+
+
+def test_document_payload_prints_shared_entries_once(monkeypatch):
+    m3 = corpus.by_name("m3").module
+    ready = {"type": "koszul_module", **docs.module_payload(m3)}
+    want = docs.dumps(docs.document_payload(
+        m3.ring, m3.potential, {"a": ready, "b": ready}))
+    printed = _count_prints(monkeypatch)
+    got = docs.dumps(docs.document_payload(m3.ring, m3.potential,
+                                           {"a": m3, "b": m3}))
+    assert got == want
+    mats = [*m3.underlying.diffs.values(),
+            *(mat for fam in m3.h for mat in fam.values())]
+    distinct = {id(e) for mat in mats for row in mat.nz.values()
+                for e in row.values()}
+    # "b" repeats "a" and prints nothing new; the potential is printed once
+    assert len(printed) == len(distinct) + len(m3.potential)
+
+
 # ---------------------------------------------------------------------------
 # rejections
 # ---------------------------------------------------------------------------

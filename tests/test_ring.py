@@ -62,6 +62,12 @@ def test_ring_spec_rejects_bad_input():
 
 def test_normalize_scalar():
     assert normalize_scalar(QX, 3) == Fraction(3)
+    # Q normal form: an int when integral, never a bool
+    for c in (3, Fraction(6, 2), True, Fraction(0)):
+        assert type(normalize_scalar(QX, c)) is int
+    assert normalize_scalar(QX, True) == 1
+    half = normalize_scalar(QX, Fraction(2, 4))
+    assert type(half) is Fraction and half == Fraction(1, 2)
     assert normalize_scalar(F5XY, 7) == 2
     assert normalize_scalar(F5XY, Fraction(1, 2)) == 3   # 2 * 3 = 6 = 1 mod 5
     with pytest.raises(ZeroDivisionError):
@@ -127,6 +133,16 @@ def test_parse_errors_carry_positions():
         parse_poly("x y", QXY)
 
 
+def test_parse_rationals_in_normal_form():
+    two = parse_poly("4/2", QXY).terms
+    assert two == {(0, 0): 2} and type(two[(0, 0)]) is int
+    half = parse_poly("2/4*x", QXY).terms[(1, 0)]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    # a product of Fractions that comes out integral is an int
+    one = parse_poly("2/3*x * 3/2*y", QXY).terms[(1, 1)]
+    assert type(one) is int and one == 1
+
+
 def test_parse_mod_p_normalizes():
     p = parse_poly("7*x + 10", F5XY)
     assert p == parse_poly("2*x", F5XY)
@@ -141,6 +157,11 @@ def _polys(ring):
     coeff = st.integers(-4, 4)
     nvars = len(ring.varnames)
     exp = st.tuples(*[st.integers(0, 2)] * nvars)
+    if not ring.char:
+        # halves and thirds too, so that products and sums come out
+        # integral as Fractions and must be demoted
+        coeff = coeff | st.builds(Fraction, st.integers(-4, 4),
+                                  st.sampled_from((2, 3)))
     return st.dictionaries(exp, coeff, max_size=4).map(
         lambda d: Poly(ring, {e: normalize_scalar(ring, c)
                               for e, c in d.items() if c % ring.char != 0}
@@ -151,7 +172,8 @@ def _polys(ring):
 def nf(poly):
     """Assert that `poly` is in term normal form, and return it: exponent
     tuples of the ring's arity, no zero coefficients, and every coefficient
-    a residue in 1..p-1 over F_p or an int / Fraction over Q."""
+    a residue in 1..p-1 over F_p, or over Q an int (never a bool) when
+    integral and a Fraction with denominator > 1 otherwise."""
     p = poly.ring.char
     for exps, c in poly.terms.items():
         assert len(exps) == len(poly.ring.varnames)
@@ -159,7 +181,8 @@ def nf(poly):
         if p:
             assert type(c) is int and 0 < c < p
         else:
-            assert isinstance(c, (int, Fraction))
+            assert type(c) is int or (type(c) is Fraction
+                                       and c.denominator > 1)
     return poly
 
 
@@ -200,6 +223,10 @@ def test_evaluate_rationals():
     p = parse_poly("x^2*y - 1/2", QXY)
     assert evaluate(p, {"x": Fraction(2), "y": Fraction(1, 4)}) == Fraction(1, 2)
     assert evaluate(Poly.zero(QXY), {"x": 0, "y": 0}) == 0
+    # values come back in the Q normal form
+    whole = evaluate(p, {"x": Fraction(1, 2), "y": 6})
+    assert type(whole) is int and whole == 1
+    assert type(evaluate(Poly.zero(QXY), {"x": 0, "y": 0})) is int
 
 
 def test_evaluate_mod_p():
