@@ -12,9 +12,23 @@ in rows * cols.  The public constructor takes a flat row-major entry list
 and checks that every entry is a Poly over the matrix ring; results built
 inside the library hand their rows to the keyword-only `trusted` argument
 and skip that per-entry check.
+
+The product is one fused kernel.  Over Q each operand is scanned once for
+the lcm D of its coefficient denominators and, only when D > 1, scaled to
+int coefficients; with D = 1 (and always over F_p) its entries are read in
+place.  Every term product a_ik * b_kj of an output entry is added as an
+int into one exponent -> coefficient dict, with no intermediate Poly and
+no Fraction; a constant operand (the ±1 of permutation and identity
+blocks) adds c * v under the other side's exponents.  Each surviving
+coefficient is normalized once: divided by D_A * D_B over Q, reduced by
+one `% p` over F_p.  Coefficients that cancel are dropped, and an entry
+left empty is not stored.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 
 from koszulmf import linalg
 from koszulmf.ring import (Poly, embed, evaluate_at, normalize_scalar,
@@ -24,6 +38,24 @@ from koszulmf.ring import (Poly, embed, evaluate_at, normalize_scalar,
 def _check_indices(idx, bound):
     if idx and (min(idx) < 0 or max(idx) >= bound):
         raise IndexError(f"index out of range 0..{bound - 1}")
+
+
+def _cleared(nz, ring):
+    """(rows, D) for the nonzero rows of a matrix over Q: D is the lcm of
+    every coefficient denominator and rows are D times the matrix, with int
+    coefficients.  When D = 1 the rows are `nz` itself, not a copy."""
+    d = 1
+    for row in nz.values():
+        for e in row.values():
+            for c in e.terms.values():
+                if type(c) is not int:
+                    d = lcm(d, c.denominator)
+    if d == 1:
+        return nz, 1
+    return ({i: {j: Poly(ring, {k: c.numerator * (d // c.denominator)
+                                for k, c in e.terms.items()}, _normalized=True)
+                 for j, e in row.items()}
+             for i, row in nz.items()}, d)
 
 
 class PolyMatrix:
@@ -206,26 +238,61 @@ class PolyMatrix:
             raise ValueError("mixed rings")
 
     def __mul__(self, other):
+        """The matrix product, by the fused kernel of the module docstring."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
         self._same_ring(other)
-        bnz = other.nz
+        ring = self.ring
+        p = ring.char
+        anz, bnz = self.nz, other.nz
+        d = 1
+        if not p:
+            anz, da = _cleared(anz, ring)
+            bnz, db = _cleared(bnz, ring)
+            d = da * db
+        one = (0,) * len(ring.varnames)     # exponents of the monomial 1
         nz = {}
-        for i, arow in self.nz.items():
+        for i, arow in anz.items():
             acc = {}
             for k, a in arow.items():
                 brow = bnz.get(k)
                 if brow is None:
                     continue
+                at = a.terms
+                ca = at.get(one) if len(at) == 1 else None
                 for j, b in brow.items():
-                    t = a * b
-                    s = acc.get(j)
-                    acc[j] = t if s is None else s + t
-            row = {j: e for j, e in acc.items() if e.terms}
+                    bt = b.terms
+                    out = acc.get(j)
+                    if out is None:
+                        out = acc[j] = {}
+                    if ca is not None:
+                        for kb, vb in bt.items():
+                            out[kb] = out.get(kb, 0) + ca * vb
+                    elif len(bt) == 1 and one in bt:
+                        cb = bt[one]
+                        for ka, va in at.items():
+                            out[ka] = out.get(ka, 0) + va * cb
+                    else:
+                        for ka, va in at.items():
+                            for kb, vb in bt.items():
+                                kab = tuple(map(add, ka, kb))
+                                out[kab] = out.get(kab, 0) + va * vb
+            row = {}
+            for j, out in acc.items():
+                if p:
+                    terms = {kab: r for kab, v in out.items() if (r := v % p)}
+                elif d == 1:
+                    terms = (out if all(out.values())
+                             else {kab: v for kab, v in out.items() if v})
+                else:
+                    terms = {kab: v // d if v % d == 0 else Fraction(v, d)
+                             for kab, v in out.items() if v}
+                if terms:
+                    row[j] = Poly(ring, terms, _normalized=True)
             if row:
                 nz[i] = row
-        return PolyMatrix(self.ring, self.rows, other.cols, trusted=nz)
+        return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
 
     def _combine(self, other, sub):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -256,7 +323,18 @@ class PolyMatrix:
         return self._combine(other, True)
 
     def __neg__(self):
-        return self.map_entries(Poly.__neg__)
+        # entries are often one shared Poly (a unit, a potential): each
+        # distinct entry is negated once, keyed by identity
+        negated = {}
+        nz = {}
+        for i, row in self.nz.items():
+            out = nz[i] = {}
+            for j, e in row.items():
+                n = negated.get(id(e))
+                if n is None:
+                    n = negated[id(e)] = -e
+                out[j] = n
+        return PolyMatrix(self.ring, self.rows, self.cols, trusted=nz)
 
     def scale(self, poly):
         self._same_ring(poly)

@@ -172,6 +172,9 @@ def free_koszul(e, potential):
     def idx(layout):
         return {(k, S): pos for pos, (k, S, _, _) in enumerate(layout)}
 
+    # the signed blocks are negated once here and shared by every slot
+    neg_diff = {m: -e.diff(m) for m in e.degrees()}
+    neg_potential = [-f for f in potential]
     diffs = {}
     for u in range(lo, hi):
         src, tgt = layouts[u], layouts[u + 1]
@@ -182,19 +185,20 @@ def free_koszul(e, potential):
                 continue
             # (-1)^k d on the same wedge coordinates
             row = tpos[(k, S)]
-            d = e.diff(edeg)
-            grid[row][col] = d if k % 2 == 0 else -d
+            grid[row][col] = e.diff(edeg) if k % 2 == 0 else neg_diff[edeg]
             # contraction against the potential
             for j, i_j in enumerate(S):
                 rest = tuple(x for x in S if x != i_j)
                 row = tpos[(k - 1, rest)]
-                f = potential[i_j] if j % 2 == 0 else -potential[i_j]
+                f = potential[i_j] if j % 2 == 0 else neg_potential[i_j]
                 blk = PolyMatrix.scalar(ring, r, f)
                 grid[row][col] = blk if grid[row][col] is None else grid[row][col] + blk
         diffs[u] = PolyMatrix.block(ring, grid,
                                     [r for (_, _, _, r) in tgt],
                                     [r for (_, _, _, r) in src])
 
+    one = Poly.one(ring)
+    minus_one = -one
     h = []
     for i in range(n):
         fam = {}
@@ -210,8 +214,8 @@ def free_koszul(e, potential):
                     continue
                 wedged = tuple(sorted(S + (i,)))
                 row = tpos[(k + 1, wedged)]
-                one = Poly.one(ring) if sign > 0 else -Poly.one(ring)
-                grid[row][col] = PolyMatrix.scalar(ring, r, one)
+                grid[row][col] = PolyMatrix.scalar(
+                    ring, r, one if sign > 0 else minus_one)
             fam[u] = PolyMatrix.block(ring, grid,
                                       [r for (_, _, _, r) in tgt],
                                       [r for (_, _, _, r) in src])

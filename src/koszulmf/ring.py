@@ -308,34 +308,43 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()/]))")
+# One pass over the text: every token is one match, whitespace before it
+# included; the last alternative catches any other character as an error.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()/])|(\S))")
+
+# The coefficient budget of parsed text: an integer literal of more than
+# this many digits, or a parsed polynomial with a coefficient whose
+# numerator or denominator has more (say from a power), is malformed input.
+# The product of two coefficients within the budget still prints: Python
+# refuses int <-> str conversions past 4300 digits.
+MAX_COEFF_DIGITS = 1000
+_COEFF_LIMIT = 10 ** MAX_COEFF_DIGITS
+_COEFF_LIMIT_BITS = _COEFF_LIMIT.bit_length()
+
+
+def _too_long(n):
+    """Whether |n| has more than MAX_COEFF_DIGITS digits, without str()."""
+    return n.bit_length() >= _COEFF_LIMIT_BITS and abs(n) >= _COEFF_LIMIT
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            break
-        num, name, op = m.groups()
-        tokpos = m.start() + (len(m.group()) - len(m.group().lstrip()))
-        if num is not None:
-            try:
-                value = int(num)
-            except ValueError:      # past the interpreter's digit limit
-                raise ParseError(f"integer literal of {len(num)} digits is "
-                                 f"too long", tokpos)
-            tokens.append(("num", value, tokpos))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        num, name, op, other = m.groups()
+        if op is not None:
+            append(("op", op, m.start(3)))
         elif name is not None:
-            tokens.append(("name", name, tokpos))
+            append(("name", name, m.start(2)))
+        elif num is not None:
+            if len(num) > MAX_COEFF_DIGITS:
+                raise ParseError(f"integer literal of {len(num)} digits is "
+                                 f"too long", m.start(1))
+            append(("num", int(num), m.start(1)))
         else:
-            tokens.append(("op", op, tokpos))
-        pos = m.end()
-    rest = text[pos:].strip()
-    if rest:
-        raise ParseError(f"unexpected character {rest[0]!r}", text.index(rest[0], pos))
-    tokens.append(("end", None, len(text)))
+            raise ParseError(f"unexpected character {other!r}", m.start(4))
+    append(("end", None, len(text)))
     return tokens
 
 
@@ -451,8 +460,14 @@ class _Parser:
 
 
 def parse_poly(text, ring):
-    """Parse polynomial text in the given ring.  Raises ParseError."""
-    return _Parser(text, ring).parse()
+    """Parse polynomial text in the given ring.  Raises ParseError, also
+    when a coefficient of the result is past MAX_COEFF_DIGITS."""
+    poly = _Parser(text, ring).parse()
+    for c in poly.terms.values():
+        if _too_long(c.numerator) or _too_long(c.denominator):
+            raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "
+                             "digits", 0)
+    return poly
 
 
 def point_values(ring, point):

@@ -506,6 +506,57 @@ def test_huge_integer_entry_exit_2(capsys, tmp_path):
     assert "start.d[-1]" in line
 
 
+def _a1_scaled(tmp_path, c):
+    """a1.json with phi0 = phi1 = c*x and f = c^2*x^2 (c is entry text)."""
+    raw = json.load(open(A1))
+    raw["potential"] = [f"({c})^2*x^2"]
+    raw["objects"]["a1"].update(f=f"({c})^2*x^2", phi0=[[f"({c})*x"]],
+                                phi1=[[f"({c})*x"]])
+    doc = tmp_path / "scaled.json"
+    doc.write_text(json.dumps(raw))
+    return str(doc)
+
+
+def test_coefficients_past_the_budget_exit_2(capsys, tmp_path):
+    # 3000 nines: the document used to pass validate, and shift --output
+    # then died printing the 6000-digit f (exit 3)
+    doc = _a1_scaled(tmp_path, "9" * 3000)
+    out = str(tmp_path / "out.json")
+    for argv in (["validate", "--input", doc],
+                 ["shift", "--input", doc, "--output", out]):
+        line = _expect_parse_error(capsys, argv)
+        assert line == ("error=parse potential[0]: integer literal of 3000 "
+                        "digits is too long (at position 1)")
+    assert not os.path.exists(out)
+    # 600 nines: every literal fits, the squared coefficient does not
+    line = _expect_parse_error(capsys, ["validate", "--input",
+                                        _a1_scaled(tmp_path, "9" * 600)])
+    assert line == ("error=parse potential[0]: coefficient of more than "
+                    "1000 digits (at position 0)")
+    # the same entries in a witness log
+    for entry in ("9" * 3000 + "*x", "(" + "9" * 600 + ")^2*x"):
+        w = _emitted_witness(capsys, tmp_path)
+        w["start"]["d"]["-1"][0][0] = entry
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(w))
+        line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                            str(wpath)])
+        assert "start.d[-1]" in line
+
+
+def test_coefficients_within_the_budget_print(capsys, tmp_path):
+    # c has 500 digits and f = c^2*x^2 has 1000: still in budget, and the
+    # shifted factorization prints
+    c = "9" * 500
+    doc = _a1_scaled(tmp_path, c)
+    out = tmp_path / "out.json"
+    code, lines = run(capsys, ["shift", "--input", doc, "--output", str(out)])
+    assert code == 0 and lines[-1] == "status=ok"
+    shifted = json.loads(out.read_text())["objects"]["a1_shifted"]
+    assert shifted["phi0"] == [[f"-{c}*x"]]
+    assert shifted["f"] == f"{int(c) ** 2}*x^2"
+
+
 @pytest.mark.parametrize("field,where", [
     ("objects", "objects: must map names to objects"),
     ("points", "points: must map names to points"),

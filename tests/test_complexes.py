@@ -1,6 +1,7 @@
 """Polynomial matrices, complexes, cones, shifts, pointwise homology."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,98 @@ def test_sparse_matrix_matches_dense_reference(ring, density, data):
         assert A.at(i, j) == e
         assert A.row(i) == a[i]
         assert A.entries == _flat(a)
+
+
+# ---------------------------------------------------------------------------
+# the fused product: common denominators, unreduced sums mod p, cancellation
+# ---------------------------------------------------------------------------
+
+F32003XY = polynomial_ring(prime_field(32003), ("x", "y"))
+BIG = 10 ** 40
+
+
+def _coefficient(ring):
+    """Over Q ints, halves, thirds, sevenths and 40-digit fractions; over
+    F_p ints far past p, which the ring reduces."""
+    small = st.integers(-9, 9)
+    if ring.char:
+        return small | st.integers(-BIG, BIG)
+    return (small | st.builds(Fraction, small, st.sampled_from([2, 3, 7]))
+            | st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+def _mixed_entries(ring, units):
+    """Entries of one operand: only 0 and ±1 when `units`, else any poly
+    of up to three terms with coefficients mixed as above."""
+    signs = st.sampled_from([0, 1, -1]).map(lambda c: Poly.const(ring, c))
+    if units:
+        return signs
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return signs | st.dictionaries(exps, _coefficient(ring), max_size=3).map(
+        lambda terms: Poly(ring, terms))
+
+
+def _assert_normal(e):
+    """Nonzero, with every coefficient in the ring's normal form."""
+    p = e.ring.char
+    assert e.terms
+    for exps, c in e.terms.items():
+        assert type(exps) is tuple and len(exps) == 2
+        if p:
+            assert type(c) is int and 0 < c < p
+        elif type(c) is Fraction:
+            assert c.denominator > 1
+            assert gcd(c.numerator, c.denominator) == 1
+        else:
+            assert type(c) is int and c != 0
+
+
+@pytest.mark.parametrize("ring", [QXY, F5XY, F32003XY],
+                         ids=["Q", "F5", "F32003"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_product_matches_dense_reference(ring, data):
+    draw = data.draw
+    r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def dense(rows, cols):
+        entry = _mixed_entries(ring, draw(st.booleans()))
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    # [a | a2] * [b; -b] = a*b - a2*b: every row a2 copies from a cancels
+    # to zero entry by entry, and the other rows may cancel in part
+    a, b = dense(r, k), dense(k, c)
+    a2 = [row if draw(st.booleans()) else dense(1, k)[0] for row in a]
+    left = [p + q for p, q in zip(a, a2)]
+    A = PolyMatrix.from_rows(ring, left, 2 * k)
+    for right in (b + [[-e for e in row] for row in b], b + b):
+        got = A * PolyMatrix.from_rows(ring, right, c)
+        _same(got, _dense_mul(left, right, ring, 2 * k, c), r, c)
+        for row in got.nz.values():
+            for e in row.values():
+                _assert_normal(e)
+
+
+def test_fused_product_examples():
+    q = [parse_poly(t, QXY) for t in ("1/2", "1/3", "2", "-3/2", "2/3", "-1")]
+    # 1/2*2 + 1/3*(-3/2) = 1/2, a Fraction
+    prod = PolyMatrix(QXY, 1, 2, q[:2]) * PolyMatrix(QXY, 2, 1, q[2:4])
+    assert prod.nz == {0: {0: parse_poly("1/2", QXY)}}
+    _assert_normal(prod.nz[0][0])
+    # 1/2*2/3 + 1/3*(-1) = 0 is not stored
+    prod = PolyMatrix(QXY, 1, 2, q[:2]) * PolyMatrix(QXY, 2, 1, q[4:])
+    assert prod.is_zero and prod.nz == {}
+    # 3/2*x * 2/3*y = x*y, an int once divided by 2 * 3
+    prod = _m(QXY, 1, 1, ["3/2*x"]) * _m(QXY, 1, 1, ["2/3*y + 1/2"])
+    assert prod == _m(QXY, 1, 1, ["x*y + 3/4*x"])
+    assert type(prod.nz[0][0].terms[(1, 1)]) is int
+    # mod 5: 4*4 + 4*1 = 20 = 0, and 4*4 + 4*4 = 32 = 2
+    four, one = Poly.const(F5XY, 4), Poly.const(F5XY, 1)
+    assert (PolyMatrix(F5XY, 1, 2, [four, four])
+            * PolyMatrix(F5XY, 2, 1, [four, one])).is_zero
+    prod = (PolyMatrix(F5XY, 1, 2, [four, four])
+            * PolyMatrix(F5XY, 2, 1, [four, four]))
+    assert prod.nz == {0: {0: Poly.const(F5XY, 2)}}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulmf.ring import (MAX_PAREN_DEPTH, ParseError, Poly, embed,
+from koszulmf.ring import (MAX_COEFF_DIGITS, MAX_PAREN_DEPTH, ParseError, Poly, embed,
                            evaluate, evaluate_at, normalize_scalar,
                            parse_poly, point_values, polynomial_ring,
                            prime_field, rationals)
@@ -115,6 +115,53 @@ def test_parse_refuses_integer_literals_past_the_digit_limit():
         parse_poly("x + " + "1" * 5000, QXY)
     assert exc.value.position == 4
     assert parse_poly("1" * 300, QXY) == Poly.const(QXY, int("1" * 300))
+
+
+def test_parse_refuses_coefficients_past_the_budget():
+    assert MAX_COEFF_DIGITS == 1000
+    nines = "9" * MAX_COEFF_DIGITS
+    assert parse_poly(nines + "*x", QXY) == Poly(QXY, {(1, 0): int(nines)})
+    assert parse_poly("1/" + nines, QXY) == Poly.const(
+        QXY, Fraction(1, int(nines)))
+    assert parse_poly("10^999", QXY) == Poly.const(QXY, 10 ** 999)
+    # a literal one digit longer is refused where it stands
+    with pytest.raises(ParseError, match="literal of 1001 digits") as exc:
+        parse_poly("x + 1/" + nines + "9", QXY)
+    assert exc.value.position == 6
+    # so is a coefficient computed past the budget, numerator or
+    # denominator, and the error points at the start of the entry
+    for text in ("10^1000", "x*(" + nines + "+1)", "-10^1000*x + 1",
+                 "(" + "9" * 600 + ")^2*x^2", "(1/" + "9" * 600 + ")^2",
+                 "x + (2/3)^2100"):
+        with pytest.raises(ParseError, match="coefficient of more than "
+                           "1000 digits") as exc:
+            parse_poly(text, QXY)
+        assert exc.value.position == 0
+    # mod p the coefficient is the residue
+    assert parse_poly("10^1000", F5XY) == Poly.zero(F5XY)
+
+
+def test_tokenizer_errors_keep_their_positions():
+    for text, message, position in [
+            ("x + $", "unexpected character '$'", 4),
+            ("x\t\n  #y", "unexpected character '#'", 5),
+            ("2*x é", "unexpected character 'é'", 4),
+            ("x ²", "unexpected character '²'", 2),
+            ("_x", "unexpected character '_'", 0),
+            ("x + 1 . 5", "unexpected character '.'", 6),
+            ("$ " + "1" * 5000, "unexpected character '$'", 0),
+            ("x + " + "1" * 5000 + " $",
+             "integer literal of 5000 digits is too long", 4)]:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, QXY)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+    # any Unicode whitespace separates tokens, and trailing whitespace is
+    # no token at all
+    assert parse_poly("x\u00a0+\u3000y \n", QXY) == parse_poly("x + y", QXY)
+    with pytest.raises(ParseError, match="unexpected end of input") as exc:
+        parse_poly("x +   ", QXY)
+    assert exc.value.position == 6
 
 
 def test_parse_errors_carry_positions():
