@@ -2,16 +2,18 @@
 
 import json
 import os
+import re
 
 import pytest
 
 import corpus
-from koszulmf import cli
+from koszulmf import cli, reduce
 from koszulmf import documents as docs
 from koszulmf.complexes import PolyMatrix
 from koszulmf.koszul import KoszulMorphism
 from koszulmf.mf import mf_shift, orlov_unfold
-from koszulmf.ring import parse_poly, polynomial_ring, rationals
+from koszulmf.reduce import fold_with_witness
+from koszulmf.ring import Poly, parse_poly, polynomial_ring, rationals
 
 A1 = os.path.join(corpus.DATA, "a1.json")
 M3 = os.path.join(corpus.DATA, "m3.json")
@@ -299,6 +301,96 @@ def test_reduce_amplitude_on_minimal_module(capsys, tmp_path):
     code, lines = run(capsys, ["reduce-amplitude", "--input", str(ipath)])
     assert code == 0
     assert "reduction_steps=0" in lines
+
+
+def _checked_steps(log):
+    return sum(1 for s in log.steps if s.kind != "shift_by_two")
+
+
+def test_each_witness_step_is_checked_once(capsys, tmp_path, monkeypatch):
+    """The log replay is the only caller of validate_koszul_morphism in
+    `reduce`, and it checks each non-shift step once."""
+    calls = []
+    real = reduce.validate_koszul_morphism
+    monkeypatch.setattr(reduce, "validate_koszul_morphism",
+                        lambda g: calls.append(g) or real(g))
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    assert len(calls) == _checked_steps(log) == 5
+
+    calls.clear()
+    ipath = tmp_path / "in.json"
+    wpath = tmp_path / "w.json"
+    _write_module_doc(ipath, corpus.by_name("fk_xy").module)
+    code, _ = run(capsys, ["reduce-amplitude", "--input", str(ipath),
+                           "--witness", str(wpath)])
+    assert code == 0
+    log, _ = docs.load_witness(wpath)
+    assert len(calls) == _checked_steps(log) == 8
+
+
+def _bump(mat):
+    """`mat` with one added to its (0, 0) entry."""
+    one = {0: {0: Poly.one(mat.ring)}}
+    return mat + PolyMatrix(mat.ring, mat.rows, mat.cols, trusted=one)
+
+
+def _fault_in_permutation(monkeypatch):
+    real = reduce._permute_module
+
+    def faulty(x, orders):
+        permuted, mats = real(x, orders)
+        s = min(s for s, mat in mats.items() if mat.rows)
+        return permuted, {**mats, s: _bump(mats[s])}
+
+    monkeypatch.setattr(reduce, "_permute_module", faulty)
+
+
+def _fault_in_graph(monkeypatch):
+    real = reduce._graph_truncate
+
+    def faulty(x, slots, mid_tag, det_tag):
+        step, truncated, new_slots = real(x, slots, mid_tag, det_tag)
+        g = step.morphism
+        tm = g.source.hi
+        bumped = KoszulMorphism(g.source, g.target,
+                                {**g.components, tm: _bump(g.component(tm))})
+        return (reduce.WitnessStep(step.kind, step.orientation,
+                                   morphism=bumped),
+                truncated, new_slots)
+
+    monkeypatch.setattr(reduce, "_graph_truncate", faulty)
+
+
+@pytest.mark.parametrize("fault", [_fault_in_permutation, _fault_in_graph])
+def test_builder_faults_surface_through_the_replay(capsys, tmp_path,
+                                                   monkeypatch, fault):
+    fault(monkeypatch)
+    entry = corpus.by_name("m3")
+    with pytest.raises(reduce.WitnessError, match=r"^emitted log fails "
+                       r"validation: step \d+ \(explicit_quasi_iso\): "
+                       r"quasi-isomorphism invalid: degree "):
+        fold_with_witness(entry.module, entry.points)
+
+    wpath = tmp_path / "w.json"
+    code, lines = run(capsys, ["fold", "--input", M3,
+                               "--witness", str(wpath)])
+    assert code == 1
+    assert len(lines) == 1
+    assert re.match(r"error=validation emitted log fails validation: "
+                    r"step \d+ \(explicit_quasi_iso\): quasi-isomorphism "
+                    r"invalid: degree ", lines[0])
+    assert not wpath.exists()
+
+    ipath = tmp_path / "in.json"
+    _write_module_doc(ipath, corpus.by_name("fk_xy").module)
+    code, lines = run(capsys, ["reduce-amplitude", "--input", str(ipath),
+                               "--witness", str(wpath)])
+    assert code == 1
+    assert re.match(r"witness=invalid step \d+ \(explicit_quasi_iso\): "
+                    r"quasi-isomorphism invalid: degree ", lines[0])
+    assert lines[-1] == "status=failed"
+    assert not wpath.exists()
 
 
 def test_reduce_codim_plain(capsys, tmp_path):
