@@ -485,7 +485,10 @@ def shift_complex(c, k):
 
 
 class ChainMap:
-    """A degree-0 map of complexes; component at m is rank_tgt(m) x rank_src(m)."""
+    """A degree-0 map of complexes; component at m is rank_tgt(m) x rank_src(m).
+
+    Source and target need only `ring`, `lo`, `hi`, `rank` and `diff`, so a
+    Koszul morphism (a subclass) is a chain map of its modules as it is."""
 
     __slots__ = ("source", "target", "components")
 

@@ -17,7 +17,8 @@ A document is a single JSON object:
 Matrix entries are polynomial strings (bare integers also accepted).
 Omitted matrices are zero; ranks default to zero inside the window.  A
 window spans at most MAX_DEGREE_SPAN + 1 degrees: every degree of it is
-materialized, so a wider one is refused as malformed.
+materialized, so a wider one is refused as malformed.  Likewise one object
+has a total rank (r0 + r1 for a factorization) of at most MAX_TOTAL_RANK.
 Object types: complex, koszul_module, mf, koszul_morphism, mf_morphism.
 Morphisms name their endpoints, which may appear anywhere in the document.
 MF payloads carry their own potential entry "f"; everything graded uses the
@@ -55,6 +56,13 @@ WITNESS_SCHEMA = "koszulmf.witness/1"
 # largest hi - lo of a degree window [lo, hi] in a document or witness log;
 # the constructions build a rank and a differential for every degree of it
 MAX_DEGREE_SPAN = 1000
+
+# largest size of one object in a document or witness log: the total rank
+# of a complex or module over its window (for a cone_off_free step, of the
+# free module on its generators), r0 + r1 of a factorization.  Checks build
+# identity, scalar and cone matrices of that size, some of them dense when
+# evaluated at a point, so the cost grows with its square.
+MAX_TOTAL_RANK = 1000
 
 
 class DocumentError(ValueError):
@@ -183,6 +191,11 @@ def _parse_matrix(ring, payload, rows, cols, where, memo):
     return PolyMatrix(ring, rows, cols, trusted=nz)
 
 
+def _check_size(total, where):
+    _expect(total <= MAX_TOTAL_RANK,
+            f"{where}: total rank {total} is past {MAX_TOTAL_RANK}")
+
+
 def _parse_window(payload, where):
     _expect(isinstance(payload, dict), f"{where}: must be an object")
     degs = payload.get("degrees")
@@ -202,6 +215,7 @@ def _parse_window(payload, where):
                 f"{where}: rank at {deg} must be a nonnegative integer")
         _expect(lo <= deg <= hi, f"{where}: rank at {deg} outside window")
         ranks[deg] = val
+    _check_size(sum(ranks.values()), where)
     return lo, hi, ranks
 
 
@@ -257,6 +271,7 @@ def parse_mf_payload(ring, payload, where, memo=None):
     r0, r1 = payload.get("r0"), payload.get("r1")
     _expect(isinstance(r0, int) and isinstance(r1, int) and r0 >= 0 and r1 >= 0,
             f"{where}: r0 and r1 must be nonnegative integers")
+    _check_size(r0 + r1, where)
     phi0 = _parse_matrix(ring, payload.get("phi0"), r1, r0, f"{where}.phi0",
                          memo)
     phi1 = _parse_matrix(ring, payload.get("phi1"), r0, r1, f"{where}.phi1",
@@ -621,6 +636,8 @@ def parse_witness(raw):
         if kind == "cone_off_free":
             gens = parse_complex_payload(ring, sp.get("generators"),
                                          f"{where}.generators", memo)
+            _check_size(sum(gens.ranks.values()) << len(potential),
+                        f"{where}.generators (free module)")
             target = module_at(sp.get("target"), f"{where}.target")
             psi = _parse_koszul_morphism(ring, free_koszul(gens, potential),
                                          target, sp.get("components"), where,

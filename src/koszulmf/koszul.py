@@ -229,35 +229,17 @@ def free_koszul(e, potential):
 # morphisms, the counit, cones
 # ---------------------------------------------------------------------------
 
-class KoszulMorphism:
-    __slots__ = ("source", "target", "components")
+class KoszulMorphism(ChainMap):
+    """A chain map of the underlying complexes between modules over one
+    potential; `validate_koszul_morphism` also checks that it intertwines
+    every h_i."""
+
+    __slots__ = ()
 
     def __init__(self, source, target, components):
-        if source.ring is not target.ring:
-            raise ValueError("mixed rings")
+        super().__init__(source, target, components)
         if source.potential != target.potential:
             raise ValueError("sources of a morphism must share the potential")
-        self.source = source
-        self.target = target
-        self.components = {}
-        lo = min(source.lo, target.lo)
-        hi = max(source.hi, target.hi)
-        for m in range(lo, hi + 1):
-            g = components.get(m)
-            if g is None:
-                g = PolyMatrix.zero(source.ring, target.rank(m), source.rank(m))
-            self.components[m] = g
-
-    def component(self, m):
-        g = self.components.get(m)
-        if g is None:
-            return PolyMatrix.zero(self.source.ring,
-                                   self.target.rank(m), self.source.rank(m))
-        return g
-
-    def chain_map(self):
-        return ChainMap(self.source.underlying, self.target.underlying,
-                        dict(self.components))
 
 
 def validate_koszul_morphism(g):
@@ -270,7 +252,7 @@ def validate_koszul_morphism(g):
                           f"want {want[0]}x{want[1]}")
     if report:
         return report
-    report.extend(validate_chain_map(g.chain_map()))
+    report.extend(validate_chain_map(g))
     lo = min(src.lo, tgt.lo)
     hi = max(src.hi, tgt.hi)
     for i in range(src.n):
@@ -326,7 +308,7 @@ def cone_koszul(g):
     """Mapping cone of a Koszul morphism; shifted source block first."""
     src, tgt = g.source, g.target
     ring = src.ring
-    underlying = cone_chain(g.chain_map())
+    underlying = cone_chain(g)
     h = []
     for i in range(src.n):
         fam = {}
@@ -435,6 +417,6 @@ def box_tensor(a, b):
 
 def cone_acyclic_at(g, point):
     """True when the cone of the underlying chain map is exact at the point."""
-    cone = cone_chain(g.chain_map())
+    cone = cone_chain(g)
     dims = homology_dims_at(cone, point)
     return all(v == 0 for v in dims.values())

@@ -17,6 +17,15 @@ summand off a cone needs a basis permutation first (the free block sits in
 mid coordinates); that permutation is emitted as its own explicit_quasi_iso
 step rather than silently rebasing.
 
+The steps come from one reduction move, `_reduce_top(x, lo, hi, top)`: the
+cone on the counit of x, then splitting off the free module on degrees
+lo..hi of x, then truncating onto the kernel graph at degree `top`.  It has
+three uses: one amplitude reduction step is `(m.lo, m.lo + n, m.hi)`, the
+fold's two-degree round is `(lo, lo + 1, hi - 1)` followed by splitting off
+each middle degree, and the fold's parity jump on [t-1, t] is
+`(t - 1, t - 1, t)`.  Every module it builds from another by picking
+coordinates (permuted, remainder, padded) goes through `_reindex`.
+
 Builders construct their steps without re-checking them: `validate_log` is
 the one checker, and every emitted log is replayed through it once before
 it is returned or written, inside `fold_with_witness` for folds and in the
@@ -134,7 +143,7 @@ def validate_log(log, points=None):
 
 
 # ---------------------------------------------------------------------------
-# generic machinery: slots, permutations, splitting, graph truncation
+# the one reduction move and its parts: reindexing, splitting, truncation
 # ---------------------------------------------------------------------------
 #
 # A "slot table" maps each degree of a module under construction to an
@@ -158,47 +167,59 @@ def _module_from(ring, potential, lo, hi, ranks, diffs, hfams):
     return KoszulModule(ring, potential, underlying, hfams)
 
 
+def _reindex(x, idx, lo, hi):
+    """The module on the coordinates idx(s) of x at each degree s of
+    [lo, hi]: every d and h_i is the submatrix taken in those orders."""
+    ranks = {s: len(idx(s)) for s in range(lo, hi + 1)}
+    diffs = {s: x.diff(s).submatrix(idx(s + 1), idx(s))
+             for s in range(lo, hi)}
+    hfams = [{s: x.hop(i, s).submatrix(idx(s - 1), idx(s))
+              for s in range(lo, hi + 1)}
+             for i in range(x.n)]
+    return _module_from(x.ring, x.potential, lo, hi, ranks, diffs, hfams)
+
+
+def _sub_complex(x, lo, hi):
+    ranks = {s: x.rank(s) for s in range(lo, hi + 1)}
+    diffs = {s: x.diff(s) for s in range(lo, hi)}
+    return FreeComplex(x.ring, lo, hi, ranks, diffs)
+
+
 def _permute_module(x, orders):
     """Conjugate by degreewise basis permutations.
 
     orders[s] lists old indices in their new order.  Returns the permuted
     module and the permutation matrices (as the morphism components x -> x').
-    Conjugating by permutations only reindexes a matrix, so every permuted
-    map is a submatrix of the old one taken in the new orders.
+    Conjugating by permutations only reindexes a matrix, so the permuted
+    module is x reindexed in the new orders.
     """
-    ring = x.ring
-    one = Poly.one(ring)
+    one = Poly.one(x.ring)
 
     def order(s):
         return orders.get(s, range(x.rank(s)))
 
-    mats = {s: PolyMatrix(ring, x.rank(s), x.rank(s),
+    mats = {s: PolyMatrix(x.ring, x.rank(s), x.rank(s),
                           trusted={new: {old: one}
                                    for new, old in enumerate(order(s))})
             for s in range(x.lo, x.hi + 1)}
-    ranks = {s: x.rank(s) for s in range(x.lo, x.hi + 1)}
-    diffs = {s: x.diff(s).submatrix(order(s + 1), order(s))
-             for s in range(x.lo, x.hi)}
-    hfams = [{s: x.hop(i, s).submatrix(order(s - 1), order(s))
-              for s in range(x.lo, x.hi + 1)}
-             for i in range(x.n)]
-    permuted = _module_from(ring, x.potential, x.lo, x.hi, ranks, diffs, hfams)
-    return permuted, mats
+    return _reindex(x, order, x.lo, x.hi), mats
 
 
-def _split_off_free(x, slots, p_tags, gens):
-    """Split off the shifted free module on `gens` sitting in the p-tagged
-    coordinates of x.  Emits [permutation?, backward cone_off_free] and
+def _split_off_free(x, slots, e, lo, hi):
+    """Split off the shifted free module on degrees lo..hi of the complex e,
+    which sits in the coordinates of x tagged ("fk", k, S, edeg) with
+    lo <= edeg <= hi.  Emits [permutation?, backward cone_off_free] and
     returns (steps, remainder, remainder_slots)."""
-    ring = x.ring
-    p_cols = {}
+    p_tags = {tag for row in slots.values() for tag, _ in row
+              if tag[0] == "fk" and lo <= tag[3] <= hi}
+    np_ = {}
     orders = {}
     nontrivial = False
     for s in range(x.lo, x.hi + 1):
         pc = _positions(slots[s], p_tags)
         in_p = set(pc)
         rest = [i for i in range(x.rank(s)) if i not in in_p]
-        p_cols[s] = pc
+        np_[s] = len(pc)
         orders[s] = pc + rest
         if orders[s] != list(range(x.rank(s))):
             nontrivial = True
@@ -211,39 +232,24 @@ def _split_off_free(x, slots, p_tags, gens):
     else:
         xp = x
 
+    gens = _sub_complex(e, lo, hi)
     free = free_koszul(gens, x.potential)
-    np_ = {s: len(p_cols[s]) for s in range(x.lo, x.hi + 1)}
     for s in range(x.lo, x.hi + 1):
         if np_[s] != free.rank(s + 1):
             raise WitnessError(f"free part at degree {s} has {np_[s]} "
                                f"coordinates, expected {free.rank(s + 1)}")
 
-    nv = {s: x.rank(s) - np_[s] for s in range(x.lo, x.hi + 1)}
-    v_degrees = [s for s in range(x.lo, x.hi + 1) if nv[s] > 0]
+    v_degrees = [s for s in range(x.lo, x.hi + 1) if x.rank(s) > np_[s]]
     if not v_degrees:
         raise WitnessError("nothing remains after splitting off the free part")
     v_lo, v_hi = v_degrees[0], x.hi
 
     def vpart(s):
-        return list(range(np_.get(s, 0), x.rank(s)))
+        return range(np_.get(s, 0), x.rank(s))
 
-    ranks = {s: nv[s] for s in range(v_lo, v_hi + 1)}
-    diffs = {}
-    for s in range(v_lo, v_hi):
-        diffs[s] = xp.diff(s).submatrix(vpart(s + 1), vpart(s))
-    hfams = []
-    for i in range(x.n):
-        fam = {}
-        for s in range(v_lo, v_hi + 1):
-            fam[s] = xp.hop(i, s).submatrix(vpart(s - 1), vpart(s))
-        hfams.append(fam)
-    remainder = _module_from(ring, x.potential, v_lo, v_hi, ranks, diffs, hfams)
-
-    comps = {}
-    for u in range(free.lo, free.hi + 1):
-        if u - 1 < xp.lo:
-            continue
-        comps[u] = xp.diff(u - 1).submatrix(vpart(u), list(range(np_[u - 1])))
+    remainder = _reindex(xp, vpart, v_lo, v_hi)
+    comps = {u: xp.diff(u - 1).submatrix(vpart(u), range(np_[u - 1]))
+             for u in range(max(free.lo, xp.lo + 1), free.hi + 1)}
     psi = KoszulMorphism(free, remainder, comps)
     steps.append(WitnessStep("cone_off_free", "backward", morphism=psi,
                              generators=gens))
@@ -307,45 +313,37 @@ def _graph_truncate(x, slots, mid_tag, det_tag):
 
 def _pad_below(x):
     """Extend the window one degree down with a zero summand (iso step)."""
-    ring = x.ring
-    lo = x.lo - 1
-    ranks = {s: x.rank(s) for s in range(lo, x.hi + 1)}
-    ranks[lo] = 0
-    diffs = {s: x.diff(s) for s in range(lo + 1, x.hi)}
-    diffs[lo] = PolyMatrix.zero(ring, x.rank(lo + 1), 0)
-    hfams = []
-    for i in range(x.n):
-        fam = {s: x.hop(i, s) for s in range(lo + 1, x.hi + 1)}
-        fam[lo] = PolyMatrix.zero(ring, 0, 0)
-        hfams.append(fam)
-    padded = _module_from(ring, x.potential, lo, x.hi, ranks, diffs, hfams)
-    comps = {s: PolyMatrix.identity(ring, x.rank(s))
+    padded = _reindex(x, lambda s: range(x.rank(s)), x.lo - 1, x.hi)
+    comps = {s: PolyMatrix.identity(x.ring, x.rank(s))
              for s in range(x.lo, x.hi + 1)}
     step = WitnessStep("explicit_quasi_iso", "forward",
                        morphism=KoszulMorphism(x, padded, comps))
     return step, padded
 
 
-def _cone_on_counit(x):
-    """The forward cone_off_free step on the counit of x, the cone, and the
-    cone's slot table."""
+def _reduce_top(x, lo, hi, top):
+    """The one reduction move, shared by amplitude reduction, the fold round
+    and the parity jump.
+
+    Cone on the counit of x (forward cone_off_free), split off the free
+    module on degrees lo..hi of x, then truncate onto the kernel graph at
+    cone degree top-1: the wedge-0 copy of x's degree `top` is solved for
+    against x's own degree `top`.  Returns (steps, module, slots).
+    """
     phi = counit_map(x)
-    step = WitnessStep("cone_off_free", "forward", morphism=phi,
-                       generators=x.underlying)
-    n = x.n
+    cone_step = WitnessStep("cone_off_free", "forward", morphism=phi,
+                            generators=x.underlying)
     slots = {}
-    for s in range(x.lo - n - 1, x.hi + 1):
+    for s in range(x.lo - x.n - 1, x.hi + 1):
         row = [(("fk", k, S, edeg), r)
-               for (k, S, edeg, r) in fk_layout(x.underlying, n, s + 1)]
+               for (k, S, edeg, r) in fk_layout(x.underlying, x.n, s + 1)]
         row.append((("e", s), x.rank(s)))
         slots[s] = row
-    return step, cone_koszul(phi), slots
-
-
-def _sub_complex(x, lo, hi):
-    ranks = {s: x.rank(s) for s in range(lo, hi + 1)}
-    diffs = {s: x.diff(s) for s in range(lo, hi)}
-    return FreeComplex(x.ring, lo, hi, ranks, diffs)
+    split, rem, slots = _split_off_free(cone_koszul(phi), slots,
+                                        x.underlying, lo, hi)
+    graph_step, out, slots = _graph_truncate(rem, slots, ("fk", 0, (), top),
+                                             ("e", top))
+    return [cone_step, *split, graph_step], out, slots
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +353,15 @@ def _sub_complex(x, lo, hi):
 def amplitude_reduce_step(m):
     """Shorten a module by one degree at the top.
 
-    Cone on the counit, split off the free module generated by the bottom
-    n+1 degrees, then truncate onto the kernel graph at the new top.  Raises
+    One reduction move: the free module generated by the bottom n+1 degrees
+    is split off and the new top is the kernel graph.  Raises
     AmplitudeMinimalError when the amplitude is already at most n+1.
     """
     m = m.trim()
-    n = m.n
-    if m.amplitude <= n + 1:
+    if m.amplitude <= m.n + 1:
         raise AmplitudeMinimalError(
-            f"amplitude {m.amplitude} is already minimal for {n} potentials")
-    lo, hi = m.lo, m.hi
-    steps = []
-    step, cone, slots = _cone_on_counit(m)
-    steps.append(step)
-
-    p_tags = set()
-    for s in range(cone.lo, cone.hi + 1):
-        for tag, _ in slots[s]:
-            if tag[0] == "fk" and tag[3] <= lo + n:
-                p_tags.add(tag)
-    gens = _sub_complex(m.underlying, lo, lo + n)
-    sub_steps, rem, slots = _split_off_free(cone, slots, p_tags, gens)
-    steps.extend(sub_steps)
-
-    step, out, _ = _graph_truncate(rem, slots, ("fk", 0, (), hi), ("e", hi))
-    steps.append(step)
+            f"amplitude {m.amplitude} is already minimal for {m.n} potentials")
+    steps, out, _ = _reduce_top(m, m.lo, m.lo + m.n, m.hi)
     return out, WitnessLog(m, out, steps)
 
 
@@ -400,30 +382,16 @@ def amplitude_reduce(m):
 
 def _round(x):
     """One full reduction round: amplitude drops by two, and the folded
-    matrix factorization is preserved up to a summand permutation."""
+    matrix factorization is preserved up to a summand permutation.
+
+    One reduction move splits off the bottom two degrees and truncates at
+    hi-2; then the free module on each middle degree is split off, bottom
+    up."""
     lo, hi = x.lo, x.hi
-    steps = []
-    step, cone, slots = _cone_on_counit(x)
-    steps.append(step)
-
-    # split off the free module on the bottom two degrees
-    p_tags = {("fk", 1, (0,), lo), ("fk", 1, (0,), lo + 1),
-              ("fk", 0, (), lo), ("fk", 0, (), lo + 1)}
-    gens = _sub_complex(x.underlying, lo, lo + 1)
-    sub_steps, rem, slots = _split_off_free(cone, slots, p_tags, gens)
-    steps.extend(sub_steps)
-
-    # two-degree truncation onto the kernel graph at hi-2
-    step, rem, slots = _graph_truncate(rem, slots, ("fk", 0, (), hi - 1),
-                                       ("e", hi - 1))
-    steps.append(step)
-
-    # sweep: split off the free module on each middle degree, bottom up
+    steps, rem, slots = _reduce_top(x, lo, lo + 1, hi - 1)
     for c in range(lo + 2, hi - 1):
-        p_tags = {("fk", 1, (0,), c), ("fk", 0, (), c)}
-        gens = _sub_complex(x.underlying, c, c)
-        sub_steps, rem, slots = _split_off_free(rem, slots, p_tags, gens)
-        steps.extend(sub_steps)
+        split, rem, slots = _split_off_free(rem, slots, x.underlying, c, c)
+        steps.extend(split)
     return steps, rem
 
 
@@ -432,25 +400,6 @@ def _round_labels(labels, lo, hi):
     out[hi - 3] = list(labels[hi - 1]) + list(labels[hi - 3])
     out[hi - 2] = list(labels[hi]) + list(labels[hi - 2])
     return out
-
-
-def _salto(x):
-    """Parity jump for a two-term module: [t-1, t] becomes [t-2, t-1] with
-    the two structure maps exchanged."""
-    t = x.hi
-    steps = []
-    step, cone, slots = _cone_on_counit(x)
-    steps.append(step)
-
-    p_tags = {("fk", 1, (0,), t - 1), ("fk", 0, (), t - 1)}
-    gens = _sub_complex(x.underlying, t - 1, t - 1)
-    sub_steps, rem, slots = _split_off_free(cone, slots, p_tags, gens)
-    steps.extend(sub_steps)
-
-    step, rem, slots = _graph_truncate(rem, slots, ("fk", 0, (), t),
-                                       ("e", t))
-    steps.append(step)
-    return steps, rem
 
 
 def default_points(m):
@@ -499,11 +448,11 @@ def fold_with_witness(m, points=None):
         labels[current.lo] = []
 
     if current.hi % 2 != 0:
-        salto_steps, nxt = _salto(current)
-        steps.extend(salto_steps)
+        # parity jump: [t-1, t] becomes [t-2, t-1], structure maps exchanged
         t = current.hi
+        jump_steps, current, _ = _reduce_top(current, t - 1, t - 1, t)
+        steps.extend(jump_steps)
         labels = {t - 2: list(labels[t]), t - 1: list(labels[t - 1])}
-        current = nxt
 
     if current.hi != 0:
         offset = current.hi

@@ -13,6 +13,7 @@ significant; printing lists terms with the leading term first, and
 
 import re
 from fractions import Fraction
+from math import comb
 
 from koszulmf._kernel import terms_add, terms_mul, terms_neg, terms_scale
 
@@ -348,6 +349,55 @@ def _tokenize(text):
     return tokens
 
 
+# The work budget of parsed text: one product `a * b` of the entry may
+# multiply at most this many pairs of terms (len(a.terms) * len(b.terms)),
+# and one power `b^n` at most this many along its square-and-multiply
+# chain, counted from the term bound comb(k + t - 1, t - 1) of each partial
+# power b^k of a t-term base.  Past it the entry is malformed input, refused
+# before any of the work is done.
+MAX_TERM_PRODUCTS = 100_000
+
+
+def _power_work(t, n):
+    """An upper bound on the term products `Poly.__pow__` spends raising a
+    t-term base to the n: each product of its square-and-multiply chain is
+    counted at the term bounds of its two factors.  Stops counting once
+    past MAX_TERM_PRODUCTS."""
+    def bound(k):
+        return comb(k + t - 1, t - 1)
+
+    work, out_k, base_k = 0, 0, 1
+    while n and work <= MAX_TERM_PRODUCTS:
+        if n & 1:
+            work += bound(out_k) * bound(base_k)
+            out_k += base_k
+        n >>= 1
+        if n:
+            work += bound(base_k) ** 2
+            base_k *= 2
+    return work
+
+
+def _power_too_long(base, n):
+    """Whether base**n has a coefficient past MAX_COEFF_DIGITS, decided on
+    the leading and trailing terms (graded lex), whose coefficients in
+    base**n are those of base to the n-th.  Over F_p coefficients stay
+    residues."""
+    if n < 2 or base.ring.char:
+        return False
+    ends = base.terms.values()
+    if len(ends) > 1:
+        grlex = lambda kv: (sum(kv[0]), kv[0])
+        ends = (max(base.terms.items(), key=grlex)[1],
+                min(base.terms.items(), key=grlex)[1])
+    for c in ends:
+        for a in (abs(c.numerator), c.denominator):
+            if a > 1 and ((a.bit_length() - 1) * n >= _COEFF_LIMIT_BITS
+                          or _too_long(a ** n)):
+                return True
+    return False
+
+
 # Each parenthesis level costs the recursive-descent parser five stack
 # frames; deeper input is refused as malformed rather than left to exhaust
 # the interpreter's recursion limit.
@@ -396,10 +446,15 @@ class _Parser:
     def term(self):
         p = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = p * self.unary()
+                q = self.unary()
+                if len(p.terms) * len(q.terms) > MAX_TERM_PRODUCTS:
+                    raise ParseError(f"product of {len(p.terms)} by "
+                                     f"{len(q.terms)} terms is past "
+                                     f"{MAX_TERM_PRODUCTS} term products", pos)
+                p = p * q
             else:
                 return p
 
@@ -419,11 +474,19 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            kind, val, pos = self.peek()
+            kind, n, npos = self.peek()
             if kind != "num":
-                raise ParseError("exponent must be a nonnegative integer", pos)
+                raise ParseError("exponent must be a nonnegative integer", npos)
             self.take()
-            return base ** val
+            # a monomial's power takes one term product per step
+            if (len(base.terms) > 1
+                    and _power_work(len(base.terms), n) > MAX_TERM_PRODUCTS):
+                raise ParseError(f"power needs more than {MAX_TERM_PRODUCTS} "
+                                 "term products", pos)
+            if _power_too_long(base, n):
+                raise ParseError(f"coefficient of more than "
+                                 f"{MAX_COEFF_DIGITS} digits", 0)
+            return base ** n
         return base
 
     def atom(self):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -785,3 +786,69 @@ def test_degree_window_at_the_limit_is_accepted(capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps(raw))
         assert run(capsys, ["validate", "--input", str(doc)])[0] == code
+
+
+def _sized_doc(tmp_path, obj, potential="0"):
+    path = tmp_path / "sized.json"
+    path.write_text(json.dumps({
+        "ring": {"kind": "polynomial", "vars": ["x"]},
+        "potential": [potential], "objects": {"o": obj}}))
+    return str(path)
+
+
+def _rank_module(ranks):
+    degs = sorted(int(k) for k in ranks)
+    return {"type": "koszul_module", "degrees": [degs[0], degs[-1]],
+            "ranks": ranks, "h": [{}]}
+
+
+def test_total_rank_past_the_budget_exit_2(capsys, tmp_path):
+    limit = docs.MAX_TOTAL_RANK
+    assert limit == 1000
+    # one huge rank used to build a 300,000-entry f*id in `validate`
+    for ranks in ({"0": 300000}, {"0": limit + 1}, {"-1": 600, "0": 401}):
+        path = _sized_doc(tmp_path, _rank_module(ranks), "x")
+        line = _expect_parse_error(capsys, ["validate", "--input", path])
+        total = sum(ranks.values())
+        assert line == (f"error=parse objects.o: total rank {total} is past "
+                        f"{limit}")
+    path = _sized_doc(tmp_path, {"type": "mf", "f": "0", "r0": limit + 1,
+                                 "r1": 0, "phi0": [],
+                                 "phi1": [[]] * (limit + 1)})
+    line = _expect_parse_error(capsys, ["validate", "--input", path])
+    assert line == f"error=parse objects.o: total rank {limit + 1} is past {limit}"
+    # at the budget the object is read and checked
+    path = _sized_doc(tmp_path, _rank_module({"-1": 500, "0": 500}))
+    assert run(capsys, ["validate", "--input", path]) == (
+        0, ["o=valid", "status=ok"])
+
+
+def test_witness_modules_past_the_budget_exit_2(capsys, tmp_path):
+    wpath = tmp_path / "big.json"
+    w = _emitted_witness(capsys, tmp_path)
+    w["start"] = {"degrees": [0, 0], "ranks": {"0": 2000}, "h": [{}]}
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert line == "error=parse start: total rank 2000 is past 1000"
+    # the free module on a step's generators is 2^n times their size
+    w = _emitted_witness(capsys, tmp_path)
+    step = w["steps"].index(_step(w, "cone_off_free"))
+    w["steps"][step]["generators"] = {"degrees": [0, 0], "ranks": {"0": 501}}
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert line == (f"error=parse steps[{step}].generators (free module): "
+                    "total rank 1002 is past 1000")
+
+
+def test_entry_past_the_parser_work_budget_exit_2(capsys, tmp_path):
+    raw = {"ring": {"kind": "polynomial", "vars": ["x", "y", "z"]},
+           "potential": ["(x+y+z+1)^60"], "objects": {}}
+    path = tmp_path / "pow.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    line = _expect_parse_error(capsys, ["validate", "--input", str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert line == ("error=parse potential[0]: power needs more than 100000 "
+                    "term products (at position 9)")

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulmf.ring import (MAX_COEFF_DIGITS, MAX_PAREN_DEPTH, ParseError, Poly, embed,
+from koszulmf.ring import (MAX_COEFF_DIGITS, MAX_PAREN_DEPTH,
+                           MAX_TERM_PRODUCTS, ParseError, Poly, embed,
                            evaluate, evaluate_at, normalize_scalar,
                            parse_poly, point_values, polynomial_ring,
                            prime_field, rationals)
@@ -342,6 +343,61 @@ def test_parse_nesting_depth_is_limited():
     assert exc.value.position == MAX_PAREN_DEPTH
     with pytest.raises(ParseError, match="nested deeper"):
         parse_poly("(" * 3000 + "x" + ")" * 3000, QXY)
+
+
+QXYZ = polynomial_ring(rationals(), ("x", "y", "z"))
+
+
+def _refused_quickly(text, ring, message, position):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_poly(text, ring)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.position == position
+
+
+def test_power_past_the_work_budget_is_refused_before_computing():
+    assert MAX_TERM_PRODUCTS == 100_000
+    # 39,711 terms and some 30 million term products
+    _refused_quickly("(x+y+z+1)^60", QXYZ, "power needs more than 100000 "
+                     "term products", 9)
+    _refused_quickly("x*(x+1)^100000", QX, "power needs more", 7)
+    _refused_quickly("(x+1)^500", F5XY, "power needs more", 5)
+    # within the budget, the count is an upper bound of the real work
+    assert len(parse_poly("(x+y+z+1)^15", QXYZ).terms) == 816
+    assert len(parse_poly("(x+1)^450", QX).terms) == 451
+    assert parse_poly("(x+y)^0", QXY) == Poly.one(QXY)
+    assert parse_poly("0^100000", QXY) == Poly.zero(QXY)
+
+
+def test_product_past_the_work_budget_is_refused_before_computing():
+    def sum_text(k):
+        return "(" + " + ".join(f"x^{i}" for i in range(k)) + ")"
+
+    p = parse_poly(sum_text(300) + "*" + sum_text(300), QX)
+    assert len(p.terms) == 599
+    text = sum_text(300) + "*" + sum_text(400)
+    with pytest.raises(ParseError, match="product of 300 by 400 terms is "
+                       "past 100000 term products") as exc:
+        parse_poly(text, QX)
+    assert exc.value.position == text.index(")*(") + 1
+
+
+def test_power_past_the_coefficient_budget_is_refused_before_computing():
+    nines = "9" * 600
+    # monomials, and the leading or trailing term of a sum
+    for text in ("9^1000000", "(1/3*x)^2100", "x*y + (x^2)^3*(7*y)^1184",
+                 f"({nines}*x + y)^2", f"(x + {nines}*y)^2",
+                 f"(x + 1/{nines})^2"):
+        _refused_quickly(text, QXY, "coefficient of more than 1000 digits",
+                         0)
+    # only a coefficient other than 1 or -1 grows; mod p none does
+    assert parse_poly("(-x)^1000001", QXY) == -parse_poly("x^1000001", QXY)
+    assert parse_poly("9^1000000", F5XY) == Poly.one(F5XY)
+    assert parse_poly("3^2095", QX) == Poly.const(QX, 3 ** 2095)
+    # a power is refused even when a later factor would cancel it
+    with pytest.raises(ParseError, match="coefficient of more than"):
+        parse_poly("0*10^1000", QX)
 
 
 def test_long_sign_runs_parse_without_recursion():
