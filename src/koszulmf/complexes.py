@@ -392,6 +392,18 @@ def embed_matrix(mat, ring, offset=0):
     return mat.map_entries(lambda e: embed(e, ring, offset), ring)
 
 
+# Largest size of one object the program reads or builds for output: the
+# total rank of a complex or module over its window, r0 + r1 of a
+# factorization.  Documents and witness logs are refused past it as
+# malformed (koszulmf.documents); one reduction move refuses a module whose
+# counit cone, the largest object the move builds, would pass it
+# (koszulmf.reduce), so every emitted log is one that is read back; and a
+# document is not written with an object past it.  Checks build identity,
+# scalar and cone matrices of that size, some of them dense when evaluated
+# at a point, so the cost grows with its square.
+MAX_TOTAL_RANK = 1000
+
+
 class FreeComplex:
     """A bounded cochain complex of free modules.
 

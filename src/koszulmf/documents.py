@@ -18,7 +18,8 @@ Matrix entries are polynomial strings (bare integers also accepted).
 Omitted matrices are zero; ranks default to zero inside the window.  A
 window spans at most MAX_DEGREE_SPAN + 1 degrees: every degree of it is
 materialized, so a wider one is refused as malformed.  Likewise one object
-has a total rank (r0 + r1 for a factorization) of at most MAX_TOTAL_RANK.
+has a total rank (r0 + r1 for a factorization) of at most MAX_TOTAL_RANK
+(koszulmf.complexes), and a document is not written with a larger one.
 Object types: complex, koszul_module, mf, koszul_morphism, mf_morphism.
 Morphisms name their endpoints, which may appear anywhere in the document.
 MF payloads carry their own potential entry "f"; everything graded uses the
@@ -44,7 +45,7 @@ selects; `write_json` is the one function that writes files.
 import json
 from fractions import Fraction
 
-from koszulmf.complexes import FreeComplex, PolyMatrix
+from koszulmf.complexes import MAX_TOTAL_RANK, FreeComplex, PolyMatrix
 from koszulmf.koszul import KoszulModule, KoszulMorphism
 from koszulmf.mf import MFMorphism, MFObject
 from koszulmf.reduce import WitnessLog, WitnessStep
@@ -56,13 +57,6 @@ WITNESS_SCHEMA = "koszulmf.witness/1"
 # largest hi - lo of a degree window [lo, hi] in a document or witness log;
 # the constructions build a rank and a differential for every degree of it
 MAX_DEGREE_SPAN = 1000
-
-# largest size of one object in a document or witness log: the total rank
-# of a complex or module over its window (for a cone_off_free step, of the
-# free module on its generators), r0 + r1 of a factorization.  Checks build
-# identity, scalar and cone matrices of that size, some of them dense when
-# evaluated at a point, so the cost grows with its square.
-MAX_TOTAL_RANK = 1000
 
 
 class DocumentError(ValueError):
@@ -477,10 +471,17 @@ def document_payload(ring, potential, objects, points=None):
     texts = {}
     payloads = {}
     for name, obj in objects.items():
+        size = 0
         if isinstance(obj, KoszulModule):
+            size = sum(obj.underlying.ranks.values())
             obj = {"type": "koszul_module", **module_payload(obj, texts)}
         elif isinstance(obj, MFObject):
+            size = obj.r0 + obj.r1
             obj = mf_payload(obj, texts)
+        if size > MAX_TOTAL_RANK:
+            # refused when read back, so not written
+            raise ValueError(f"objects.{name}: total rank {size} is past "
+                             f"{MAX_TOTAL_RANK}")
         payloads[name] = obj
     out = {
         "ring": ring_payload(ring),

@@ -24,7 +24,9 @@ three uses: one amplitude reduction step is `(m.lo, m.lo + n, m.hi)`, the
 fold's two-degree round is `(lo, lo + 1, hi - 1)` followed by splitting off
 each middle degree, and the fold's parity jump on [t-1, t] is
 `(t - 1, t - 1, t)`.  Every module it builds from another by picking
-coordinates (permuted, remainder, padded) goes through `_reindex`.
+coordinates (permuted, remainder, padded) goes through `_reindex`.  The
+move refuses a module whose counit cone passes MAX_TOTAL_RANK, the size a
+witness log is read with, so every emitted log is one that is read back.
 
 Builders construct their steps without re-checking them: `validate_log` is
 the one checker, and every emitted log is replayed through it once before
@@ -35,7 +37,8 @@ the checks the replay cannot make, those that guard the construction itself
 and the fold transport against `orlov_fold`.
 """
 
-from koszulmf.complexes import FreeComplex, PolyMatrix, embed_matrix
+from koszulmf.complexes import (MAX_TOTAL_RANK, FreeComplex, PolyMatrix,
+                                embed_matrix)
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
                              cone_koszul, counit_map, fk_layout, free_koszul,
                              shift_koszul, validate_koszul_morphism)
@@ -328,8 +331,13 @@ def _reduce_top(x, lo, hi, top):
     Cone on the counit of x (forward cone_off_free), split off the free
     module on degrees lo..hi of x, then truncate onto the kernel graph at
     cone degree top-1: the wedge-0 copy of x's degree `top` is solved for
-    against x's own degree `top`.  Returns (steps, module, slots).
+    against x's own degree `top`.  Returns (steps, module, slots).  Refused
+    first when the counit cone, its largest object, passes MAX_TOTAL_RANK.
     """
+    size = (2 ** x.n + 1) * sum(x.underlying.ranks.values())
+    if size > MAX_TOTAL_RANK:
+        raise ValueError(f"reduction needs a cone of total rank {size}, "
+                         f"past {MAX_TOTAL_RANK}")
     phi = counit_map(x)
     cone_step = WitnessStep("cone_off_free", "forward", morphism=phi,
                             generators=x.underlying)

@@ -13,7 +13,6 @@ significant; printing lists terms with the leading term first, and
 
 import re
 from fractions import Fraction
-from math import comb
 
 from koszulmf._kernel import terms_add, terms_mul, terms_neg, terms_scale
 
@@ -349,53 +348,44 @@ def _tokenize(text):
     return tokens
 
 
-# The work budget of parsed text: one product `a * b` of the entry may
-# multiply at most this many pairs of terms (len(a.terms) * len(b.terms)),
-# and one power `b^n` at most this many along its square-and-multiply
-# chain, counted from the term bound comb(k + t - 1, t - 1) of each partial
-# power b^k of a t-term base.  Past it the entry is malformed input, refused
-# before any of the work is done.
+# The work budget of parsed text: one product of an entry, a `*` or a step
+# of a power's square-and-multiply chain, may multiply at most this many
+# pairs of terms (len(a.terms) * len(b.terms)), and over Q not two
+# coefficients whose product surely has more than MAX_COEFF_DIGITS digits
+# (numerators or denominators, by bit length).  Both are decided on the
+# operands, so such input is refused as malformed before the product is
+# computed; a later factor that would cancel it does not matter.
 MAX_TERM_PRODUCTS = 100_000
 
 
-def _power_work(t, n):
-    """An upper bound on the term products `Poly.__pow__` spends raising a
-    t-term base to the n: each product of its square-and-multiply chain is
-    counted at the term bounds of its two factors.  Stops counting once
-    past MAX_TERM_PRODUCTS."""
-    def bound(k):
-        return comb(k + t - 1, t - 1)
-
-    work, out_k, base_k = 0, 0, 1
-    while n and work <= MAX_TERM_PRODUCTS:
-        if n & 1:
-            work += bound(out_k) * bound(base_k)
-            out_k += base_k
-        n >>= 1
-        if n:
-            work += bound(base_k) ** 2
-            base_k *= 2
-    return work
+def _coeff_bits(p):
+    """The bit lengths of p's largest numerator and denominator."""
+    num = den = 0
+    for c in p.terms.values():
+        b = c.numerator.bit_length()
+        if b > num:
+            num = b
+        if type(c) is not int:
+            b = c.denominator.bit_length()
+            if b > den:
+                den = b
+    return num, den
 
 
-def _power_too_long(base, n):
-    """Whether base**n has a coefficient past MAX_COEFF_DIGITS, decided on
-    the leading and trailing terms (graded lex), whose coefficients in
-    base**n are those of base to the n-th.  Over F_p coefficients stay
-    residues."""
-    if n < 2 or base.ring.char:
-        return False
-    ends = base.terms.values()
-    if len(ends) > 1:
-        grlex = lambda kv: (sum(kv[0]), kv[0])
-        ends = (max(base.terms.items(), key=grlex)[1],
-                min(base.terms.items(), key=grlex)[1])
-    for c in ends:
-        for a in (abs(c.numerator), c.denominator):
-            if a > 1 and ((a.bit_length() - 1) * n >= _COEFF_LIMIT_BITS
-                          or _too_long(a ** n)):
-                return True
-    return False
+def _checked_product(a, b, pos):
+    """a * b, refused first when past the work budget."""
+    if len(a.terms) * len(b.terms) > MAX_TERM_PRODUCTS:
+        raise ParseError(f"product of {len(a.terms)} by {len(b.terms)} "
+                         f"terms is past {MAX_TERM_PRODUCTS} term products",
+                         pos)
+    if not a.ring.char:
+        an, ad = _coeff_bits(a)
+        bn, bd = (an, ad) if b is a else _coeff_bits(b)
+        # |c| * |c'| >= 2^(bits - 1 + bits' - 1) > 10^MAX_COEFF_DIGITS
+        if max(an + bn, ad + bd) - 2 >= _COEFF_LIMIT_BITS:
+            raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "
+                             "digits", 0)
+    return a * b
 
 
 # Each parenthesis level costs the recursive-descent parser five stack
@@ -449,12 +439,7 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                q = self.unary()
-                if len(p.terms) * len(q.terms) > MAX_TERM_PRODUCTS:
-                    raise ParseError(f"product of {len(p.terms)} by "
-                                     f"{len(q.terms)} terms is past "
-                                     f"{MAX_TERM_PRODUCTS} term products", pos)
-                p = p * q
+                p = _checked_product(p, self.unary(), pos)
             else:
                 return p
 
@@ -478,15 +463,16 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", npos)
             self.take()
-            # a monomial's power takes one term product per step
-            if (len(base.terms) > 1
-                    and _power_work(len(base.terms), n) > MAX_TERM_PRODUCTS):
-                raise ParseError(f"power needs more than {MAX_TERM_PRODUCTS} "
-                                 "term products", pos)
-            if _power_too_long(base, n):
-                raise ParseError(f"coefficient of more than "
-                                 f"{MAX_COEFF_DIGITS} digits", 0)
-            return base ** n
+            # Poly.__pow__'s square-and-multiply chain, each product checked
+            out = None
+            while n:
+                if n & 1:
+                    out = base if out is None else _checked_product(out, base,
+                                                                    pos)
+                n >>= 1
+                if n:
+                    base = _checked_product(base, base, pos)
+            return Poly.one(self.ring) if out is None else out
         return base
 
     def atom(self):

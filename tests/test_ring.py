@@ -348,56 +348,94 @@ def test_parse_nesting_depth_is_limited():
 QXYZ = polynomial_ring(rationals(), ("x", "y", "z"))
 
 
-def _refused_quickly(text, ring, message, position):
-    start = time.perf_counter()
+@pytest.fixture
+def budgeted_products(monkeypatch):
+    """Parse with every Poly product checked against the work budget: a
+    product past it fails the test, so a refusal must come before the
+    product is computed.  Records the largest product computed."""
+    real_mul = Poly.__mul__
+    seen = {"pairs": 0}
+
+    bits = (10 ** MAX_COEFF_DIGITS).bit_length() + 1
+
+    def mul(a, b):
+        pairs = len(a.terms) * len(b.terms)
+        assert pairs <= MAX_TERM_PRODUCTS
+        for x in a.terms.values():
+            for y in b.terms.values():
+                assert (x.numerator * y.numerator).bit_length() <= bits
+                assert (x.denominator * y.denominator).bit_length() <= bits
+        seen["pairs"] = max(seen["pairs"], pairs)
+        return real_mul(a, b)
+
+    def no_pow(a, n):
+        raise AssertionError("the parser raises powers product by product")
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    monkeypatch.setattr(Poly, "__pow__", no_pow)
+    return seen
+
+
+def _refused(text, ring, message, position):
     with pytest.raises(ParseError, match=message) as exc:
         parse_poly(text, ring)
-    assert time.perf_counter() - start < 0.5
     assert exc.value.position == position
 
 
-def test_power_past_the_work_budget_is_refused_before_computing():
+def test_power_past_the_work_budget_is_refused_before_computing(
+        budgeted_products):
     assert MAX_TERM_PRODUCTS == 100_000
-    # 39,711 terms and some 30 million term products
-    _refused_quickly("(x+y+z+1)^60", QXYZ, "power needs more than 100000 "
-                     "term products", 9)
-    _refused_quickly("x*(x+1)^100000", QX, "power needs more", 7)
-    _refused_quickly("(x+1)^500", F5XY, "power needs more", 5)
-    # within the budget, the count is an upper bound of the real work
+    # 39,711 terms and some 30 million term products: refused at the
+    # product of x^12 by x^16's terms, after some 30,000
+    _refused("(x+y+z+1)^60", QXYZ, "product of 455 by 969 terms is past "
+             "100000 term products", 9)
+    _refused("x*(x+1)^100000", QX, "product of 513 by 513 terms", 7)
+    # within the budget, also where a term bound would be far past it
+    assert parse_poly("(x+1)^500", F5XY) == parse_poly("(x^125+1)^4", F5XY)
     assert len(parse_poly("(x+y+z+1)^15", QXYZ).terms) == 816
     assert len(parse_poly("(x+1)^450", QX).terms) == 451
     assert parse_poly("(x+y)^0", QXY) == Poly.one(QXY)
     assert parse_poly("0^100000", QXY) == Poly.zero(QXY)
+    assert parse_poly("x^100000", QX) == Poly(QX, {(100000,): 1})
+    assert budgeted_products["pairs"] <= MAX_TERM_PRODUCTS
 
 
-def test_product_past_the_work_budget_is_refused_before_computing():
+def test_product_past_the_work_budget_is_refused_before_computing(
+        budgeted_products):
     def sum_text(k):
         return "(" + " + ".join(f"x^{i}" for i in range(k)) + ")"
 
     p = parse_poly(sum_text(300) + "*" + sum_text(300), QX)
     assert len(p.terms) == 599
+    assert budgeted_products["pairs"] == 90_000
     text = sum_text(300) + "*" + sum_text(400)
-    with pytest.raises(ParseError, match="product of 300 by 400 terms is "
-                       "past 100000 term products") as exc:
-        parse_poly(text, QX)
-    assert exc.value.position == text.index(")*(") + 1
+    _refused(text, QX, "product of 300 by 400 terms is past 100000 term "
+             "products", text.index(")*(") + 1)
 
 
-def test_power_past_the_coefficient_budget_is_refused_before_computing():
+def test_power_past_the_coefficient_budget_is_refused_before_computing(
+        budgeted_products):
     nines = "9" * 600
-    # monomials, and the leading or trailing term of a sum
+    big = "9" * 1000
+    # monomials, and a large coefficient on any term of a sum, also on a
+    # term between the leading and the trailing one
     for text in ("9^1000000", "(1/3*x)^2100", "x*y + (x^2)^3*(7*y)^1184",
                  f"({nines}*x + y)^2", f"(x + {nines}*y)^2",
-                 f"(x + 1/{nines})^2"):
-        _refused_quickly(text, QXY, "coefficient of more than 1000 digits",
-                         0)
+                 f"(x + 1/{nines})^2", f"(x + {big}*y + 1)^40",
+                 f"{nines}*x*{nines}"):
+        _refused(text, QXY, "coefficient of more than 1000 digits", 0)
     # only a coefficient other than 1 or -1 grows; mod p none does
     assert parse_poly("(-x)^1000001", QXY) == -parse_poly("x^1000001", QXY)
     assert parse_poly("9^1000000", F5XY) == Poly.one(F5XY)
     assert parse_poly("3^2095", QX) == Poly.const(QX, 3 ** 2095)
-    # a power is refused even when a later factor would cancel it
-    with pytest.raises(ParseError, match="coefficient of more than"):
-        parse_poly("0*10^1000", QX)
+    assert parse_poly(f"({nines}*x + 1)*(1/{nines}*y)", QXY) == \
+        parse_poly(f"x*y + 1/{nines}*y", QXY)
+    # a product of coefficients in budget that comes out past it is
+    # refused once parsed, also where a later factor cancels it
+    with pytest.raises(ParseError, match="coefficient of more than") as exc:
+        parse_poly("10^1000", QX)
+    assert exc.value.position == 0
+    assert parse_poly("0*10^1000", QX) == Poly.zero(QX)
 
 
 def test_long_sign_runs_parse_without_recursion():

@@ -37,7 +37,7 @@ FOLD_SEEDS = {
 REDUCE_SEEDS = {
     1: (0, 1, 2, 3, 15, 18),
     2: (0, 1, 2, 4, 17, 18),
-    3: (2, 3, 5, 7, 8, 9),
+    3: (2, 5, 7, 8, 9, 15),
 }
 
 DIGESTS = {
@@ -87,11 +87,11 @@ DIGESTS = {
     "reduce-2-17": "15bc4ffe62e49095d82b6e5862795bcdca446f357d091e11d268c873098f59a9",
     "reduce-2-18": "f76d5744dcfb1dafd4b2d1f00453f6bd80bbbef8a652c5072e3308c54562191d",
     "reduce-3-2": "aecae242a6e9832a51dc739ff1b6c54e50b1ee22d6a2ab095c77109593f357aa",
-    "reduce-3-3": "2a37303c7b8b30cee4efd69bece2900ed1ba806d378762ac0df1971fde4985c5",
     "reduce-3-5": "2dc3381c18a07b2b1fe83c7fd44557c169e0f2b72ed01b0bfc12bb4827c3cc32",
     "reduce-3-7": "6b850aa82dd4074289a48836d51c9febd212c83d6f941463ebe41039374a224a",
     "reduce-3-8": "f37a55de2919958366ca4cf1c88ca7fdb9e889825798656d52b18b2978d7e34f",
     "reduce-3-9": "2f5aafdd061ef724366b04a2a9a18a6f57b08fdd7d0692c8aa74de6039a2fff0",
+    "reduce-3-15": "cfdfe2c563058d3f5c80724d0d9950e2b3222906b9fb0ee444cf306540eb628b",
 }
 
 
@@ -134,6 +134,15 @@ def test_witness_bytes_are_pinned(kind, param, seed):
     log = _log(kind, m)
     assert validate_log(log) == []
     assert _digest(log) == DIGESTS[f"{kind}-{param}-{seed}"]
+
+
+def test_a_move_past_the_size_budget_is_refused():
+    # this module's first step takes its total rank from 64 to 156, and the
+    # second step's counit cone, 9 * 156, is past MAX_TOTAL_RANK: its log
+    # would hold objects a witness log is not read with
+    m = _module("reduce", 3, 3)
+    with pytest.raises(ValueError, match="cone of total rank 1404, past 1000"):
+        amplitude_reduce(m)
 
 
 if __name__ == "__main__":
