@@ -14,7 +14,8 @@ import argparse
 import functools
 
 from koszulmf import documents as docs
-from koszulmf.complexes import FreeComplex, validate_complex
+from koszulmf.complexes import (MAX_TOTAL_RANK, FreeComplex,
+                                validate_complex)
 from koszulmf.documents import DocumentError
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_koszul,
                              validate_koszul, validate_koszul_morphism)
@@ -297,6 +298,10 @@ def cmd_tensor(args):
     for name, mf in found:
         _require_valid(name, mf)
     (name_a, a), (name_b, b) = found
+    size = (a.r0 + a.r1) * (b.r0 + b.r1)
+    if size > MAX_TOTAL_RANK:
+        raise Precondition(f"tensor product would have total rank {size}, "
+                           f"past {MAX_TOTAL_RANK}")
     product = _require_valid("tensor", mf_tensor(a, b))
     print(f"object={name_a}*{name_b}")
     print(f"f={product.potential}")

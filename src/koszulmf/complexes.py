@@ -17,18 +17,23 @@ The product is one fused kernel.  Over Q each operand is scanned once for
 the lcm D of its coefficient denominators and, only when D > 1, scaled to
 int coefficients; with D = 1 (and always over F_p) its entries are read in
 place.  Every term product a_ik * b_kj of an output entry is added as an
-int into one exponent -> coefficient dict, with no intermediate Poly and
-no Fraction; a constant operand (the ±1 of permutation and identity
-blocks) adds c * v under the other side's exponents.  Each surviving
-coefficient is normalized once: divided by D_A * D_B over Q, reduced by
-one `% p` over F_p.  Coefficients that cancel are dropped, and an entry
-left empty is not stored.
+int coefficient, with no intermediate Poly and no Fraction.  A constant
+entry (the ±1 of permutation and identity blocks) adds c * v under the
+other side's exponent tuples.  From the first pair of two non-constant
+entries on, a product works on packed monomials (`_Packing`): one scan of
+both operands fixes a field width per product, each exponent tuple becomes
+one int, and a monomial product is one int add into an int-keyed dict of
+the output entry.  Those sums are unpacked, once per distinct monomial,
+and merged into the entry's tuple-keyed sums.  Each surviving coefficient
+is then normalized once: divided by D_A * D_B over Q, reduced by one `% p`
+over F_p.  Coefficients that cancel are dropped, and an entry left empty
+is not stored.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
-from operator import add
+from operator import lshift
 
 from koszulmf import linalg
 from koszulmf.ring import (Poly, embed, evaluate_at, normalize_scalar,
@@ -56,6 +61,51 @@ def _cleared(nz, ring):
                                 for k, c in e.terms.items()}, _normalized=True)
                  for j, e in row.items()}
              for i, row in nz.items()}, d)
+
+
+class _Packing:
+    """Packed monomials for one matrix product.
+
+    The exponents (e_1, ..., e_n) of a monomial become the int
+    Σ e_v << (w·v), where the field width w = (2 * top).bit_length() holds
+    twice the largest exponent `top` of either operand.  The product of two
+    monomials is then one int add, which never carries from one variable's
+    field into the next.  Each distinct entry is packed once, keyed by
+    identity, and each distinct output monomial is unpacked once.
+    """
+
+    __slots__ = ("shifts", "mask", "packed", "unpacked")
+
+    def __init__(self, nvars, *nzs):
+        top = max(chain.from_iterable(k for nz in nzs for row in nz.values()
+                                      for e in row.values() for k in e.terms),
+                  default=0)
+        w = (2 * top).bit_length()
+        self.shifts = [w * v for v in range(nvars)]
+        self.mask = (1 << w) - 1
+        self.packed = {}
+        self.unpacked = {}
+
+    def terms(self, poly):
+        """[(packed monomial, coefficient)] of one entry."""
+        pt = self.packed.get(id(poly))
+        if pt is None:
+            shifts = self.shifts
+            pt = self.packed[id(poly)] = [(sum(map(lshift, k, shifts)), v)
+                                          for k, v in poly.terms.items()]
+        return pt
+
+    def merge(self, pacc, acc):
+        """Add each packed accumulator pacc[j] of a row into acc[j], keyed
+        by exponent tuples."""
+        unpacked, shifts, mask = self.unpacked, self.shifts, self.mask
+        for j, pout in pacc.items():
+            out = acc[j]
+            for m, v in pout.items():
+                k = unpacked.get(m)
+                if k is None:
+                    k = unpacked[m] = tuple([(m >> s) & mask for s in shifts])
+                out[k] = out.get(k, 0) + v
 
 
 class PolyMatrix:
@@ -252,6 +302,8 @@ class PolyMatrix:
             bnz, db = _cleared(bnz, ring)
             d = da * db
         one = (0,) * len(ring.varnames)     # exponents of the monomial 1
+        packing = None      # built when two non-constant entries first meet
+        pacc = {}           # the packed-monomial part of acc
         nz = {}
         for i, arow in anz.items():
             acc = {}
@@ -261,6 +313,7 @@ class PolyMatrix:
                     continue
                 at = a.terms
                 ca = at.get(one) if len(at) == 1 else None
+                pa = None
                 for j, b in brow.items():
                     bt = b.terms
                     out = acc.get(j)
@@ -274,10 +327,21 @@ class PolyMatrix:
                         for ka, va in at.items():
                             out[ka] = out.get(ka, 0) + va * cb
                     else:
-                        for ka, va in at.items():
-                            for kb, vb in bt.items():
-                                kab = tuple(map(add, ka, kb))
-                                out[kab] = out.get(kab, 0) + va * vb
+                        if pa is None:
+                            if packing is None:
+                                packing = _Packing(len(one), anz, bnz)
+                            pa = packing.terms(a)
+                        pb = packing.terms(b)
+                        pout = pacc.get(j)
+                        if pout is None:
+                            pout = pacc[j] = {}
+                        for ka, va in pa:
+                            for kb, vb in pb:
+                                kab = ka + kb
+                                pout[kab] = pout.get(kab, 0) + va * vb
+            if pacc:
+                packing.merge(pacc, acc)
+                pacc = {}
             row = {}
             for j, out in acc.items():
                 if p:

@@ -24,7 +24,8 @@ three uses: one amplitude reduction step is `(m.lo, m.lo + n, m.hi)`, the
 fold's two-degree round is `(lo, lo + 1, hi - 1)` followed by splitting off
 each middle degree, and the fold's parity jump on [t-1, t] is
 `(t - 1, t - 1, t)`.  Every module it builds from another by picking
-coordinates (permuted, remainder, padded) goes through `_reindex`.  The
+coordinates (permuted, remainder, padded or trimmed) goes through
+`_reindex`; a padded or trimmed window is its own iso step.  The
 move refuses a module whose counit cone passes MAX_TOTAL_RANK, the size a
 witness log is read with, so every emitted log is one that is read back.
 
@@ -314,14 +315,16 @@ def _graph_truncate(x, slots, mid_tag, det_tag):
     return step, truncated, new_slots
 
 
-def _pad_below(x):
-    """Extend the window one degree down with a zero summand (iso step)."""
-    padded = _reindex(x, lambda s: range(x.rank(s)), x.lo - 1, x.hi)
+def _rewindow(x, lo, hi):
+    """x on the window [lo, hi], which differs from x's own by zero-rank
+    degrees only: the identity on every degree, as an iso step.  Pads the
+    fold's window one degree down and trims an amplitude reduction's."""
+    moved = _reindex(x, lambda s: range(x.rank(s)), lo, hi)
     comps = {s: PolyMatrix.identity(x.ring, x.rank(s))
-             for s in range(x.lo, x.hi + 1)}
+             for s in range(max(lo, x.lo), min(hi, x.hi) + 1)}
     step = WitnessStep("explicit_quasi_iso", "forward",
-                       morphism=KoszulMorphism(x, padded, comps))
-    return step, padded
+                       morphism=KoszulMorphism(x, moved, comps))
+    return step, moved
 
 
 def _reduce_top(x, lo, hi, top):
@@ -374,13 +377,21 @@ def amplitude_reduce_step(m):
 
 
 def amplitude_reduce(m):
-    """Reduce until the amplitude is at most n+1; concatenates the logs."""
+    """Reduce until the amplitude is at most n+1; concatenates the logs.
+
+    A step may leave zero ranks at an end of the window; the window is
+    then trimmed by its own iso step, so each step starts from the module
+    the log has reached and the loop tests the amplitude it reduces."""
     m = m.trim()
     steps = []
     current = m
     while current.amplitude > current.n + 1:
         current, log = amplitude_reduce_step(current)
         steps.extend(log.steps)
+        trimmed = current.trim()
+        if trimmed is not current:
+            step, current = _rewindow(current, trimmed.lo, trimmed.hi)
+            steps.append(step)
     return current, WitnessLog(m, current, steps)
 
 
@@ -442,7 +453,7 @@ def fold_with_witness(m, points=None):
 
     while current.amplitude > 2:
         if current.amplitude == 3:
-            step, current = _pad_below(current)
+            step, current = _rewindow(current, current.lo - 1, current.hi)
             steps.append(step)
             labels[current.lo] = []
         round_steps, nxt = _round(current)
@@ -451,7 +462,7 @@ def fold_with_witness(m, points=None):
         current = nxt
 
     if current.amplitude == 1:
-        step, current = _pad_below(current)
+        step, current = _rewindow(current, current.lo - 1, current.hi)
         steps.append(step)
         labels[current.lo] = []
 

@@ -264,6 +264,44 @@ def test_tensor_two_mfs(capsys, tmp_path):
     assert code == 0
 
 
+def _diagonal_mfs_doc(tmp_path, *ranks):
+    """Factorizations x·id, x·id of x^2 over Q[x], one per rank."""
+    def diag(r):
+        return [["x" if i == j else "0" for j in range(r)] for i in range(r)]
+    objects = {f"d{k}": {"type": "mf", "f": "x^2", "r0": r, "r1": r,
+                         "phi0": diag(r), "phi1": diag(r)}
+               for k, r in enumerate(ranks)}
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"ring": {"kind": "polynomial", "vars": ["x"]},
+                                "potential": ["x^2"], "objects": objects}))
+    return str(path)
+
+
+def test_tensor_past_the_budget_is_refused_before_it_is_built(
+        capsys, tmp_path, monkeypatch):
+    def never(a, b):
+        raise AssertionError("mf_tensor entered")
+
+    monkeypatch.setattr(cli, "mf_tensor", never)
+    # total ranks 60 and 60: a product of total rank 3600
+    doc = _diagonal_mfs_doc(tmp_path, 30, 30)
+    code, lines = run(capsys, ["tensor", "--input", doc])
+    assert (code, lines) == (3, ["error=precondition tensor product would "
+                                 "have total rank 3600, past 1000"])
+
+
+def test_tensor_at_the_budget_is_built_and_written(capsys, tmp_path):
+    # total ranks 20 and 50: a product of total rank exactly 1000
+    doc = _diagonal_mfs_doc(tmp_path, 10, 25)
+    out = tmp_path / "t.json"
+    code, lines = run(capsys, ["tensor", "--input", doc,
+                               "--output", str(out)])
+    assert code == 0 and lines[-1] == "status=ok"
+    assert "r0=500" in lines and "r1=500" in lines
+    code, _ = run(capsys, ["validate", "--input", str(out)])
+    assert code == 0
+
+
 def test_tensor_needs_two_mfs(capsys):
     code, lines = run(capsys, ["tensor", "--input", A1])
     assert code == 3
@@ -301,6 +339,33 @@ def test_reduce_amplitude_on_minimal_module(capsys, tmp_path):
     code, lines = run(capsys, ["reduce-amplitude", "--input", str(ipath)])
     assert code == 0
     assert "reduction_steps=0" in lines
+
+
+@pytest.mark.parametrize("hi,top,end", [
+    (4, 4, "degrees=0..0"),     # a step leaves zero ranks at the top
+    (5, 5, "degrees=0..1"),     # ... and the trimmed module is reduced on
+])
+def test_reduce_amplitude_with_zero_ranks_inside_the_window(capsys, tmp_path,
+                                                            hi, top, end):
+    # potential 0, rank 1 at degrees 0 and `top` of [0, hi], zero maps
+    ipath = tmp_path / "in.json"
+    wpath = tmp_path / "w.json"
+    ipath.write_text(json.dumps({
+        "ring": {"kind": "polynomial", "vars": ["x"]}, "potential": ["0"],
+        "objects": {"m": {"type": "koszul_module", "degrees": [0, hi],
+                          "ranks": {"0": 1, str(top): 1}, "h": [{}]}}}))
+    code, lines = run(capsys, ["reduce-amplitude", "--input", str(ipath),
+                               "--witness", str(wpath)])
+    assert code == 0 and lines[-1] == "status=ok"
+    assert "reduction_steps=2" in lines and end in lines
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert code == 0 and lines[-1] == "status=ok"
+    # each trim is its own forward iso step onto a narrower window
+    log, _ = docs.load_witness(wpath)
+    trims = [s.morphism for s in log.steps
+             if (s.kind, s.orientation) == ("explicit_quasi_iso", "forward")]
+    assert len(trims) == 2
+    assert all(g.target.hi < g.source.hi for g in trims)
 
 
 def _checked_steps(log):

@@ -1,5 +1,6 @@
 """Polynomial matrices, complexes, cones, shifts, pointwise homology."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -241,7 +242,7 @@ def _assert_normal(e):
     p = e.ring.char
     assert e.terms
     for exps, c in e.terms.items():
-        assert type(exps) is tuple and len(exps) == 2
+        assert type(exps) is tuple and len(exps) == len(e.ring.varnames)
         if p:
             assert type(c) is int and 0 < c < p
         elif type(c) is Fraction:
@@ -297,6 +298,125 @@ def test_fused_product_examples():
     prod = (PolyMatrix(F5XY, 1, 2, [four, four])
             * PolyMatrix(F5XY, 2, 1, [four, four]))
     assert prod.nz == {0: {0: Poly.const(F5XY, 2)}}
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: field widths, any number of variables, the merge
+# ---------------------------------------------------------------------------
+
+QX = polynomial_ring(rationals(), ("x",))
+QXYZ = polynomial_ring(rationals(), ("x", "y", "z"))
+F32003XYZ = polynomial_ring(prime_field(32003), ("x", "y", "z"))
+# largest exponents at the edges of a field width, and one far past them
+TOPS = [2 ** k - 1 for k in range(1, 18)] + [2 ** k for k in range(18)] + [
+    100000]
+
+
+def _packed_entries(ring, top):
+    """Constants (the shortcut side) or polys of up to three terms whose
+    exponents are 0, 1, top - 1 or top."""
+    consts = st.sampled_from([0, 1, -1, 2]).map(lambda c: Poly.const(ring, c))
+    n = len(ring.varnames)
+    if not n:
+        return consts | _coefficient(ring).map(lambda c: Poly.const(ring, c))
+    exps = st.tuples(*[st.sampled_from([0, 1, top - 1, top])] * n)
+    return consts | st.dictionaries(exps, _coefficient(ring), min_size=1,
+                                    max_size=3).map(lambda t: Poly(ring, t))
+
+
+@pytest.mark.parametrize("ring", [QX, QXYZ, F32003XYZ, rationals(),
+                                  prime_field(32003)],
+                         ids=["Qx", "Qxyz", "F32003xyz", "Q", "F32003"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_product_matches_dense_reference(ring, data):
+    draw = data.draw
+    entry = _packed_entries(ring, draw(st.sampled_from(TOPS)))
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def dense(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    # [a | a2] * [b; -b]: rows a2 copies from a cancel to zero
+    a, b = dense(r, k), dense(k, c)
+    a2 = [row if draw(st.booleans()) else dense(1, k)[0] for row in a]
+    left = [p + q for p, q in zip(a, a2)]
+    A = PolyMatrix.from_rows(ring, left, 2 * k)
+    for right in (b + [[-e for e in row] for row in b], b + b):
+        got = A * PolyMatrix.from_rows(ring, right, c)
+        _same(got, _dense_mul(left, right, ring, 2 * k, c), r, c)
+        for row in got.nz.values():
+            for e in row.values():
+                _assert_normal(e)
+
+
+def test_packed_product_examples():
+    for ring in (QX, QXYZ, F32003XYZ):
+        n = len(ring.varnames)
+        x = Poly.var(ring, "x")
+        last = Poly.var(ring, ring.varnames[-1])
+        for top in TOPS:
+            # top + top is the largest sum a field must hold without a carry
+            a = x ** top * last + last ** top + Poly.const(ring, 3)
+            b = x ** top + last ** top * x
+            prod = PolyMatrix(ring, 1, 1, [a]) * PolyMatrix(ring, 1, 1, [b])
+            assert prod.nz == {0: {0: a * b}}
+        # one output entry from the constant shortcut and a packed product:
+        # 1 * x^2*last + x * x*last = 2*x^2*last
+        row = PolyMatrix(ring, 1, 2, [Poly.one(ring), x])
+        col = PolyMatrix(ring, 2, 1, [x * x * last, x * last])
+        assert (row * col).nz == {0: {0: x * x * last * Poly.const(ring, 2)}}
+        # the packed sums cancel: x*last * x - x * x*last = 0, and the entry
+        # is not stored; a partial cancellation keeps the rest
+        row = PolyMatrix(ring, 1, 2, [x * last, x])
+        col = PolyMatrix(ring, 2, 1, [x, -(x * last)])
+        assert (row * col).nz == {}
+        col = PolyMatrix(ring, 2, 1, [x + last, -(x * last)])
+        assert (row * col).nz == {0: {0: x * last * last}}
+        assert len(next(iter((row * col).nz[0][0].terms))) == n
+    # a bare field: exponent tuples are empty and every entry is a constant
+    q = rationals()
+    half, three = Poly.const(q, Fraction(1, 2)), Poly.const(q, 3)
+    prod = PolyMatrix(q, 1, 2, [half, three]) * PolyMatrix(q, 2, 1,
+                                                           [three, half])
+    assert prod.nz == {0: {0: Poly.const(q, 3)}}
+
+
+@pytest.mark.parametrize("ring", [QXYZ, F32003XYZ], ids=["Q", "F32003"])
+def test_packed_product_matches_sympy(ring):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+    domain = sympy.GF(ring.char) if ring.char else sympy.QQ
+    rng = random.Random(32003)
+
+    def entry():
+        return Poly(ring, {tuple(rng.choice((0, 1, 2, 7, 8, 300))
+                                 for _ in gens):
+                           Fraction(rng.randint(-50, 50), rng.randint(1, 6))
+                           for _ in range(rng.randint(1, 6))})
+
+    def to_sympy(e):
+        return sympy.Poly.from_dict(
+            {k: sympy.Rational(c.numerator, c.denominator)
+             for k, c in ((k, Fraction(c)) for k, c in e.terms.items())},
+            *gens, domain=domain)
+
+    def from_sympy(f):
+        return Poly(ring, {k: Fraction(int(sympy.numer(c)),
+                                       int(sympy.denom(c)))
+                           for k, c in f.as_dict().items()})
+
+    for r, k, c in ((2, 3, 2), (3, 2, 3), (1, 4, 1)):
+        a = [[entry() for _ in range(k)] for _ in range(r)]
+        b = [[entry() for _ in range(c)] for _ in range(k)]
+        got = (PolyMatrix.from_rows(ring, a, k)
+               * PolyMatrix.from_rows(ring, b, c))
+        for i in range(r):
+            for j in range(c):
+                want = sum((to_sympy(a[i][m]) * to_sympy(b[m][j])
+                            for m in range(k)), sympy.Poly(0, *gens,
+                                                           domain=domain))
+                assert got.at(i, j) == from_sympy(want)
 
 
 # ---------------------------------------------------------------------------
