@@ -2,8 +2,8 @@
 singularities: Koszul dg-modules, matrix factorizations, folding, and
 machine-checkable reduction witnesses."""
 
-# The term kernel is pure Python; there is no compiled backend to select.
-# The name stays because benchmark reports record it.
+# The term arithmetic (`koszulmf.ring`) is pure Python, with no compiled
+# backend to select; the name stays because benchmark reports record it.
 BACKEND = "fallback"
 
 __version__ = "0.1.0"

@@ -152,11 +152,6 @@ def _resolve_points(doc, ring, args):
     return out
 
 
-def _default_point_map(module_like):
-    pts = default_points(module_like)
-    return {"origin": pts[0]} if pts else {}
-
-
 def _require_on_locus(potential, points):
     for pname, pt in points.items():
         for f in potential:
@@ -211,7 +206,7 @@ def _fold_and_report(args, name, m, points, header=(), list_steps=False):
     """Fold the valid one-potential module `m` with a witness at `points`
     (default: the origin, if on the locus) and report; `header` lines are
     printed once the fold has been built."""
-    points = points or _default_point_map(m)
+    points = points or default_points(m.ring, m.potential)
     _require_on_locus(m.potential, points)
     mf, log = fold_with_witness(m, list(points.values()))
     for line in header:
@@ -315,7 +310,8 @@ def cmd_reduce_amplitude(args):
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     _require_valid(name, m)
-    points = _resolve_points(doc, doc.ring, args) or _default_point_map(m)
+    points = (_resolve_points(doc, doc.ring, args)
+              or default_points(m.ring, m.potential))
     _require_on_locus(m.potential, points)
     reduced, log = amplitude_reduce(m)
     problems = validate_log(log, list(points.values()))
@@ -367,14 +363,11 @@ def cmd_residue_homology(args):
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
     _require_valid(name, mf)
-    points = _resolve_points(doc, doc.ring, args)
+    points = (_resolve_points(doc, doc.ring, args)
+              or default_points(mf.ring, (mf.potential,)))
     if not points:
-        origin = {v: 0 for v in mf.ring.varnames}
-        if evaluate(mf.potential, origin) == 0:
-            points = {"origin": origin}
-        else:
-            raise Precondition("no points supplied and the origin does not "
-                               "lie on the hypersurface")
+        raise Precondition("no points supplied and the origin does not "
+                           "lie on the hypersurface")
     print(f"object={name}")
     _print_residue_homology(mf, points)
     print("status=ok")
@@ -395,6 +388,10 @@ def cmd_witness_check(args):
     print(f"steps={len(log.steps)}")
     print(f"points={len(points)}")
     problems = validate_log(log, list(points.values()))
+    if not problems:  # the replay relates the endpoints; check each too
+        problems = [f"{which} module: {line}" for which, m in
+                    (("start", log.start), ("end", log.end))
+                    for line in validate_koszul(m)]
     if problems:
         raise Invalid(*(f"check={line}" for line in problems))
     _print_steps(log)

@@ -421,12 +421,13 @@ def _round_labels(labels, lo, hi):
     return out
 
 
-def default_points(m):
-    """The all-zeros point, when it lies on the hypersurface."""
-    origin = {v: 0 for v in m.ring.varnames}
-    if all(evaluate(f, origin) == 0 for f in m.potential):
-        return [origin]
-    return []
+def default_points(ring, potential):
+    """{"origin": the all-zeros point of `ring`} when it lies on the locus
+    of every entry of `potential`, else no points."""
+    origin = {v: 0 for v in ring.varnames}
+    if all(evaluate(f, origin) == 0 for f in potential):
+        return {"origin": origin}
+    return {}
 
 
 def fold_with_witness(m, points=None):
@@ -442,7 +443,7 @@ def fold_with_witness(m, points=None):
     if m.n != 1:
         raise ValueError("witnessed folding needs a single potential entry")
     if points is None:
-        points = default_points(m)
+        points = list(default_points(m.ring, m.potential).values())
     m0 = m.trim()
     direct = orlov_fold(m0)
 

@@ -2,19 +2,25 @@
 
 Polynomials are dicts from exponent tuples to nonzero coefficients in
 normal form: over the rationals an int when the value is integral and a
-Fraction with denominator > 1 otherwise (`normalize_scalar`, and the kernel
-keeps the form after every operation); mod p the canonical int
-representative in [1, p).  Integral values are the common case, and int
-arithmetic is far cheaper than Fraction arithmetic.  The
+Fraction with denominator > 1 otherwise (`normalize_scalar`); mod p the
+canonical int representative in [1, p).  Integral values are the common
+case, and int arithmetic is far cheaper than Fraction arithmetic.  The
 term order everywhere is graded lexicographic with earlier variables more
 significant; printing lists terms with the leading term first, and
 `parse_poly(str(p), ring) == p` round-trips.
+
+The term functions `terms_add`, `terms_neg` and `terms_mul` keep the normal
+form on bare dicts.  `Poly` wraps a dict with its ring and calls them; the
+parser computes on dicts throughout and wraps its result in one `Poly`.
+Both raise powers through the one chain `_power`, and both call the term
+functions through this module's globals, so a wrapper on
+`koszulmf.ring.terms_mul` sees every product of either.  Matrix products
+have their own fused loop (`PolyMatrix.__mul__`).
 """
 
 import re
 from fractions import Fraction
-
-from koszulmf._kernel import terms_add, terms_mul, terms_neg, terms_scale
+from operator import add
 
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
@@ -134,15 +140,92 @@ def normalize_scalar(ring, c):
     return c.numerator if c.denominator == 1 else c
 
 
+# ---------------------------------------------------------------------------
+# term arithmetic: dicts of exponent tuples -> coefficients in normal form;
+# p is the characteristic, 0 for the rationals
+# ---------------------------------------------------------------------------
+
+def terms_add(a, b, p):
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = v
+        else:
+            s = w + v
+            if p:
+                s %= p
+            elif type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def terms_neg(a, p):
+    if p:
+        return {k: (-v) % p for k, v in a.items()}
+    return {k: -v for k, v in a.items()}
+
+
+def terms_mul(a, b, p):
+    if not a or not b:
+        return {}
+    if len(a) == 1 and len(b) == 1:
+        # monomial times monomial: most products in practice
+        (ka, va), = a.items()
+        (kb, vb), = b.items()
+        c = va * vb
+        if p:
+            c %= p
+        elif type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        return {tuple(map(add, ka, kb)): c} if c else {}
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(map(add, ka, kb))
+            c = va * vb
+            w = out.get(k)
+            if w is not None:
+                c = c + w
+            if p:
+                c %= p
+            if c:
+                out[k] = c
+            elif w is not None:
+                del out[k]
+    if not p:
+        for k, c in out.items():
+            if type(c) is Fraction and c.denominator == 1:
+                out[k] = c.numerator
+    return out
+
+
+def _power(a, n, one, mul):
+    """a^n by square-and-multiply, every product `mul(x, y)`; `one` for
+    n = 0.  A chain starts from a itself, never from a product by one."""
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else mul(out, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return one if out is None else out
+
+
 class Poly:
     """An exact polynomial attached to a RingSpec.
 
     Over a bare field the exponent tuples are empty and the poly is just a
     boxed scalar, which keeps the matrix layer uniform.
 
-    Polys are immutable: every operation builds a new `terms` dict and none
-    changes one in place, so one Poly may be shared by many matrix entries
-    (the document reader's entry memo relies on this).
+    Polys are immutable: no operation changes a `terms` dict in place, so
+    one Poly may be shared by many matrix entries (the document reader's
+    entry memo relies on this).
     """
 
     __slots__ = ("ring", "terms")
@@ -220,22 +303,14 @@ class Poly:
         return Poly(self.ring, terms_mul(self.terms, other.terms, self.ring.char),
                     _normalized=True)
 
-    def scale(self, c):
-        return Poly(self.ring, terms_scale(self.terms, normalize_scalar(self.ring, c),
-                                           self.ring.char), _normalized=True)
-
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        p = self.ring.char
+        one = {(0,) * len(self.ring.varnames): 1}
+        return Poly(self.ring, _power(self.terms, n, one,
+                                      lambda a, b: terms_mul(a, b, p)),
+                    _normalized=True)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.ring is self.ring
@@ -247,16 +322,6 @@ class Poly:
     @property
     def is_zero(self):
         return not self.terms
-
-    def constant_value(self):
-        """The scalar value of a constant polynomial (0 if zero)."""
-        if not self.terms:
-            return normalize_scalar(self.ring, 0)
-        nv = len(self.ring.varnames)
-        z = (0,) * nv
-        if set(self.terms) != {z}:
-            raise ValueError("polynomial is not constant")
-        return self.terms[z]
 
     # --- printing -----------------------------------------------------------
 
@@ -358,10 +423,10 @@ def _tokenize(text):
 MAX_TERM_PRODUCTS = 100_000
 
 
-def _coeff_bits(p):
-    """The bit lengths of p's largest numerator and denominator."""
+def _coeff_bits(terms):
+    """The bit lengths of the largest numerator and denominator."""
     num = den = 0
-    for c in p.terms.values():
+    for c in terms.values():
         b = c.numerator.bit_length()
         if b > num:
             num = b
@@ -372,20 +437,20 @@ def _coeff_bits(p):
     return num, den
 
 
-def _checked_product(a, b, pos):
-    """a * b, refused first when past the work budget."""
-    if len(a.terms) * len(b.terms) > MAX_TERM_PRODUCTS:
-        raise ParseError(f"product of {len(a.terms)} by {len(b.terms)} "
+def _checked_product(a, b, p, pos):
+    """terms_mul(a, b, p), refused first when past the work budget."""
+    if len(a) * len(b) > MAX_TERM_PRODUCTS:
+        raise ParseError(f"product of {len(a)} by {len(b)} "
                          f"terms is past {MAX_TERM_PRODUCTS} term products",
                          pos)
-    if not a.ring.char:
+    if not p:
         an, ad = _coeff_bits(a)
         bn, bd = (an, ad) if b is a else _coeff_bits(b)
         # |c| * |c'| >= 2^(bits - 1 + bits' - 1) > 10^MAX_COEFF_DIGITS
         if max(an + bn, ad + bd) - 2 >= _COEFF_LIMIT_BITS:
             raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "
                              "digits", 0)
-    return a * b
+    return terms_mul(a, b, p)
 
 
 # Each parenthesis level costs the recursive-descent parser five stack
@@ -395,10 +460,16 @@ MAX_PAREN_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over the tokens; every rule returns a term dict."""
+
     def __init__(self, text, ring):
         self.tokens = _tokenize(text)
         self.i = 0
         self.ring = ring
+        self.p = ring.char
+        names = ring.varnames
+        self.one = (0,) * len(names)
+        self.exps = {v: tuple(int(v == w) for w in names) for v in names}
         self.depth = 0
 
     def peek(self):
@@ -409,39 +480,28 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect_op(self, op):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.take()
-
-    def parse(self):
-        p = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", pos)
-        return p
-
     def expr(self):
-        p = self.term()
+        t = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                q = self.term()
-                p = p + q if val == "+" else p - q
+                u = self.term()
+                if val == "-":
+                    u = terms_neg(u, self.p)
+                t = terms_add(t, u, self.p)
             else:
-                return p
+                return t
 
     def term(self):
-        p = self.unary()
+        t = self.unary()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                p = _checked_product(p, self.unary(), pos)
+                t = _checked_product(t, self.unary(), self.p, pos)
             else:
-                return p
+                return t
 
     def unary(self):
         # a run of signs is folded in a loop, so its length costs no stack
@@ -451,8 +511,8 @@ class _Parser:
             self.take()
             negate ^= val == "-"
             kind, val, _ = self.peek()
-        p = self.power()
-        return -p if negate else p
+        t = self.power()
+        return terms_neg(t, self.p) if negate else t
 
     def power(self):
         base = self.atom()
@@ -463,17 +523,13 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", npos)
             self.take()
-            # Poly.__pow__'s square-and-multiply chain, each product checked
-            out = None
-            while n:
-                if n & 1:
-                    out = base if out is None else _checked_product(out, base,
-                                                                    pos)
-                n >>= 1
-                if n:
-                    base = _checked_product(base, base, pos)
-            return Poly.one(self.ring) if out is None else out
+            return _power(base, n, {self.one: 1},
+                          lambda a, b: _checked_product(a, b, self.p, pos))
         return base
+
+    def constant(self, c):
+        c = normalize_scalar(self.ring, c)
+        return {self.one: c} if c else {}
 
     def atom(self):
         kind, val, pos = self.take()
@@ -488,35 +544,42 @@ class _Parser:
                 if v3 == 0:
                     raise ParseError("zero denominator", p3)
                 try:
-                    return Poly.const(self.ring, Fraction(val, v3))
+                    return self.constant(Fraction(val, v3))
                 except ZeroDivisionError as e:
                     raise ParseError(str(e), p3) from None
-            return Poly.const(self.ring, val)
+            return self.constant(val)
         if kind == "name":
-            if val not in self.ring.varnames:
+            exps = self.exps.get(val)
+            if exps is None:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return Poly.var(self.ring, val)
+            return {exps: 1}
         if kind == "op" and val == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 raise ParseError("parentheses nested deeper than "
                                  f"{MAX_PAREN_DEPTH}", pos)
             self.depth += 1
-            p = self.expr()
-            self.expect_op(")")
+            t = self.expr()
+            kind, val, pos = self.take()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", pos)
             self.depth -= 1
-            return p
+            return t
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
 def parse_poly(text, ring):
     """Parse polynomial text in the given ring.  Raises ParseError, also
     when a coefficient of the result is past MAX_COEFF_DIGITS."""
-    poly = _Parser(text, ring).parse()
-    for c in poly.terms.values():
+    parser = _Parser(text, ring)
+    terms = parser.expr()
+    kind, val, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {val!r}", pos)
+    for c in terms.values():
         if _too_long(c.numerator) or _too_long(c.denominator):
             raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "
                              "digits", 0)
-    return poly
+    return Poly(ring, terms, _normalized=True)
 
 
 def point_values(ring, point):
@@ -532,17 +595,14 @@ def point_values(ring, point):
 def evaluate_at(poly, vals):
     """Evaluate at coordinates already normalized by `point_values`."""
     p = poly.ring.char
-    total = normalize_scalar(poly.ring, 0)
+    total = 0
     for exps, c in poly.terms.items():
-        term = c
         for v, e in zip(vals, exps):
             if e:
-                term = term * v ** e
-                if p:
-                    term %= p
-        total = total + term
-        if p:
-            total %= p
+                # mod p the power is reduced as it is built: x^(10^7) at a
+                # point is a few dozen products, not a ten-million-bit int
+                c = c * pow(v, e, p) % p if p else c * v ** e
+        total = (total + c) % p if p else total + c
     if type(total) is Fraction and total.denominator == 1:
         total = total.numerator
     return total

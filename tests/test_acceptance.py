@@ -102,7 +102,8 @@ def test_criterion_4_witnessed_fold():
     rng = random.Random(1004)
     for _ in range(20):
         m = genmod.random_fold_input(rng, max_amplitude=5)
-        _check_witnessed_fold(m, default_points(m))
+        _check_witnessed_fold(
+            m, list(default_points(m.ring, m.potential).values()))
     print("criterion 4 (witnessed fold on m3 + 20 random): PASS")
 
 

@@ -120,6 +120,33 @@ def test_witness_check_catches_tampering(capsys, tmp_path):
     assert lines[-1] == "status=failed"
 
 
+def test_witness_check_validates_the_endpoints(capsys, tmp_path):
+    # a chain of no steps from a module to itself replays cleanly, but the
+    # module on [0, 2] with d = [1] in both places has d∘d != 0
+    module = {"degrees": [0, 2], "ranks": {"0": 1, "1": 1, "2": 1},
+              "d": {"0": [["1"]], "1": [["1"]]},
+              "h": [{"0": [], "1": [["0"]], "2": [["0"]]}]}
+    raw = {"schema": "koszulmf.witness/1",
+           "ring": {"kind": "polynomial", "vars": ["x"]},
+           "potential": ["0"], "points": {}, "start": module,
+           "end": module, "steps": []}
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert code == 1
+    assert lines == ["steps=0", "points=0",
+                     "check=start module: underlying: degree 0: d∘d is "
+                     "nonzero",
+                     "check=end module: underlying: degree 0: d∘d is "
+                     "nonzero",
+                     "status=failed"]
+    # the same log over a valid module passes
+    module["d"] = {"0": [["0"]], "1": [["1"]]}
+    wpath.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert code == 0 and lines[-1] == "status=ok"
+
+
 def test_witness_check_with_extra_inline_point(capsys, tmp_path):
     wpath = tmp_path / "w.json"
     run(capsys, ["fold", "--input", M3, "--witness", str(wpath)])

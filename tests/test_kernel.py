@@ -1,5 +1,5 @@
-"""The term kernel against a naive reference, and its coefficient normal
-form.
+"""The term functions of `koszulmf.ring` against a naive reference, and
+their coefficient normal form.
 
 Normal form: over Q every coefficient is an int (never a bool) when
 integral and a Fraction with denominator > 1 otherwise; over F_p it is a
@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulmf import _kernel
+from koszulmf import ring
 
 NVARS = 3
 P = 5
@@ -69,7 +69,7 @@ def naive_add(a, b, p):
 
 
 def check_mul(a, b, p):
-    got = _kernel.terms_mul(a, b, p)
+    got = ring.terms_mul(a, b, p)
     assert got == naive_mul(a, b, p)
     assert_normal(got, p)
     return got
@@ -110,8 +110,8 @@ def test_general_product_char5(a, b):
 def test_monomial_branch_agrees_with_general_loop_char0(a, b, c):
     # a*b and a*c take the monomial branch, a*(b + c) the general loop
     # whenever b and c have different exponents
-    left = check_mul(a, _kernel.terms_add(b, c, 0), 0)
-    right = _kernel.terms_add(check_mul(a, b, 0), check_mul(a, c, 0), 0)
+    left = check_mul(a, ring.terms_add(b, c, 0), 0)
+    right = ring.terms_add(check_mul(a, b, 0), check_mul(a, c, 0), 0)
     assert left == right
     assert_normal(right, 0)
 
@@ -119,8 +119,8 @@ def test_monomial_branch_agrees_with_general_loop_char0(a, b, c):
 @settings(max_examples=200)
 @given(monomial(residue), monomial(residue), monomial(residue))
 def test_monomial_branch_agrees_with_general_loop_char5(a, b, c):
-    left = check_mul(a, _kernel.terms_add(b, c, P), P)
-    right = _kernel.terms_add(check_mul(a, b, P), check_mul(a, c, P), P)
+    left = check_mul(a, ring.terms_add(b, c, P), P)
+    right = ring.terms_add(check_mul(a, b, P), check_mul(a, c, P), P)
     assert left == right
 
 
@@ -128,29 +128,29 @@ def test_integral_fraction_products_are_demoted():
     x, one = (1, 0, 0), (0, 0, 0)
     half, third = Fraction(1, 2), Fraction(-1, 3)
     # monomial branch
-    got = _kernel.terms_mul({one: half}, {x: 2}, 0)
+    got = ring.terms_mul({one: half}, {x: 2}, 0)
     assert got == {x: 1} and type(got[x]) is int
-    got = _kernel.terms_mul({x: Fraction(3, 2)}, {x: Fraction(2, 3)}, 0)
+    got = ring.terms_mul({x: Fraction(3, 2)}, {x: Fraction(2, 3)}, 0)
     assert got == {(2, 0, 0): 1} and type(got[(2, 0, 0)]) is int
     # general loop: the two products at x cancel (1/2*2 - 1/3*3) and drop
     # out; then the product at x^2 is an integral Fraction
-    got = _kernel.terms_mul({one: half, x: third}, {x: 2, one: 3}, 0)
+    got = ring.terms_mul({one: half, x: third}, {x: 2, one: 3}, 0)
     assert got == {(2, 0, 0): Fraction(-2, 3), one: Fraction(3, 2)}
-    got = _kernel.terms_mul({one: half, x: Fraction(3, 2)}, {x: 2}, 0)
+    got = ring.terms_mul({one: half, x: Fraction(3, 2)}, {x: 2}, 0)
     assert got == {x: 1, (2, 0, 0): 3}
     assert all(type(c) is int for c in got.values())
-    assert _kernel.terms_mul({one: 2}, {one: 3}, 0) == {one: 6}
-    assert _kernel.terms_mul({}, {one: 3}, 0) == {}
+    assert ring.terms_mul({one: 2}, {one: 3}, 0) == {one: 6}
+    assert ring.terms_mul({}, {one: 3}, 0) == {}
 
 
 # ---------------------------------------------------------------------------
-# sums, negation and scaling keep the normal form
+# sums and negation keep the normal form
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200)
 @given(terms(rational), terms(rational))
 def test_add_char0(a, b):
-    got = _kernel.terms_add(a, b, 0)
+    got = ring.terms_add(a, b, 0)
     assert got == naive_add(a, b, 0)
     assert_normal(got, 0)
 
@@ -158,39 +158,29 @@ def test_add_char0(a, b):
 @settings(max_examples=200)
 @given(terms(residue), terms(residue))
 def test_add_char5(a, b):
-    got = _kernel.terms_add(a, b, P)
+    got = ring.terms_add(a, b, P)
     assert got == naive_add(a, b, P)
     assert_normal(got, P)
 
 
 @settings(max_examples=200)
-@given(terms(rational), rational | st.just(0))
-def test_neg_and_scale_char0(a, c):
-    neg = _kernel.terms_neg(a, 0)
+@given(terms(rational))
+def test_neg_char0(a):
+    neg = ring.terms_neg(a, 0)
     assert neg == {k: -v for k, v in a.items()}
     assert_normal(neg, 0)
-    got = _kernel.terms_scale(a, c, 0)
-    assert got == naive_mul(a, {(0,) * NVARS: c}, 0)
-    assert_normal(got, 0)
 
 
 @settings(max_examples=200)
-@given(terms(residue), st.integers(-10, 10))
-def test_neg_and_scale_char5(a, c):
-    neg = _kernel.terms_neg(a, P)
+@given(terms(residue))
+def test_neg_char5(a):
+    neg = ring.terms_neg(a, P)
     assert_normal(neg, P)
-    assert _kernel.terms_add(a, neg, P) == {}
-    got = _kernel.terms_scale(a, c, P)
-    assert got == naive_mul(a, {(0,) * NVARS: c % P}, P)
-    assert_normal(got, P)
+    assert ring.terms_add(a, neg, P) == {}
 
 
-def test_integral_fraction_sums_and_scales_are_demoted():
+def test_integral_fraction_sums_are_demoted():
     x = (1, 0, 0)
-    got = _kernel.terms_add({x: Fraction(1, 2)}, {x: Fraction(3, 2)}, 0)
+    got = ring.terms_add({x: Fraction(1, 2)}, {x: Fraction(3, 2)}, 0)
     assert got == {x: 2} and type(got[x]) is int
-    assert _kernel.terms_add({x: Fraction(1, 2)}, {x: Fraction(-1, 2)}, 0) == {}
-    got = _kernel.terms_scale({x: Fraction(2, 3)}, 3, 0)
-    assert got == {x: 2} and type(got[x]) is int
-    got = _kernel.terms_scale({x: 4}, Fraction(1, 2), 0)
-    assert got == {x: 2} and type(got[x]) is int
+    assert ring.terms_add({x: Fraction(1, 2)}, {x: Fraction(-1, 2)}, 0) == {}

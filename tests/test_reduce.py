@@ -96,7 +96,7 @@ def test_fold_with_witness_random_modules():
     rng = random.Random(421)
     for _ in range(12):
         m = genmod.random_fold_input(rng)
-        pts = default_points(m)
+        pts = list(default_points(m.ring, m.potential).values())
         mf, log = fold_with_witness(m, pts)
         assert validate_log(log, pts) == []
         for pt in pts:
@@ -304,8 +304,12 @@ def test_eisenbud_operator_range_errors():
 
 def test_default_points():
     m3 = corpus.by_name("m3").module
-    assert default_points(m3) == [{"x": 0, "y": 0}]
+    assert default_points(m3.ring, m3.potential) == {"origin": {"x": 0, "y": 0}}
     ring = polynomial_ring(rationals(), ("x",))
     base = FreeComplex(ring, 0, 0, {0: 1}, {})
     off = free_koszul(base, (parse_poly("x + 1", ring),))
-    assert default_points(off) == []
+    assert default_points(off.ring, off.potential) == {}
+    # a factorization's potential is one entry; every entry must vanish
+    x = parse_poly("x", ring)
+    assert default_points(ring, (x * x,)) == {"origin": {"x": 0}}
+    assert default_points(ring, (x, x + parse_poly("1", ring))) == {}

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulmf import ring
 from koszulmf.ring import (MAX_COEFF_DIGITS, MAX_PAREN_DEPTH,
                            MAX_TERM_PRODUCTS, ParseError, Poly, embed,
                            evaluate, evaluate_at, normalize_scalar,
@@ -197,6 +198,77 @@ def test_parse_mod_p_normalizes():
     assert parse_poly("1/2", F5XY) == parse_poly("3", F5XY)
 
 
+def test_parse_builds_one_poly(monkeypatch):
+    # the parser computes on term dicts and wraps only its result
+    built = []
+    real_init = Poly.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", init)
+    for text, ring in (("x", QXY), ("0", QXY), ("-3/4", QXY),
+                       ("(x + 2*y)^3 - x*(y - 1/2) + 7", QXY),
+                       ("(x - y)^5*x + --y", F5XY), ("2^10", QX)):
+        built.clear()
+        got = parse_poly(text, ring)
+        assert built == [got]
+
+
+F32003 = prime_field(32003)
+
+
+def _sympy_texts(names):
+    """Pairs (text for parse_poly, the same expression for sympy) built
+    from integers, fractions a/b, variables, parentheses, powers, runs of
+    signs, products, sums and differences, at the parser's precedence."""
+    atoms = (st.integers(0, 40).map(lambda n: (str(n), str(n)))
+             | st.tuples(st.integers(0, 40), st.integers(1, 9)).map(
+                 lambda t: (f"{t[0]}/{t[1]}", f"({t[0]}/{t[1]})"))
+             | st.sampled_from(names).map(lambda v: (v, v)))
+
+    def extend(inner):
+        atom = atoms | inner.map(lambda e: (f"({e[0]})", f"({e[1]})"))
+        power = st.tuples(atom, st.none() | st.integers(0, 3)).map(
+            lambda t: t[0] if t[1] is None else
+            (f"{t[0][0]}^{t[1]}", f"{t[0][1]}**{t[1]}"))
+        unary = st.tuples(st.text("+-", max_size=3), power).map(
+            lambda t: (t[0] + t[1][0], t[0] + t[1][1]))
+        term = st.lists(unary, min_size=1, max_size=3).map(
+            lambda us: ("*".join(u[0] for u in us),
+                        "*".join(u[1] for u in us)))
+        return st.tuples(term, st.lists(st.tuples(
+            st.sampled_from((" + ", " - ")), term), max_size=3)).map(
+            lambda t: (t[0][0] + "".join(op + u[0] for op, u in t[1]),
+                       t[0][1] + "".join(op + u[1] for op, u in t[1])))
+
+    return st.recursive(atoms, extend, max_leaves=10)
+
+
+@pytest.mark.parametrize("base", [rationals(), F32003], ids=["Q", "F32003"])
+@pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")],
+                         ids=["1var", "2vars", "3vars"])
+def test_parse_matches_sympy(base, names):
+    sympy = pytest.importorskip("sympy")
+    ring = polynomial_ring(base, names)
+    gens = sympy.symbols(names)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sympy_texts(names))
+    def check(texts):
+        ours, theirs = texts
+        want = sympy.Poly(sympy.expand(sympy.sympify(theirs)), *gens,
+                          domain=sympy.QQ)
+        # Poly() brings the rational coefficients into the ring's normal
+        # form, mod p too
+        assert nf(parse_poly(ours, ring)) == Poly(ring, {
+            k: Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+            for k, c in want.as_dict().items()})
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # arithmetic laws (property-based)
 # ---------------------------------------------------------------------------
@@ -282,6 +354,16 @@ def test_evaluate_mod_p():
     assert evaluate(p, {"x": 2, "y": 4}) == (8 + 3) % 5
 
 
+def test_evaluate_mod_p_reduces_large_powers():
+    ring = polynomial_ring(F32003, ("x", "y"))
+    e = 10 ** 7
+    p = parse_poly(f"x^{e}*y + 5*x^{e + 1}", ring)
+    want = (pow(3, e, 32003) * 2 + 5 * pow(3, e + 1, 32003)) % 32003
+    assert evaluate(p, {"x": 3, "y": 2}) == want
+    assert evaluate(p, {"x": 3, "y": 0}) == 5 * pow(3, e + 1, 32003) % 32003
+    assert evaluate(p, {"x": 0, "y": 1}) == 0
+
+
 def test_evaluate_requires_all_vars():
     p = parse_poly("x + y", QXY)
     with pytest.raises(ValueError):
@@ -350,29 +432,27 @@ QXYZ = polynomial_ring(rationals(), ("x", "y", "z"))
 
 @pytest.fixture
 def budgeted_products(monkeypatch):
-    """Parse with every Poly product checked against the work budget: a
-    product past it fails the test, so a refusal must come before the
-    product is computed.  Records the largest product computed."""
-    real_mul = Poly.__mul__
+    """Parse with every product of term dicts checked against the work
+    budget, at `koszulmf.ring.terms_mul`, which both the parser and Poly
+    call: a product past the budget fails the test, so a refusal must come
+    before the product is computed.  Records the largest product
+    computed."""
+    real_mul = ring.terms_mul
     seen = {"pairs": 0}
 
     bits = (10 ** MAX_COEFF_DIGITS).bit_length() + 1
 
-    def mul(a, b):
-        pairs = len(a.terms) * len(b.terms)
+    def mul(a, b, p):
+        pairs = len(a) * len(b)
         assert pairs <= MAX_TERM_PRODUCTS
-        for x in a.terms.values():
-            for y in b.terms.values():
+        for x in a.values():
+            for y in b.values():
                 assert (x.numerator * y.numerator).bit_length() <= bits
                 assert (x.denominator * y.denominator).bit_length() <= bits
         seen["pairs"] = max(seen["pairs"], pairs)
-        return real_mul(a, b)
+        return real_mul(a, b, p)
 
-    def no_pow(a, n):
-        raise AssertionError("the parser raises powers product by product")
-
-    monkeypatch.setattr(Poly, "__mul__", mul)
-    monkeypatch.setattr(Poly, "__pow__", no_pow)
+    monkeypatch.setattr(ring, "terms_mul", mul)
     return seen
 
 
