@@ -22,10 +22,9 @@ from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_koszul,
 from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms, mf_cone,
                          mf_shift, mf_tensor, orlov_fold, orlov_unfold,
                          residue_homology, validate_mf, validate_mf_morphism)
-from koszulmf.reduce import (WitnessError, amplitude_reduce,
+from koszulmf.reduce import (WitnessError, amplitude_reduce, chart_operator,
                              codim_reduce_chart, default_points,
-                             eisenbud_operator, fold_with_witness,
-                             validate_log)
+                             fold_with_witness, validate_log)
 from koszulmf.ring import evaluate, normalize_scalar
 
 
@@ -78,9 +77,6 @@ def _parser():
                        help="named points from the document")
         p.add_argument("--point", action="append", default=[],
                        metavar='"x=0,y=1"', help="inline point (repeatable)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for randomized batch commands; all "
-                            "current subcommands are deterministic")
         if name == "reduce-codim":
             p.add_argument("--then", choices=["fold"],
                            help="pipe the reduced module into fold")
@@ -408,7 +404,7 @@ def cmd_eisenbud(args):
         raise Precondition("operators need at least two potential entries")
     reduced = codim_reduce_chart(_require_valid(name, m))
     mf = orlov_fold(reduced)
-    ops = {k: eisenbud_operator(m, k) for k in range(1, m.n)}
+    ops = {k: chart_operator(mf, k) for k in range(1, m.n)}
     print(f"object={name}")
     print(f"operators={len(ops)}")
     ok = True

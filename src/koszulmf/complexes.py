@@ -566,15 +566,17 @@ class ChainMap:
     Source and target need only `ring`, `lo`, `hi`, `rank` and `diff`, so a
     Koszul morphism (a subclass) is a chain map of its modules as it is."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "lo", "hi")
 
     def __init__(self, source, target, components):
         if source.ring is not target.ring:
             raise ValueError("mixed rings")
         self.source = source
         self.target = target
+        self.lo = min(source.lo, target.lo)
+        self.hi = max(source.hi, target.hi)
         self.components = {}
-        for m in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):
+        for m in range(self.lo, self.hi + 1):
             g = components.get(m)
             if g is None:
                 g = PolyMatrix.zero(source.ring, target.rank(m), source.rank(m))
@@ -588,18 +590,21 @@ class ChainMap:
         return g
 
 
-def validate_chain_map(g):
-    report = []
+def component_shape_report(g):
+    """Components whose shape is not target rank x source rank."""
     src, tgt = g.source, g.target
-    for m, comp in g.components.items():
-        if (comp.rows, comp.cols) != (tgt.rank(m), src.rank(m)):
-            report.append(f"degree {m}: component is {comp.rows}x{comp.cols}, "
-                          f"want {tgt.rank(m)}x{src.rank(m)}")
+    return [f"degree {m}: component is {comp.rows}x{comp.cols}, "
+            f"want {tgt.rank(m)}x{src.rank(m)}"
+            for m, comp in g.components.items()
+            if (comp.rows, comp.cols) != (tgt.rank(m), src.rank(m))]
+
+
+def validate_chain_map(g):
+    report = component_shape_report(g)
     if report:
         return report
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    for m in range(lo, hi):
+    src, tgt = g.source, g.target
+    for m in range(g.lo, g.hi):
         lhs = tgt.diff(m) * g.component(m)
         rhs = g.component(m + 1) * src.diff(m)
         if lhs != rhs:

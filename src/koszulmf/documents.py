@@ -30,6 +30,9 @@ Witness logs are a separate self-contained format (`witness_payload` /
 start and end modules, and one payload per step with full matrices, enough
 to re-run every check without the emitting document.
 
+Every JSON object is read with the keys its kind defines and no others: an
+unknown key is malformed, so a misspelt field is never silently dropped.
+
 Reading a document or a log parses each distinct entry string once: one
 memo per document maps entry text to its Poly, which every repeat shares
 (polys are immutable).  Nesting deeper than the JSON decoder or the
@@ -46,7 +49,7 @@ import json
 from fractions import Fraction
 
 from koszulmf.complexes import MAX_TOTAL_RANK, FreeComplex, PolyMatrix
-from koszulmf.koszul import KoszulModule, KoszulMorphism
+from koszulmf.koszul import KoszulModule, KoszulMorphism, free_ranks
 from koszulmf.mf import MFMorphism, MFObject
 from koszulmf.reduce import WitnessLog, WitnessStep
 from koszulmf.ring import (ParseError, Poly, normalize_scalar, parse_poly,
@@ -87,6 +90,39 @@ def _construct(where, cls, *args):
         raise DocumentError(f"{where}: {e}")
 
 
+# the keys each kind of JSON object may carry; any other key is refused
+_DOCUMENT_KEYS = frozenset({"ring", "potential", "objects", "points"})
+_WITNESS_KEYS = frozenset({"schema", "ring", "potential", "points", "start",
+                           "end", "steps"})
+_COMPLEX_KEYS = frozenset({"degrees", "ranks", "d"})
+_MODULE_KEYS = _COMPLEX_KEYS | {"h"}
+_RING_KEYS = {"rationals": {"kind"}, "prime_field": {"kind", "p"},
+              "polynomial": {"kind", "vars", "p"}}
+_OBJECT_KEYS = {
+    "complex": _COMPLEX_KEYS | {"type"},
+    "koszul_module": _MODULE_KEYS | {"type"},
+    "mf": {"type", "f", "r0", "r1", "phi0", "phi1"},
+    "koszul_morphism": {"type", "source", "target", "components"},
+    "mf_morphism": {"type", "source", "target", "alpha0", "alpha1"},
+}
+_STEP_KEYS = {
+    "cone_off_free": {"kind", "orientation", "generators", "target",
+                      "components"},
+    "explicit_quasi_iso": {"kind", "orientation", "source", "target",
+                           "components"},
+    "shift_by_two": {"kind", "orientation", "offset"},
+}
+
+
+def _fields(payload, where, allowed):
+    """`payload` as a JSON object none of whose keys lies outside
+    `allowed`."""
+    _expect(isinstance(payload, dict), f"{where}: must be an object")
+    for key in payload:
+        _expect(key in allowed, f"{where}: unknown key {key!r}")
+    return payload
+
+
 def _mapping(payload, where, what):
     """An optional JSON object (absent reads as empty); `what` names what it
     maps, for the error."""
@@ -110,6 +146,9 @@ def _degree(key, where):
 def parse_ring_payload(payload):
     _expect(isinstance(payload, dict), "ring must be an object")
     kind = payload.get("kind")
+    _expect(isinstance(kind, str) and kind in _RING_KEYS,
+            f"unknown ring kind {kind!r}")
+    _fields(payload, "ring", _RING_KEYS[kind])
     if kind == "rationals":
         return rationals()
     if kind == "prime_field":
@@ -119,24 +158,22 @@ def parse_ring_payload(payload):
             return prime_field(p)
         except ValueError as e:
             raise DocumentError(str(e))
-    if kind == "polynomial":
-        vars_ = payload.get("vars")
-        _expect(isinstance(vars_, list) and vars_
-                and all(isinstance(v, str) for v in vars_),
-                "polynomial ring needs a nonempty list of variable names")
-        p = payload.get("p")
-        base = rationals()
-        if p is not None:
-            _expect(isinstance(p, int), "p must be an integer")
-            try:
-                base = prime_field(p)
-            except ValueError as e:
-                raise DocumentError(str(e))
+    vars_ = payload.get("vars")
+    _expect(isinstance(vars_, list) and vars_
+            and all(isinstance(v, str) for v in vars_),
+            "polynomial ring needs a nonempty list of variable names")
+    p = payload.get("p")
+    base = rationals()
+    if p is not None:
+        _expect(isinstance(p, int), "p must be an integer")
         try:
-            return polynomial_ring(base, tuple(vars_))
+            base = prime_field(p)
         except ValueError as e:
             raise DocumentError(str(e))
-    raise DocumentError(f"unknown ring kind {kind!r}")
+    try:
+        return polynomial_ring(base, tuple(vars_))
+    except ValueError as e:
+        raise DocumentError(str(e))
 
 
 def _is_zero_text(text):
@@ -334,6 +371,9 @@ def _parse_ring_and_potential(raw, memo):
 
 def parse_document(raw):
     _expect(isinstance(raw, dict), "document must be a JSON object")
+    # a witness log reads as a document without objects
+    _fields(raw, "document", _WITNESS_KEYS
+            if raw.get("schema") == WITNESS_SCHEMA else _DOCUMENT_KEYS)
     memo = {}
     ring, potential = _parse_ring_and_potential(raw, memo)
 
@@ -343,9 +383,12 @@ def parse_document(raw):
     deferred = []
     objects_raw = _mapping(raw.get("objects"), "objects", "names to objects")
     for name, payload in objects_raw.items():
-        _expect(isinstance(payload, dict), f"objects.{name}: must be an object")
-        typ = payload.get("type")
         where = f"objects.{name}"
+        _expect(isinstance(payload, dict), f"{where}: must be an object")
+        typ = payload.get("type")
+        _expect(isinstance(typ, str) and typ in _OBJECT_KEYS,
+                f"{where}: unknown type {typ!r}")
+        _fields(payload, where, _OBJECT_KEYS[typ])
         if typ == "complex":
             objects[name] = parse_complex_payload(ring, payload, where, memo)
         elif typ == "koszul_module":
@@ -353,11 +396,9 @@ def parse_document(raw):
                                                  where, memo)
         elif typ == "mf":
             objects[name] = parse_mf_payload(ring, payload, where, memo)
-        elif typ in ("koszul_morphism", "mf_morphism"):
+        else:
             objects[name] = None    # placeholder keeps document order
             deferred.append((name, payload, where, typ))
-        else:
-            raise DocumentError(f"{where}: unknown type {typ!r}")
     for name, payload, where, typ in deferred:
         objects[name] = _parse_morphism(ring, payload, objects, where, typ,
                                         memo)
@@ -572,10 +613,8 @@ def write_json(path, payload):
 # ---------------------------------------------------------------------------
 
 def _morphism_components_payload(g, texts=None):
-    lo = min(g.source.lo, g.target.lo)
-    hi = max(g.source.hi, g.target.hi)
     return {str(deg): _matrix_payload(g.component(deg), texts)
-            for deg in range(lo, hi + 1)}
+            for deg in range(g.lo, g.hi + 1)}
 
 
 def _step_payload(step, texts):
@@ -610,16 +649,17 @@ def witness_payload(log, points=None):
 
 def parse_witness(raw):
     """Rebuild a WitnessLog (plus its stored points) from a payload."""
-    from koszulmf.koszul import free_koszul
-
     _expect(isinstance(raw, dict), "witness must be a JSON object")
     _expect(raw.get("schema") == WITNESS_SCHEMA,
             f"unknown witness schema {raw.get('schema')!r}")
+    _fields(raw, "witness", _WITNESS_KEYS)
     memo = {}
     ring, potential = _parse_ring_and_potential(raw, memo)
 
     def module_at(payload, where):
-        return parse_module_payload(ring, potential, payload, where, memo)
+        return parse_module_payload(
+            ring, potential, _fields(payload, where, _MODULE_KEYS), where,
+            memo)
 
     start = module_at(raw.get("start"), "start")
     end = module_at(raw.get("end"), "end")
@@ -634,30 +674,34 @@ def parse_witness(raw):
         orientation = sp.get("orientation")
         _expect(orientation in ("forward", "backward"),
                 f"{where}: bad orientation {orientation!r}")
+        _expect(isinstance(kind, str) and kind in _STEP_KEYS,
+                f"{where}: unknown kind {kind!r}")
+        _fields(sp, where, _STEP_KEYS[kind])
         if kind == "cone_off_free":
-            gens = parse_complex_payload(ring, sp.get("generators"),
-                                         f"{where}.generators", memo)
+            gwhere = f"{where}.generators"
+            gens = parse_complex_payload(
+                ring, _fields(sp.get("generators"), gwhere, _COMPLEX_KEYS),
+                gwhere, memo)
             _check_size(sum(gens.ranks.values()) << len(potential),
-                        f"{where}.generators (free module)")
+                        f"{gwhere} (free module)")
             target = module_at(sp.get("target"), f"{where}.target")
-            psi = _parse_koszul_morphism(ring, free_koszul(gens, potential),
-                                         target, sp.get("components"), where,
-                                         memo)
-            steps.append(WitnessStep(kind, orientation, morphism=psi,
-                                     generators=gens))
+            ranks = free_ranks(gens, len(potential))
+            comps = _parse_degree_matrices(
+                ring, sp.get("components"), target.rank,
+                lambda u: ranks.get(u, 0), 0, f"{where}.components", memo)
+            steps.append(WitnessStep(kind, orientation, generators=gens,
+                                     target=target, components=comps))
         elif kind == "explicit_quasi_iso":
             source = module_at(sp.get("source"), f"{where}.source")
             target = module_at(sp.get("target"), f"{where}.target")
             g = _parse_koszul_morphism(ring, source, target,
                                        sp.get("components"), where, memo)
             steps.append(WitnessStep(kind, orientation, morphism=g))
-        elif kind == "shift_by_two":
+        else:
             offset = sp.get("offset")
             _expect(isinstance(offset, int) and offset % 2 == 0,
                     f"{where}: offset must be an even integer")
             steps.append(WitnessStep(kind, orientation, offset=offset))
-        else:
-            raise DocumentError(f"{where}: unknown kind {kind!r}")
 
     points = _parse_points(ring, raw.get("points"))
     return WitnessLog(start, end, steps), points

@@ -15,8 +15,9 @@ underlying free module.  That order reproduces the classical block shapes
 from itertools import combinations
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
-                                cone_chain, embed_matrix, homology_dims_at,
-                                kron, shift_complex, validate_chain_map,
+                                component_shape_report, cone_chain,
+                                embed_matrix, homology_dims_at, kron,
+                                shift_complex, validate_chain_map,
                                 validate_complex)
 from koszulmf.ring import Poly, embed, merge_rings
 
@@ -148,6 +149,12 @@ def fk_layout(e, n, u):
     return out
 
 
+def free_ranks(e, n):
+    """{u: rank} of the free module on the complex e for n potentials."""
+    return {u: sum(r for (_, _, _, r) in fk_layout(e, n, u))
+            for u in range(e.lo - n, e.hi + 1)}
+
+
 def _insert_sign(S, i):
     """Sign of wedging e_i onto e_S from the left, None if i in S."""
     if i in S:
@@ -167,7 +174,7 @@ def free_koszul(e, potential):
         raise ValueError("potential must be nonempty")
     lo, hi = e.lo - n, e.hi
     layouts = {u: fk_layout(e, n, u) for u in range(lo - 1, hi + 2)}
-    ranks = {u: sum(r for (_, _, _, r) in layouts[u]) for u in range(lo, hi + 1)}
+    ranks = free_ranks(e, n)
 
     def idx(layout):
         return {(k, S): pos for pos, (k, S, _, _) in enumerate(layout)}
@@ -243,20 +250,13 @@ class KoszulMorphism(ChainMap):
 
 
 def validate_koszul_morphism(g):
-    report = []
-    src, tgt = g.source, g.target
-    for m, comp in g.components.items():
-        want = (tgt.rank(m), src.rank(m))
-        if (comp.rows, comp.cols) != want:
-            report.append(f"degree {m}: component is {comp.rows}x{comp.cols}, "
-                          f"want {want[0]}x{want[1]}")
+    report = component_shape_report(g)
     if report:
         return report
-    report.extend(validate_chain_map(g))
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
+    report = validate_chain_map(g)
+    src, tgt = g.source, g.target
     for i in range(src.n):
-        for m in range(lo, hi + 1):
+        for m in range(g.lo, g.hi + 1):
             lhs = tgt.hop(i, m) * g.component(m)
             rhs = g.component(m - 1) * src.hop(i, m)
             if lhs != rhs:
@@ -276,17 +276,22 @@ def compose_koszul_morphisms(b, a):
 
 
 def counit_map(m):
-    """The canonical map from the free module on the underlying complex.
+    """The canonical map from the free module on the underlying complex."""
+    return KoszulMorphism(free_koszul(m.underlying, m.potential), m,
+                          counit_components(m))
+
+
+def counit_components(m):
+    """Components of the counit of m, degree by degree.
 
     On a wedge coordinate x ⊗ e_{i1..ik} it applies the contraction
     operators in order, innermost last: h_{i1} ∘ ... ∘ h_{ik} (x); on the
     exterior-degree-0 part it is the identity.
     """
-    free = free_koszul(m.underlying, m.potential)
     e = m.underlying
     n = m.n
     comps = {}
-    for u in range(free.lo, free.hi + 1):
+    for u in range(e.lo - n, e.hi + 1):
         layout = fk_layout(e, n, u)
         grid = [[None] * len(layout)]
         for col, (k, S, edeg, r) in enumerate(layout):
@@ -301,7 +306,7 @@ def counit_map(m):
                             if prod is None else prod)
         comps[u] = PolyMatrix.block(m.ring, grid, [e.rank(u)],
                                     [r for (_, _, _, r) in layout])
-    return KoszulMorphism(free, m, comps)
+    return comps
 
 
 def cone_koszul(g):

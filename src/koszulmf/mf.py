@@ -160,10 +160,10 @@ def mf_tensor(a, b):
 # folding
 # ---------------------------------------------------------------------------
 
-def _fold_layout(m):
-    """Even and odd degree lists, ascending."""
-    evens = [deg for deg in range(m.lo, m.hi + 1) if deg % 2 == 0]
-    odds = [deg for deg in range(m.lo, m.hi + 1) if deg % 2 != 0]
+def _fold_layout(lo, hi):
+    """Even and odd degree lists of the window [lo, hi], ascending."""
+    evens = [deg for deg in range(lo, hi + 1) if deg % 2 == 0]
+    odds = [deg for deg in range(lo, hi + 1) if deg % 2 != 0]
     return evens, odds
 
 
@@ -175,7 +175,7 @@ def orlov_fold(m):
     """
     if m.n != 1:
         raise ValueError("folding needs a single potential entry")
-    evens, odds = _fold_layout(m)
+    evens, odds = _fold_layout(m.lo, m.hi)
     ring = m.ring
 
     def assemble(srcs, tgts):
@@ -216,10 +216,7 @@ def fold_morphism(g):
     src, tgt = g.source, g.target
     if src.n != 1:
         raise ValueError("folding needs a single potential entry")
-    lo = min(src.lo, tgt.lo)
-    hi = max(src.hi, tgt.hi)
-    evens = [deg for deg in range(lo, hi + 1) if deg % 2 == 0]
-    odds = [deg for deg in range(lo, hi + 1) if deg % 2 != 0]
+    evens, odds = _fold_layout(g.lo, g.hi)
     ring = src.ring
 
     def assemble(degs):

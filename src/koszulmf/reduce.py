@@ -12,10 +12,11 @@ re-checkable from its serialized payload:
   shift_by_two      degree shift by an even offset; matrices unchanged.
 
 A log composes strictly: applying each step to its input must reproduce the
-recorded chain, with exact matrix equality at every joint.  Splitting a free
-summand off a cone needs a basis permutation first (the free block sits in
-mid coordinates); that permutation is emitted as its own explicit_quasi_iso
-step rather than silently rebasing.
+recorded chain, with exact matrix equality at every joint.  A step holds
+what its payload stores; a cone_off_free step builds its free source from
+its generators when it is made, and nothing builds it again.  Splitting a
+free summand off a cone needs a basis permutation first (the free block
+sits in mid coordinates); that permutation is its own iso step.
 
 The steps come from one reduction move, `_reduce_top(x, lo, hi, top)`: the
 cone on the counit of x, then splitting off the free module on degrees
@@ -25,9 +26,10 @@ fold's two-degree round is `(lo, lo + 1, hi - 1)` followed by splitting off
 each middle degree, and the fold's parity jump on [t-1, t] is
 `(t - 1, t - 1, t)`.  Every module it builds from another by picking
 coordinates (permuted, remainder, padded or trimmed) goes through
-`_reindex`; a padded or trimmed window is its own iso step.  The
-move refuses a module whose counit cone passes MAX_TOTAL_RANK, the size a
-witness log is read with, so every emitted log is one that is read back.
+`_reindex`, and a permutation, a padded or a trimmed window is an iso step
+made by `_reindex_step`.  The move refuses a module whose counit cone
+passes MAX_TOTAL_RANK, the size a witness log is read with, so every
+emitted log is one that is read back.
 
 Builders construct their steps without re-checking them: `validate_log` is
 the one checker, and every emitted log is replayed through it once before
@@ -41,9 +43,10 @@ and the fold transport against `orlov_fold`.
 from koszulmf.complexes import (MAX_TOTAL_RANK, FreeComplex, PolyMatrix,
                                 embed_matrix)
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
-                             cone_koszul, counit_map, fk_layout, free_koszul,
-                             shift_koszul, validate_koszul_morphism)
-from koszulmf.mf import MFMorphism, orlov_fold
+                             cone_koszul, counit_components, fk_layout,
+                             free_koszul, free_ranks, shift_koszul,
+                             validate_koszul_morphism)
+from koszulmf.mf import MFMorphism, _fold_layout, orlov_fold
 from koszulmf.ring import Poly, embed, evaluate, polynomial_ring
 
 
@@ -57,14 +60,28 @@ class AmplitudeMinimalError(ValueError):
 
 
 class WitnessStep:
+    """One move of a witness log, holding what its payload stores.
+
+    A cone_off_free step is made from its `generators`, `target` and
+    `components`; its `morphism` from the free module on the generators is
+    built here and nowhere else, emitted or read, so that its source cannot
+    disagree with the generators.  An explicit_quasi_iso step holds its
+    `morphism`, a shift_by_two step its `offset`."""
+
     __slots__ = ("kind", "orientation", "morphism", "generators", "offset")
 
     def __init__(self, kind, orientation, morphism=None, generators=None,
-                 offset=None):
+                 offset=None, target=None, components=None):
         if kind not in ("cone_off_free", "explicit_quasi_iso", "shift_by_two"):
             raise ValueError(f"unknown step kind {kind!r}")
         if orientation not in ("forward", "backward"):
             raise ValueError(f"unknown orientation {orientation!r}")
+        if kind == "cone_off_free":
+            if morphism is not None:
+                raise ValueError("a cone_off_free step builds its morphism "
+                                 "from generators, target and components")
+            morphism = KoszulMorphism(
+                free_koszul(generators, target.potential), target, components)
         self.kind = kind
         self.orientation = orientation
         self.morphism = morphism
@@ -91,10 +108,6 @@ def apply_step(step, current):
     """Apply a step to a module, checking the strict part of its contract."""
     if step.kind == "cone_off_free":
         psi = step.morphism
-        free = free_koszul(step.generators, current.potential)
-        if free != psi.source:
-            raise WitnessError("stored source is not the free module on the "
-                               "stored generators")
         rep = validate_koszul_morphism(psi)
         if rep:
             raise WitnessError(f"cone-off morphism invalid: {rep[0]}")
@@ -189,24 +202,24 @@ def _sub_complex(x, lo, hi):
     return FreeComplex(x.ring, lo, hi, ranks, diffs)
 
 
-def _permute_module(x, orders):
-    """Conjugate by degreewise basis permutations.
-
-    orders[s] lists old indices in their new order.  Returns the permuted
-    module and the permutation matrices (as the morphism components x -> x').
-    Conjugating by permutations only reindexes a matrix, so the permuted
-    module is x reindexed in the new orders.
+def _reindex_step(x, idx, lo, hi):
+    """(step, module): x reindexed by `_reindex`, and the forward iso step
+    whose component at s picks the coordinates idx(s) of x.  Serves a basis
+    permutation (idx(s) lists x's coordinates in their new order) and a
+    window that differs from x's own by zero-rank degrees only (idx None
+    keeps every coordinate): the fold's pad and amplitude reduction's trim.
     """
+    if idx is None:
+        idx = lambda s: range(x.rank(s))
+    moved = _reindex(x, idx, lo, hi)
     one = Poly.one(x.ring)
-
-    def order(s):
-        return orders.get(s, range(x.rank(s)))
-
-    mats = {s: PolyMatrix(x.ring, x.rank(s), x.rank(s),
-                          trusted={new: {old: one}
-                                   for new, old in enumerate(order(s))})
-            for s in range(x.lo, x.hi + 1)}
-    return _reindex(x, order, x.lo, x.hi), mats
+    comps = {s: PolyMatrix(x.ring, len(idx(s)), x.rank(s),
+                           trusted={new: {old: one}
+                                    for new, old in enumerate(idx(s))})
+             for s in range(lo, hi + 1)}
+    step = WitnessStep("explicit_quasi_iso", "forward",
+                       morphism=KoszulMorphism(x, moved, comps))
+    return step, moved
 
 
 def _split_off_free(x, slots, e, lo, hi):
@@ -218,30 +231,25 @@ def _split_off_free(x, slots, e, lo, hi):
               if tag[0] == "fk" and lo <= tag[3] <= hi}
     np_ = {}
     orders = {}
-    nontrivial = False
     for s in range(x.lo, x.hi + 1):
         pc = _positions(slots[s], p_tags)
         in_p = set(pc)
         rest = [i for i in range(x.rank(s)) if i not in in_p]
         np_[s] = len(pc)
         orders[s] = pc + rest
-        if orders[s] != list(range(x.rank(s))):
-            nontrivial = True
 
     steps = []
-    if nontrivial:
-        xp, mats = _permute_module(x, orders)
-        steps.append(WitnessStep("explicit_quasi_iso", "forward",
-                                 morphism=KoszulMorphism(x, xp, mats)))
-    else:
-        xp = x
+    xp = x
+    if any(order != list(range(x.rank(s))) for s, order in orders.items()):
+        step, xp = _reindex_step(x, lambda s: orders.get(s, ()), x.lo, x.hi)
+        steps.append(step)
 
     gens = _sub_complex(e, lo, hi)
-    free = free_koszul(gens, x.potential)
+    free = free_ranks(gens, x.n)
     for s in range(x.lo, x.hi + 1):
-        if np_[s] != free.rank(s + 1):
+        if np_[s] != free.get(s + 1, 0):
             raise WitnessError(f"free part at degree {s} has {np_[s]} "
-                               f"coordinates, expected {free.rank(s + 1)}")
+                               f"coordinates, expected {free.get(s + 1, 0)}")
 
     v_degrees = [s for s in range(x.lo, x.hi + 1) if x.rank(s) > np_[s]]
     if not v_degrees:
@@ -253,10 +261,9 @@ def _split_off_free(x, slots, e, lo, hi):
 
     remainder = _reindex(xp, vpart, v_lo, v_hi)
     comps = {u: xp.diff(u - 1).submatrix(vpart(u), range(np_[u - 1]))
-             for u in range(max(free.lo, xp.lo + 1), free.hi + 1)}
-    psi = KoszulMorphism(free, remainder, comps)
-    steps.append(WitnessStep("cone_off_free", "backward", morphism=psi,
-                             generators=gens))
+             for u in range(max(gens.lo - x.n, xp.lo + 1), gens.hi + 1)}
+    steps.append(WitnessStep("cone_off_free", "backward", generators=gens,
+                             target=remainder, components=comps))
 
     new_slots = {s: [(tag, size) for (tag, size) in slots[s]
                      if tag not in p_tags]
@@ -315,18 +322,6 @@ def _graph_truncate(x, slots, mid_tag, det_tag):
     return step, truncated, new_slots
 
 
-def _rewindow(x, lo, hi):
-    """x on the window [lo, hi], which differs from x's own by zero-rank
-    degrees only: the identity on every degree, as an iso step.  Pads the
-    fold's window one degree down and trims an amplitude reduction's."""
-    moved = _reindex(x, lambda s: range(x.rank(s)), lo, hi)
-    comps = {s: PolyMatrix.identity(x.ring, x.rank(s))
-             for s in range(max(lo, x.lo), min(hi, x.hi) + 1)}
-    step = WitnessStep("explicit_quasi_iso", "forward",
-                       morphism=KoszulMorphism(x, moved, comps))
-    return step, moved
-
-
 def _reduce_top(x, lo, hi, top):
     """The one reduction move, shared by amplitude reduction, the fold round
     and the parity jump.
@@ -341,17 +336,17 @@ def _reduce_top(x, lo, hi, top):
     if size > MAX_TOTAL_RANK:
         raise ValueError(f"reduction needs a cone of total rank {size}, "
                          f"past {MAX_TOTAL_RANK}")
-    phi = counit_map(x)
-    cone_step = WitnessStep("cone_off_free", "forward", morphism=phi,
-                            generators=x.underlying)
+    cone_step = WitnessStep("cone_off_free", "forward",
+                            generators=x.underlying, target=x,
+                            components=counit_components(x))
     slots = {}
     for s in range(x.lo - x.n - 1, x.hi + 1):
         row = [(("fk", k, S, edeg), r)
                for (k, S, edeg, r) in fk_layout(x.underlying, x.n, s + 1)]
         row.append((("e", s), x.rank(s)))
         slots[s] = row
-    split, rem, slots = _split_off_free(cone_koszul(phi), slots,
-                                        x.underlying, lo, hi)
+    split, rem, slots = _split_off_free(cone_koszul(cone_step.morphism),
+                                        slots, x.underlying, lo, hi)
     graph_step, out, slots = _graph_truncate(rem, slots, ("fk", 0, (), top),
                                              ("e", top))
     return [cone_step, *split, graph_step], out, slots
@@ -390,7 +385,8 @@ def amplitude_reduce(m):
         steps.extend(log.steps)
         trimmed = current.trim()
         if trimmed is not current:
-            step, current = _rewindow(current, trimmed.lo, trimmed.hi)
+            step, current = _reindex_step(current, None, trimmed.lo,
+                                          trimmed.hi)
             steps.append(step)
     return current, WitnessLog(m, current, steps)
 
@@ -452,20 +448,18 @@ def fold_with_witness(m, points=None):
               for s in range(m0.lo, m0.hi + 1)}
     steps = []
 
-    while current.amplitude > 2:
-        if current.amplitude == 3:
-            step, current = _rewindow(current, current.lo - 1, current.hi)
+    while current.amplitude != 2:
+        if current.amplitude in (1, 3):
+            # amplitude 1 or 3 gets a zero degree below: 2, or 4 for a round
+            step, current = _reindex_step(current, None, current.lo - 1,
+                                          current.hi)
             steps.append(step)
             labels[current.lo] = []
-        round_steps, nxt = _round(current)
-        steps.extend(round_steps)
-        labels = _round_labels(labels, current.lo, current.hi)
-        current = nxt
-
-    if current.amplitude == 1:
-        step, current = _rewindow(current, current.lo - 1, current.hi)
-        steps.append(step)
-        labels[current.lo] = []
+        if current.amplitude > 2:
+            round_steps, nxt = _round(current)
+            steps.extend(round_steps)
+            labels = _round_labels(labels, current.lo, current.hi)
+            current = nxt
 
     if current.hi % 2 != 0:
         # parity jump: [t-1, t] becomes [t-2, t-1], structure maps exchanged
@@ -494,10 +488,8 @@ def fold_with_witness(m, points=None):
 def _check_fold_transport(m0, direct, end, labels):
     """The fold of the end module must be a permutation of the direct fold."""
     folded = orlov_fold(end)
-    evens = [(s, i) for s in range(m0.lo, m0.hi + 1) if s % 2 == 0
-             for i in range(m0.rank(s))]
-    odds = [(s, i) for s in range(m0.lo, m0.hi + 1) if s % 2 != 0
-            for i in range(m0.rank(s))]
+    evens, odds = ([(s, i) for s in degs for i in range(m0.rank(s))]
+                   for degs in _fold_layout(m0.lo, m0.hi))
     wit_evens = list(labels.get(0, []))
     wit_odds = list(labels.get(-1, []))
     if sorted(wit_evens) != sorted(evens) or sorted(wit_odds) != sorted(odds):
@@ -559,9 +551,12 @@ def eisenbud_operator(m, k):
         raise ValueError("operators need at least two potentials")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be between 1 and {n - 1}")
-    reduced = codim_reduce_chart(m)
-    mf = orlov_fold(reduced)
-    t = Poly.var(reduced.ring, f"t{k}")
-    return MFMorphism(mf, mf,
-                      PolyMatrix.scalar(reduced.ring, mf.r0, t),
-                      PolyMatrix.scalar(reduced.ring, mf.r1, t))
+    return chart_operator(orlov_fold(codim_reduce_chart(m)), k)
+
+
+def chart_operator(mf, k):
+    """The chart coordinate t_k acting on a factorization over a chart ring
+    (the fold of a `codim_reduce_chart` result)."""
+    t = Poly.var(mf.ring, f"t{k}")
+    return MFMorphism(mf, mf, PolyMatrix.scalar(mf.ring, mf.r0, t),
+                      PolyMatrix.scalar(mf.ring, mf.r1, t))

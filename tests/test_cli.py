@@ -428,14 +428,18 @@ def _bump(mat):
 
 
 def _fault_in_permutation(monkeypatch):
-    real = reduce._permute_module
+    real = reduce._reindex_step
 
-    def faulty(x, orders):
-        permuted, mats = real(x, orders)
-        s = min(s for s, mat in mats.items() if mat.rows)
-        return permuted, {**mats, s: _bump(mats[s])}
+    def faulty(x, idx, lo, hi):
+        step, moved = real(x, idx, lo, hi)
+        g = step.morphism
+        s = min(s for s, mat in g.components.items() if mat.rows)
+        bumped = KoszulMorphism(g.source, g.target,
+                                {**g.components, s: _bump(g.component(s))})
+        return (reduce.WitnessStep(step.kind, step.orientation,
+                                   morphism=bumped), moved)
 
-    monkeypatch.setattr(reduce, "_permute_module", faulty)
+    monkeypatch.setattr(reduce, "_reindex_step", faulty)
 
 
 def _fault_in_graph(monkeypatch):
@@ -564,6 +568,21 @@ def test_eisenbud_three_potentials_commute(capsys, tmp_path):
     assert "commute_1_2=ok" in lines
 
 
+def test_eisenbud_builds_the_chart_module_once(capsys, tmp_path,
+                                                monkeypatch):
+    # every operator acts on the command's own folded chart module
+    calls = []
+    real = reduce.codim_reduce_chart
+    for owner in (cli, reduce):
+        monkeypatch.setattr(owner, "codim_reduce_chart",
+                            lambda m: calls.append(m) or real(m))
+    ipath = tmp_path / "in.json"
+    _write_module_doc(ipath, corpus.by_name("fk_xyz").module)
+    code, lines = run(capsys, ["eisenbud", "--input", str(ipath)])
+    assert code == 0 and "operators=2" in lines
+    assert len(calls) == 1
+
+
 def test_eisenbud_needs_two_potentials(capsys):
     code, lines = run(capsys, ["eisenbud", "--input", M3])
     assert code == 3
@@ -600,10 +619,12 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, lines = run(capsys, ["validate", "--input", A1, "--seed", "7"])
-    assert code == 0
-    assert lines == ["a1=valid", "status=ok"]
+def test_seed_flag_is_refused(capsys):
+    # no subcommand reads a seed, so the option is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--input", A1, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_carries_no_state(capsys):
@@ -804,6 +825,18 @@ def test_witness_shapes_exit_2(capsys, tmp_path, edit, where):
     line = _expect_parse_error(capsys, ["witness-check", "--witness",
                                         str(wpath)])
     assert line.endswith(where)
+
+
+def test_witness_unknown_key_exit_2(capsys, tmp_path):
+    w = _emitted_witness(capsys, tmp_path)
+    step = w["steps"].index(_step(w, "cone_off_free"))
+    w["steps"][step]["generators"]["h"] = []
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert line == (f"error=parse steps[{step}].generators: unknown key "
+                    "'h'")
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,7 @@ def _cases():
         # validate
         ("validate_a1", ["validate", "--input", i + "a1.json"]),
         ("validate_m3", ["validate", "--input", i + "m3.json"]),
-        ("validate_kuv", ["validate", "--input", i + "kuv.json", "--seed",
-                          "7"]),
+        ("validate_kuv", ["validate", "--input", i + "kuv.json"]),
         ("validate_kmor", ["validate", "--input", i + "kmor.json"]),
         ("validate_mfmor", ["validate", "--input", i + "mfmor.json"]),
         ("validate_complex", ["validate", "--input", i + "complex.json"]),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,67 @@ def test_unknown_object_type():
     raw["objects"]["m3"]["type"] = "widget"
     with pytest.raises(docs.DocumentError, match="unknown type"):
         docs.parse_document(raw)
+
+
+def test_ring_with_unknown_key_is_refused():
+    # a base field given under a key the reader does not know used to be
+    # dropped, leaving a ring over Q
+    raw = _m3_payload()
+    raw["ring"] = {"kind": "polynomial", "vars": ["x", "y"],
+                   "base": {"kind": "prime_field", "p": 32003}}
+    with pytest.raises(docs.DocumentError,
+                       match=r"^ring: unknown key 'base'$"):
+        docs.parse_document(raw)
+
+
+def test_object_and_top_level_unknown_keys_are_refused():
+    raw = _m3_payload()
+    raw["objects"]["m3"]["hh"] = []
+    with pytest.raises(docs.DocumentError,
+                       match=r"^objects\.m3: unknown key 'hh'$"):
+        docs.parse_document(raw)
+    raw = _m3_payload()
+    raw["object"] = {}
+    with pytest.raises(docs.DocumentError,
+                       match=r"^document: unknown key 'object'$"):
+        docs.parse_document(raw)
+
+
+def test_witness_reads_as_a_document_without_objects():
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    payload = json.loads(docs.dumps(docs.witness_payload(log)))
+    assert docs.parse_document(payload).objects == {}
+    payload["objects"] = {}
+    with pytest.raises(docs.DocumentError,
+                       match=r"^document: unknown key 'objects'$"):
+        docs.parse_document(payload)
+
+
+@pytest.mark.parametrize("path,where", [
+    ((), "witness"),
+    (("start",), "start"),
+    (("end",), "end"),
+    (("steps", 1), "steps[1]"),
+    (("steps", 1, "generators"), "steps[1].generators"),
+    (("steps", 1, "target"), "steps[1].target"),
+    (("steps", 2, "source"), "steps[2].source"),
+    (("steps", 5), "steps[5]"),
+])
+def test_witness_unknown_keys_are_refused(path, where):
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    payload = json.loads(docs.dumps(docs.witness_payload(log)))
+    assert [s["kind"] for s in payload["steps"]][1:3] == [
+        "cone_off_free", "explicit_quasi_iso"]
+    obj = payload
+    for key in path:
+        obj = obj[key]
+    obj["morphism"] = {}
+    with pytest.raises(docs.DocumentError,
+                       match=f"^{re.escape(where)}: unknown key "
+                             "'morphism'$"):
+        docs.parse_witness(payload)
 
 
 def test_morphism_with_unknown_source():

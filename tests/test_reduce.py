@@ -9,7 +9,8 @@ import corpus
 import genmod
 from koszulmf import documents as docs
 from koszulmf.complexes import FreeComplex, PolyMatrix
-from koszulmf.koszul import (KoszulMorphism, free_koszul, shift_koszul,
+from koszulmf.koszul import (KoszulMorphism, cone_koszul, counit_components,
+                             counit_map, free_koszul, shift_koszul,
                              validate_koszul)
 from koszulmf.mf import (compose_mf_morphisms, orlov_fold, residue_homology,
                          validate_mf_morphism)
@@ -143,6 +144,40 @@ def test_witness_step_rejects_unknown_kind():
         WitnessStep("mystery", "forward")
     with pytest.raises(ValueError):
         WitnessStep("shift_by_two", "sideways")
+
+
+def test_cone_step_builds_its_own_source():
+    m = corpus.by_name("m3").module
+    step = WitnessStep("cone_off_free", "forward", generators=m.underlying,
+                       target=m, components=counit_components(m))
+    counit = counit_map(m)
+    assert step.morphism.source == counit.source
+    assert step.morphism.components == counit.components
+    assert apply_step(step, m) == cone_koszul(step.morphism)
+    with pytest.raises(ValueError, match="builds its morphism"):
+        WitnessStep("cone_off_free", "forward", morphism=counit_map(m),
+                    generators=m.underlying)
+
+
+def test_changed_generator_entry_is_refused_at_its_step():
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    # the cone steps whose generators have a nonzero differential
+    cone_steps = [i for i, s in enumerate(log.steps)
+                  if s.kind == "cone_off_free"
+                  and any(d.nz for d in s.generators.diffs.values())]
+    assert cone_steps
+    for i in cone_steps:
+        def corrupt(payload):
+            d = payload["steps"][i]["generators"]["d"]
+            row = next(row for mat in d.values() for row in mat
+                       if row.count("0") < len(row))
+            col = next(c for c, text in enumerate(row) if text != "0")
+            row[col] = f"{row[col]} + x"
+
+        tampered, _ = _reparse(log, corrupt)
+        report = validate_log(tampered, entry.points)
+        assert report and report[0].startswith(f"step {i} (cone_off_free): ")
 
 
 def test_tampered_matrix_entry_is_caught():

@@ -1,10 +1,15 @@
 """The benchmark's tracing layer against the package: every function it
-wraps exists, and its kernel layer sees every product of term dicts."""
+wraps exists, its kernel layer sees every product of term dicts, and it
+counts one free module per cone_off_free step."""
 
 import importlib
 import importlib.util
 import os
 
+import corpus
+from koszulmf import cli
+from koszulmf.documents import witness_payload, write_json
+from koszulmf.reduce import amplitude_reduce, fold_with_witness
 from koszulmf.ring import Poly, parse_poly, polynomial_ring, rationals
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -47,3 +52,39 @@ def test_kernel_layer_sees_poly_and_parser_products():
     assert metrics["kernel.term_products"][0] == 2 * 2 + 3 * 2 + 4 * 1
     assert metrics["kernel.terms_add.calls"][0] >= 1
     assert q == parse_poly("x^4 + x^3 - x^2 - x", QX)
+
+
+def _cone_steps(log):
+    return sum(1 for step in log.steps if step.kind == "cone_off_free")
+
+
+def _free_koszul_calls(run):
+    """(free_koszul calls made while run() runs, its result)."""
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        result = run()
+    finally:
+        tracer.uninstall()
+    return tracer.metrics()["koszul.free_koszul.calls"][0], result
+
+
+def test_one_free_module_per_cone_step(tmp_path, capsys):
+    # the free source of a cone_off_free step is built when the step is
+    # made, emitted or read, and nowhere else: not by the builder beside
+    # the step, nor by the replay
+    m3 = corpus.by_name("m3")
+    calls, (_, log) = _free_koszul_calls(
+        lambda: fold_with_witness(m3.module, m3.points))
+    assert calls == _cone_steps(log) == 2
+
+    fk_xy = corpus.by_name("fk_xy").module
+    calls, (_, log) = _free_koszul_calls(lambda: amplitude_reduce(fk_xy))
+    assert calls == _cone_steps(log) == 4
+
+    wpath = str(tmp_path / "w.json")
+    write_json(wpath, witness_payload(log))
+    calls, code = _free_koszul_calls(
+        lambda: cli.main(["witness-check", "--witness", wpath]))
+    assert code == 0 and capsys.readouterr().out.endswith("status=ok\n")
+    assert calls == _cone_steps(log)
