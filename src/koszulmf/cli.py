@@ -7,7 +7,8 @@ Output is byte-identical across runs for fixed input and flags.
 
 Subcommands validate what they read and build through `_require_valid`
 and raise; `main` alone turns an exception into its report lines and exit
-code.
+code, and prints status=ok once a subcommand returns.  Each subcommand
+accepts only the options it reads (`_OPTIONS`).
 """
 
 import argparse
@@ -37,6 +38,33 @@ class Invalid(Exception):
     report lines, then status=failed, and exits 1."""
 
 
+# The commands that write a witness log and take the points it records.
+_WITNESSED = ("fold", "reduce-amplitude", "reduce-codim")
+_POINTED = (*_WITNESSED, "residue-homology", "witness-check")
+
+# Each option: its argparse keywords and the commands that read it.  A
+# command accepts no other option.
+_OPTIONS = {
+    "--input": (dict(metavar="PATH", help="input document (JSON)"),
+                None),         # every command
+    "--output": (dict(metavar="PATH",
+                      help="write the resulting object as a document"),
+                 (*_WITNESSED, "unfold", "cone", "shift", "tensor",
+                  "eisenbud")),
+    "--witness": (dict(metavar="PATH",
+                       help="witness log file (write, or read for "
+                            "witness-check)"),
+                  (*_WITNESSED, "witness-check")),
+    "--points": (dict(metavar="NAME[,NAME...]",
+                      help="named points from the document"), _POINTED),
+    "--point": (dict(action="append", default=[], metavar='"x=0,y=1"',
+                     help="inline point (repeatable)"), _POINTED),
+    "--then": (dict(choices=["fold"],
+                    help="pipe the reduced module into fold"),
+               ("reduce-codim",)),
+}
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on first use and reused by every later
@@ -47,39 +75,11 @@ def _parser():
                     "matrix factorizations, with machine-checkable "
                     "witness logs.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-    names = {
-        "validate": "check every object in a document",
-        "fold": "fold the document's Koszul module into a matrix "
-                "factorization, with a witness log",
-        "unfold": "turn the document's matrix factorization into a "
-                  "two-term Koszul module",
-        "cone": "mapping cone of the document's morphism",
-        "shift": "shift of the document's matrix factorization",
-        "tensor": "tensor product of the document's two matrix "
-                  "factorizations",
-        "reduce-amplitude": "reduce the Koszul module to minimal amplitude",
-        "reduce-codim": "combine the potentials into one over the chart ring",
-        "residue-homology": "residue homology of the matrix factorization "
-                            "at the supplied points",
-        "witness-check": "re-validate an emitted witness log",
-        "eisenbud": "degree-two operators of the reduced factorization",
-    }
-    for name, help_ in names.items():
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--input", metavar="PATH",
-                       help="input document (JSON)")
-        p.add_argument("--output", metavar="PATH",
-                       help="write the resulting object as a document")
-        p.add_argument("--witness", metavar="PATH",
-                       help="witness log file (write, or read for "
-                            "witness-check)")
-        p.add_argument("--points", metavar="NAME[,NAME...]",
-                       help="named points from the document")
-        p.add_argument("--point", action="append", default=[],
-                       metavar='"x=0,y=1"', help="inline point (repeatable)")
-        if name == "reduce-codim":
-            p.add_argument("--then", choices=["fold"],
-                           help="pipe the reduced module into fold")
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for flag, (kwargs, readers) in _OPTIONS.items():
+            if readers is None or name in readers:
+                p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -221,6 +221,7 @@ def _fold_and_report(args, name, m, points, header=(), list_steps=False):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
+    """check every object in a document"""
     doc = _load(args)
     ok = True
     for name, obj in doc.objects.items():
@@ -229,11 +230,11 @@ def cmd_validate(args):
         ok = ok and not problems
     if not ok:
         raise Invalid()
-    print("status=ok")
-    return 0
 
 
 def cmd_fold(args):
+    """fold the document's Koszul module into a matrix factorization, with a
+    witness log"""
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     if m.n != 1:
@@ -241,11 +242,11 @@ def cmd_fold(args):
     _require_valid(name, m)
     _fold_and_report(args, name, m, _resolve_points(doc, doc.ring, args),
                      header=[f"object={name}"], list_steps=True)
-    print("status=ok")
-    return 0
 
 
 def cmd_unfold(args):
+    """turn the document's matrix factorization into a two-term Koszul
+    module"""
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
     _require_valid(name, mf)
@@ -253,11 +254,10 @@ def cmd_unfold(args):
     print(f"object={name}")
     _print_shape(m)
     _write_output(args, {f"{name}_unfolded": m}, doc.points)
-    print("status=ok")
-    return 0
 
 
 def cmd_cone(args):
+    """mapping cone of the document's morphism"""
     doc = _load(args)
     name, g = _the_object(doc, (KoszulMorphism, MFMorphism), "morphism")
     _require_valid(name, g)
@@ -266,22 +266,20 @@ def cmd_cone(args):
     print(f"object={name}")
     _print_shape(cone)
     _write_output(args, {f"{name}_cone": cone}, doc.points)
-    print("status=ok")
-    return 0
 
 
 def cmd_shift(args):
+    """shift of the document's matrix factorization"""
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
     shifted = mf_shift(_require_valid(name, mf))
     print(f"object={name}")
     _print_shape(shifted)
     _write_output(args, {f"{name}_shifted": shifted}, doc.points)
-    print("status=ok")
-    return 0
 
 
 def cmd_tensor(args):
+    """tensor product of the document's two matrix factorizations"""
     doc = _load(args)
     found = [(n, o) for n, o in doc.objects.items() if isinstance(o, MFObject)]
     if len(found) != 2:
@@ -298,11 +296,10 @@ def cmd_tensor(args):
     print(f"f={product.potential}")
     _print_shape(product)
     _write_output(args, {f"{name_a}_{name_b}_tensor": product}, doc.points)
-    print("status=ok")
-    return 0
 
 
 def cmd_reduce_amplitude(args):
+    """reduce the Koszul module to minimal amplitude"""
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     _require_valid(name, m)
@@ -321,11 +318,10 @@ def cmd_reduce_amplitude(args):
     _print_shape(reduced)
     _write_witness(args, log, points)
     _write_output(args, {f"{name}_reduced": reduced}, points)
-    print("status=ok")
-    return 0
 
 
 def cmd_reduce_codim(args):
+    """combine the potentials into one over the chart ring"""
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     reduced = codim_reduce_chart(_require_valid(name, m))
@@ -351,11 +347,11 @@ def cmd_reduce_codim(args):
             raise Precondition("reduce-codim emits a witness only with "
                                "--then fold")
         _write_output(args, {f"{name}_reduced": reduced}, points)
-    print("status=ok")
-    return 0
 
 
 def cmd_residue_homology(args):
+    """residue homology of the matrix factorization at the supplied
+    points"""
     doc = _load(args)
     name, mf = _the_object(doc, MFObject, "mf")
     _require_valid(name, mf)
@@ -366,11 +362,10 @@ def cmd_residue_homology(args):
                            "lie on the hypersurface")
     print(f"object={name}")
     _print_residue_homology(mf, points)
-    print("status=ok")
-    return 0
 
 
 def cmd_witness_check(args):
+    """re-validate an emitted witness log"""
     if not args.witness:
         raise Precondition("witness-check needs --witness PATH")
     log, points = docs.load_witness(args.witness)
@@ -393,11 +388,10 @@ def cmd_witness_check(args):
     _print_steps(log)
     print(f"start_degrees={log.start.lo}..{log.start.hi}")
     print(f"end_degrees={log.end.lo}..{log.end.hi}")
-    print("status=ok")
-    return 0
 
 
 def cmd_eisenbud(args):
+    """degree-two operators of the reduced factorization"""
     doc = _load(args)
     name, m = _the_object(doc, KoszulModule, "koszul_module")
     if m.n < 2:
@@ -425,8 +419,6 @@ def cmd_eisenbud(args):
     _write_output(args, objects)
     if not ok:
         raise Invalid()
-    print("status=ok")
-    return 0
 
 
 _HANDLERS = {
@@ -447,7 +439,7 @@ _HANDLERS = {
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        _HANDLERS[args.command](args)
     except Invalid as e:
         for line in e.args:
             print(line)
@@ -465,6 +457,8 @@ def main(argv=None):
     except ValueError as e:
         print(f"error=precondition {e}")
         return 3
+    print("status=ok")
+    return 0
 
 
 if __name__ == "__main__":

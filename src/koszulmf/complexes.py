@@ -489,12 +489,9 @@ class FreeComplex:
         for m, r in self.ranks.items():
             if r < 0:
                 raise ValueError(f"negative rank at degree {m}")
-        self.diffs = {}
-        for m in range(lo, hi):
-            d = diffs.get(m)
-            if d is None:
-                d = PolyMatrix.zero(ring, self.ranks[m + 1], self.ranks[m])
-            self.diffs[m] = d
+        # `diff` reads the given dict; its zero fills the window
+        self.diffs = diffs
+        self.diffs = {m: self.diff(m) for m in range(lo, hi)}
 
     def rank(self, m):
         return self.ranks.get(m, 0)
@@ -522,6 +519,10 @@ class FreeComplex:
             hi -= 1
         if (lo, hi) == (self.lo, self.hi):
             return self
+        return self.window(lo, hi)
+
+    def window(self, lo, hi):
+        """The complex restricted to (or zero-extended to) degrees lo..hi."""
         return FreeComplex(self.ring, lo, hi,
                            {m: self.rank(m) for m in range(lo, hi + 1)},
                            {m: self.diff(m) for m in range(lo, hi)})
@@ -548,16 +549,19 @@ def validate_complex(c):
     return report
 
 
+def shift_sign(mat, k):
+    """`mat` with the sign (-1)^k of a degree shift by k."""
+    return -mat if k % 2 else mat
+
+
 def shift_complex(c, k):
     """Degree shift: the result at degree m is c at degree m+k, and every
     differential picks up the sign (-1)^k."""
-    sign = 1 if k % 2 == 0 else -1
-    ranks = {m: c.rank(m + k) for m in range(c.lo - k, c.hi - k + 1)}
-    diffs = {}
-    for m in range(c.lo - k, c.hi - k):
-        d = c.diff(m + k)
-        diffs[m] = d if sign == 1 else -d
-    return FreeComplex(c.ring, c.lo - k, c.hi - k, ranks, diffs)
+    lo, hi = c.lo - k, c.hi - k
+    return FreeComplex(c.ring, lo, hi,
+                       {m: c.rank(m + k) for m in range(lo, hi + 1)},
+                       {m: shift_sign(c.diff(m + k), k)
+                        for m in range(lo, hi)})
 
 
 class ChainMap:
@@ -575,12 +579,10 @@ class ChainMap:
         self.target = target
         self.lo = min(source.lo, target.lo)
         self.hi = max(source.hi, target.hi)
-        self.components = {}
-        for m in range(self.lo, self.hi + 1):
-            g = components.get(m)
-            if g is None:
-                g = PolyMatrix.zero(source.ring, target.rank(m), source.rank(m))
-            self.components[m] = g
+        # `component` reads the given dict; its zero fills the window
+        self.components = components
+        self.components = {m: self.component(m)
+                           for m in range(self.lo, self.hi + 1)}
 
     def component(self, m):
         g = self.components.get(m)

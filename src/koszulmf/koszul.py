@@ -12,13 +12,14 @@ underlying free module.  That order reproduces the classical block shapes
 (for n=1: [[-d, 0], [f, d]] with the wedge part first).
 """
 
+from functools import partial
 from itertools import combinations
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
                                 component_shape_report, cone_chain,
                                 embed_matrix, homology_dims_at, kron,
-                                shift_complex, validate_chain_map,
-                                validate_complex)
+                                shift_complex, shift_sign,
+                                validate_chain_map, validate_complex)
 from koszulmf.ring import Poly, embed, merge_rings
 
 
@@ -39,16 +40,10 @@ class KoszulModule:
         self.ring = ring
         self.potential = potential
         self.underlying = underlying
-        self.h = []
-        for hi in h:
-            fam = {}
-            for m in range(underlying.lo, underlying.hi + 1):
-                g = hi.get(m)
-                if g is None:
-                    g = PolyMatrix.zero(ring, underlying.rank(m - 1),
-                                        underlying.rank(m))
-                fam[m] = g
-            self.h.append(fam)
+        # `hop` reads the given families; its zero fills the window
+        self.h = h
+        self.h = [{m: self.hop(i, m) for m in underlying.degrees()}
+                  for i in range(len(h))]
 
     @property
     def n(self):
@@ -88,10 +83,7 @@ class KoszulModule:
         u = self.underlying.trim()
         if u is self.underlying:
             return self
-        return KoszulModule(
-            self.ring, self.potential, u,
-            [{m: self.hop(i, m) for m in range(u.lo, u.hi + 1)}
-             for i in range(self.n)])
+        return KoszulModule(self.ring, self.potential, u, self.h)
 
     def __repr__(self):
         return (f"KoszulModule(n={self.n}, "
@@ -155,18 +147,14 @@ def free_ranks(e, n):
             for u in range(e.lo - n, e.hi + 1)}
 
 
-def _insert_sign(S, i):
-    """Sign of wedging e_i onto e_S from the left, None if i in S."""
-    if i in S:
-        return None
-    return -1 if sum(1 for x in S if x < i) % 2 else 1
-
-
 def free_koszul(e, potential):
     """The free Koszul module on a complex for the given potential.
 
     The differential twists by the exterior degree and contracts against the
-    potential; h_i is wedging with the i-th generator.
+    potential; h_i is wedging with the i-th generator.  Both are built by
+    one block assembler: a map of degree `step` (+1 for d, -1 for each h_i)
+    places, for each nonzero wedge block (k, S) of its source, the blocks
+    its rule yields at the wedge coordinates of the target.
     """
     ring = e.ring
     n = len(potential)
@@ -174,61 +162,46 @@ def free_koszul(e, potential):
         raise ValueError("potential must be nonempty")
     lo, hi = e.lo - n, e.hi
     layouts = {u: fk_layout(e, n, u) for u in range(lo - 1, hi + 2)}
-    ranks = free_ranks(e, n)
 
-    def idx(layout):
-        return {(k, S): pos for pos, (k, S, _, _) in enumerate(layout)}
+    def assemble(u, step, blocks):
+        src, tgt = layouts[u], layouts[u + step]
+        tpos = {(k, S): pos for pos, (k, S, _, _) in enumerate(tgt)}
+        grid = [[None] * len(src) for _ in tgt]
+        for col, (k, S, edeg, r) in enumerate(src):
+            if r:
+                for key, blk in blocks(k, S, edeg, r):
+                    grid[tpos[key]][col] = blk
+        return PolyMatrix.block(ring, grid, [r for (_, _, _, r) in tgt],
+                                [r for (_, _, _, r) in src])
 
     # the signed blocks are negated once here and shared by every slot
     neg_diff = {m: -e.diff(m) for m in e.degrees()}
     neg_potential = [-f for f in potential]
-    diffs = {}
-    for u in range(lo, hi):
-        src, tgt = layouts[u], layouts[u + 1]
-        tpos = idx(tgt)
-        grid = [[None] * len(src) for _ in tgt]
-        for col, (k, S, edeg, r) in enumerate(src):
-            if r == 0:
-                continue
-            # (-1)^k d on the same wedge coordinates
-            row = tpos[(k, S)]
-            grid[row][col] = e.diff(edeg) if k % 2 == 0 else neg_diff[edeg]
-            # contraction against the potential
-            for j, i_j in enumerate(S):
-                rest = tuple(x for x in S if x != i_j)
-                row = tpos[(k - 1, rest)]
-                f = potential[i_j] if j % 2 == 0 else neg_potential[i_j]
-                blk = PolyMatrix.scalar(ring, r, f)
-                grid[row][col] = blk if grid[row][col] is None else grid[row][col] + blk
-        diffs[u] = PolyMatrix.block(ring, grid,
-                                    [r for (_, _, _, r) in tgt],
-                                    [r for (_, _, _, r) in src])
 
-    one = Poly.one(ring)
-    minus_one = -one
-    h = []
-    for i in range(n):
-        fam = {}
-        for u in range(lo, hi + 1):
-            src, tgt = layouts[u], layouts[u - 1]
-            tpos = idx(tgt)
-            grid = [[None] * len(src) for _ in tgt]
-            for col, (k, S, edeg, r) in enumerate(src):
-                if r == 0 or k == n:
-                    continue
-                sign = _insert_sign(S, i)
-                if sign is None:
-                    continue
-                wedged = tuple(sorted(S + (i,)))
-                row = tpos[(k + 1, wedged)]
-                grid[row][col] = PolyMatrix.scalar(
-                    ring, r, one if sign > 0 else minus_one)
-            fam[u] = PolyMatrix.block(ring, grid,
-                                      [r for (_, _, _, r) in tgt],
-                                      [r for (_, _, _, r) in src])
-        h.append(fam)
+    def d_blocks(k, S, edeg, r):
+        # (-1)^k d on the same wedge coordinates, then the contraction
+        # against the potential; the keys (k, S) and (k-1, S minus i_j)
+        # never collide
+        yield (k, S), e.diff(edeg) if k % 2 == 0 else neg_diff[edeg]
+        for j, i_j in enumerate(S):
+            f = potential[i_j] if j % 2 == 0 else neg_potential[i_j]
+            yield (k - 1, S[:j] + S[j + 1:]), PolyMatrix.scalar(ring, r, f)
 
-    underlying = FreeComplex(ring, lo, hi, ranks, diffs)
+    units = (Poly.one(ring), -Poly.one(ring))
+
+    def wedge_blocks(i, k, S, edeg, r):
+        # wedging e_i onto e_S from the left, with the sign of moving it
+        # past the indices of S below i
+        if i not in S:
+            below = sum(1 for x in S if x < i)
+            yield ((k + 1, tuple(sorted(S + (i,)))),
+                   PolyMatrix.scalar(ring, r, units[below % 2]))
+
+    diffs = {u: assemble(u, 1, d_blocks) for u in range(lo, hi)}
+    h = [{u: assemble(u, -1, partial(wedge_blocks, i))
+          for u in range(lo, hi + 1)}
+         for i in range(n)]
+    underlying = FreeComplex(ring, lo, hi, free_ranks(e, n), diffs)
     return KoszulModule(ring, potential, underlying, h)
 
 
@@ -314,32 +287,21 @@ def cone_koszul(g):
     src, tgt = g.source, g.target
     ring = src.ring
     underlying = cone_chain(g)
-    h = []
-    for i in range(src.n):
-        fam = {}
-        for m in range(underlying.lo, underlying.hi + 1):
-            fam[m] = PolyMatrix.block(
-                ring,
-                [[-src.hop(i, m + 1), None],
-                 [None, tgt.hop(i, m)]],
-                [src.rank(m), tgt.rank(m - 1)],
-                [src.rank(m + 1), tgt.rank(m)])
-        h.append(fam)
+    h = [{m: PolyMatrix.block(ring,
+                              [[-src.hop(i, m + 1), None],
+                               [None, tgt.hop(i, m)]],
+                              [src.rank(m), tgt.rank(m - 1)],
+                              [src.rank(m + 1), tgt.rank(m)])
+          for m in underlying.degrees()}
+         for i in range(src.n)]
     return KoszulModule(ring, src.potential, underlying, h)
 
 
 def shift_koszul(m, k):
     """Degree shift by k: matrices pick up (-1)^k, degrees drop by k."""
-    u = m.underlying
-    shifted = shift_complex(u, k)
-    sign = 1 if k % 2 == 0 else -1
-    h = []
-    for i in range(m.n):
-        fam = {}
-        for deg in range(shifted.lo, shifted.hi + 1):
-            g = m.hop(i, deg + k)
-            fam[deg] = g if sign == 1 else -g
-        h.append(fam)
+    shifted = shift_complex(m.underlying, k)
+    h = [{deg: shift_sign(m.hop(i, deg + k), k) for deg in shifted.degrees()}
+         for i in range(m.n)]
     return KoszulModule(m.ring, m.potential, shifted, h)
 
 
@@ -352,7 +314,8 @@ def box_tensor(a, b):
 
     Degrees add; the potential is the sum of the promoted potentials entry
     by entry; the second factor's differential and contractions acquire the
-    sign of the first factor's degree.
+    sign of the first factor's degree.  One map builder, `tensor_map`,
+    makes d (degree +1) and each h_i (degree -1) from the factors' maps.
     """
     if a.n != b.n:
         raise ValueError("tensor factors must have the same potential length")
@@ -363,55 +326,36 @@ def box_tensor(a, b):
 
     lo, hi = a.lo + b.lo, a.hi + b.hi
     # summands (p, q) with p+q = m, ascending in p; Kronecker a-major inside
-    def layout(m):
-        out = []
-        for p in range(a.lo, a.hi + 1):
-            q = m - p
-            if b.lo <= q <= b.hi:
-                out.append((p, q, a.rank(p) * b.rank(q)))
-        return out
+    layouts = {m: [(p, m - p, a.rank(p) * b.rank(m - p))
+                   for p in range(a.lo, a.hi + 1) if b.lo <= m - p <= b.hi]
+               for m in range(lo - 1, hi + 2)}
 
-    ranks = {m: sum(r for (_, _, r) in layout(m)) for m in range(lo, hi + 1)}
-    diffs = {}
-    hfams = [dict() for _ in range(a.n)]
-    for m in range(lo, hi + 1):
-        src = layout(m)
-        if m < hi:
-            tgt = layout(m + 1)
-            tpos = {(p, q): i for i, (p, q, _) in enumerate(tgt)}
-            grid = [[None] * len(src) for _ in tgt]
-            for col, (p, q, r) in enumerate(src):
-                if r == 0:
-                    continue
-                if (p + 1, q) in tpos:
-                    blk = kron(embed_matrix(a.diff(p), merged),
-                               PolyMatrix.identity(merged, b.rank(q)))
-                    grid[tpos[(p + 1, q)]][col] = blk
-                if (p, q + 1) in tpos:
-                    blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                               embed_matrix(b.diff(q), merged, off_b))
-                    grid[tpos[(p, q + 1)]][col] = blk if p % 2 == 0 else -blk
-            diffs[m] = PolyMatrix.block(merged, grid,
-                                        [r for (_, _, r) in tgt],
-                                        [r for (_, _, r) in src])
-        tgt = layout(m - 1)
+    def tensor_map(fa, fb, step, m):
+        # fa ⊗ 1 + (-1)^p 1 ⊗ fb, for maps fa of a and fb of b of degree
+        # `step`
+        src, tgt = layouts[m], layouts[m + step]
         tpos = {(p, q): i for i, (p, q, _) in enumerate(tgt)}
-        for i in range(a.n):
-            grid = [[None] * len(src) for _ in tgt]
-            for col, (p, q, r) in enumerate(src):
-                if r == 0:
-                    continue
-                if (p - 1, q) in tpos:
-                    blk = kron(embed_matrix(a.hop(i, p), merged),
-                               PolyMatrix.identity(merged, b.rank(q)))
-                    grid[tpos[(p - 1, q)]][col] = blk
-                if (p, q - 1) in tpos:
-                    blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                               embed_matrix(b.hop(i, q), merged, off_b))
-                    grid[tpos[(p, q - 1)]][col] = blk if p % 2 == 0 else -blk
-            hfams[i][m] = PolyMatrix.block(merged, grid,
-                                           [r for (_, _, r) in tgt],
-                                           [r for (_, _, r) in src])
+        grid = [[None] * len(src) for _ in tgt]
+        for col, (p, q, r) in enumerate(src):
+            if r == 0:
+                continue
+            row = tpos.get((p + step, q))
+            if row is not None:
+                grid[row][col] = kron(embed_matrix(fa(p), merged),
+                                      PolyMatrix.identity(merged, b.rank(q)))
+            row = tpos.get((p, q + step))
+            if row is not None:
+                blk = kron(PolyMatrix.identity(merged, a.rank(p)),
+                           embed_matrix(fb(q), merged, off_b))
+                grid[row][col] = blk if p % 2 == 0 else -blk
+        return PolyMatrix.block(merged, grid, [r for (_, _, r) in tgt],
+                                [r for (_, _, r) in src])
+
+    ranks = {m: sum(r for (_, _, r) in layouts[m]) for m in range(lo, hi + 1)}
+    diffs = {m: tensor_map(a.diff, b.diff, 1, m) for m in range(lo, hi)}
+    hfams = [{m: tensor_map(partial(a.hop, i), partial(b.hop, i), -1, m)
+              for m in range(lo, hi + 1)}
+             for i in range(a.n)]
     underlying = FreeComplex(merged, lo, hi, ranks, diffs)
     return KoszulModule(merged, potential, underlying, hfams)
 

@@ -179,17 +179,8 @@ def orlov_fold(m):
     ring = m.ring
 
     def assemble(srcs, tgts):
-        grid = []
-        for v in tgts:
-            row = []
-            for u in srcs:
-                if v == u + 1:
-                    row.append(m.diff(u))
-                elif v == u - 1:
-                    row.append(m.hop(0, u))
-                else:
-                    row.append(None)
-            grid.append(row)
+        grid = [[m.diff(u) if v == u + 1 else m.hop(0, u) if v == u - 1
+                 else None for u in srcs] for v in tgts]
         return PolyMatrix.block(ring, grid,
                                 [m.rank(v) for v in tgts],
                                 [m.rank(u) for u in srcs])
@@ -220,9 +211,8 @@ def fold_morphism(g):
     ring = src.ring
 
     def assemble(degs):
-        grid = []
-        for v in degs:
-            grid.append([g.component(u) if u == v else None for u in degs])
+        grid = [[g.component(u) if u == v else None for u in degs]
+                for v in degs]
         return PolyMatrix.block(ring, grid,
                                 [tgt.rank(v) for v in degs],
                                 [src.rank(u) for u in degs])

@@ -166,7 +166,9 @@ def validate_log(log, points=None):
 # A "slot table" maps each degree of a module under construction to an
 # ordered list of (tag, size) coordinate blocks.  Tags name where a block
 # came from: ("fk", k, S, edeg) for a wedge block of the counit cone,
-# ("e", edeg) for a block of the original module.
+# ("e", edeg) for a block of the original module.  Either way the block is
+# a copy of degree tag[-1] of the move's input, which is where the fold's
+# coordinate labels come from (`_relabel`).
 
 def _positions(slotrow, want):
     """Column indices covered by the tags in `want` (a set), in order."""
@@ -194,12 +196,6 @@ def _reindex(x, idx, lo, hi):
               for s in range(lo, hi + 1)}
              for i in range(x.n)]
     return _module_from(x.ring, x.potential, lo, hi, ranks, diffs, hfams)
-
-
-def _sub_complex(x, lo, hi):
-    ranks = {s: x.rank(s) for s in range(lo, hi + 1)}
-    diffs = {s: x.diff(s) for s in range(lo, hi)}
-    return FreeComplex(x.ring, lo, hi, ranks, diffs)
 
 
 def _reindex_step(x, idx, lo, hi):
@@ -244,7 +240,7 @@ def _split_off_free(x, slots, e, lo, hi):
         step, xp = _reindex_step(x, lambda s: orders.get(s, ()), x.lo, x.hi)
         steps.append(step)
 
-    gens = _sub_complex(e, lo, hi)
+    gens = e.window(lo, hi)
     free = free_ranks(gens, x.n)
     for s in range(x.lo, x.hi + 1):
         if np_[s] != free.get(s + 1, 0):
@@ -401,20 +397,23 @@ def _round(x):
 
     One reduction move splits off the bottom two degrees and truncates at
     hi-2; then the free module on each middle degree is split off, bottom
-    up."""
+    up.  Returns (steps, module, slots)."""
     lo, hi = x.lo, x.hi
     steps, rem, slots = _reduce_top(x, lo, lo + 1, hi - 1)
     for c in range(lo + 2, hi - 1):
         split, rem, slots = _split_off_free(rem, slots, x.underlying, c, c)
         steps.extend(split)
-    return steps, rem
+    return steps, rem, slots
 
 
-def _round_labels(labels, lo, hi):
-    out = {s: list(labels[s]) for s in range(lo, hi - 3)}
-    out[hi - 3] = list(labels[hi - 1]) + list(labels[hi - 3])
-    out[hi - 2] = list(labels[hi]) + list(labels[hi - 2])
-    return out
+def _relabel(labels, slots):
+    """Labels of the coordinates of a module built by reduction moves from
+    one whose coordinates carry `labels` (degree -> list): a block of the
+    slot table is a copy of degree tag[-1] of the moves' input, so it
+    carries that degree's labels.  Empty blocks, which may copy a degree
+    outside the input's window, carry none."""
+    return {s: [lab for tag, size in row if size for lab in labels[tag[-1]]]
+            for s, row in slots.items()}
 
 
 def default_points(ring, potential):
@@ -433,8 +432,10 @@ def fold_with_witness(m, points=None):
     The log carries the module from its trimmed input down to a two-term
     module in degrees [-1, 0]; the fold of that end module is checked,
     entry by entry, against orlov_fold of the input under the summand
-    permutation accumulated along the way.  Any mismatch is an internal
-    error — the witness must transport the fold exactly.
+    permutation accumulated along the way.  Each coordinate is labelled
+    (degree, index) of the input; after a round or the parity jump the
+    labels are read off the move's slot table (`_relabel`).  Any mismatch
+    is an internal error — the witness must transport the fold exactly.
     """
     if m.n != 1:
         raise ValueError("witnessed folding needs a single potential entry")
@@ -454,19 +455,17 @@ def fold_with_witness(m, points=None):
             step, current = _reindex_step(current, None, current.lo - 1,
                                           current.hi)
             steps.append(step)
-            labels[current.lo] = []
         if current.amplitude > 2:
-            round_steps, nxt = _round(current)
+            round_steps, current, slots = _round(current)
             steps.extend(round_steps)
-            labels = _round_labels(labels, current.lo, current.hi)
-            current = nxt
+            labels = _relabel(labels, slots)
 
     if current.hi % 2 != 0:
         # parity jump: [t-1, t] becomes [t-2, t-1], structure maps exchanged
         t = current.hi
-        jump_steps, current, _ = _reduce_top(current, t - 1, t - 1, t)
+        jump_steps, current, slots = _reduce_top(current, t - 1, t - 1, t)
         steps.extend(jump_steps)
-        labels = {t - 2: list(labels[t]), t - 1: list(labels[t - 1])}
+        labels = _relabel(labels, slots)
 
     if current.hi != 0:
         offset = current.hi

@@ -592,16 +592,36 @@ def point_values(ring, point):
     return [normalize_scalar(ring, point[v]) for v in names]
 
 
+def _power_too_long(v, e):
+    """Whether v^e over Q surely has a numerator or denominator of more
+    than MAX_COEFF_DIGITS digits, decided from e and the bit lengths of v:
+    |n|^e >= 2^((bits - 1) * e).  v in {0, 1, -1} never does."""
+    if type(v) is not int:
+        return (_power_too_long(v.numerator, e)
+                or _power_too_long(v.denominator, e))
+    return (v.bit_length() - 1) * e >= _COEFF_LIMIT_BITS
+
+
 def evaluate_at(poly, vals):
-    """Evaluate at coordinates already normalized by `point_values`."""
+    """Evaluate at coordinates already normalized by `point_values`.
+
+    Over Q a power v^e whose value would pass the coefficient budget is
+    refused with a ValueError before it is computed."""
     p = poly.ring.char
     total = 0
     for exps, c in poly.terms.items():
         for v, e in zip(vals, exps):
-            if e:
+            if not e:
+                continue
+            if p:
                 # mod p the power is reduced as it is built: x^(10^7) at a
                 # point is a few dozen products, not a ten-million-bit int
-                c = c * pow(v, e, p) % p if p else c * v ** e
+                c = c * pow(v, e, p) % p
+            elif e > 1 and v and _power_too_long(v, e):
+                raise ValueError(f"the power ({v})^{e} at a point would "
+                                 f"pass {MAX_COEFF_DIGITS} digits")
+            else:
+                c = c * v ** e
         total = (total + c) % p if p else total + c
     if type(total) is Fraction and total.denominator == 1:
         total = total.numerator

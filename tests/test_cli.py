@@ -627,6 +627,83 @@ def test_seed_flag_is_refused(capsys):
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
+# the options each command reads; every other option is a usage error
+_READS = {
+    "validate": {"--input"},
+    **{cmd: {"--input", "--output"}
+       for cmd in ("unfold", "cone", "shift", "tensor", "eisenbud")},
+    **{cmd: {"--input", "--output", "--witness", "--points", "--point"}
+       for cmd in ("fold", "reduce-amplitude")},
+    "reduce-codim": {"--input", "--output", "--witness", "--points",
+                     "--point", "--then"},
+    "residue-homology": {"--input", "--points", "--point"},
+    "witness-check": {"--witness", "--input", "--points", "--point"},
+}
+_VALUES = {"--input": "in.json", "--output": "out.json",
+           "--witness": "w.json", "--points": "origin", "--point": "x=0",
+           "--then": "fold"}
+
+
+def test_each_command_accepts_only_the_options_it_reads(capsys):
+    assert set(_READS) == set(cli._HANDLERS)
+    assert sum(map(len, _READS.values())) == 34
+    for cmd, reads in _READS.items():
+        for opt, val in _VALUES.items():
+            argv = [cmd, opt, val]
+            if opt in reads:
+                args = cli._parser().parse_args(argv)
+                assert getattr(args, opt[2:]) in (val, [val])
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {opt} {val}" in (
+                capsys.readouterr().err)
+
+
+def test_unread_options_no_longer_pass_silently(capsys, tmp_path):
+    # eisenbud writes no witness and residue-homology no document, so the
+    # options are refused instead of being ignored with status=ok
+    for argv in (["eisenbud", "--input", KUV,
+                  "--witness", str(tmp_path / "w.json")],
+                 ["residue-homology", "--input", A1,
+                  "--output", str(tmp_path / "y.json")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())
+
+
+def test_status_ok_is_printed_once_after_the_handler(capsys):
+    for argv in (["validate", "--input", A1], ["fold", "--input", M3],
+                 ["eisenbud", "--input", KUV]):
+        code, lines = run(capsys, argv)
+        assert code == 0 and lines.count("status=ok") == 1
+        assert lines[-1] == "status=ok"
+    code, lines = run(capsys, ["fold", "--input", KUV])
+    assert code == 3 and "status=ok" not in lines
+
+
+def test_evaluation_past_the_coefficient_budget_exit_3(capsys, tmp_path):
+    # evaluating x^10000000 at x=3 would build a 4.8-million-digit value
+    doc = tmp_path / "pow.json"
+    doc.write_text(json.dumps({
+        "ring": {"kind": "polynomial", "vars": ["x", "y"]},
+        "potential": ["x^10000000*y"],
+        "objects": {"a": {"type": "mf", "f": "x^10000000*y", "r0": 1,
+                          "r1": 1, "phi0": [["x^10000000"]],
+                          "phi1": [["y"]]}}}))
+    code, lines = run(capsys, ["residue-homology", "--input", str(doc),
+                               "--point", "x=3,y=0"])
+    assert (code, lines[-1]) == (3, "error=precondition the power "
+                                    "(3)^10000000 at a point would pass "
+                                    "1000 digits")
+    code, lines = run(capsys, ["residue-homology", "--input", str(doc),
+                               "--point", "x=1,y=0"])
+    assert (code, lines[-1]) == (0, "status=ok")
+
+
 def test_parser_is_built_once_and_carries_no_state(capsys):
     assert cli._parser() is cli._parser()
     args = cli._parser().parse_args(["fold", "--input", M3, "--points",

@@ -364,6 +364,32 @@ def test_evaluate_mod_p_reduces_large_powers():
     assert evaluate(p, {"x": 0, "y": 1}) == 0
 
 
+def test_evaluate_over_q_refuses_powers_past_the_coefficient_budget():
+    e = 10 ** 7
+    p = parse_poly(f"x^{e}*y", QXY)
+    with pytest.raises(ValueError, match=r"the power \(3\)\^10000000 at a "
+                                         r"point would pass 1000 digits"):
+        evaluate(p, {"x": 3, "y": 0})
+    with pytest.raises(ValueError, match=r"\(1/2\)\^10000000"):
+        evaluate(p, {"x": Fraction(1, 2), "y": 1})
+
+    # refused before the power is computed
+    class NoPower(int):
+        def __pow__(self, e):
+            raise AssertionError("the power was computed")
+
+    with pytest.raises(ValueError):
+        evaluate_at(p, [NoPower(3), 0])
+    # 0, 1 and -1 are never refused, whatever the exponent
+    assert evaluate(p, {"x": 1, "y": 2}) == 2
+    assert evaluate(p, {"x": -1, "y": 2}) == 2
+    assert evaluate(p, {"x": 0, "y": 2}) == 0
+    # 2^3321 has 1000 digits, 2^3322 has 1001
+    assert evaluate(parse_poly("x^3321", QXY), {"x": 2, "y": 0}) == 2 ** 3321
+    with pytest.raises(ValueError):
+        evaluate(parse_poly("x^3322", QXY), {"x": 2, "y": 0})
+
+
 def test_evaluate_requires_all_vars():
     p = parse_poly("x + y", QXY)
     with pytest.raises(ValueError):
