@@ -8,7 +8,8 @@ Output is byte-identical across runs for fixed input and flags.
 Subcommands validate what they read and build through `_require_valid`
 and raise; `main` alone turns an exception into its report lines and exit
 code, and prints status=ok once a subcommand returns.  Each subcommand
-accepts only the options it reads (`_OPTIONS`).
+accepts only the options it reads (`_OPTIONS`); its own parser refuses
+any other, so the usage line names the options it does read.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from koszulmf.reduce import (WitnessError, amplitude_reduce, chart_operator,
 from koszulmf.ring import evaluate, normalize_scalar
 
 
-class Precondition(Exception):
+class Precondition(ValueError):
     """A subcommand was invoked on a document it cannot apply to."""
 
 
@@ -80,6 +81,7 @@ def _parser():
         for flag, (kwargs, readers) in _OPTIONS.items():
             if readers is None or name in readers:
                 p.add_argument(flag, **kwargs)
+    ap.commands = sub.choices       # name -> the command's own parser
     return ap
 
 
@@ -113,12 +115,14 @@ def _load(args):
     return docs.load_document(args.input)
 
 
-def _the_object(doc, want, typename):
+def _read_one(args, want, typename):
+    """(document, name, object): the --input document and its one `want`."""
+    doc = _load(args)
     found = [(n, o) for n, o in doc.objects.items() if isinstance(o, want)]
     if len(found) != 1:
         raise Precondition(f"need exactly one {typename} object in the "
                            f"document, found {len(found)}")
-    return found[0]
+    return (doc, *found[0])
 
 
 def _inline_point(ring, spec):
@@ -198,6 +202,16 @@ def _write_witness(args, log, points):
         docs.write_json(args.witness, docs.witness_payload(log, points))
 
 
+def _transform(args, want, typename, build, suffix):
+    """Check the document's one `typename` object, build from it, check the
+    result and report its shape; --output gets it as `<name>_<suffix>`."""
+    doc, name, obj = _read_one(args, want, typename)
+    out = _require_valid(f"{name}_{suffix}", build(_require_valid(name, obj)))
+    print(f"object={name}")
+    _print_shape(out)
+    _write_output(args, {f"{name}_{suffix}": out}, doc.points)
+
+
 def _fold_and_report(args, name, m, points, header=(), list_steps=False):
     """Fold the valid one-potential module `m` with a witness at `points`
     (default: the origin, if on the locus) and report; `header` lines are
@@ -235,8 +249,7 @@ def cmd_validate(args):
 def cmd_fold(args):
     """fold the document's Koszul module into a matrix factorization, with a
     witness log"""
-    doc = _load(args)
-    name, m = _the_object(doc, KoszulModule, "koszul_module")
+    doc, name, m = _read_one(args, KoszulModule, "koszul_module")
     if m.n != 1:
         raise Precondition("fold needs exactly one potential entry")
     _require_valid(name, m)
@@ -247,35 +260,19 @@ def cmd_fold(args):
 def cmd_unfold(args):
     """turn the document's matrix factorization into a two-term Koszul
     module"""
-    doc = _load(args)
-    name, mf = _the_object(doc, MFObject, "mf")
-    _require_valid(name, mf)
-    m = _require_valid(f"{name}_unfolded", orlov_unfold(mf))
-    print(f"object={name}")
-    _print_shape(m)
-    _write_output(args, {f"{name}_unfolded": m}, doc.points)
+    _transform(args, MFObject, "mf", orlov_unfold, "unfolded")
 
 
 def cmd_cone(args):
     """mapping cone of the document's morphism"""
-    doc = _load(args)
-    name, g = _the_object(doc, (KoszulMorphism, MFMorphism), "morphism")
-    _require_valid(name, g)
-    build = cone_koszul if isinstance(g, KoszulMorphism) else mf_cone
-    cone = _require_valid(f"{name}_cone", build(g))
-    print(f"object={name}")
-    _print_shape(cone)
-    _write_output(args, {f"{name}_cone": cone}, doc.points)
+    _transform(args, (KoszulMorphism, MFMorphism), "morphism",
+               lambda g: (cone_koszul(g) if isinstance(g, KoszulMorphism)
+                          else mf_cone(g)), "cone")
 
 
 def cmd_shift(args):
     """shift of the document's matrix factorization"""
-    doc = _load(args)
-    name, mf = _the_object(doc, MFObject, "mf")
-    shifted = mf_shift(_require_valid(name, mf))
-    print(f"object={name}")
-    _print_shape(shifted)
-    _write_output(args, {f"{name}_shifted": shifted}, doc.points)
+    _transform(args, MFObject, "mf", mf_shift, "shifted")
 
 
 def cmd_tensor(args):
@@ -300,8 +297,7 @@ def cmd_tensor(args):
 
 def cmd_reduce_amplitude(args):
     """reduce the Koszul module to minimal amplitude"""
-    doc = _load(args)
-    name, m = _the_object(doc, KoszulModule, "koszul_module")
+    doc, name, m = _read_one(args, KoszulModule, "koszul_module")
     _require_valid(name, m)
     points = (_resolve_points(doc, doc.ring, args)
               or default_points(m.ring, m.potential))
@@ -322,8 +318,7 @@ def cmd_reduce_amplitude(args):
 
 def cmd_reduce_codim(args):
     """combine the potentials into one over the chart ring"""
-    doc = _load(args)
-    name, m = _the_object(doc, KoszulModule, "koszul_module")
+    doc, name, m = _read_one(args, KoszulModule, "koszul_module")
     reduced = codim_reduce_chart(_require_valid(name, m))
     print(f"object={name}")
     print(f"potentials_in={m.n}")
@@ -352,8 +347,7 @@ def cmd_reduce_codim(args):
 def cmd_residue_homology(args):
     """residue homology of the matrix factorization at the supplied
     points"""
-    doc = _load(args)
-    name, mf = _the_object(doc, MFObject, "mf")
+    doc, name, mf = _read_one(args, MFObject, "mf")
     _require_valid(name, mf)
     points = (_resolve_points(doc, doc.ring, args)
               or default_points(mf.ring, (mf.potential,)))
@@ -383,6 +377,11 @@ def cmd_witness_check(args):
         problems = [f"{which} module: {line}" for which, m in
                     (("start", log.start), ("end", log.end))
                     for line in validate_koszul(m)]
+    if not problems and not points:
+        # a quasi-isomorphism step's only evidence is its cone at a point
+        problems = [f"step {i} ({s.kind}): no point to test its cone at"
+                    for i, s in enumerate(log.steps)
+                    if s.kind == "explicit_quasi_iso"][:1]
     if problems:
         raise Invalid(*(f"check={line}" for line in problems))
     _print_steps(log)
@@ -392,8 +391,7 @@ def cmd_witness_check(args):
 
 def cmd_eisenbud(args):
     """degree-two operators of the reduced factorization"""
-    doc = _load(args)
-    name, m = _the_object(doc, KoszulModule, "koszul_module")
+    _, name, m = _read_one(args, KoszulModule, "koszul_module")
     if m.n < 2:
         raise Precondition("operators need at least two potential entries")
     reduced = codim_reduce_chart(_require_valid(name, m))
@@ -437,7 +435,10 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args, unread = _parser().parse_known_args(argv)
+    if unread:      # refused by the command's parser, whose usage it prints
+        _parser().commands[args.command].error(
+            f"unrecognized arguments: {' '.join(unread)}")
     try:
         _HANDLERS[args.command](args)
     except Invalid as e:
@@ -448,9 +449,6 @@ def main(argv=None):
     except DocumentError as e:
         print(f"error=parse {e}")
         return 2
-    except Precondition as e:
-        print(f"error=precondition {e}")
-        return 3
     except WitnessError as e:
         print(f"error=validation {e}")
         return 1

@@ -15,8 +15,9 @@ A document is a single JSON object:
     }
 
 Matrix entries are polynomial strings (bare integers also accepted).
-Omitted matrices are zero; ranks default to zero inside the window.  A
-window spans at most MAX_DEGREE_SPAN + 1 degrees: every degree of it is
+Omitted matrices and ranks are zero inside the window; a degree outside
+the window of its map (`_parse_degree_matrices`) is malformed.  A window
+spans at most MAX_DEGREE_SPAN + 1 degrees: every degree of it is
 materialized, so a wider one is refused as malformed.  Likewise one object
 has a total rank (r0 + r1 for a factorization) of at most MAX_TOTAL_RANK
 (koszulmf.complexes), and a document is not written with a larger one.
@@ -149,36 +150,19 @@ def parse_ring_payload(payload):
     _expect(isinstance(kind, str) and kind in _RING_KEYS,
             f"unknown ring kind {kind!r}")
     _fields(payload, "ring", _RING_KEYS[kind])
-    if kind == "rationals":
-        return rationals()
-    if kind == "prime_field":
-        p = payload.get("p")
-        _expect(isinstance(p, int), "prime_field needs an integer p")
-        try:
-            return prime_field(p)
-        except ValueError as e:
-            raise DocumentError(str(e))
+    # the base field: F_p when p is given (prime_field needs it), else Q
+    p = payload.get("p")
+    base = rationals()
+    if kind == "prime_field" or p is not None:
+        _expect(isinstance(p, int), "ring: p must be an integer")
+        base = _construct("ring", prime_field, p)
+    if kind != "polynomial":
+        return base
     vars_ = payload.get("vars")
     _expect(isinstance(vars_, list) and vars_
             and all(isinstance(v, str) for v in vars_),
             "polynomial ring needs a nonempty list of variable names")
-    p = payload.get("p")
-    base = rationals()
-    if p is not None:
-        _expect(isinstance(p, int), "p must be an integer")
-        try:
-            base = prime_field(p)
-        except ValueError as e:
-            raise DocumentError(str(e))
-    try:
-        return polynomial_ring(base, tuple(vars_))
-    except ValueError as e:
-        raise DocumentError(str(e))
-
-
-def _is_zero_text(text):
-    # nearly every entry of a real document is zero: skip the tokenizer
-    return text == "0" or (type(text) is int and text == 0)
+    return _construct("ring", polynomial_ring, base, tuple(vars_))
 
 
 def _parse_entry(ring, text, where, memo=None):
@@ -187,7 +171,8 @@ def _parse_entry(ring, text, where, memo=None):
     slot) -> the Poly it parsed to.  Only successful parses are stored, so a
     malformed entry is reported at its first location.  Sharing a Poly
     between entries is safe because polys are never mutated."""
-    if _is_zero_text(text):
+    # nearly every entry of a real document is zero: skip the tokenizer
+    if text == "0" or (type(text) is int and text == 0):
         return Poly.zero(ring)
     if isinstance(text, int):
         text = str(text)
@@ -251,49 +236,46 @@ def _parse_window(payload, where):
 
 
 def _parse_degree_matrices(ring, payload, target_rank, source_rank, shift,
-                           where, memo):
+                           window, where, memo):
     """Degree-keyed matrix map (differentials, contractions, morphism
-    components); at degree m the shape is
-    target_rank(m + shift) x source_rank(m)."""
+    components) on the degrees of `window` = (lo, hi); at degree m the shape
+    is target_rank(m + shift) x source_rank(m)."""
+    lo, hi = window
     out = {}
     for key, val in _mapping(payload, where, "degrees to matrices").items():
         deg = _degree(key, where)
+        _expect(lo <= deg <= hi, f"{where}: degree {deg} outside window")
         out[deg] = _parse_matrix(ring, val, target_rank(deg + shift),
                                  source_rank(deg), f"{where}[{deg}]", memo)
     return out
 
 
-def _parse_koszul_morphism(ring, source, target, components, where, memo):
-    comps = _parse_degree_matrices(ring, components, target.rank, source.rank,
-                                   0, f"{where}.components", memo)
-    return _construct(where, KoszulMorphism, source, target, comps)
+def _parse_components(ring, payload, source_rank, source_window, target,
+                      where, memo):
+    """Morphism components, on the window spanning both ends."""
+    window = (min(source_window[0], target.lo),
+              max(source_window[1], target.hi))
+    return _parse_degree_matrices(ring, payload, target.rank, source_rank, 0,
+                                  window, f"{where}.components", memo)
 
 
 def parse_complex_payload(ring, payload, where, memo=None):
     lo, hi, ranks = _parse_window(payload, where)
-    rank = lambda m: ranks.get(m, 0) if lo <= m <= hi else 0
+    rank = lambda m: ranks.get(m, 0)
     diffs = _parse_degree_matrices(ring, payload.get("d"), rank, rank, 1,
-                                   f"{where}.d", memo)
-    for deg in diffs:
-        _expect(lo <= deg < hi, f"{where}.d: degree {deg} outside window")
+                                   (lo, hi - 1), f"{where}.d", memo)
     return _construct(where, FreeComplex, ring, lo, hi, ranks, diffs)
 
 
 def parse_module_payload(ring, potential, payload, where, memo=None):
     underlying = parse_complex_payload(ring, payload, where, memo)
-    lo, hi = underlying.lo, underlying.hi
     hs = payload.get("h")
     _expect(isinstance(hs, list) and len(hs) == len(potential),
             f"{where}: need {len(potential)} h families")
-    fams = []
-    for i, fam_payload in enumerate(hs):
-        fam = _parse_degree_matrices(ring, fam_payload, underlying.rank,
-                                     underlying.rank, -1, f"{where}.h[{i}]",
-                                     memo)
-        for deg in fam:
-            _expect(lo <= deg <= hi,
-                    f"{where}.h[{i}]: degree {deg} outside window")
-        fams.append(fam)
+    window = (underlying.lo, underlying.hi)
+    fams = [_parse_degree_matrices(ring, fam, underlying.rank, underlying.rank,
+                                   -1, window, f"{where}.h[{i}]", memo)
+            for i, fam in enumerate(hs)]
     return _construct(where, KoszulModule, ring, potential, underlying, fams)
 
 
@@ -420,8 +402,9 @@ def _parse_morphism(ring, payload, objects, where, typ, memo):
                        f"{where}.source")
         tgt = _resolve(objects, payload.get("target"), KoszulModule,
                        f"{where}.target")
-        return _parse_koszul_morphism(ring, src, tgt,
-                                      payload.get("components"), where, memo)
+        comps = _parse_components(ring, payload.get("components"), src.rank,
+                                  (src.lo, src.hi), tgt, where, memo)
+        return _construct(where, KoszulMorphism, src, tgt, comps)
     src = _resolve(objects, payload.get("source"), MFObject, f"{where}.source")
     tgt = _resolve(objects, payload.get("target"), MFObject, f"{where}.target")
     a0 = _parse_matrix(ring, payload.get("alpha0"), tgt.r0, src.r0,
@@ -464,19 +447,24 @@ def _matrix_payload(mat, texts=None):
     return out
 
 
+def _degree_matrices_payload(get, lo, hi, texts=None):
+    """{str(m): matrix get(m)} for each degree m of [lo, hi]: a differential,
+    a contraction family or morphism components."""
+    return {str(m): _matrix_payload(get(m), texts) for m in range(lo, hi + 1)}
+
+
 def complex_payload(c, texts=None):
     return {
         "degrees": [c.lo, c.hi],
         "ranks": {str(m): c.rank(m) for m in range(c.lo, c.hi + 1)},
-        "d": {str(m): _matrix_payload(c.diff(m), texts)
-              for m in range(c.lo, c.hi)},
+        "d": _degree_matrices_payload(c.diff, c.lo, c.hi - 1, texts),
     }
 
 
 def module_payload(m, texts=None):
     out = complex_payload(m.underlying, texts)
-    out["h"] = [{str(deg): _matrix_payload(m.hop(i, deg), texts)
-                 for deg in range(m.lo, m.hi + 1)}
+    out["h"] = [_degree_matrices_payload(lambda deg, i=i: m.hop(i, deg),
+                                         m.lo, m.hi, texts)
                 for i in range(m.n)]
     return out
 
@@ -612,23 +600,19 @@ def write_json(path, payload):
 # witness logs
 # ---------------------------------------------------------------------------
 
-def _morphism_components_payload(g, texts=None):
-    return {str(deg): _matrix_payload(g.component(deg), texts)
-            for deg in range(g.lo, g.hi + 1)}
-
-
 def _step_payload(step, texts):
     out = {"kind": step.kind, "orientation": step.orientation}
+    if step.kind == "shift_by_two":
+        out["offset"] = step.offset
+        return out
+    g = step.morphism
     if step.kind == "cone_off_free":
         out["generators"] = complex_payload(step.generators, texts)
-        out["target"] = module_payload(step.morphism.target, texts)
-        out["components"] = _morphism_components_payload(step.morphism, texts)
-    elif step.kind == "explicit_quasi_iso":
-        out["source"] = module_payload(step.morphism.source, texts)
-        out["target"] = module_payload(step.morphism.target, texts)
-        out["components"] = _morphism_components_payload(step.morphism, texts)
     else:
-        out["offset"] = step.offset
+        out["source"] = module_payload(g.source, texts)
+    out["target"] = module_payload(g.target, texts)
+    out["components"] = _degree_matrices_payload(g.component, g.lo, g.hi,
+                                                 texts)
     return out
 
 
@@ -686,16 +670,18 @@ def parse_witness(raw):
                         f"{gwhere} (free module)")
             target = module_at(sp.get("target"), f"{where}.target")
             ranks = free_ranks(gens, len(potential))
-            comps = _parse_degree_matrices(
-                ring, sp.get("components"), target.rank,
-                lambda u: ranks.get(u, 0), 0, f"{where}.components", memo)
+            comps = _parse_components(
+                ring, sp.get("components"), lambda u: ranks.get(u, 0),
+                (gens.lo - len(potential), gens.hi), target, where, memo)
             steps.append(WitnessStep(kind, orientation, generators=gens,
                                      target=target, components=comps))
         elif kind == "explicit_quasi_iso":
             source = module_at(sp.get("source"), f"{where}.source")
             target = module_at(sp.get("target"), f"{where}.target")
-            g = _parse_koszul_morphism(ring, source, target,
-                                       sp.get("components"), where, memo)
+            comps = _parse_components(ring, sp.get("components"), source.rank,
+                                      (source.lo, source.hi), target, where,
+                                      memo)
+            g = _construct(where, KoszulMorphism, source, target, comps)
             steps.append(WitnessStep(kind, orientation, morphism=g))
         else:
             offset = sp.get("offset")

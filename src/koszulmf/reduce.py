@@ -9,7 +9,8 @@ re-checkable from its serialized payload:
   explicit_quasi_iso  endpoints joined by an explicit morphism that is a
                     strict chain map and h-equivariant; quasi-isomorphism
                     evidence is pointwise (homology of the evaluated cone).
-  shift_by_two      degree shift by an even offset; matrices unchanged.
+  shift_by_two      degree shift by an even offset; matrices unchanged;
+                    backward = shift by minus the offset.
 
 A log composes strictly: applying each step to its input must reproduce the
 recorded chain, with exact matrix equality at every joint.  A step holds
@@ -111,12 +112,11 @@ def apply_step(step, current):
         rep = validate_koszul_morphism(psi)
         if rep:
             raise WitnessError(f"cone-off morphism invalid: {rep[0]}")
-        cone = cone_koszul(psi)
         if step.orientation == "forward":
             if psi.target != current:
                 raise WitnessError("cone-off target does not match the module")
-            return cone
-        if cone != current:
+            return cone_koszul(psi)
+        if cone_koszul(psi) != current:
             raise WitnessError("module is not the cone on the stored morphism")
         return psi.target
     if step.kind == "explicit_quasi_iso":
@@ -131,10 +131,11 @@ def apply_step(step, current):
         if g.target != current:
             raise WitnessError("morphism target does not match the module")
         return g.source
-    # shift_by_two
+    # shift_by_two; backward undoes the offset
     if step.offset % 2 != 0:
         raise WitnessError("shift offset must be even")
-    return shift_koszul(current, step.offset)
+    return shift_koszul(current, step.offset if step.orientation == "forward"
+                        else -step.offset)
 
 
 def validate_log(log, points=None):

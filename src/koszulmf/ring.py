@@ -25,16 +25,33 @@ from operator import add
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
 
+# a characteristic is below 2^64, where Miller-Rabin on the first twelve
+# primes decides primality exactly (it does below 3.18e23: Sorenson and
+# Webster 2015), so no p costs more than a few modular powers
+MAX_CHAR = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -43,6 +60,9 @@ def _check_spec(kind, p, vars, base):
         if p or vars or base is not None:
             raise ValueError("rationals take no parameters")
     elif kind == "prime_field":
+        if p >= MAX_CHAR:
+            raise ValueError(f"prime_field characteristic {p} is not below "
+                             f"2^64")
         if not _is_prime(p):
             raise ValueError(f"prime_field characteristic {p} is not prime")
         if vars or base is not None:

@@ -9,10 +9,10 @@ import pytest
 import corpus
 from koszulmf import cli, reduce
 from koszulmf import documents as docs
-from koszulmf.complexes import PolyMatrix
-from koszulmf.koszul import KoszulMorphism
-from koszulmf.mf import mf_shift, orlov_unfold
-from koszulmf.reduce import fold_with_witness
+from koszulmf.complexes import FreeComplex, PolyMatrix
+from koszulmf.koszul import KoszulMorphism, free_koszul
+from koszulmf.mf import MFObject, mf_shift, orlov_unfold
+from koszulmf.reduce import WitnessLog, WitnessStep, fold_with_witness
 from koszulmf.ring import Poly, parse_poly, polynomial_ring, rationals
 
 A1 = os.path.join(corpus.DATA, "a1.json")
@@ -178,6 +178,72 @@ def test_witness_check_ring_mismatch(capsys, tmp_path):
     assert "ring" in lines[0]
 
 
+def _forged_m3_log(path):
+    """A log taking m3 to the free module on one generator by the zero map:
+    a strict, h-equivariant chain map, but no quasi-isomorphism."""
+    m3 = corpus.by_name("m3").module
+    free = free_koszul(FreeComplex(m3.ring, 0, 0, {0: 1}, {}), m3.potential)
+    step = WitnessStep("explicit_quasi_iso", "forward",
+                       morphism=KoszulMorphism(m3, free, {}))
+    docs.write_json(path, docs.witness_payload(
+        WitnessLog(m3, free, [step]), {}))
+
+
+def test_witness_check_refuses_a_log_without_evidence(capsys, tmp_path):
+    wpath = tmp_path / "forged.json"
+    _forged_m3_log(wpath)
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert (code, lines) == (1, [
+        "steps=1", "points=0",
+        "check=step 0 (explicit_quasi_iso): no point to test its cone at",
+        "status=failed"])
+    # with a point, the cone is tested and the forgery shows
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--point", "x=0,y=0"])
+    assert code == 1
+    assert ("check=step 0 (explicit_quasi_iso): cone homology does not "
+            "vanish at point 0") in lines
+
+
+def test_witness_check_reads_evidence_from_stored_or_given_points(
+        capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    run(capsys, ["fold", "--input", M3, "--witness", str(wpath)])
+    raw = json.loads(wpath.read_text())
+    assert raw["points"]
+    raw["points"] = {}
+    wpath.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert code == 1 and lines[-2].endswith("no point to test its cone at")
+    for extra in (["--point", "x=0,y=0"], ["--input", M3, "--points", "axis"]):
+        code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                                   *extra])
+        assert (code, lines[-1]) == (0, "status=ok"), extra
+
+
+def _shift_step(raw):
+    return next(s for s in raw["steps"] if s["kind"] == "shift_by_two")
+
+
+def test_backward_shift_undoes_its_offset(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    run(capsys, ["fold", "--input", M3, "--witness", str(wpath)])
+    raw = json.loads(wpath.read_text())
+    step = _shift_step(raw)
+    assert (step["orientation"], step["offset"]) == ("forward", -2)
+    step["orientation"] = "backward"
+    wpath.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert (code, lines[-2:]) == (1, [
+        "check=chain result does not equal the recorded end module",
+        "status=failed"])
+    # backward by +2 is the same move as forward by -2
+    step["offset"] = 2
+    wpath.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert code == 0 and "step_5=shift_by_two:backward:ok" in lines
+
+
 def test_fold_rejects_off_locus_point(capsys):
     code, lines = run(capsys, ["fold", "--input", M3, "--point", "x=1,y=1"])
     assert code == 3
@@ -230,6 +296,22 @@ def test_shift_a1(capsys, tmp_path):
     assert docs.load_document(opath).objects["a1_shifted"] == mf_shift(a1)
 
 
+def test_shift_checks_its_result(capsys, tmp_path, monkeypatch):
+    # a shift whose result is not a factorization is refused, not written
+    def broken(mf):
+        out = mf_shift(mf)
+        return MFObject(out.ring, out.potential, out.r0, out.r1,
+                        out.phi0 + out.phi0, out.phi1)
+
+    monkeypatch.setattr(cli, "mf_shift", broken)
+    opath = tmp_path / "out.json"
+    code, lines = run(capsys, ["shift", "--input", A1, "--output",
+                               str(opath)])
+    assert code == 1
+    assert lines[0].startswith("a1_shifted=invalid ")
+    assert lines[-1] == "status=failed" and not opath.exists()
+
+
 def test_cone_of_koszul_morphism(capsys, tmp_path):
     m3 = corpus.by_name("m3").module
     ident = KoszulMorphism(
@@ -239,7 +321,8 @@ def test_cone_of_koszul_morphism(capsys, tmp_path):
         m3.ring, m3.potential,
         {"m3": {"type": "koszul_module", **docs.module_payload(m3)},
          "zid": {"type": "koszul_morphism", "source": "m3", "target": "m3",
-                 "components": docs._morphism_components_payload(ident)}})
+                 "components": docs._degree_matrices_payload(
+                     ident.component, ident.lo, ident.hi)}})
     ipath = tmp_path / "in.json"
     opath = tmp_path / "cone.json"
     docs.write_json(ipath, payload)
@@ -592,6 +675,22 @@ def test_eisenbud_needs_two_potentials(capsys):
 # exit codes and flag plumbing
 # ---------------------------------------------------------------------------
 
+def test_characteristic_budget(capsys, tmp_path):
+    # trial division took seconds on a 17-digit prime; every p below 2^64
+    # is decided by a few modular powers, and a larger one is refused
+    doc = tmp_path / "p.json"
+    for p, code, last in (
+            (10000000000000061, 0, "status=ok"),
+            (1000000007 * 998244353, 2, "error=parse ring: prime_field "
+             "characteristic 998244359987710471 is not prime"),
+            (2 ** 64 + 13, 2, "error=parse ring: prime_field characteristic "
+             "18446744073709551629 is not below 2^64")):
+        doc.write_text(json.dumps({"ring": {"kind": "prime_field", "p": p},
+                                   "potential": ["0"], "objects": {}}))
+        assert run(capsys, ["validate", "--input", str(doc)]) == (code,
+                                                                   [last])
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -617,6 +716,21 @@ def test_usage_error_exit_2(capsys):
         cli.main(["fold", "--bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_usage_error_names_the_commands_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eisenbud", "--input", KUV, "--witness", "w.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("usage: koszulmf eisenbud [-h] [--input PATH] "
+                      "[--output PATH]")
+    assert err[-1] == ("koszulmf eisenbud: error: unrecognized arguments: "
+                       "--witness w.json")
+    for cmd in cli._HANDLERS:
+        with pytest.raises(SystemExit):
+            cli.main([cmd, "--bogus"])
+        assert capsys.readouterr().err.startswith(f"usage: koszulmf {cmd} ")
 
 
 def test_seed_flag_is_refused(capsys):
@@ -960,6 +1074,58 @@ def test_witness_windows_wider_than_their_ranks(capsys, tmp_path):
                                  else "status=failed")
             widened += 1
     assert widened >= 10
+
+
+@pytest.mark.parametrize("edit,line", [
+    # d of m3 lives on [-2, -1], each h_i on [-2, 0]
+    (lambda raw: raw["objects"]["m3"]["d"].update({"0": []}),
+     "objects.m3.d: degree 0 outside window"),
+    (lambda raw: raw["objects"]["m3"]["h"][0].update({"1": []}),
+     "objects.m3.h[0]: degree 1 outside window"),
+    (lambda raw: raw["objects"].update(zid={
+        "type": "koszul_morphism", "source": "m3", "target": "m3",
+        "components": {"-3": [], "0": [["1"]]}}),
+     "objects.zid.components: degree -3 outside window"),
+], ids=["d", "h", "components"])
+def test_document_degrees_outside_the_window_exit_2(capsys, tmp_path, edit,
+                                                    line):
+    raw = json.load(open(M3))
+    edit(raw)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    assert _expect_parse_error(capsys, ["validate", "--input", str(doc)]) \
+        == f"error=parse {line}"
+
+
+@pytest.mark.parametrize("kind", ["cone_off_free", "explicit_quasi_iso"])
+def test_witness_components_outside_the_window_exit_2(capsys, tmp_path,
+                                                       kind):
+    # the stray degree used to be dropped, and the log passed
+    w = _emitted_witness(capsys, tmp_path)
+    step = w["steps"].index(_step(w, kind))
+    w["steps"][step]["components"]["9999"] = []
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert line == (f"error=parse steps[{step}].components: degree 9999 "
+                    "outside window")
+
+
+def test_cone_step_components_span_the_free_source(capsys, tmp_path):
+    # the free source of a cone_off_free step reaches n degrees below its
+    # generators: a component there is read, one further down is refused
+    w = _emitted_witness(capsys, tmp_path)
+    step = _step(w, "cone_off_free")
+    lo = step["generators"]["degrees"][0] - 1
+    assert lo < step["target"]["degrees"][0]
+    assert str(lo) in step["components"]
+    step["components"][str(lo - 1)] = []
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(w))
+    line = _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)])
+    assert line.endswith(f"components: degree {lo - 1} outside window")
 
 
 def test_huge_degree_window_is_refused(capsys, tmp_path):

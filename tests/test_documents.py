@@ -91,7 +91,8 @@ def test_morphism_round_trip():
         m3.ring, m3.potential,
         {"m3": {"type": "koszul_module", **docs.module_payload(m3)},
          "ident": {"type": "koszul_morphism", "source": "m3", "target": "m3",
-                   "components": docs._morphism_components_payload(ident)}})
+                   "components": docs._degree_matrices_payload(
+                       ident.component, ident.lo, ident.hi)}})
     doc = docs.parse_document(json.loads(docs.dumps(payload)))
     g = doc.objects["ident"]
     assert isinstance(g, KoszulMorphism)

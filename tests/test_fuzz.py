@@ -1,7 +1,8 @@
 """Fuzzing the input boundary: mutated documents and witness logs.
 
 Every mutant of a `tests/data` document or of an emitted witness log is
-run through the subcommands that read it.  Whatever the mutation, a run
+run through the subcommands that read it.  A log may also have a step's
+orientation flipped or its stored points dropped.  Whatever the mutation, a run
 ends in one of the documented exit codes (0, 1, 2 or 3), or in argparse's
 usage exit 2; no other exception may escape `cli.main`.
 """
@@ -104,11 +105,23 @@ def _mutate_once(data, doc):
         parent[path[-1]] = node[:i] + c + node[i + 1:]
 
 
-def _mutant(data, doc):
+def _mutant(data, doc, least=1):
     doc = copy.deepcopy(doc)
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(least, 3))):
         _mutate_once(data, doc)
     return doc
+
+
+def _reorient_or_drop_points(data, log):
+    """In place: flip one step's orientation to the other valid value, drop
+    the stored points, both, or neither.  Either leaves a log that parses,
+    so the replay, not the parser, has to refuse it."""
+    if data.draw(st.booleans()):
+        step = data.draw(st.sampled_from(log["steps"]))
+        step["orientation"] = {"forward": "backward",
+                               "backward": "forward"}[step["orientation"]]
+    if data.draw(st.booleans()):
+        del log["points"]
 
 
 def _run(argv):
@@ -147,7 +160,9 @@ def test_mutated_documents_end_in_a_documented_exit(workdir, data):
 @SETTINGS
 @given(data=st.data())
 def test_mutated_witness_logs_end_in_a_documented_exit(workdir, data):
-    log = _mutant(data, json.loads((workdir / "w.json").read_text()))
+    log = json.loads((workdir / "w.json").read_text())
+    _reorient_or_drop_points(data, log)
+    log = _mutant(data, log, least=0)
     path = workdir / "mutant.json"
     path.write_text(json.dumps(log))
     m3 = os.path.join(corpus.DATA, "m3.json")

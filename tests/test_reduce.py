@@ -159,6 +159,20 @@ def test_cone_step_builds_its_own_source():
                     generators=m.underlying)
 
 
+def test_forward_cone_step_compares_its_target_before_the_cone(monkeypatch):
+    m = corpus.by_name("m3").module
+    step = WitnessStep("cone_off_free", "forward", generators=m.underlying,
+                       target=m, components=counit_components(m))
+    built = []
+    monkeypatch.setattr("koszulmf.reduce.cone_koszul",
+                        lambda psi: built.append(psi) or cone_koszul(psi))
+    with pytest.raises(WitnessError, match="cone-off target does not match"):
+        apply_step(step, shift_koszul(m, 2))
+    assert built == []
+    assert apply_step(step, m) == cone_koszul(step.morphism)
+    assert len(built) == 1
+
+
 def test_changed_generator_entry_is_refused_at_its_step():
     entry = corpus.by_name("m3")
     _, log = fold_with_witness(entry.module, entry.points)

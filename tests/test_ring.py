@@ -47,6 +47,30 @@ def test_ring_specs_are_interned():
         QXY.vars = ("z",)
 
 
+def test_prime_field_characteristics():
+    for p in (2, 5, 7, 32003, 2 ** 61 - 1, 10 ** 18 + 3):
+        assert prime_field(p).char == p
+    for p in (1, 6, 1000000007 * 998244353):
+        with pytest.raises(ValueError, match="is not prime"):
+            prime_field(p)
+    with pytest.raises(ValueError, match="is not below 2\\^64"):
+        prime_field(2 ** 64 + 13)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 20000
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, n):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [ring._is_prime(i) for i in range(n)] == sieve
+    # strong pseudoprimes to several of the first bases, and Carmichael
+    # numbers: all composite
+    for c in (561, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not ring._is_prime(c), c
+
+
 def test_ring_spec_rejects_bad_input():
     with pytest.raises(ValueError):
         prime_field(6)

@@ -83,7 +83,8 @@ def test_one_free_module_per_cone_step(tmp_path, capsys):
     assert calls == _cone_steps(log) == 4
 
     wpath = str(tmp_path / "w.json")
-    write_json(wpath, witness_payload(log))
+    origin = {v: 0 for v in fk_xy.ring.varnames}
+    write_json(wpath, witness_payload(log, {"origin": origin}))
     calls, code = _free_koszul_calls(
         lambda: cli.main(["witness-check", "--witness", wpath]))
     assert code == 0 and capsys.readouterr().out.endswith("status=ok\n")
