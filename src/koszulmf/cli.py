@@ -197,6 +197,16 @@ def _write_output(args, objects, points=None):
         first.ring, potential, objects, points))
 
 
+def _require_evidence(args, log, points):
+    """A --witness log whose quasi-isomorphism steps have no point to test
+    their cones at is one `witness-check` refuses: do not write it."""
+    if (args.witness and not points
+            and any(s.kind == "explicit_quasi_iso" for s in log.steps)):
+        raise Precondition("the witness log has an explicit_quasi_iso step "
+                           "and no point to test its cone at; give --point "
+                           "or --points")
+
+
 def _write_witness(args, log, points):
     if args.witness:
         docs.write_json(args.witness, docs.witness_payload(log, points))
@@ -219,6 +229,7 @@ def _fold_and_report(args, name, m, points, header=(), list_steps=False):
     points = points or default_points(m.ring, m.potential)
     _require_on_locus(m.potential, points)
     mf, log = fold_with_witness(m, list(points.values()))
+    _require_evidence(args, log, points)
     for line in header:
         print(line)
     _print_shape(mf)
@@ -303,6 +314,7 @@ def cmd_reduce_amplitude(args):
               or default_points(m.ring, m.potential))
     _require_on_locus(m.potential, points)
     reduced, log = amplitude_reduce(m)
+    _require_evidence(args, log, points)
     problems = validate_log(log, list(points.values()))
     if problems:
         raise Invalid(_report("witness", problems))

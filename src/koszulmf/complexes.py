@@ -19,21 +19,22 @@ int coefficients; with D = 1 (and always over F_p) its entries are read in
 place.  Every term product a_ik * b_kj of an output entry is added as an
 int coefficient, with no intermediate Poly and no Fraction.  A constant
 entry (the ±1 of permutation and identity blocks) adds c * v under the
-other side's exponent tuples.  From the first pair of two non-constant
-entries on, a product works on packed monomials (`_Packing`): one scan of
-both operands fixes a field width per product, each exponent tuple becomes
-one int, and a monomial product is one int add into an int-keyed dict of
-the output entry.  Those sums are unpacked, once per distinct monomial,
-and merged into the entry's tuple-keyed sums.  Each surviving coefficient
-is then normalized once: divided by D_A * D_B over Q, reduced by one `% p`
-over F_p.  Coefficients that cancel are dropped, and an entry left empty
-is not stored.
+other side's exponent tuples, and a pair of two one-term entries adds one
+product of exponent tuples.  From the first pair of two non-constant
+entries, one of them with more than one term, a product works on packed
+monomials (`_Packing`): one scan of both operands fixes a field width per
+product, each exponent tuple becomes one int, and a monomial product is
+one int add into an int-keyed dict of the output entry.  Those sums are
+unpacked, once per distinct monomial, and merged into the entry's
+tuple-keyed sums.  Each surviving coefficient is then normalized once:
+divided by D_A * D_B over Q, reduced by one `% p` over F_p.  Coefficients
+that cancel are dropped, and an entry left empty is not stored.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
-from operator import lshift
+from operator import add, lshift
 
 from koszulmf import linalg
 from koszulmf.ring import (Poly, embed, evaluate_at, normalize_scalar,
@@ -302,7 +303,7 @@ class PolyMatrix:
             bnz, db = _cleared(bnz, ring)
             d = da * db
         one = (0,) * len(ring.varnames)     # exponents of the monomial 1
-        packing = None      # built when two non-constant entries first meet
+        packing = None      # built when a multi-term pair first meets
         pacc = {}           # the packed-monomial part of acc
         nz = {}
         for i, arow in anz.items():
@@ -312,7 +313,9 @@ class PolyMatrix:
                 if brow is None:
                     continue
                 at = a.terms
-                ca = at.get(one) if len(at) == 1 else None
+                # the one term of a one-term a: a constant or a monomial
+                ma, mc = next(iter(at.items())) if len(at) == 1 else (None, 0)
+                ca = mc if ma == one else None
                 pa = None
                 for j, b in brow.items():
                     bt = b.terms
@@ -326,6 +329,10 @@ class PolyMatrix:
                         cb = bt[one]
                         for ka, va in at.items():
                             out[ka] = out.get(ka, 0) + va * cb
+                    elif ma is not None and len(bt) == 1:
+                        (kb, vb), = bt.items()
+                        kab = tuple(map(add, ma, kb))
+                        out[kab] = out.get(kab, 0) + mc * vb
                     else:
                         if pa is None:
                             if packing is None:

@@ -16,6 +16,11 @@ Both raise powers through the one chain `_power`, and both call the term
 functions through this module's globals, so a wrapper on
 `koszulmf.ring.terms_mul` sees every product of either.  Matrix products
 have their own fused loop (`PolyMatrix.__mul__`).
+
+`parse_poly` first offers the text to `_flat_terms`, a one-pass reader
+for the flat sums that documents and witness logs hold.  It declines any
+other text and never raises: the recursive-descent parser reads the rest
+and is the one source of every ParseError.
 """
 
 import re
@@ -167,7 +172,14 @@ def normalize_scalar(ring, c):
 
 def terms_add(a, b, p):
     out = dict(a)
-    for k, v in b.items():
+    _add_into(out, b.items(), p)
+    return out
+
+
+def _add_into(out, items, p):
+    """Add the (exponents, nonzero coefficient) pairs `items` into the term
+    dict `out` in place, in order."""
+    for k, v in items:
         w = out.get(k)
         if w is None:
             out[k] = v
@@ -181,7 +193,6 @@ def terms_add(a, b, p):
                 out[k] = s
             else:
                 del out[k]
-    return out
 
 
 def terms_neg(a, p):
@@ -587,14 +598,76 @@ class _Parser:
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
+# One term of a flat sum: c, c/d, c*m, c/d*m or m, where m is a *-joined
+# run of x or x^e; a digit run past MAX_COEFF_DIGITS does not match.
+_DIGITS = rf"[0-9]{{1,{MAX_COEFF_DIGITS}}}"
+_FACTOR = rf"[a-zA-Z][a-zA-Z0-9_]*(?:\^{_DIGITS})?"
+_MONOMIAL = rf"{_FACTOR}(?:\*{_FACTOR})*"
+_FLAT_TERM_RE = re.compile(
+    rf"({_DIGITS})(?:/({_DIGITS}))?(?:\*({_MONOMIAL}))?|({_MONOMIAL})")
+
+
+def _flat_terms(text, ring):
+    """The term dict of a flat sum, or None to leave the text to `_Parser`.
+
+    A flat sum is what `Poly.__str__` prints, in any term order and with a
+    coefficient 1 written or not: terms of `_FLAT_TERM_RE` joined by " + "
+    and " - ", the first one perhaps with a leading "-".  Its dict is the
+    full parser's, key order included: each signed coefficient in normal
+    form, added left to right as `terms_add` adds.  Any other text, a zero
+    denominator, a denominator that vanishes mod p or an unknown variable
+    returns None.  A flat term is a literal times a monomial, which no
+    budget refuses.
+    """
+    first, *rest = text.split(" ")
+    negative = first[:1] == "-"
+    signs = ["-" if negative else "+", *rest[0::2]]
+    bodies = [first[1:] if negative else first, *rest[1::2]]
+    if len(signs) != len(bodies):
+        return None
+    p = ring.char
+    index = {v: i for i, v in enumerate(ring.varnames)}
+    items = []
+    for sign, body in zip(signs, bodies):
+        m = _FLAT_TERM_RE.fullmatch(body)
+        if m is None or sign not in ("+", "-"):
+            return None
+        num, den, mono, bare = m.groups()
+        mono = mono or bare
+        exps = [0] * len(index)
+        for factor in mono.split("*") if mono else ():
+            name, _, e = factor.partition("^")
+            i = index.get(name)
+            if i is None:
+                return None
+            exps[i] += int(e) if e else 1
+        c = int(num) if num else 1
+        if sign == "-":
+            c = -c
+        if den is not None:
+            try:
+                c = normalize_scalar(ring, Fraction(c, int(den)))
+            except ZeroDivisionError:
+                return None
+        elif p:
+            c %= p
+        if c:
+            items.append((tuple(exps), c))
+    out = {}
+    _add_into(out, items, p)
+    return out
+
+
 def parse_poly(text, ring):
     """Parse polynomial text in the given ring.  Raises ParseError, also
     when a coefficient of the result is past MAX_COEFF_DIGITS."""
-    parser = _Parser(text, ring)
-    terms = parser.expr()
-    kind, val, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {val!r}", pos)
+    terms = _flat_terms(text, ring)
+    if terms is None:
+        parser = _Parser(text, ring)
+        terms = parser.expr()
+        kind, val, pos = parser.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {val!r}", pos)
     for c in terms.values():
         if _too_long(c.numerator) or _too_long(c.denominator):
             raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "

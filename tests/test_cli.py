@@ -221,6 +221,38 @@ def test_witness_check_reads_evidence_from_stored_or_given_points(
         assert (code, lines[-1]) == (0, "status=ok"), extra
 
 
+def test_emitted_logs_need_a_point_for_their_quasi_iso_steps(capsys,
+                                                             tmp_path):
+    # the potential x + 1 misses the origin, so no point is known by
+    # default, and both logs have explicit_quasi_iso steps
+    qx = polynomial_ring(rationals(), ("x",))
+    m = free_koszul(
+        FreeComplex(qx, -1, 0, {-1: 1, 0: 1},
+                    {-1: PolyMatrix(qx, 1, 1, [parse_poly("x", qx)])}),
+        (parse_poly("x + 1", qx),))
+    doc = tmp_path / "m.json"
+    docs.write_json(str(doc), docs.document_payload(qx, m.potential,
+                                                    {"m": m}))
+    wpath = tmp_path / "w.json"
+    for cmd in ("fold", "reduce-amplitude"):
+        argv = [cmd, "--input", str(doc)]
+        code, lines = run(capsys, [*argv, "--witness", str(wpath)])
+        assert (code, lines) == (3, [
+            "error=precondition the witness log has an explicit_quasi_iso "
+            "step and no point to test its cone at; give --point or "
+            "--points"]), cmd
+        assert not wpath.exists()
+        code, lines = run(capsys, argv)
+        assert (code, lines[-1]) == (0, "status=ok"), cmd
+        # with a point on the locus the log is written and passes the check
+        code, lines = run(capsys, [*argv, "--witness", str(wpath),
+                                   "--point", "x=-1"])
+        assert (code, lines[-1]) == (0, "status=ok"), cmd
+        code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+        assert (code, lines[-1]) == (0, "status=ok"), cmd
+        wpath.unlink()
+
+
 def _shift_step(raw):
     return next(s for s in raw["steps"] if s["kind"] == "shift_by_two")
 

@@ -1,6 +1,8 @@
 """Coefficient rings, polynomial arithmetic, parsing, evaluation."""
 
 import copy
+import json
+import os
 import pickle
 import time
 from fractions import Fraction
@@ -8,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulmf import ring
+import corpus
+from koszulmf import cli, ring
+from koszulmf import documents as docs
 from koszulmf.ring import (MAX_COEFF_DIGITS, MAX_PAREN_DEPTH,
                            MAX_TERM_PRODUCTS, ParseError, Poly, embed,
                            evaluate, evaluate_at, normalize_scalar,
@@ -243,6 +247,13 @@ def test_parse_builds_one_poly(monkeypatch):
 F32003 = prime_field(32003)
 
 
+def _full_parse(text, ring_):
+    """parse_poly with every text left to the full parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_flat_terms", lambda text, ring_: None)
+        return parse_poly(text, ring_)
+
+
 def _sympy_texts(names):
     """Pairs (text for parse_poly, the same expression for sympy) built
     from integers, fractions a/b, variables, parentheses, powers, runs of
@@ -285,10 +296,12 @@ def test_parse_matches_sympy(base, names):
         want = sympy.Poly(sympy.expand(sympy.sympify(theirs)), *gens,
                           domain=sympy.QQ)
         # Poly() brings the rational coefficients into the ring's normal
-        # form, mod p too
-        assert nf(parse_poly(ours, ring)) == Poly(ring, {
+        # form, mod p too; the full parser alone reads every text as well
+        expected = Poly(ring, {
             k: Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
             for k, c in want.as_dict().items()})
+        assert nf(parse_poly(ours, ring)) == expected
+        assert nf(_full_parse(ours, ring)) == expected
 
     check()
 
@@ -573,3 +586,119 @@ def test_long_sign_runs_parse_without_recursion():
     assert parse_poly("-" * 3001 + "x^2", QXY) == parse_poly("-x^2", QXY)
     assert parse_poly("y * +-+-" + "-" * 2999 + "x", QXY) == \
         parse_poly("-x*y", QXY)
+
+
+# ---------------------------------------------------------------------------
+# the flat-sum reader
+# ---------------------------------------------------------------------------
+
+F32003XY = polynomial_ring(F32003, ("x", "y"))
+
+
+def _reads_like_the_parser(text, ring_):
+    got = ring._flat_terms(text, ring_)
+    assert got is not None, text
+    assert list(got.items()) == list(_full_parse(text, ring_).terms.items())
+
+
+def _written_out(poly, reverse=True):
+    """poly as the benchmark's generator writes it: terms in lex order (or
+    its reverse), every coefficient written, 1 included."""
+    parts = []
+    for exps, c in sorted(poly.terms.items(), reverse=reverse):
+        mono = "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(poly.ring.varnames, exps) if e)
+        body = f"{abs(c)}*{mono}" if mono else str(abs(c))
+        sign = "-" if c < 0 else "+"
+        parts.append(f"{sign} {body}" if parts else
+                     f"-{body}" if c < 0 else body)
+    return " ".join(parts) or "0"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([QXY, F5XY, rationals()]).flatmap(_polys),
+       st.booleans())
+def test_flat_reader_reads_printed_polys(p, reverse):
+    for text in (str(p), _written_out(p, reverse)):
+        _reads_like_the_parser(text, p.ring)
+
+
+FLAT_TOKENS = ("x", "y", "0", "1", "2", "10", "32003", "/", "*", "^", "(",
+               ")", "-", "+", " + ", " - ", " ", "\t", "\n", "\u00a0")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(FLAT_TOKENS), max_size=9).map("".join),
+       st.sampled_from([QXY, F5XY, F32003XY]))
+def test_flat_reader_declines_or_agrees(text, ring_):
+    # an accepted text is one the full parser reads, to the same dict
+    got = ring._flat_terms(text, ring_)
+    if got is not None:
+        assert list(got.items()) == list(
+            _full_parse(text, ring_).terms.items())
+
+
+def test_flat_reader_named_cases():
+    assert ring._flat_terms("32003*x", F32003XY) == {}
+    assert parse_poly("32003*x", F32003XY) == Poly.zero(F32003XY)
+    for text in ("x - x", "x*x", "x^0", "1*x + x", "x*y^2*x - 1/2 + 3/2",
+                 "-2/4*y + 0*x"):
+        _reads_like_the_parser(text, QXY)
+    for text in ("2*", "2x", "--x", "x +", "", "+x", "x + -y", "x  + y",
+                 "2^3", "(x)", "x\t+ y", "x^2^3", "x*2"):
+        assert ring._flat_terms(text, QXY) is None, text
+
+
+def test_flat_reader_leaves_every_error_to_the_parser():
+    long = "1" * (MAX_COEFF_DIGITS + 1)
+    for text, ring_, message, position in [
+            ("1/32003*x", F32003XY, "denominator 32003 vanishes mod 32003",
+             2),
+            ("1/0*x", QXY, "zero denominator", 2),
+            (long + "*x", QXY, "integer literal of 1001 digits is too long",
+             0),
+            ("x^" + long, QXY, "integer literal of 1001 digits is too long",
+             2),
+            ("x + 0*z", QXY, "unknown variable 'z'", 6)]:
+        assert ring._flat_terms(text, ring_) is None
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, ring_)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+
+def _dense_document(path):
+    """A rank-one factorization f = g*h with dense entries, written as the
+    benchmark's generator writes them (lex order, 1 written)."""
+    g = parse_poly("1/2*x^2*y - 3*x*y + x + y^2 - 7/3 + x^3", QXY)
+    h = parse_poly("-x^2 + 2*x*y^2 - 5/4*y + 1 + 9*x*y", QXY)
+    f = _written_out(g * h)
+    path.write_text(json.dumps({
+        "ring": {"kind": "polynomial", "vars": ["x", "y"]},
+        "potential": [f],
+        "objects": {"mf0": {"type": "mf", "f": f, "r0": 1, "r1": 1,
+                            "phi0": [[_written_out(g)]],
+                            "phi1": [[_written_out(h)]]}}}))
+
+
+def test_documents_the_program_writes_take_the_flat_path(
+        monkeypatch, tmp_path, capsys):
+    built = []
+
+    class CountingParser(ring._Parser):
+        def __init__(self, text, ring_):
+            built.append(text)
+            super().__init__(text, ring_)
+
+    monkeypatch.setattr(ring, "_Parser", CountingParser)
+    m3 = os.path.join(corpus.DATA, "m3.json")
+    log = tmp_path / "w.json"
+    dense = tmp_path / "dense.json"
+    _dense_document(dense)
+    assert cli.main(["fold", "--input", m3, "--witness", str(log)]) == 0
+    assert docs.load_witness(str(log))[0].steps
+    assert docs.load_document(str(dense)).objects["mf0"].r0 == 1
+    assert built == []
+    # the count sees the full parser when it runs
+    parse_poly("(x + y)^2", QXY)
+    assert built == ["(x + y)^2"]
