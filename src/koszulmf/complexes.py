@@ -29,10 +29,13 @@ unpacked, once per distinct monomial, and merged into the entry's
 tuple-keyed sums.  Each surviving coefficient is then normalized once:
 divided by D_A * D_B over Q, reduced by one `% p` over F_p.  Coefficients
 that cancel are dropped, and an entry left empty is not stored.
+
+`graded_map` is the one block assembler of the graded constructions, and
+`tensor_rule` the one sign rule of both tensor products.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import lcm
 from operator import add, lshift
 
@@ -457,6 +460,41 @@ def kron(a, b):
     return PolyMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, trusted=nz)
 
 
+def graded_map(ring, src, tgt, rule):
+    """A map of direct sums, assembled block by block.
+
+    `src` and `tgt` list the summands as (key, rank), in order.  For each
+    source summand of nonzero rank, `rule(key, rank)` returns or yields
+    (target key, block) pairs.  A block whose target key is not a summand
+    of `tgt` is dropped, so a rule may give a block towards a summand that
+    lies outside the target; every block not given is zero.
+    """
+    tpos = {key: i for i, (key, _) in enumerate(tgt)}
+    grid = [[None] * len(src) for _ in tgt]
+    for col, (key, r) in enumerate(src):
+        if r:
+            for tkey, blk in rule(key, r):
+                if tkey in tpos:
+                    grid[tpos[tkey]][col] = blk
+    return PolyMatrix.block(ring, grid, [r for _, r in tgt],
+                            [r for _, r in src])
+
+
+def tensor_rule(ring, fa, fb, rank_a, rank_b, move):
+    """The `graded_map` rule of fa ⊗ 1 + (-1)^p 1 ⊗ fb on summands keyed
+    (p, q), the p-th summand of a first factor tensored with the q-th of a
+    second.  fa(p) maps the p-th summand of the first factor (rank
+    rank_a(p)) to its move(p)-th, and fb(q) likewise for the second; both
+    are matrices over `ring`.  Blocks are Kronecker products, left factor
+    major."""
+    def rule(key, r):
+        p, q = key
+        yield (move(p), q), kron(fa(p), PolyMatrix.identity(ring, rank_b(q)))
+        blk = kron(PolyMatrix.identity(ring, rank_a(p)), fb(q))
+        yield (p, move(q)), blk if p % 2 == 0 else -blk
+    return rule
+
+
 def embed_matrix(mat, ring, offset=0):
     """`mat` over a larger ring: every entry e becomes
     `embed(e, ring, offset)` (see `koszulmf.ring.embed`)."""
@@ -636,48 +674,6 @@ def cone_chain(g):
             [src.rank(m + 2), tgt.rank(m + 1)],
             [src.rank(m + 1), tgt.rank(m)])
     return FreeComplex(src.ring, lo, hi, ranks, diffs)
-
-
-# ---------------------------------------------------------------------------
-# Koszul complex of a potential tuple
-# ---------------------------------------------------------------------------
-
-def wedge_subsets(n, k):
-    """Lex-ordered k-subsets of {0..n-1} (0-based internally)."""
-    return list(combinations(range(n), k))
-
-
-def koszul_complex(ring, potential):
-    """The Koszul complex of f_1..f_n in degrees [-n, 0].
-
-    Degree -k has one generator e_S per lex-ordered k-subset S and
-    d(e_S) = sum_j (-1)^(j+1) f_{i_j} e_{S minus i_j}  for S = {i_1<...<i_k}.
-    """
-    n = len(potential)
-    if n == 0:
-        raise ValueError("potential must have at least one entry")
-    for f in potential:
-        if not isinstance(f, Poly) or f.ring is not ring:
-            raise ValueError("potential entries must be Polys over the ring")
-    ranks = {}
-    subsets = {}
-    for k in range(n + 1):
-        subsets[k] = wedge_subsets(n, k)
-        ranks[-k] = len(subsets[k])
-    diffs = {}
-    for k in range(1, n + 1):
-        # matrix of d_{-k}: degree -k -> degree -k+1
-        src, tgt = subsets[k], subsets[k - 1]
-        index = {S: i for i, S in enumerate(tgt)}
-        mat = PolyMatrix.zero(ring, len(tgt), len(src))
-        for col, S in enumerate(src):
-            for j, i_j in enumerate(S):
-                rest = tuple(x for x in S if x != i_j)
-                coeff = potential[i_j] if j % 2 == 0 else -potential[i_j]
-                row = index[rest]
-                mat.put(row, col, mat.at(row, col) + coeff)
-        diffs[-k] = mat
-    return FreeComplex(ring, -n, 0, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------

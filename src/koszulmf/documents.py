@@ -53,7 +53,7 @@ from koszulmf.complexes import MAX_TOTAL_RANK, FreeComplex, PolyMatrix
 from koszulmf.koszul import KoszulModule, KoszulMorphism, free_ranks
 from koszulmf.mf import MFMorphism, MFObject
 from koszulmf.reduce import WitnessLog, WitnessStep
-from koszulmf.ring import (ParseError, Poly, normalize_scalar, parse_poly,
+from koszulmf.ring import (ParseError, normalize_scalar, parse_poly,
                            polynomial_ring, prime_field, rationals)
 
 WITNESS_SCHEMA = "koszulmf.witness/1"
@@ -154,7 +154,7 @@ def parse_ring_payload(payload):
     p = payload.get("p")
     base = rationals()
     if kind == "prime_field" or p is not None:
-        _expect(isinstance(p, int), "ring: p must be an integer")
+        _expect(type(p) is int, "ring: p must be an integer")
         base = _construct("ring", prime_field, p)
     if kind != "polynomial":
         return base
@@ -166,17 +166,17 @@ def parse_ring_payload(payload):
 
 
 def _parse_entry(ring, text, where, memo=None):
-    """Parse one entry.  `memo` is the document's entry memo: entry text
-    (after the int -> str conversion, so JSON `true` and `1` never share a
-    slot) -> the Poly it parsed to.  Only successful parses are stored, so a
-    malformed entry is reported at its first location.  Sharing a Poly
-    between entries is safe because polys are never mutated."""
-    # nearly every entry of a real document is zero: skip the tokenizer
-    if text == "0" or (type(text) is int and text == 0):
-        return Poly.zero(ring)
-    if isinstance(text, int):
+    """Parse one entry, a string or an integer (JSON `true` and `false` are
+    not integers).  `memo` is the document's entry memo: entry text (after
+    the int -> str conversion) -> the Poly it parsed to.  Only successful
+    parses are stored, so a malformed entry is reported at its first
+    location.  Sharing a Poly between entries is safe because polys are
+    never mutated."""
+    if type(text) is int:
         text = str(text)
-    _expect(isinstance(text, str), f"{where}: matrix entry must be a string")
+    _expect(isinstance(text, str),
+            f"{where}: matrix entry {str(text)!r} is not a string or an "
+            "integer")
     if memo is None:
         memo = {}
     poly = memo.get(text)
@@ -216,7 +216,7 @@ def _parse_window(payload, where):
     _expect(isinstance(payload, dict), f"{where}: must be an object")
     degs = payload.get("degrees")
     _expect(isinstance(degs, list) and len(degs) == 2
-            and all(isinstance(d, int) for d in degs) and degs[0] <= degs[1],
+            and all(type(d) is int for d in degs) and degs[0] <= degs[1],
             f"{where}: degrees must be [lo, hi] with lo <= hi")
     lo, hi = degs
     _expect(hi - lo <= MAX_DEGREE_SPAN,
@@ -227,7 +227,7 @@ def _parse_window(payload, where):
     ranks = dict.fromkeys(range(lo, hi + 1), 0)
     for key, val in ranks_raw.items():
         deg = _degree(key, where)
-        _expect(isinstance(val, int) and val >= 0,
+        _expect(type(val) is int and val >= 0,
                 f"{where}: rank at {deg} must be a nonnegative integer")
         _expect(lo <= deg <= hi, f"{where}: rank at {deg} outside window")
         ranks[deg] = val
@@ -282,7 +282,7 @@ def parse_module_payload(ring, potential, payload, where, memo=None):
 def parse_mf_payload(ring, payload, where, memo=None):
     f = _parse_entry(ring, payload.get("f", ""), f"{where}.f", memo)
     r0, r1 = payload.get("r0"), payload.get("r1")
-    _expect(isinstance(r0, int) and isinstance(r1, int) and r0 >= 0 and r1 >= 0,
+    _expect(type(r0) is int and type(r1) is int and r0 >= 0 and r1 >= 0,
             f"{where}: r0 and r1 must be nonnegative integers")
     _check_size(r0 + r1, where)
     phi0 = _parse_matrix(ring, payload.get("phi0"), r1, r0, f"{where}.phi0",
@@ -298,7 +298,7 @@ def _parse_scalar(ring, value, where):
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"{where}: bad scalar {value!r}")
-    _expect(isinstance(value, (int, Fraction)),
+    _expect(type(value) in (int, Fraction),
             f"{where}: point values must be integers or fractions")
     try:
         return normalize_scalar(ring, Fraction(value))
@@ -685,7 +685,7 @@ def parse_witness(raw):
             steps.append(WitnessStep(kind, orientation, morphism=g))
         else:
             offset = sp.get("offset")
-            _expect(isinstance(offset, int) and offset % 2 == 0,
+            _expect(type(offset) is int and offset % 2 == 0,
                     f"{where}: offset must be an even integer")
             steps.append(WitnessStep(kind, orientation, offset=offset))
 

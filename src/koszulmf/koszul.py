@@ -9,17 +9,21 @@ for the potential tuple (f_1..f_n).  The free module on a complex carries
 wedge coordinates: summands are ordered by descending exterior degree k,
 subsets of {1..n} in lex order within each k, then the basis of the
 underlying free module.  That order reproduces the classical block shapes
-(for n=1: [[-d, 0], [f, d]] with the wedge part first).
+(for n=1: [[-d, 0], [f, d]] with the wedge part first).  Every map of the
+free module, the counit and the box tensor is a `complexes.graded_map`, and
+the Koszul complex is the free module on one generator (`koszul_complex`).
 """
 
+from bisect import bisect_left
 from functools import partial
 from itertools import combinations
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
                                 component_shape_report, cone_chain,
-                                embed_matrix, homology_dims_at, kron,
-                                shift_complex, shift_sign,
+                                embed_matrix, graded_map, homology_dims_at,
+                                shift_complex, shift_sign, tensor_rule,
                                 validate_chain_map, validate_complex)
+from koszulmf.complexes import kron  # noqa: F401  (importable from here too)
 from koszulmf.ring import Poly, embed, merge_rings
 
 
@@ -128,22 +132,23 @@ def validate_koszul(m):
 # the free module on a complex
 # ---------------------------------------------------------------------------
 
-def fk_layout(e, n, u):
-    """Coordinate blocks of the free module at degree u.
+def fk_summands(e, n, u):
+    """The summands ((k, S), rank) of the free module at degree u: exterior
+    degree k descending, k-subsets S of {0..n-1} lex within each k.  The
+    summand (k, S) is a copy of e at degree u + k."""
+    return [((k, S), e.rank(u + k)) for k in range(n, -1, -1)
+            for S in combinations(range(n), k)]
 
-    Returns a list of (k, S, edeg, rank): exterior degree k descending,
-    k-subsets S of {0..n-1} lex within each k, underlying degree edeg = u+k.
-    """
-    out = []
-    for k in range(n, -1, -1):
-        for S in combinations(range(n), k):
-            out.append((k, S, u + k, e.rank(u + k)))
-    return out
+
+def fk_layout(e, n, u):
+    """The summands of `fk_summands` as (k, S, edeg, rank), where
+    edeg = u + k is the degree of e they copy."""
+    return [(k, S, u + k, r) for (k, S), r in fk_summands(e, n, u)]
 
 
 def free_ranks(e, n):
     """{u: rank} of the free module on the complex e for n potentials."""
-    return {u: sum(r for (_, _, _, r) in fk_layout(e, n, u))
+    return {u: sum(r for _, r in fk_summands(e, n, u))
             for u in range(e.lo - n, e.hi + 1)}
 
 
@@ -151,58 +156,64 @@ def free_koszul(e, potential):
     """The free Koszul module on a complex for the given potential.
 
     The differential twists by the exterior degree and contracts against the
-    potential; h_i is wedging with the i-th generator.  Both are built by
-    one block assembler: a map of degree `step` (+1 for d, -1 for each h_i)
-    places, for each nonzero wedge block (k, S) of its source, the blocks
-    its rule yields at the wedge coordinates of the target.
+    potential; h_i is wedging with the i-th generator.  Each is one
+    `graded_map` per degree, whose rule yields, for a wedge summand (k, S)
+    at degree u, its blocks at the wedge summands of degree u + 1 (for d)
+    or u - 1 (for each h_i).
     """
     ring = e.ring
     n = len(potential)
     if n == 0:
         raise ValueError("potential must be nonempty")
     lo, hi = e.lo - n, e.hi
-    layouts = {u: fk_layout(e, n, u) for u in range(lo - 1, hi + 2)}
-
-    def assemble(u, step, blocks):
-        src, tgt = layouts[u], layouts[u + step]
-        tpos = {(k, S): pos for pos, (k, S, _, _) in enumerate(tgt)}
-        grid = [[None] * len(src) for _ in tgt]
-        for col, (k, S, edeg, r) in enumerate(src):
-            if r:
-                for key, blk in blocks(k, S, edeg, r):
-                    grid[tpos[key]][col] = blk
-        return PolyMatrix.block(ring, grid, [r for (_, _, _, r) in tgt],
-                                [r for (_, _, _, r) in src])
+    summands = {u: fk_summands(e, n, u) for u in range(lo - 1, hi + 2)}
 
     # the signed blocks are negated once here and shared by every slot
     neg_diff = {m: -e.diff(m) for m in e.degrees()}
     neg_potential = [-f for f in potential]
 
-    def d_blocks(k, S, edeg, r):
+    def d_rule(u, key, r):
         # (-1)^k d on the same wedge coordinates, then the contraction
         # against the potential; the keys (k, S) and (k-1, S minus i_j)
         # never collide
-        yield (k, S), e.diff(edeg) if k % 2 == 0 else neg_diff[edeg]
+        k, S = key
+        yield key, e.diff(u + k) if k % 2 == 0 else neg_diff[u + k]
         for j, i_j in enumerate(S):
             f = potential[i_j] if j % 2 == 0 else neg_potential[i_j]
             yield (k - 1, S[:j] + S[j + 1:]), PolyMatrix.scalar(ring, r, f)
 
     units = (Poly.one(ring), -Poly.one(ring))
 
-    def wedge_blocks(i, k, S, edeg, r):
+    def wedge_rule(i, key, r):
         # wedging e_i onto e_S from the left, with the sign of moving it
         # past the indices of S below i
+        k, S = key
         if i not in S:
-            below = sum(1 for x in S if x < i)
-            yield ((k + 1, tuple(sorted(S + (i,)))),
+            below = bisect_left(S, i)
+            yield ((k + 1, S[:below] + (i,) + S[below:]),
                    PolyMatrix.scalar(ring, r, units[below % 2]))
 
-    diffs = {u: assemble(u, 1, d_blocks) for u in range(lo, hi)}
-    h = [{u: assemble(u, -1, partial(wedge_blocks, i))
+    diffs = {u: graded_map(ring, summands[u], summands[u + 1],
+                           partial(d_rule, u))
+             for u in range(lo, hi)}
+    h = [{u: graded_map(ring, summands[u], summands[u - 1],
+                        partial(wedge_rule, i))
           for u in range(lo, hi + 1)}
          for i in range(n)]
-    underlying = FreeComplex(ring, lo, hi, free_ranks(e, n), diffs)
+    ranks = {u: sum(r for _, r in summands[u]) for u in range(lo, hi + 1)}
+    underlying = FreeComplex(ring, lo, hi, ranks, diffs)
     return KoszulModule(ring, potential, underlying, h)
+
+
+def koszul_complex(ring, potential):
+    """The Koszul complex of f_1..f_n in degrees [-n, 0]: the free module on
+    one generator in degree 0.
+
+    Degree -k has one generator e_S per lex-ordered k-subset S and
+    d(e_S) = sum_j (-1)^(j+1) f_{i_j} e_{S minus i_j}  for S = {i_1<...<i_k}.
+    """
+    return free_koszul(FreeComplex(ring, 0, 0, {0: 1}, {}),
+                       potential).underlying
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +266,26 @@ def counit_map(m):
 
 
 def counit_components(m):
-    """Components of the counit of m, degree by degree.
+    """Components of the counit of m at the degrees of m's window; below it
+    they map to zero, which a morphism's zero fill supplies.
 
     On a wedge coordinate x ⊗ e_{i1..ik} it applies the contraction
     operators in order, innermost last: h_{i1} ∘ ... ∘ h_{ik} (x); on the
     exterior-degree-0 part it is the identity.
     """
     e = m.underlying
-    n = m.n
-    comps = {}
-    for u in range(e.lo - n, e.hi + 1):
-        layout = fk_layout(e, n, u)
-        grid = [[None] * len(layout)]
-        for col, (k, S, edeg, r) in enumerate(layout):
-            if r == 0:
-                continue
-            # h_{i1}(u+1) * h_{i2}(u+2) * ... * h_{ik}(u+k); identity for k=0
-            prod = None
-            for pos, i_j in enumerate(S):
-                h = m.hop(i_j, u + pos + 1)
-                prod = h if prod is None else prod * h
-            grid[0][col] = (PolyMatrix.identity(m.ring, e.rank(u))
-                            if prod is None else prod)
-        comps[u] = PolyMatrix.block(m.ring, grid, [e.rank(u)],
-                                    [r for (_, _, _, r) in layout])
-    return comps
+
+    def rule(u, key, r):
+        # h_{i1}(u+1) * h_{i2}(u+2) * ... * h_{ik}(u+k); identity for k=0
+        k, S = key
+        prod = PolyMatrix.identity(m.ring, r) if k == 0 else m.hop(S[0], u + 1)
+        for pos in range(1, k):
+            prod = prod * m.hop(S[pos], u + pos + 1)
+        return [(0, prod)]
+
+    return {u: graded_map(m.ring, fk_summands(e, m.n, u),
+                          [(0, e.rank(u))], partial(rule, u))
+            for u in e.degrees()}
 
 
 def cone_koszul(g):
@@ -314,8 +320,9 @@ def box_tensor(a, b):
 
     Degrees add; the potential is the sum of the promoted potentials entry
     by entry; the second factor's differential and contractions acquire the
-    sign of the first factor's degree.  One map builder, `tensor_map`,
-    makes d (degree +1) and each h_i (degree -1) from the factors' maps.
+    sign of the first factor's degree.  d (degree +1) and each h_i (degree
+    -1) are `graded_map`s of one `tensor_rule` on summands (p, q), p + q
+    the degree, ascending in p.
     """
     if a.n != b.n:
         raise ValueError("tensor factors must have the same potential length")
@@ -325,36 +332,21 @@ def box_tensor(a, b):
                       for f, g in zip(a.potential, b.potential))
 
     lo, hi = a.lo + b.lo, a.hi + b.hi
-    # summands (p, q) with p+q = m, ascending in p; Kronecker a-major inside
-    layouts = {m: [(p, m - p, a.rank(p) * b.rank(m - p))
-                   for p in range(a.lo, a.hi + 1) if b.lo <= m - p <= b.hi]
-               for m in range(lo - 1, hi + 2)}
+    summands = {m: [((p, m - p), a.rank(p) * b.rank(m - p))
+                    for p in range(a.lo, a.hi + 1) if b.lo <= m - p <= b.hi]
+                for m in range(lo - 1, hi + 2)}
 
-    def tensor_map(fa, fb, step, m):
-        # fa ⊗ 1 + (-1)^p 1 ⊗ fb, for maps fa of a and fb of b of degree
-        # `step`
-        src, tgt = layouts[m], layouts[m + step]
-        tpos = {(p, q): i for i, (p, q, _) in enumerate(tgt)}
-        grid = [[None] * len(src) for _ in tgt]
-        for col, (p, q, r) in enumerate(src):
-            if r == 0:
-                continue
-            row = tpos.get((p + step, q))
-            if row is not None:
-                grid[row][col] = kron(embed_matrix(fa(p), merged),
-                                      PolyMatrix.identity(merged, b.rank(q)))
-            row = tpos.get((p, q + step))
-            if row is not None:
-                blk = kron(PolyMatrix.identity(merged, a.rank(p)),
-                           embed_matrix(fb(q), merged, off_b))
-                grid[row][col] = blk if p % 2 == 0 else -blk
-        return PolyMatrix.block(merged, grid, [r for (_, _, r) in tgt],
-                                [r for (_, _, r) in src])
+    def maps(fa, fb, step, degrees):
+        # fa ⊗ 1 + (-1)^p 1 ⊗ fb for maps of a and b of degree `step`
+        rule = tensor_rule(merged, lambda p: embed_matrix(fa(p), merged),
+                           lambda q: embed_matrix(fb(q), merged, off_b),
+                           a.rank, b.rank, lambda p: p + step)
+        return {m: graded_map(merged, summands[m], summands[m + step], rule)
+                for m in degrees}
 
-    ranks = {m: sum(r for (_, _, r) in layouts[m]) for m in range(lo, hi + 1)}
-    diffs = {m: tensor_map(a.diff, b.diff, 1, m) for m in range(lo, hi)}
-    hfams = [{m: tensor_map(partial(a.hop, i), partial(b.hop, i), -1, m)
-              for m in range(lo, hi + 1)}
+    ranks = {m: sum(r for (_, r) in summands[m]) for m in range(lo, hi + 1)}
+    diffs = maps(a.diff, b.diff, 1, range(lo, hi))
+    hfams = [maps(partial(a.hop, i), partial(b.hop, i), -1, range(lo, hi + 1))
              for i in range(a.n)]
     underlying = FreeComplex(merged, lo, hi, ranks, diffs)
     return KoszulModule(merged, potential, underlying, hfams)

@@ -5,11 +5,13 @@ phi0 : E0 -> E1 and phi1 : E1 -> E0 composing to f times the identity both
 ways.  Folding turns a one-potential Koszul module into a factorization by
 summing even degrees into E0 and odd degrees into E1 (each in ascending
 degree order) and assembling d + h into the two maps; unfolding is the
-two-term inverse.
+two-term inverse.  The fold, the folded morphism and the tensor product
+assemble their maps with `complexes.graded_map`.
 """
 
 from koszulmf import linalg
-from koszulmf.complexes import FreeComplex, PolyMatrix, embed_matrix, kron
+from koszulmf.complexes import (FreeComplex, PolyMatrix, embed_matrix,
+                                graded_map, tensor_rule)
 from koszulmf.koszul import KoszulModule
 from koszulmf.ring import Poly, embed, evaluate, merge_rings
 
@@ -123,37 +125,29 @@ def mf_direct_sum(m1, m2):
 def mf_tensor(a, b):
     """Tensor product; the potentials add.
 
-    Even part (E0⊗F0) ⊕ (E1⊗F1), odd part (E0⊗F1) ⊕ (E1⊗F0); the second
-    factor's maps act with a sign on the odd rows of the first.  Factors over
-    the same ring stay over that ring; otherwise the variable lists must be
-    disjoint and are concatenated.
+    Even part (E0⊗F0) ⊕ (E1⊗F1), odd part (E0⊗F1) ⊕ (E1⊗F0); both maps
+    are `graded_map`s of one `tensor_rule` on summands (p, q), where each
+    factor's map takes parity p to 1 - p and the second factor's maps act
+    with the sign (-1)^p of the first.  Factors over the same ring stay over
+    that ring; otherwise the variable lists must be disjoint and are
+    concatenated.
     """
     if a.ring is b.ring:
         merged, off = a.ring, 0
     else:
         merged, off = merge_rings(a.ring, b.ring), len(a.ring.varnames)
     f = embed(a.potential, merged) + embed(b.potential, merged, off)
-    p0, p1 = embed_matrix(a.phi0, merged), embed_matrix(a.phi1, merged)
-    q0 = embed_matrix(b.phi0, merged, off)
-    q1 = embed_matrix(b.phi1, merged, off)
-    i_r0 = PolyMatrix.identity(merged, a.r0)
-    i_r1 = PolyMatrix.identity(merged, a.r1)
-    i_s0 = PolyMatrix.identity(merged, b.r0)
-    i_s1 = PolyMatrix.identity(merged, b.r1)
-    # rows (E0⊗F1, E1⊗F0), cols (E0⊗F0, E1⊗F1)
-    t0 = PolyMatrix.block(
-        merged,
-        [[kron(i_r0, q0), kron(p1, i_s1)],
-         [kron(p0, i_s0), -kron(i_r1, q1)]],
-        [a.r0 * b.r1, a.r1 * b.r0], [a.r0 * b.r0, a.r1 * b.r1])
-    # rows (E0⊗F0, E1⊗F1), cols (E0⊗F1, E1⊗F0)
-    t1 = PolyMatrix.block(
-        merged,
-        [[kron(i_r0, q1), kron(p1, i_s0)],
-         [kron(p0, i_s1), -kron(i_r1, q0)]],
-        [a.r0 * b.r0, a.r1 * b.r1], [a.r0 * b.r1, a.r1 * b.r0])
+    pa = (embed_matrix(a.phi0, merged), embed_matrix(a.phi1, merged))
+    pb = (embed_matrix(b.phi0, merged, off), embed_matrix(b.phi1, merged, off))
+    ra, rb = (a.r0, a.r1), (b.r0, b.r1)
+    rule = tensor_rule(merged, pa.__getitem__, pb.__getitem__,
+                       ra.__getitem__, rb.__getitem__, lambda p: 1 - p)
+    even = [((p, p), ra[p] * rb[p]) for p in (0, 1)]
+    odd = [((p, 1 - p), ra[p] * rb[1 - p]) for p in (0, 1)]
     return MFObject(merged, f, a.r0 * b.r0 + a.r1 * b.r1,
-                    a.r0 * b.r1 + a.r1 * b.r0, t0, t1)
+                    a.r0 * b.r1 + a.r1 * b.r0,
+                    graded_map(merged, even, odd, rule),
+                    graded_map(merged, odd, even, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +169,16 @@ def orlov_fold(m):
     """
     if m.n != 1:
         raise ValueError("folding needs a single potential entry")
-    evens, odds = _fold_layout(m.lo, m.hi)
-    ring = m.ring
 
-    def assemble(srcs, tgts):
-        grid = [[m.diff(u) if v == u + 1 else m.hop(0, u) if v == u - 1
-                 else None for u in srcs] for v in tgts]
-        return PolyMatrix.block(ring, grid,
-                                [m.rank(v) for v in tgts],
-                                [m.rank(u) for u in srcs])
+    def rule(u, r):
+        return (u + 1, m.diff(u)), (u - 1, m.hop(0, u))
 
-    phi0 = assemble(evens, odds)
-    phi1 = assemble(odds, evens)
-    r0 = sum(m.rank(u) for u in evens)
-    r1 = sum(m.rank(u) for u in odds)
-    return MFObject(ring, m.potential[0], r0, r1, phi0, phi1)
+    even, odd = ([(u, m.rank(u)) for u in degs]
+                 for degs in _fold_layout(m.lo, m.hi))
+    return MFObject(m.ring, m.potential[0], sum(r for _, r in even),
+                    sum(r for _, r in odd),
+                    graded_map(m.ring, even, odd, rule),
+                    graded_map(m.ring, odd, even, rule))
 
 
 def orlov_unfold(mf):
@@ -207,18 +196,14 @@ def fold_morphism(g):
     src, tgt = g.source, g.target
     if src.n != 1:
         raise ValueError("folding needs a single potential entry")
-    evens, odds = _fold_layout(g.lo, g.hi)
-    ring = src.ring
 
-    def assemble(degs):
-        grid = [[g.component(u) if u == v else None for u in degs]
-                for v in degs]
-        return PolyMatrix.block(ring, grid,
-                                [tgt.rank(v) for v in degs],
-                                [src.rank(u) for u in degs])
+    def fold(degs):
+        return graded_map(src.ring, [(u, src.rank(u)) for u in degs],
+                          [(v, tgt.rank(v)) for v in degs],
+                          lambda u, r: [(u, g.component(u))])
 
     return MFMorphism(orlov_fold(src), orlov_fold(tgt),
-                      assemble(evens), assemble(odds))
+                      *map(fold, _fold_layout(g.lo, g.hi)))
 
 
 def compose_mf_morphisms(b, a):

@@ -204,16 +204,6 @@ def terms_neg(a, p):
 def terms_mul(a, b, p):
     if not a or not b:
         return {}
-    if len(a) == 1 and len(b) == 1:
-        # monomial times monomial: most products in practice
-        (ka, va), = a.items()
-        (kb, vb), = b.items()
-        c = va * vb
-        if p:
-            c %= p
-        elif type(c) is Fraction and c.denominator == 1:
-            c = c.numerator
-        return {tuple(map(add, ka, kb)): c} if c else {}
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():

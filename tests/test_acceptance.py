@@ -16,8 +16,9 @@ from fractions import Fraction
 import corpus
 import genmod
 import oracle_rank
-from koszulmf.complexes import PolyMatrix, koszul_complex
-from koszulmf.koszul import compose_koszul_morphisms, validate_koszul
+from koszulmf.complexes import PolyMatrix
+from koszulmf.koszul import (compose_koszul_morphisms, koszul_complex,
+                             validate_koszul)
 from koszulmf.mf import (MFObject, compose_mf_morphisms, fold_morphism,
                          mf_cone, mf_shift, mf_tensor, orlov_fold,
                          orlov_unfold, residue_homology, validate_mf,

@@ -1129,6 +1129,52 @@ def test_document_degrees_outside_the_window_exit_2(capsys, tmp_path, edit,
         == f"error=parse {line}"
 
 
+def _mf_object(**fields):
+    obj = {"type": "mf", "f": "x*y", "r0": 1, "r1": 1,
+           "phi0": [["x"]], "phi1": [["y"]]}
+    obj.update(fields)
+    return {"a": obj}
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda raw: raw["objects"]["m3"].update(degrees=[-2, True]),
+     "objects.m3: degrees must be [lo, hi] with lo <= hi"),
+    (lambda raw: raw["objects"]["m3"]["ranks"].update({"-2": True}),
+     "objects.m3: rank at -2 must be a nonnegative integer"),
+    (lambda raw: raw["points"].update(o={"x": False, "y": False}),
+     "points.o.x: point values must be integers or fractions"),
+    (lambda raw: raw["objects"].update(_mf_object(r0=True)),
+     "objects.a: r0 and r1 must be nonnegative integers"),
+    (lambda raw: raw["objects"].update(_mf_object(r1=False)),
+     "objects.a: r0 and r1 must be nonnegative integers"),
+    (lambda raw: raw["ring"].update(p=True), "ring: p must be an integer"),
+    (lambda raw: raw["objects"]["m3"]["h"][0].update({"0": [[True], ["0"]]}),
+     "objects.m3.h[0][0]: matrix entry 'True' is not a string or an integer"),
+], ids=["degrees", "rank", "point", "r0", "r1", "p", "entry"])
+def test_json_booleans_are_not_integers_exit_2(capsys, tmp_path, edit, line):
+    # JSON true and false are Python bools, which isinstance(v, int) accepts
+    raw = json.load(open(M3))
+    edit(raw)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(raw))
+    assert _expect_parse_error(capsys, ["validate", "--input", str(doc)]) \
+        == f"error=parse {line}"
+
+
+def test_witness_offset_false_is_not_an_even_integer_exit_2(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    code, _ = run(capsys, ["fold", "--input", M3, "--points", "origin",
+                           "--witness", str(wpath)])
+    assert code == 0
+    w = json.loads(wpath.read_text())
+    step = w["steps"].index(_step(w, "shift_by_two"))
+    w["steps"][step]["offset"] = False
+    wpath.write_text(json.dumps(w))
+    assert _expect_parse_error(capsys, ["witness-check", "--witness",
+                                        str(wpath)]) \
+        == f"error=parse steps[{step}]: offset must be an even integer"
+
+
 @pytest.mark.parametrize("kind", ["cone_off_free", "explicit_quasi_iso"])
 def test_witness_components_outside_the_window_exit_2(capsys, tmp_path,
                                                        kind):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix, cone_chain,
-                                homology_dims_at, koszul_complex, kron,
-                                shift_complex, validate_chain_map,
-                                validate_complex, wedge_subsets)
+                                homology_dims_at, kron, shift_complex,
+                                validate_chain_map, validate_complex)
+from koszulmf.koszul import koszul_complex
 from koszulmf.ring import Poly, evaluate, parse_poly, polynomial_ring, \
     prime_field, rationals
 
@@ -505,12 +505,6 @@ def test_koszul_complex_three_potentials_is_a_complex():
     k = koszul_complex(ring, fs)
     assert validate_complex(k) == []
     assert [k.rank(m) for m in range(-3, 1)] == [1, 3, 3, 1]
-
-
-def test_wedge_subsets_order():
-    assert wedge_subsets(3, 2) == [(0, 1), (0, 2), (1, 2)]
-    assert wedge_subsets(2, 0) == [()]
-    assert wedge_subsets(2, 3) == []
 
 
 # ---------------------------------------------------------------------------

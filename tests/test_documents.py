@@ -386,7 +386,7 @@ def test_empty_matrix_payloads_are_fine():
 
 
 # ---------------------------------------------------------------------------
-# the zero fast path of the entry parser
+# zero entries of the entry parser
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("ring", [

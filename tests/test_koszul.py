@@ -3,12 +3,12 @@
 import pytest
 
 import corpus
-from koszulmf.complexes import FreeComplex, PolyMatrix, koszul_complex
+from koszulmf.complexes import FreeComplex, PolyMatrix
 from koszulmf.koszul import (KoszulMorphism, box_tensor,
                              compose_koszul_morphisms, cone_acyclic_at,
                              cone_koszul, counit_map, fk_layout, free_koszul,
-                             kron, shift_koszul, validate_koszul,
-                             validate_koszul_morphism)
+                             koszul_complex, kron, shift_koszul,
+                             validate_koszul, validate_koszul_morphism)
 from koszulmf.ring import parse_poly, polynomial_ring, rationals
 
 QX = polynomial_ring(rationals(), ("x",))
