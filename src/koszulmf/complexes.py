@@ -30,6 +30,21 @@ tuple-keyed sums.  Each surviving coefficient is then normalized once:
 divided by D_A * D_B over Q, reduced by one `% p` over F_p.  Coefficients
 that cancel are dropped, and an entry left empty is not stored.
 
+A product in which one operand is a selection, a matrix whose every
+stored row is one entry, the constant 1 (permutations, pads, trims,
+identities, and vacuously the zero matrix), is a reindexing with no
+arithmetic: S·B copies row k of B into row i wherever S[i] = {k: 1}, and
+A·S moves A[i][k] to column j wherever S[k] = {j: 1}.  Entries are shared
+with the operands, rows are fresh dicts.  A selection is found by a scan
+that stops at the first row that is not one constant 1; when two rows of
+a right-hand selection put their 1 in one column, the product is a sum
+and takes the fused kernel.
+
+Evaluation at a point goes through one loop, `Evaluation.rows`: sparse
+rows of base-field scalars, each matrix evaluated once and each distinct
+entry once per `Evaluation`.  `PolyMatrix.evaluate` writes those rows out
+densely; `homology_dims_at` ranks them with `linalg.sparse_rank`.
+
 `graded_map` is the one block assembler of the graded constructions, and
 `tensor_rule` the one sign rule of both tensor products.
 """
@@ -110,6 +125,25 @@ class _Packing:
                 if k is None:
                     k = unpacked[m] = tuple([(m >> s) & mask for s in shifts])
                 out[k] = out.get(k, 0) + v
+
+
+def _selection(nz, one):
+    """{row: column} when every stored row of `nz` is one entry, the
+    constant 1 (`one` is the exponent tuple of the monomial 1); else None.
+    The scan stops at the first row that is not."""
+    sel = {}
+    unit = None     # the last entry found to be 1; rows often share it
+    for i, row in nz.items():
+        if len(row) != 1:
+            return None
+        (k, e), = row.items()
+        if e is not unit:
+            t = e.terms
+            if len(t) != 1 or t.get(one) != 1:
+                return None
+            unit = e
+        sel[i] = k
+    return sel
 
 
 class PolyMatrix:
@@ -292,20 +326,33 @@ class PolyMatrix:
             raise ValueError("mixed rings")
 
     def __mul__(self, other):
-        """The matrix product, by the fused kernel of the module docstring."""
+        """The matrix product: a reindexing when one operand is a selection,
+        else the fused kernel (see the module docstring)."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
         self._same_ring(other)
         ring = self.ring
-        p = ring.char
         anz, bnz = self.nz, other.nz
+        one = (0,) * len(ring.varnames)     # exponents of the monomial 1
+        sel = _selection(anz, one)
+        if sel is not None:
+            nz = {i: dict(bnz[k]) for i, k in sel.items() if k in bnz}
+            return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
+        sel = _selection(bnz, one)
+        if sel is not None and len(set(sel.values())) == len(sel):
+            nz = {}
+            for i, arow in anz.items():
+                row = {sel[k]: a for k, a in arow.items() if k in sel}
+                if row:
+                    nz[i] = row
+            return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
+        p = ring.char
         d = 1
         if not p:
             anz, da = _cleared(anz, ring)
             bnz, db = _cleared(bnz, ring)
             d = da * db
-        one = (0,) * len(ring.varnames)     # exponents of the monomial 1
         packing = None      # built when a multi-term pair first meets
         pacc = {}           # the packed-monomial part of acc
         nz = {}
@@ -424,22 +471,66 @@ class PolyMatrix:
         return not self.nz
 
     def evaluate(self, point):
-        """List of rows of base-field scalars.  The point is normalized once;
-        absent entries are the base-field zero without an evaluation."""
+        """List of rows of base-field scalars: the sparse rows of
+        `Evaluation` written out, absent entries the base-field zero."""
         zero = normalize_scalar(self.ring, 0)
         out = [[zero] * self.cols for _ in range(self.rows)]
         if self.rows and self.cols:
-            vals = point_values(self.ring, point)
-            for i, row in self.nz.items():
+            for i, row in Evaluation(self.ring, point).rows(self).items():
                 out_row = out[i]
-                for j, e in row.items():
-                    out_row[j] = evaluate_at(e, vals)
+                for j, v in row.items():
+                    out_row[j] = v
         return out
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in self.row(i))
                          for i in range(self.rows))
         return f"PolyMatrix({self.rows}x{self.cols}: {body})"
+
+
+class Evaluation:
+    """Matrices over `ring` evaluated at one point (variable name ->
+    scalar; every ring variable must be assigned), as sparse rows.
+
+    `rows(mat)` is {row: {column: nonzero base-field scalar}}.  Each matrix
+    is evaluated once and each distinct entry once: both memos are keyed by
+    identity and hold the object they key, so an id cannot be reused while
+    the memo lives.  The rows handed out are shared and must not be
+    modified, and a matrix must not be modified (`put`) while an
+    Evaluation that has seen it is kept.  Over Q a power whose value would
+    pass the coefficient budget raises ValueError (`ring.evaluate_at`).
+    """
+
+    __slots__ = ("ring", "vals", "_rows", "_entries")
+
+    def __init__(self, ring, point):
+        self.ring = ring
+        self.vals = point_values(ring, point)
+        self._rows = {}
+        self._entries = {}
+
+    def rows(self, mat):
+        if mat.ring is not self.ring:
+            raise ValueError("matrix over another ring than the evaluation")
+        if not mat.nz:
+            return {}
+        hit = self._rows.get(id(mat))
+        if hit is not None:
+            return hit[1]
+        vals, entries = self.vals, self._entries
+        out = {}
+        for i, row in mat.nz.items():
+            vrow = {}
+            for j, e in row.items():
+                ev = entries.get(id(e))
+                if ev is None:
+                    ev = entries[id(e)] = (e, evaluate_at(e, vals))
+                if ev[1]:
+                    vrow[j] = ev[1]
+            if vrow:
+                out[i] = vrow
+        self._rows[id(mat)] = (mat, out)
+        return out
 
 
 def kron(a, b):
@@ -681,9 +772,11 @@ def cone_chain(g):
 # ---------------------------------------------------------------------------
 
 def homology_dims_at(c, point):
-    """Dimensions of the cohomology of the evaluated complex, degree by degree."""
+    """Dimensions of the cohomology of the evaluated complex, degree by
+    degree."""
+    at = Evaluation(c.ring, point)
     p = c.ring.char
-    ranks = {m: linalg.rank(c.diff(m).evaluate(point), p)
+    ranks = {m: linalg.sparse_rank(at.rows(c.diff(m)).values(), p)
              for m in c.degrees()}
     return {m: c.rank(m) - ranks[m] - ranks.get(m - 1, 0)
             for m in c.degrees()}

@@ -12,15 +12,20 @@ underlying free module.  That order reproduces the classical block shapes
 (for n=1: [[-d, 0], [f, d]] with the wedge part first).  Every map of the
 free module, the counit and the box tensor is a `complexes.graded_map`, and
 the Koszul complex is the free module on one generator (`koszul_complex`).
+
+The pointwise quasi-isomorphism evidence, `cone_acyclic_at`, does not build
+the cone: it ranks the cone's differentials as sparse scalar rows,
+assembled from the evaluated blocks of the morphism and its two modules.
 """
 
 from bisect import bisect_left
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
-from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
-                                component_shape_report, cone_chain,
-                                embed_matrix, graded_map, homology_dims_at,
+from koszulmf import linalg
+from koszulmf.complexes import (ChainMap, Evaluation, FreeComplex,
+                                PolyMatrix, component_shape_report,
+                                cone_chain, embed_matrix, graded_map,
                                 shift_complex, shift_sign, tensor_rule,
                                 validate_chain_map, validate_complex)
 from koszulmf.complexes import kron  # noqa: F401  (importable from here too)
@@ -337,10 +342,11 @@ def box_tensor(a, b):
                 for m in range(lo - 1, hi + 2)}
 
     def maps(fa, fb, step, degrees):
-        # fa ⊗ 1 + (-1)^p 1 ⊗ fb for maps of a and b of degree `step`
-        rule = tensor_rule(merged, lambda p: embed_matrix(fa(p), merged),
-                           lambda q: embed_matrix(fb(q), merged, off_b),
-                           a.rank, b.rank, lambda p: p + step)
+        # fa ⊗ 1 + (-1)^p 1 ⊗ fb for maps of a and b of degree `step`; each
+        # factor's map at each degree is embedded once, on first use
+        ea = cache(lambda p: embed_matrix(fa(p), merged))
+        eb = cache(lambda q: embed_matrix(fb(q), merged, off_b))
+        rule = tensor_rule(merged, ea, eb, a.rank, b.rank, lambda p: p + step)
         return {m: graded_map(merged, summands[m], summands[m + step], rule)
                 for m in degrees}
 
@@ -357,7 +363,35 @@ def box_tensor(a, b):
 # ---------------------------------------------------------------------------
 
 def cone_acyclic_at(g, point):
-    """True when the cone of the underlying chain map is exact at the point."""
-    cone = cone_chain(g)
-    dims = homology_dims_at(cone, point)
-    return all(v == 0 for v in dims.values())
+    """True when the cone of the underlying chain map is exact at the point.
+
+    `point` is a point, or an `Evaluation` at one over g's ring that a
+    caller shares between calls, so that a matrix met again is not
+    evaluated again.  The cone is not built: each of its differentials,
+    [[-d_src, 0], [g, d_tgt]] as in `cone_chain`, is assembled from the
+    evaluated blocks as sparse scalar rows and ranked by
+    `linalg.sparse_rank`; the verdict is the rank arithmetic of
+    `homology_dims_at` on `cone_chain(g)`.
+    """
+    src, tgt = g.source, g.target
+    ring = src.ring
+    at = point if isinstance(point, Evaluation) else Evaluation(ring, point)
+    p = ring.char
+    lo = min(src.lo - 1, tgt.lo)
+    hi = max(src.hi - 1, tgt.hi)
+    ranks = {}
+    for m in range(lo, hi):
+        shift = src.rank(m + 1)
+        rows = [{j: (-v) % p if p else -v for j, v in row.items()}
+                for row in at.rows(src.diff(m + 1)).values()]
+        bottom = {i: dict(row)
+                  for i, row in at.rows(g.component(m + 1)).items()}
+        for i, row in at.rows(tgt.diff(m)).items():
+            out = bottom.setdefault(i, {})
+            for j, v in row.items():
+                out[j + shift] = v
+        rows.extend(bottom.values())
+        ranks[m] = linalg.sparse_rank(rows, p)
+    return all(src.rank(m + 1) + tgt.rank(m)
+               == ranks.get(m, 0) + ranks.get(m - 1, 0)
+               for m in range(lo, hi + 1))

@@ -1,35 +1,45 @@
 """Exact Gaussian elimination over the rationals or a prime field.
 
-Inputs are dense lists of rows of base-field scalars: rationals in the
-normal form of `koszulmf.ring` (int, or Fraction with denominator > 1) in
-char 0, ints in [0, p) mod p.  Over Q each row is converted to Fractions
-before elimination divides, so no float can appear.  Only ranks and kernel dimensions are needed upstream.  The
-evaluated matrices are mostly zero, so elimination works on the nonzero
-entries of each row only.
+Only ranks are needed upstream.  The one elimination loop, `sparse_rank`,
+works on sparse rows, {column: nonzero scalar}, of base-field scalars:
+rationals in the normal form of `koszulmf.ring` (int, or Fraction with
+denominator > 1) in char 0, ints in [0, p) mod p.  Each pivot row is
+scaled to lead with 1, so a reduction multiplies and subtracts but never
+divides, and over Q a row stays in ints until a lead other than ±1 brings
+in a Fraction; no float can appear.  `rank` takes dense lists of rows and
+hands their nonzero entries to the same loop.
 """
 
 from fractions import Fraction
 
 
-def rank(mat, p=0):
-    # echelon rows keyed by their leading column; each input row is reduced
-    # against them until it vanishes or leads in a new column
+def sparse_rank(rows, p=0):
+    """Rank of the matrix whose rows are the given sparse rows.  The rows
+    are read, never modified."""
+    # echelon rows keyed by their leading column, each scaled to lead with
+    # 1; each input row is reduced against them until it vanishes or leads
+    # in a new column
     pivots = {}
-    for r in mat:
-        if p:
-            row = {c: v % p for c, v in enumerate(r) if v % p}
-        else:
-            row = {c: Fraction(v) for c, v in enumerate(r) if v}
+    for row in rows:
+        owned = False
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
+                v = row[lead]
+                if v != 1:
+                    if p:
+                        inv = pow(v, p - 2, p)
+                        row = {c: w * inv % p for c, w in row.items()}
+                    else:
+                        inv = v if v == -1 else 1 / Fraction(v)
+                        row = {c: w * inv for c, w in row.items()}
                 pivots[lead] = row
                 break
-            if p:
-                factor = row[lead] * pow(piv[lead], p - 2, p) % p
-            else:
-                factor = row[lead] / piv[lead]
+            if not owned:
+                row = dict(row)
+                owned = True
+            factor = row[lead]
             for c, v in piv.items():
                 w = row.get(c, 0) - factor * v
                 if p:
@@ -41,6 +51,10 @@ def rank(mat, p=0):
     return len(pivots)
 
 
-def kernel_dim(mat, cols, p=0):
-    """Nullity of a matrix with the given column count (rows may be empty)."""
-    return cols - rank(mat, p)
+def rank(mat, p=0):
+    """Rank of a dense matrix: a list of rows of base-field scalars (mod p,
+    any ints)."""
+    if p:
+        return sparse_rank(({c: v % p for c, v in enumerate(r) if v % p}
+                            for r in mat), p)
+    return sparse_rank(({c: v for c, v in enumerate(r) if v} for r in mat))

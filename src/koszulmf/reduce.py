@@ -41,8 +41,8 @@ the checks the replay cannot make, those that guard the construction itself
 and the fold transport against `orlov_fold`.
 """
 
-from koszulmf.complexes import (MAX_TOTAL_RANK, FreeComplex, PolyMatrix,
-                                embed_matrix)
+from koszulmf.complexes import (MAX_TOTAL_RANK, Evaluation, FreeComplex,
+                                PolyMatrix, embed_matrix)
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
                              cone_koszul, counit_components, fk_layout,
                              free_koszul, free_ranks, shift_koszul,
@@ -139,8 +139,12 @@ def apply_step(step, current):
 
 
 def validate_log(log, points=None):
-    """Full re-validation of a log.  Returns a report; empty means valid."""
-    points = points or []
+    """Full re-validation of a log.  Returns a report; empty means valid.
+
+    The pointwise evidence at each point shares one `Evaluation`, made
+    here and dropped on return, so a matrix that several steps hold is
+    evaluated once per point."""
+    at = [Evaluation(log.start.ring, pt) for pt in points or []]
     report = []
     current = log.start
     for i, step in enumerate(log.steps):
@@ -150,8 +154,8 @@ def validate_log(log, points=None):
             report.append(f"step {i} ({step.kind}): {e}")
             return report
         if step.kind == "explicit_quasi_iso":
-            for j, pt in enumerate(points):
-                if not cone_acyclic_at(step.morphism, pt):
+            for j, evaluation in enumerate(at):
+                if not cone_acyclic_at(step.morphism, evaluation):
                     report.append(f"step {i} ({step.kind}): cone homology "
                                   f"does not vanish at point {j}")
         current = nxt

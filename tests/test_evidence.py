@@ -1,0 +1,202 @@
+"""Pointwise quasi-isomorphism evidence against a dense reference.
+
+`cone_acyclic_at` ranks the cone's differentials as sparse scalar rows,
+assembled from the evaluated blocks.  The reference builds the cone with
+`cone_chain`, evaluates it densely and ranks it with the brute-force
+oracle.  A replay shares one `Evaluation` per point between steps; its
+verdicts must be those of a replay whose steps share no object.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import corpus
+import genmod
+from oracle_rank import rank_bruteforce
+
+from koszulmf import complexes, documents as docs
+from koszulmf.complexes import (Evaluation, FreeComplex, PolyMatrix,
+                                cone_chain)
+from koszulmf.koszul import (KoszulMorphism, cone_acyclic_at, counit_map,
+                             free_koszul)
+from koszulmf.reduce import (WitnessLog, WitnessStep, amplitude_reduce,
+                             fold_with_witness, validate_log)
+from koszulmf.ring import parse_poly, polynomial_ring, rationals
+
+# the oracle is exponential: matrices past this size are not compared
+ORACLE_SIZE = 7
+
+
+def _reference(g, point):
+    """Exactness of the dense evaluated cone, ranked by the oracle; None
+    when a differential is too large for it."""
+    cone = cone_chain(g)
+    p = cone.ring.char or None
+    ranks = {}
+    for m in cone.degrees():
+        d = cone.diff(m)
+        if max(d.rows, d.cols) > ORACLE_SIZE:
+            return None
+        ranks[m] = rank_bruteforce(d.evaluate(point), p) if d.rows else 0
+    return all(cone.rank(m) == ranks[m] + ranks.get(m - 1, 0)
+               for m in cone.degrees())
+
+
+def _scalar_endo(m, poly):
+    return KoszulMorphism(m, m, {s: PolyMatrix.scalar(m.ring, m.rank(s), poly)
+                                 for s in range(m.lo, m.hi + 1)})
+
+
+def _morphisms(m):
+    """Endomorphisms 1, 0 and f_1, and the counit when it is small."""
+    one = parse_poly("1", m.ring)
+    yield _scalar_endo(m, one)
+    yield _scalar_endo(m, one - one)
+    yield _scalar_endo(m, m.potential[0])
+    if sum(m.underlying.ranks.values()) <= 3:
+        yield counit_map(m)
+
+
+def _random_point(rng, ring):
+    return {v: Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2]))
+            for v in ring.varnames}
+
+
+def _agree(g, points):
+    compared = 0
+    for pt in points:
+        want = _reference(g, pt)
+        if want is not None:
+            assert cone_acyclic_at(g, pt) == want
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.name)
+def test_cone_acyclic_at_matches_dense_reference_on_corpus(entry):
+    rng = random.Random(entry.name)
+    points = entry.points + [_random_point(rng, entry.module.ring)]
+    for g in _morphisms(entry.module):
+        _agree(g, points)
+
+
+def test_cone_acyclic_at_matches_dense_reference_on_random_modules():
+    rng = random.Random(20261019)
+    compared = {0: 0, 5: 0}
+    verdicts = set()
+    for _ in range(40):
+        m = genmod.random_module(rng, n=rng.randint(1, 2), max_rank=2,
+                                 max_amp=2)
+        origin = {v: 0 for v in m.ring.varnames}
+        points = [origin, _random_point(rng, m.ring)]
+        for g in _morphisms(m):
+            compared[m.ring.char] += _agree(g, points)
+            verdicts.update(cone_acyclic_at(g, pt) for pt in points)
+    # both fields were compared, and both verdicts occurred
+    assert compared[0] and compared[5]
+    assert verdicts == {True, False}
+
+
+def test_identity_and_zero_cones_match_reference():
+    m = corpus.by_name("m3").module
+    origin, axis = corpus.by_name("m3").points
+    ident = _scalar_endo(m, parse_poly("1", m.ring))
+    zero = _scalar_endo(m, parse_poly("0", m.ring))
+    for g, pt, want in ((ident, origin, True), (ident, axis, True),
+                        (zero, origin, False), (zero, axis, True)):
+        assert cone_acyclic_at(g, pt) is want
+        assert _reference(g, pt) is want
+
+
+def test_shared_evaluation_gives_the_same_verdicts():
+    # one Evaluation per point across morphisms that share their module
+    m = corpus.by_name("m3").module
+    morphisms = list(_morphisms(m))
+    for pt in corpus.by_name("m3").points:
+        at = Evaluation(m.ring, pt)
+        assert ([cone_acyclic_at(g, at) for g in morphisms]
+                == [cone_acyclic_at(g, pt) for g in morphisms])
+
+
+def test_evaluation_of_another_ring_is_refused():
+    m = corpus.by_name("m3").module
+    other = polynomial_ring(rationals(), ("x",))
+    g = _scalar_endo(m, parse_poly("1", m.ring))
+    with pytest.raises(ValueError, match="another ring"):
+        cone_acyclic_at(g, Evaluation(other, {"x": 0}))
+
+
+def test_power_refusal_still_raises():
+    qx = polynomial_ring(rationals(), ("x",))
+    base = FreeComplex(qx, -1, 0, {-1: 1, 0: 1},
+                       {-1: PolyMatrix(qx, 1, 1, [parse_poly("x^4000", qx)])})
+    m = free_koszul(base, (parse_poly("x^2", qx),))
+    g = _scalar_endo(m, parse_poly("1", qx))
+    with pytest.raises(ValueError, match="would pass 1000 digits"):
+        cone_acyclic_at(g, {"x": 2})
+
+
+# ---------------------------------------------------------------------------
+# replays whose steps share module objects
+# ---------------------------------------------------------------------------
+
+def _unshared(log):
+    """The log read back from its payload: no two steps share an object."""
+    raw = json.loads(docs.dumps(docs.witness_payload(log)))
+    return docs.parse_witness(raw)[0]
+
+
+def test_replay_with_shared_modules_matches_unshared_replay():
+    m = corpus.by_name("m3").module
+    origin, axis = corpus.by_name("m3").points
+    one = parse_poly("1", m.ring)
+    # steps 0 and 2 share every matrix of m with step 1; only the zero
+    # endomorphism of step 1 fails, and only at the origin
+    shared = WitnessLog(m, m, [
+        WitnessStep("explicit_quasi_iso", "forward",
+                    morphism=_scalar_endo(m, one)),
+        WitnessStep("explicit_quasi_iso", "forward",
+                    morphism=_scalar_endo(m, one - one)),
+        WitnessStep("explicit_quasi_iso", "backward",
+                    morphism=_scalar_endo(m, one))])
+    for points in ([origin], [axis], [axis, origin], [origin, axis]):
+        report = validate_log(shared, points)
+        assert report == validate_log(_unshared(shared), points)
+        fails = ["does not vanish" in line for line in report]
+        assert fails == [True] * points.count(origin)
+
+
+def test_emitted_logs_replay_the_same_shared_or_not():
+    rng = random.Random(7)
+    for _ in range(6):
+        m = genmod.random_fold_input(rng, max_amplitude=4)
+        points = [{v: 0 for v in m.ring.varnames}]
+        _, log = fold_with_witness(m, points)
+        assert validate_log(log, points) == []
+        assert validate_log(_unshared(log), points) == []
+    m = corpus.by_name("fk_xyz").module
+    points = corpus.by_name("fk_xyz").points
+    _, log = amplitude_reduce(m)
+    assert validate_log(log, points) == []
+    assert validate_log(_unshared(log), points) == []
+
+
+def test_replay_evaluates_each_entry_once_per_point(monkeypatch):
+    m = corpus.by_name("m3").module
+    points = corpus.by_name("m3").points
+    _, log = fold_with_witness(m, points)
+    seen = []
+    real = complexes.evaluate_at
+
+    def counting(poly, vals):
+        seen.append((poly, tuple(vals)))
+        return real(poly, vals)
+
+    monkeypatch.setattr(complexes, "evaluate_at", counting)
+    assert validate_log(log, points) == []
+    assert seen
+    keys = [(id(poly), vals) for poly, vals in seen]
+    assert len(keys) == len(set(keys))

@@ -3,6 +3,7 @@
 import pytest
 
 import corpus
+from koszulmf import koszul
 from koszulmf.complexes import FreeComplex, PolyMatrix
 from koszulmf.koszul import (KoszulMorphism, box_tensor,
                              compose_koszul_morphisms, cone_acyclic_at,
@@ -179,6 +180,29 @@ def test_box_tensor_bigger_factors():
     t = box_tensor(a, b)
     assert validate_koszul(t) == []
     assert t.amplitude == a.amplitude + b.amplitude - 1
+
+
+def test_box_tensor_embeds_each_map_once(monkeypatch):
+    # two free modules on x -> x·(rank 1), ranks 1, 2, 1 each: the tensor
+    # has ranks 1, 4, 6, 4, 1
+    def two_term(ring, v):
+        base = FreeComplex(ring, -1, 0, {-1: 1, 0: 1},
+                           {-1: _m(ring, 1, 1, [v])})
+        return free_koszul(base, (parse_poly(f"{v}^2", ring),))
+
+    embedded = []
+    real = koszul.embed_matrix
+
+    def counting(mat, ring, offset=0):
+        embedded.append(mat)    # held, so no id is reused
+        return real(mat, ring, offset)
+
+    monkeypatch.setattr(koszul, "embed_matrix", counting)
+    t = box_tensor(two_term(QX, "x"), two_term(QY, "y"))
+    assert [t.rank(u) for u in range(t.lo, t.hi + 1)] == [1, 4, 6, 4, 1]
+    assert validate_koszul(t) == []
+    assert embedded
+    assert len({id(mat) for mat in embedded}) == len(embedded)
 
 
 def test_box_tensor_variable_collision():

@@ -1,11 +1,11 @@
-"""Exact rank/kernel, cross-checked against the brute-force minor oracle."""
+"""Exact rank, cross-checked against the brute-force minor oracle."""
 
 import random
 from fractions import Fraction
 
 from oracle_rank import rank_bruteforce
 
-from koszulmf.linalg import kernel_dim, rank
+from koszulmf.linalg import rank, sparse_rank
 
 
 def _random_fraction_matrix(rng, rows, cols):
@@ -43,13 +43,26 @@ def test_rank_handles_rank_deficient_pivots():
     assert rank([[v % 5 for v in row] for row in m5], 5) == 1
 
 
-def test_kernel_dim():
+def test_rank_of_empty_and_small_matrices():
     m = [[Fraction(1), Fraction(2), Fraction(3)]]
-    assert kernel_dim(m, 3) == 2
-    assert kernel_dim([], 3) == 3          # zero map out of rank 3
-    assert kernel_dim([[]], 0) == 0        # nothing to kill
+    assert rank(m) == 1
+    assert rank([]) == 0                   # no rows
+    assert rank([[]]) == 0                 # one row of no columns
     rng = random.Random(7)
     for _ in range(60):
         rows, cols = rng.randint(0, 3), rng.randint(0, 3)
         m = _random_fraction_matrix(rng, rows, cols)
-        assert kernel_dim(m, cols) == cols - rank_bruteforce(m)
+        assert rank(m) == rank_bruteforce(m)
+
+
+def test_sparse_rank_reads_rows_without_modifying_them():
+    rng = random.Random(11)
+    for p in (0, 5):
+        for _ in range(60):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            m = (_random_mod_p_matrix(rng, rows, cols, p) if p
+                 else _random_fraction_matrix(rng, rows, cols))
+            sparse = [{c: v for c, v in enumerate(r) if v} for r in m]
+            before = [dict(r) for r in sparse]
+            assert sparse_rank(sparse, p) == rank_bruteforce(m, p or None)
+            assert sparse == before

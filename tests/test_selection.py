@@ -1,0 +1,183 @@
+"""Products with a selection operand, against a dense reference.
+
+A selection is a matrix whose every stored row is one entry, the constant
+1: permutations, identities, pads and trims, and the zero matrix.  Such a
+product is a reindexing that shares the other operand's entries; a
+right-hand selection that sends two rows to one column sums, and takes the
+fused kernel.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from koszulmf.complexes import PolyMatrix
+from koszulmf.ring import Poly, polynomial_ring, prime_field, rationals
+
+SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+
+QXY = polynomial_ring(rationals(), ("x", "y"))
+F5XY = polynomial_ring(prime_field(5), ("x", "y"))
+RINGS = pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
+
+
+@st.composite
+def polys(draw, ring):
+    """Zero, a constant (1 included) or up to three terms with exponents
+    below 3 and small fractions as coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms[exps] = Fraction(draw(st.integers(-4, 4)),
+                               draw(st.sampled_from([1, 1, 2, 3])))
+    return draw(st.sampled_from([Poly(ring, terms), Poly.one(ring)]))
+
+
+@st.composite
+def dense(draw, ring, rows, cols):
+    return [[draw(polys(ring)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def column_maps(draw, rows, cols):
+    """For each row of a rows x cols selection, its column or None."""
+    kind = draw(st.sampled_from(["permutation", "identity", "injective",
+                                 "any", "zero"]))
+    if kind in ("permutation", "identity") and rows == cols:
+        order = list(range(cols))
+        return draw(st.permutations(order)) if kind == "permutation" \
+            else order
+    if kind in ("injective", "permutation", "identity"):
+        # a pad or a trim: distinct columns, some rows left empty
+        picked = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                               max_size=min(rows, cols))) if cols else []
+        slots = draw(st.permutations(list(range(rows))))[:len(picked)]
+        out = [None] * rows
+        for i, j in zip(slots, picked):
+            out[i] = j
+        return out
+    if kind == "any" and cols:
+        # columns may repeat: not injective
+        return [draw(st.none() | st.integers(0, cols - 1))
+                for _ in range(rows)]
+    return [None] * rows
+
+
+def _selection(ring, cmap, cols):
+    one, zero = Poly.one(ring), Poly.zero(ring)
+    return [[one if cmap[i] == j else zero for j in range(cols)]
+            for i in range(len(cmap))]
+
+
+def _matrix(ring, rows, cols):
+    return PolyMatrix(ring, len(rows), cols, [e for r in rows for e in r])
+
+
+def _dense_mul(ring, a, b, cols):
+    inner = len(b)
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Poly.zero(ring))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def _selection_like(mat):
+    one = Poly.one(mat.ring)
+    return all(len(row) == 1 and next(iter(row.values())) == one
+               for row in mat.nz.values())
+
+
+def _snapshot(mat):
+    return {i: dict(row) for i, row in mat.nz.items()}
+
+
+def _check(ring, prod, want, rows, cols):
+    assert (prod.ring, prod.rows, prod.cols) == (ring, rows, cols)
+    assert prod == _matrix(ring, want, cols)
+    for row in prod.nz.values():
+        assert row and all(e.terms for e in row.values())
+
+
+def _put_leaves_operands(ring, prod, a, b):
+    before = _snapshot(a), _snapshot(b)
+    for i, row in list(prod.nz.items()):
+        for j in list(row):
+            prod.put(i, j, Poly.var(ring, "x") + Poly.one(ring))
+            prod.put(i, j, Poly.zero(ring))
+    assert (_snapshot(a), _snapshot(b)) == before
+
+
+@RINGS
+@SETTINGS
+@given(data=st.data())
+def test_selection_times_matrix(ring, data):
+    draw = data.draw
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    cmap = draw(column_maps(r, k))
+    s, b = _selection(ring, cmap, k), draw(dense(ring, k, c))
+    S, B = _matrix(ring, s, k), _matrix(ring, b, c)
+    prod = S * B
+    _check(ring, prod, _dense_mul(ring, s, b, c), r, c)
+    # a reindexing: every entry is the other operand's own Poly
+    for i, row in prod.nz.items():
+        for j, e in row.items():
+            assert e is B.nz[cmap[i]][j]
+    _put_leaves_operands(ring, prod, S, B)
+
+
+@RINGS
+@SETTINGS
+@given(data=st.data())
+def test_matrix_times_selection(ring, data):
+    draw = data.draw
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    cmap = draw(column_maps(k, c))
+    a, s = draw(dense(ring, r, k)), _selection(ring, cmap, c)
+    A, S = _matrix(ring, a, k), _matrix(ring, s, c)
+    prod = A * S
+    _check(ring, prod, _dense_mul(ring, a, s, c), r, c)
+    used = [j for j in cmap if j is not None]
+    if len(set(used)) == len(used) and not _selection_like(A):
+        # injective: each entry is moved, not recomputed
+        for i, row in prod.nz.items():
+            for j, e in row.items():
+                assert e is A.nz[i][cmap.index(j)]
+    _put_leaves_operands(ring, prod, A, S)
+
+
+@RINGS
+@SETTINGS
+@given(data=st.data())
+def test_selection_times_selection(ring, data):
+    draw = data.draw
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    s1 = _selection(ring, draw(column_maps(r, k)), k)
+    s2 = _selection(ring, draw(column_maps(k, c)), c)
+    prod = _matrix(ring, s1, k) * _matrix(ring, s2, c)
+    _check(ring, prod, _dense_mul(ring, s1, s2, c), r, c)
+
+
+@RINGS
+def test_two_rows_into_one_column_sum(ring):
+    # rows 0 and 1 of S both select column 0: A*S adds A's columns 0 and 1
+    x, y = Poly.var(ring, "x"), Poly.var(ring, "y")
+    one, zero = Poly.one(ring), Poly.zero(ring)
+    a = _matrix(ring, [[x, y, one]], 3)
+    s = _matrix(ring, [[one, zero], [one, zero], [zero, one]], 2)
+    assert a * s == _matrix(ring, [[x + y, one]], 2)
+    # a row of A that meets only one of the two rows needs no sum
+    a2 = _matrix(ring, [[x, zero, y]], 3)
+    assert a2 * s == _matrix(ring, [[x, y]], 2)
+
+
+@RINGS
+def test_selection_keeps_shape_and_ring_errors(ring):
+    other = polynomial_ring(rationals(), ("u",))
+    ident = PolyMatrix.identity(ring, 2)
+    with pytest.raises(ValueError, match=r"shape mismatch 2x2 \* 3x1"):
+        ident * PolyMatrix.zero(ring, 3, 1)
+    with pytest.raises(ValueError, match=r"shape mismatch 1x3 \* 2x2"):
+        PolyMatrix.zero(ring, 1, 3) * ident
+    with pytest.raises(ValueError, match="mixed rings"):
+        ident * PolyMatrix.identity(other, 2)
+    with pytest.raises(ValueError, match="mixed rings"):
+        PolyMatrix.identity(other, 2) * ident
