@@ -212,11 +212,18 @@ def _write_witness(args, log, points):
         docs.write_json(args.witness, docs.witness_payload(log, points))
 
 
-def _transform(args, want, typename, build, suffix):
+def _transform(args, want, typename, build, suffix, size=None):
     """Check the document's one `typename` object, build from it, check the
-    result and report its shape; --output gets it as `<name>_<suffix>`."""
+    result and report its shape; --output gets it as `<name>_<suffix>`.
+    `size(obj)`, when given, is the result's total rank: past
+    MAX_TOTAL_RANK the result is refused before it is built."""
     doc, name, obj = _read_one(args, want, typename)
-    out = _require_valid(f"{name}_{suffix}", build(_require_valid(name, obj)))
+    _require_valid(name, obj)
+    total = size(obj) if size else 0
+    if total > MAX_TOTAL_RANK:
+        raise Precondition(f"objects.{name}_{suffix}: total rank {total} "
+                           f"is past {MAX_TOTAL_RANK}")
+    out = _require_valid(f"{name}_{suffix}", build(obj))
     print(f"object={name}")
     _print_shape(out)
     _write_output(args, {f"{name}_{suffix}": out}, doc.points)
@@ -278,7 +285,9 @@ def cmd_cone(args):
     """mapping cone of the document's morphism"""
     _transform(args, (KoszulMorphism, MFMorphism), "morphism",
                lambda g: (cone_koszul(g) if isinstance(g, KoszulMorphism)
-                          else mf_cone(g)), "cone")
+                          else mf_cone(g)), "cone",
+               size=lambda g: (docs.total_rank(g.source)
+                               + docs.total_rank(g.target)))
 
 
 def cmd_shift(args):

@@ -45,8 +45,10 @@ rows of base-field scalars, each matrix evaluated once and each distinct
 entry once per `Evaluation`.  `PolyMatrix.evaluate` writes those rows out
 densely; `homology_dims_at` ranks them with `linalg.sparse_rank`.
 
-`graded_map` is the one block assembler of the graded constructions, and
-`tensor_rule` the one sign rule of both tensor products.
+`graded_map` is the one block assembler of the graded constructions,
+`tensor_rule` the one sign rule of both tensor products, and `cone_rule`
+the one rule of every mapping cone: the chain and Koszul cones put the
+shifted source first, the factorization cone puts the target first.
 """
 
 from fractions import Fraction
@@ -205,20 +207,6 @@ class PolyMatrix:
         if poly.is_zero:
             return cls.zero(ring, n, n)
         return cls(ring, n, n, trusted={i: {i: poly} for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, ring, rowlists, cols=None):
-        rows = len(rowlists)
-        if cols is None:
-            if rows == 0:
-                raise ValueError("column count needed for empty matrix")
-            cols = len(rowlists[0])
-        flat = []
-        for r in rowlists:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(ring, rows, cols, flat)
 
     @classmethod
     def block(cls, ring, grid, row_sizes, col_sizes):
@@ -586,6 +574,24 @@ def tensor_rule(ring, fa, fb, rank_a, rank_b, move):
     return rule
 
 
+def cone_rule(fs, ft, move, g=None):
+    """The `graded_map` rule of a mapping cone, on summands keyed ("s", k),
+    a copy of the source at k, and ("t", k), the target at k.  fs(k) and
+    ft(k) map the source's and the target's k-th summand to its move(k)-th,
+    and g(k), when a morphism is given, the source's k-th to the target's.
+    A source summand yields -fs(k) and g(k), a target summand ft(k); the
+    order of the summands is the caller's."""
+    def rule(key, r):
+        side, k = key
+        if side == "t":
+            yield ("t", move(k)), ft(k)
+            return
+        yield ("s", move(k)), -fs(k)
+        if g is not None:
+            yield ("t", k), g(k)
+    return rule
+
+
 def embed_matrix(mat, ring, offset=0):
     """`mat` over a larger ring: every entry e becomes
     `embed(e, ring, offset)` (see `koszulmf.ring.embed`)."""
@@ -750,21 +756,29 @@ def validate_chain_map(g):
     return report
 
 
-def cone_chain(g):
-    """Mapping cone of a chain map; the shifted source block comes first."""
+def cone_summands(src, tgt):
+    """The summands of the mapping cone of a map from src to tgt, degree by
+    degree over the cone's window: at m, the source at m + 1, keyed
+    ("s", m + 1), then the target at m, keyed ("t", m)."""
+    lo, hi = min(src.lo - 1, tgt.lo), max(src.hi - 1, tgt.hi)
+    return {m: [(("s", m + 1), src.rank(m + 1)), (("t", m), tgt.rank(m))]
+            for m in range(lo, hi + 1)}
+
+
+def cone_chain(g, summands=None):
+    """Mapping cone of a chain map: d is a `graded_map` of `cone_rule` with
+    move k + 1 on `cone_summands`, the shifted source first.  A caller that
+    builds more maps on those summands passes them in."""
     src, tgt = g.source, g.target
-    lo = min(src.lo - 1, tgt.lo)
-    hi = max(src.hi - 1, tgt.hi)
-    ranks = {m: src.rank(m + 1) + tgt.rank(m) for m in range(lo, hi + 1)}
-    diffs = {}
-    for m in range(lo, hi):
-        diffs[m] = PolyMatrix.block(
-            src.ring,
-            [[-src.diff(m + 1), None],
-             [g.component(m + 1), tgt.diff(m)]],
-            [src.rank(m + 2), tgt.rank(m + 1)],
-            [src.rank(m + 1), tgt.rank(m)])
-    return FreeComplex(src.ring, lo, hi, ranks, diffs)
+    if summands is None:
+        summands = cone_summands(src, tgt)
+    lo, hi = min(summands), max(summands)
+    rule = cone_rule(src.diff, tgt.diff, lambda k: k + 1, g.component)
+    return FreeComplex(src.ring, lo, hi,
+                       {m: sum(r for _, r in s) for m, s in summands.items()},
+                       {m: graded_map(src.ring, summands[m], summands[m + 1],
+                                      rule)
+                        for m in range(lo, hi)})
 
 
 # ---------------------------------------------------------------------------

@@ -494,23 +494,31 @@ def point_payload(point):
     return {var: str(val) for var, val in point.items()}
 
 
+def total_rank(obj):
+    """The size MAX_TOTAL_RANK bounds: r0 + r1 of a factorization, a
+    module's ranks summed over its window; 0 for anything else."""
+    if isinstance(obj, MFObject):
+        return obj.r0 + obj.r1
+    if isinstance(obj, KoszulModule):
+        return sum(obj.underlying.ranks.values())
+    return 0
+
+
 def document_payload(ring, potential, objects, points=None):
     """objects: name -> Koszul module, factorization, or ready payload dict
     (with its "type" key).  Entries the objects share are printed once."""
     texts = {}
     payloads = {}
     for name, obj in objects.items():
-        size = 0
-        if isinstance(obj, KoszulModule):
-            size = sum(obj.underlying.ranks.values())
-            obj = {"type": "koszul_module", **module_payload(obj, texts)}
-        elif isinstance(obj, MFObject):
-            size = obj.r0 + obj.r1
-            obj = mf_payload(obj, texts)
+        size = total_rank(obj)
         if size > MAX_TOTAL_RANK:
             # refused when read back, so not written
             raise ValueError(f"objects.{name}: total rank {size} is past "
                              f"{MAX_TOTAL_RANK}")
+        if isinstance(obj, KoszulModule):
+            obj = {"type": "koszul_module", **module_payload(obj, texts)}
+        elif isinstance(obj, MFObject):
+            obj = mf_payload(obj, texts)
         payloads[name] = obj
     out = {
         "ring": ring_payload(ring),

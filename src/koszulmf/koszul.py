@@ -25,10 +25,10 @@ from itertools import combinations
 from koszulmf import linalg
 from koszulmf.complexes import (ChainMap, Evaluation, FreeComplex,
                                 PolyMatrix, component_shape_report,
-                                cone_chain, embed_matrix, graded_map,
-                                shift_complex, shift_sign, tensor_rule,
-                                validate_chain_map, validate_complex)
-from koszulmf.complexes import kron  # noqa: F401  (importable from here too)
+                                cone_chain, cone_rule, cone_summands,
+                                embed_matrix, graded_map, shift_complex,
+                                shift_sign, tensor_rule, validate_chain_map,
+                                validate_complex)
 from koszulmf.ring import Poly, embed, merge_rings
 
 
@@ -145,12 +145,6 @@ def fk_summands(e, n, u):
             for S in combinations(range(n), k)]
 
 
-def fk_layout(e, n, u):
-    """The summands of `fk_summands` as (k, S, edeg, rank), where
-    edeg = u + k is the degree of e they copy."""
-    return [(k, S, u + k, r) for (k, S), r in fk_summands(e, n, u)]
-
-
 def free_ranks(e, n):
     """{u: rank} of the free module on the complex e for n potentials."""
     return {u: sum(r for _, r in fk_summands(e, n, u))
@@ -254,16 +248,6 @@ def validate_koszul_morphism(g):
     return report
 
 
-def compose_koszul_morphisms(b, a):
-    """b after a; endpoints must line up."""
-    if a.target != b.source:
-        raise ValueError("morphisms do not compose")
-    lo = min(a.source.lo, b.target.lo)
-    hi = max(a.source.hi, b.target.hi)
-    comps = {m: b.component(m) * a.component(m) for m in range(lo, hi + 1)}
-    return KoszulMorphism(a.source, b.target, comps)
-
-
 def counit_map(m):
     """The canonical map from the free module on the underlying complex."""
     return KoszulMorphism(free_koszul(m.underlying, m.potential), m,
@@ -294,18 +278,20 @@ def counit_components(m):
 
 
 def cone_koszul(g):
-    """Mapping cone of a Koszul morphism; shifted source block first."""
+    """Mapping cone of a Koszul morphism: `cone_chain` on `cone_summands`,
+    the shifted source first, and each h_i a `graded_map` of `cone_rule`
+    on the same summands, with move k - 1 and no morphism block."""
     src, tgt = g.source, g.target
-    ring = src.ring
-    underlying = cone_chain(g)
-    h = [{m: PolyMatrix.block(ring,
-                              [[-src.hop(i, m + 1), None],
-                               [None, tgt.hop(i, m)]],
-                              [src.rank(m), tgt.rank(m - 1)],
-                              [src.rank(m + 1), tgt.rank(m)])
-          for m in underlying.degrees()}
-         for i in range(src.n)]
-    return KoszulModule(ring, src.potential, underlying, h)
+    summands = cone_summands(src, tgt)
+    underlying = cone_chain(g, summands)
+    rules = [cone_rule(partial(src.hop, i), partial(tgt.hop, i),
+                       lambda k: k - 1) for i in range(src.n)]
+    # h at the bottom degree maps to rank zero, which the module's zero
+    # fill supplies
+    h = [{m: graded_map(src.ring, summands[m], summands[m - 1], rule)
+          for m in range(underlying.lo + 1, underlying.hi + 1)}
+         for rule in rules]
+    return KoszulModule(src.ring, src.potential, underlying, h)
 
 
 def shift_koszul(m, k):
@@ -367,11 +353,12 @@ def cone_acyclic_at(g, point):
 
     `point` is a point, or an `Evaluation` at one over g's ring that a
     caller shares between calls, so that a matrix met again is not
-    evaluated again.  The cone is not built: each of its differentials,
-    [[-d_src, 0], [g, d_tgt]] as in `cone_chain`, is assembled from the
-    evaluated blocks as sparse scalar rows and ranked by
-    `linalg.sparse_rank`; the verdict is the rank arithmetic of
-    `homology_dims_at` on `cone_chain(g)`.
+    evaluated again.  The cone is not built: each of its differentials is
+    assembled from the evaluated blocks as sparse scalar rows, laid out as
+    `complexes.cone_rule` places them on `cone_summands` (in the columns
+    of the source at m + 1 first, -d_src above g, then d_tgt in those of
+    the target at m), and ranked by `linalg.sparse_rank`; the verdict is
+    the rank arithmetic of `homology_dims_at` on `cone_chain(g)`.
     """
     src, tgt = g.source, g.target
     ring = src.ring

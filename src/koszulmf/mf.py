@@ -5,13 +5,14 @@ phi0 : E0 -> E1 and phi1 : E1 -> E0 composing to f times the identity both
 ways.  Folding turns a one-potential Koszul module into a factorization by
 summing even degrees into E0 and odd degrees into E1 (each in ascending
 degree order) and assembling d + h into the two maps; unfolding is the
-two-term inverse.  The fold, the folded morphism and the tensor product
-assemble their maps with `complexes.graded_map`.
+two-term inverse.  The fold, the folded morphism (`fold_morphism`), the
+cone and the tensor product assemble their maps with
+`complexes.graded_map`.
 """
 
 from koszulmf import linalg
-from koszulmf.complexes import (FreeComplex, PolyMatrix, embed_matrix,
-                                graded_map, tensor_rule)
+from koszulmf.complexes import (FreeComplex, PolyMatrix, cone_rule,
+                                embed_matrix, graded_map, tensor_rule)
 from koszulmf.koszul import KoszulModule
 from koszulmf.ring import Poly, embed, evaluate, merge_rings
 
@@ -94,32 +95,20 @@ def mf_shift(m):
 
 
 def mf_cone(a):
-    """Mapping cone of a closed degree-0 morphism of factorizations."""
+    """Mapping cone of a closed degree-0 morphism of factorizations.
+
+    The target comes first, then the source with its parity flipped: even
+    part (F0, E1), odd part (F1, E0).  phi0 and phi1 are `graded_map`s of
+    one `complexes.cone_rule` with the parity flip p -> 1 - p."""
     s, t = a.source, a.target
-    ring = s.ring
-    phi0 = PolyMatrix.block(
-        ring,
-        [[t.phi0, a.alpha1],
-         [None, -s.phi1]],
-        [t.r1, s.r0], [t.r0, s.r1])
-    phi1 = PolyMatrix.block(
-        ring,
-        [[t.phi1, a.alpha0],
-         [None, -s.phi0]],
-        [t.r0, s.r1], [t.r1, s.r0])
-    return MFObject(ring, s.potential, t.r0 + s.r1, t.r1 + s.r0, phi0, phi1)
-
-
-def mf_direct_sum(m1, m2):
-    if m1.ring is not m2.ring or m1.potential != m2.potential:
-        raise ValueError("direct sum needs matching ring and potential")
-    ring = m1.ring
-    phi0 = PolyMatrix.block(ring, [[m1.phi0, None], [None, m2.phi0]],
-                            [m1.r1, m2.r1], [m1.r0, m2.r0])
-    phi1 = PolyMatrix.block(ring, [[m1.phi1, None], [None, m2.phi1]],
-                            [m1.r0, m2.r0], [m1.r1, m2.r1])
-    return MFObject(ring, m1.potential, m1.r0 + m2.r0, m1.r1 + m2.r1,
-                    phi0, phi1)
+    rule = cone_rule((s.phi0, s.phi1).__getitem__,
+                     (t.phi0, t.phi1).__getitem__, lambda p: 1 - p,
+                     (a.alpha0, a.alpha1).__getitem__)
+    even = [(("t", 0), t.r0), (("s", 1), s.r1)]
+    odd = [(("t", 1), t.r1), (("s", 0), s.r0)]
+    return MFObject(s.ring, s.potential, t.r0 + s.r1, t.r1 + s.r0,
+                    graded_map(s.ring, even, odd, rule),
+                    graded_map(s.ring, odd, even, rule))
 
 
 def mf_tensor(a, b):

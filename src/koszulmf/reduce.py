@@ -44,7 +44,7 @@ and the fold transport against `orlov_fold`.
 from koszulmf.complexes import (MAX_TOTAL_RANK, Evaluation, FreeComplex,
                                 PolyMatrix, embed_matrix)
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
-                             cone_koszul, counit_components, fk_layout,
+                             cone_koszul, counit_components, fk_summands,
                              free_koszul, free_ranks, shift_koszul,
                              validate_koszul_morphism)
 from koszulmf.mf import MFMorphism, _fold_layout, orlov_fold
@@ -342,8 +342,8 @@ def _reduce_top(x, lo, hi, top):
                             components=counit_components(x))
     slots = {}
     for s in range(x.lo - x.n - 1, x.hi + 1):
-        row = [(("fk", k, S, edeg), r)
-               for (k, S, edeg, r) in fk_layout(x.underlying, x.n, s + 1)]
+        row = [(("fk", k, S, s + 1 + k), r)
+               for (k, S), r in fk_summands(x.underlying, x.n, s + 1)]
         row.append((("e", s), x.rank(s)))
         slots[s] = row
     split, rem, slots = _split_off_free(cone_koszul(cone_step.morphism),
@@ -546,16 +546,6 @@ def codim_reduce_chart(m):
             acc = acc + embed_matrix(m.hop(i, s), ring2).scale(ts[i])
         fam[s] = acc
     return _module_from(ring2, (potential,), lo, hi, ranks, diffs, [fam])
-
-
-def eisenbud_operator(m, k):
-    """The k-th chart coordinate acting on the folded reduced module."""
-    n = m.n
-    if n < 2:
-        raise ValueError("operators need at least two potentials")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be between 1 and {n - 1}")
-    return chart_operator(orlov_fold(codim_reduce_chart(m)), k)
 
 
 def chart_operator(mf, k):

@@ -17,14 +17,13 @@ import corpus
 import genmod
 import oracle_rank
 from koszulmf.complexes import PolyMatrix
-from koszulmf.koszul import (compose_koszul_morphisms, koszul_complex,
-                             validate_koszul)
+from koszulmf.koszul import KoszulMorphism, koszul_complex, validate_koszul
 from koszulmf.mf import (MFObject, compose_mf_morphisms, fold_morphism,
                          mf_cone, mf_shift, mf_tensor, orlov_fold,
                          orlov_unfold, residue_homology, validate_mf,
                          validate_mf_morphism)
 from koszulmf.reduce import (amplitude_reduce, apply_step, codim_reduce_chart,
-                             default_points, eisenbud_operator,
+                             chart_operator, default_points,
                              fold_with_witness, validate_log)
 from koszulmf.ring import parse_poly, polynomial_ring, rationals
 
@@ -55,6 +54,15 @@ def test_criterion_1_random_modules_validate():
 # 2. fold/unfold round trip and functoriality
 # ---------------------------------------------------------------------------
 
+def _compose(b, a):
+    """b after a for Koszul morphisms, degree by degree."""
+    lo = min(a.source.lo, b.target.lo)
+    hi = max(a.source.hi, b.target.hi)
+    return KoszulMorphism(a.source, b.target,
+                          {m: b.component(m) * a.component(m)
+                           for m in range(lo, hi + 1)})
+
+
 def test_criterion_2_orlov_round_trip():
     rng = random.Random(1002)
     for _ in range(100):
@@ -62,7 +70,7 @@ def test_criterion_2_orlov_round_trip():
         assert orlov_fold(orlov_unfold(mf)) == mf
     for _ in range(50):
         a, b = genmod.random_composable_pair(rng)
-        assert fold_morphism(compose_koszul_morphisms(b, a)) == \
+        assert fold_morphism(_compose(b, a)) == \
             compose_mf_morphisms(fold_morphism(b), fold_morphism(a))
     print("criterion 2 (fold round trip + composition): PASS")
 
@@ -195,11 +203,11 @@ def test_criterion_8_codim_reduction():
     assert validate_log(log, [origin]) == []
     assert residue_homology(mf, origin) == (0, 0)
 
-    op = eisenbud_operator(kuv, 1)
+    op = chart_operator(orlov_fold(reduced), 1)
     assert validate_mf_morphism(op) == []
 
-    xyz = corpus.by_name("fk_xyz").module
-    ops = {k: eisenbud_operator(xyz, k) for k in (1, 2)}
+    xyz = orlov_fold(codim_reduce_chart(corpus.by_name("fk_xyz").module))
+    ops = {k: chart_operator(xyz, k) for k in (1, 2)}
     for op in ops.values():
         assert validate_mf_morphism(op) == []
     assert compose_mf_morphisms(ops[1], ops[2]) == \

@@ -1317,6 +1317,43 @@ def test_outputs_past_the_budget_are_not_written(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["koszul_morphism", "mf_morphism"])
+def test_cone_past_the_budget_is_refused_before_it_is_built(
+        capsys, tmp_path, monkeypatch, kind):
+    # the cone's total rank is its source's plus its target's, here the
+    # zero endomorphism of one object: at the budget the cone is built,
+    # past it the command ends in exit 3 with no report and no output
+    built = []
+    for name in ("cone_koszul", "mf_cone"):
+        monkeypatch.setattr(cli, name, lambda g, build=getattr(cli, name):
+                            built.append(g) or build(g))
+
+    def doc(half):
+        if kind == "koszul_morphism":
+            return _sized_doc(tmp_path, _rank_module({"0": 2 * half}),
+                              objects={"z": {"type": kind, "source": "o",
+                                             "target": "o",
+                                             "components": {}}})
+        zero = [["0"] * half] * half
+        return _sized_doc(tmp_path, {"type": "mf", "f": "0", "r0": half,
+                                     "r1": half, "phi0": zero, "phi1": zero},
+                          objects={"z": {"type": kind, "source": "o",
+                                         "target": "o", "alpha0": zero,
+                                         "alpha1": zero}})
+
+    limit = docs.MAX_TOTAL_RANK
+    code, lines = run(capsys, ["cone", "--input", doc(limit // 4)])
+    assert code == 0 and lines[-1] == "status=ok" and len(built) == 1
+    out = tmp_path / "cone.json"
+    for extra in ([], ["--output", str(out)]):
+        code, lines = run(capsys, ["cone", "--input", doc(limit // 4 + 1),
+                                   *extra])
+        assert (code, lines) == (3, [f"error=precondition objects.z_cone: "
+                                     f"total rank {limit + 4} is past "
+                                     f"{limit}"])
+    assert len(built) == 1 and not out.exists()
+
+
 def test_witness_modules_past_the_budget_exit_2(capsys, tmp_path):
     wpath = tmp_path / "big.json"
     w = _emitted_witness(capsys, tmp_path)

@@ -24,6 +24,12 @@ def _m(ring, rows, cols, entries):
                       [parse_poly(e, ring) for e in entries])
 
 
+def _from_rows(ring, rowlists, cols):
+    """The matrix of a list of rows of Polys, each `cols` long."""
+    return PolyMatrix(ring, len(rowlists), cols,
+                      [e for row in rowlists for e in row])
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -188,7 +194,7 @@ def test_sparse_matrix_matches_dense_reference(ring, density, data):
 
     # the grid [[A, zero], [A2, lower]]
     lower = _dense(draw, ring, r, c, density)
-    blk = PolyMatrix.block(ring, [[A, None], [A2, PolyMatrix.from_rows(
+    blk = PolyMatrix.block(ring, [[A, None], [A2, _from_rows(
         ring, lower, c)]], [r, r], [k, c])
     _same(blk, [p + [zero] * c for p in a] + [p + q for p, q in zip(a2, lower)],
           2 * r, k + c)
@@ -269,9 +275,9 @@ def test_fused_product_matches_dense_reference(ring, data):
     a, b = dense(r, k), dense(k, c)
     a2 = [row if draw(st.booleans()) else dense(1, k)[0] for row in a]
     left = [p + q for p, q in zip(a, a2)]
-    A = PolyMatrix.from_rows(ring, left, 2 * k)
+    A = _from_rows(ring, left, 2 * k)
     for right in (b + [[-e for e in row] for row in b], b + b):
-        got = A * PolyMatrix.from_rows(ring, right, c)
+        got = A * _from_rows(ring, right, c)
         _same(got, _dense_mul(left, right, ring, 2 * k, c), r, c)
         for row in got.nz.values():
             for e in row.values():
@@ -341,9 +347,9 @@ def test_packed_product_matches_dense_reference(ring, data):
     a, b = dense(r, k), dense(k, c)
     a2 = [row if draw(st.booleans()) else dense(1, k)[0] for row in a]
     left = [p + q for p, q in zip(a, a2)]
-    A = PolyMatrix.from_rows(ring, left, 2 * k)
+    A = _from_rows(ring, left, 2 * k)
     for right in (b + [[-e for e in row] for row in b], b + b):
-        got = A * PolyMatrix.from_rows(ring, right, c)
+        got = A * _from_rows(ring, right, c)
         _same(got, _dense_mul(left, right, ring, 2 * k, c), r, c)
         for row in got.nz.values():
             for e in row.values():
@@ -409,8 +415,7 @@ def test_packed_product_matches_sympy(ring):
     for r, k, c in ((2, 3, 2), (3, 2, 3), (1, 4, 1)):
         a = [[entry() for _ in range(k)] for _ in range(r)]
         b = [[entry() for _ in range(c)] for _ in range(k)]
-        got = (PolyMatrix.from_rows(ring, a, k)
-               * PolyMatrix.from_rows(ring, b, c))
+        got = _from_rows(ring, a, k) * _from_rows(ring, b, c)
         for i in range(r):
             for j in range(c):
                 want = sum((to_sympy(a[i][m]) * to_sympy(b[m][j])

@@ -12,7 +12,7 @@ import corpus
 from koszulmf import cli
 from koszulmf import documents as docs
 from koszulmf.complexes import FreeComplex, PolyMatrix
-from koszulmf.koszul import KoszulMorphism, validate_koszul
+from koszulmf.koszul import KoszulModule, KoszulMorphism, validate_koszul
 from koszulmf.mf import MFObject
 from koszulmf.reduce import fold_with_witness, validate_log
 from koszulmf.ring import (Poly, parse_poly, polynomial_ring, prime_field,
@@ -167,6 +167,20 @@ def test_document_payload_prints_shared_entries_once(monkeypatch):
                 for e in row.values()}
     # "b" repeats "a" and prints nothing new; the potential is printed once
     assert len(printed) == len(distinct) + len(m3.potential)
+
+
+def test_document_payload_refuses_objects_past_the_budget():
+    # a document is not written with an object it would not read back
+    ring = polynomial_ring(rationals(), ("x",))
+    f = parse_poly("x", ring)
+    limit = docs.MAX_TOTAL_RANK
+    module = FreeComplex(ring, 0, 0, {0: limit + 1}, {})
+    mf = MFObject(ring, f, limit, 1, PolyMatrix.zero(ring, 1, limit),
+                  PolyMatrix.zero(ring, limit, 1))
+    for obj in (KoszulModule(ring, (f,), module, [{}]), mf):
+        with pytest.raises(ValueError, match=f"^objects.big: total rank "
+                                             f"{limit + 1} is past {limit}$"):
+            docs.document_payload(ring, (f,), {"big": obj})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The block assembler `graded_map` and the constructions built on it.
 
-The factorization tensor and the Koszul complex are compared with
-hand-written reference implementations: a 2x2 grid of Kronecker blocks,
-and a Koszul differential filled entry by entry with `put` and `at`.
+The factorization tensor, the Koszul complex and the three mapping cones
+are compared with hand-written reference implementations: a 2x2 grid of
+Kronecker blocks, a Koszul differential filled entry by entry with `put`
+and `at`, and 2x2 `PolyMatrix.block` grids of each cone's maps.
 """
 
 from fractions import Fraction
@@ -10,10 +11,11 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from koszulmf.complexes import FreeComplex, PolyMatrix, embed_matrix, \
-    graded_map, kron
-from koszulmf.koszul import koszul_complex
-from koszulmf.mf import MFObject, mf_tensor
+from koszulmf.complexes import ChainMap, FreeComplex, PolyMatrix, \
+    cone_chain, embed_matrix, graded_map, kron
+from koszulmf.koszul import KoszulModule, KoszulMorphism, cone_koszul, \
+    koszul_complex
+from koszulmf.mf import MFMorphism, MFObject, mf_cone, mf_tensor
 from koszulmf.ring import Poly, embed, merge_rings, polynomial_ring, \
     prime_field, rationals
 
@@ -59,6 +61,65 @@ def factorizations(draw, ring):
     return MFObject(ring, draw(polys(ring)), r0, r1,
                     draw(matrices(ring, r1, r0)),
                     draw(matrices(ring, r0, r1)))
+
+
+@st.composite
+def modules(draw, ring, potential):
+    """A KoszulModule with a window of one to three degrees in [-2, 3],
+    ranks 0..2 and random maps: not a valid module, since a cone is linear
+    algebra on the maps and never checks them."""
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.integers(0, 2))
+    ranks = {m: draw(st.integers(0, 2)) for m in range(lo, hi + 1)}
+    c = FreeComplex(ring, lo, hi, ranks,
+                    {m: draw(matrices(ring, ranks[m + 1], ranks[m]))
+                     for m in range(lo, hi)})
+    h = [{m: draw(matrices(ring, c.rank(m - 1), c.rank(m)))
+          for m in c.degrees()} for _ in potential]
+    return KoszulModule(ring, potential, c, h)
+
+
+def cone_chain_reference(g):
+    """The mapping cone of a chain map as 2x2 block grids: d at m is
+    [[-d_src(m+1), 0], [g(m+1), d_tgt(m)]], the source at m+1 first."""
+    src, tgt = g.source, g.target
+    lo = min(src.lo - 1, tgt.lo)
+    hi = max(src.hi - 1, tgt.hi)
+    ranks = {m: src.rank(m + 1) + tgt.rank(m) for m in range(lo, hi + 1)}
+    diffs = {m: PolyMatrix.block(src.ring,
+                                 [[-src.diff(m + 1), None],
+                                  [g.component(m + 1), tgt.diff(m)]],
+                                 [src.rank(m + 2), tgt.rank(m + 1)],
+                                 [src.rank(m + 1), tgt.rank(m)])
+             for m in range(lo, hi)}
+    return FreeComplex(src.ring, lo, hi, ranks, diffs)
+
+
+def cone_koszul_reference(g):
+    """The mapping cone of a Koszul morphism: the chain cone, and h_i at m
+    the grid [[-h_i^src(m+1), 0], [0, h_i^tgt(m)]]."""
+    src, tgt = g.source, g.target
+    underlying = cone_chain_reference(g)
+    h = [{m: PolyMatrix.block(src.ring,
+                              [[-src.hop(i, m + 1), None],
+                               [None, tgt.hop(i, m)]],
+                              [src.rank(m), tgt.rank(m - 1)],
+                              [src.rank(m + 1), tgt.rank(m)])
+          for m in underlying.degrees()}
+         for i in range(src.n)]
+    return KoszulModule(src.ring, src.potential, underlying, h)
+
+
+def mf_cone_reference(a):
+    """The mapping cone of a factorization morphism as 2x2 block grids,
+    the target first: even part (F0, E1), odd part (F1, E0)."""
+    s, t = a.source, a.target
+    phi0 = PolyMatrix.block(s.ring, [[t.phi0, a.alpha1], [None, -s.phi1]],
+                            [t.r1, s.r0], [t.r0, s.r1])
+    phi1 = PolyMatrix.block(s.ring, [[t.phi1, a.alpha0], [None, -s.phi0]],
+                            [t.r0, s.r1], [t.r1, s.r0])
+    return MFObject(s.ring, s.potential, t.r0 + s.r1, t.r1 + s.r0,
+                    phi0, phi1)
 
 
 def mf_tensor_reference(a, b):
@@ -129,6 +190,30 @@ def test_koszul_complex_matches_the_entrywise_reference(data):
     potential = tuple(data.draw(polys(ring)) for _ in range(n))
     assert koszul_complex(ring, potential) == \
         koszul_complex_reference(ring, potential)
+
+
+@SETTINGS
+@given(st.data())
+def test_cones_match_the_hand_written_grids(data):
+    ring = data.draw(st.sampled_from([QXY, F5XY]))
+    potential = tuple(data.draw(polys(ring))
+                      for _ in range(data.draw(st.integers(1, 2))))
+    src = data.draw(modules(ring, potential))
+    tgt = data.draw(modules(ring, potential))
+    lo, hi = min(src.lo, tgt.lo), max(src.hi, tgt.hi)
+    g = KoszulMorphism(src, tgt, {
+        m: data.draw(matrices(ring, tgt.rank(m), src.rank(m)))
+        for m in range(lo, hi + 1)})
+    chain = ChainMap(src.underlying, tgt.underlying, g.components)
+    assert cone_chain(chain) == cone_chain_reference(chain)
+    # the modules' d and every h_i
+    assert cone_koszul(g) == cone_koszul_reference(g)
+    s = data.draw(factorizations(ring))
+    t = data.draw(factorizations(ring))
+    t = MFObject(ring, s.potential, t.r0, t.r1, t.phi0, t.phi1)
+    a = MFMorphism(s, t, data.draw(matrices(ring, t.r0, s.r0)),
+                   data.draw(matrices(ring, t.r1, s.r1)))
+    assert mf_cone(a) == mf_cone_reference(a)
 
 
 def test_graded_map_places_blocks_by_key():

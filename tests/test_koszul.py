@@ -4,11 +4,10 @@ import pytest
 
 import corpus
 from koszulmf import koszul
-from koszulmf.complexes import FreeComplex, PolyMatrix
-from koszulmf.koszul import (KoszulMorphism, box_tensor,
-                             compose_koszul_morphisms, cone_acyclic_at,
-                             cone_koszul, counit_map, fk_layout, free_koszul,
-                             koszul_complex, kron, shift_koszul,
+from koszulmf.complexes import FreeComplex, PolyMatrix, kron
+from koszulmf.koszul import (KoszulMorphism, box_tensor, cone_acyclic_at,
+                             cone_koszul, counit_map, fk_summands,
+                             free_koszul, koszul_complex, shift_koszul,
                              validate_koszul, validate_koszul_morphism)
 from koszulmf.ring import parse_poly, polynomial_ring, rationals
 
@@ -63,10 +62,9 @@ def test_free_koszul_of_point_is_koszul_complex(vars_fs):
 
 def test_fk_layout_descending_wedge_degree():
     base = FreeComplex(QX, 0, 0, {0: 1}, {})
-    lay = fk_layout(base, 2, -1)
-    assert [(k, S) for (k, S, _, _) in lay] == \
-        [(2, (0, 1)), (1, (0,)), (1, (1,)), (0, ())]
-    assert [edeg for (_, _, edeg, _) in lay] == [1, 0, 0, -1]
+    # at degree -1 the summand (k, S) copies degree -1 + k of the base
+    assert fk_summands(base, 2, -1) == \
+        [((2, (0, 1)), 0), ((1, (0,)), 1), ((1, (1,)), 1), ((0, ()), 0)]
 
 
 @pytest.mark.parametrize("name", [e.name for e in corpus.CORPUS])
@@ -98,19 +96,6 @@ def test_scalar_endo_is_valid():
     m = corpus.by_name("m3").module
     g = _scalar_endo(m, parse_poly("x*y", m.ring))
     assert validate_koszul_morphism(g) == []
-
-
-def test_compose_koszul_morphisms():
-    m = corpus.by_name("m3").module
-    gx = _scalar_endo(m, parse_poly("x", m.ring))
-    gy = _scalar_endo(m, parse_poly("y", m.ring))
-    gxy = compose_koszul_morphisms(gx, gy)
-    assert gxy.component(0) == PolyMatrix.scalar(
-        m.ring, m.rank(0), parse_poly("x*y", m.ring))
-    assert validate_koszul_morphism(gxy) == []
-    other = corpus.by_name("fk_x2").module
-    with pytest.raises(ValueError):
-        compose_koszul_morphisms(gx, _scalar_endo(other, parse_poly("x", QX)))
 
 
 def test_cone_of_counit_is_valid():

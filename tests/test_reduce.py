@@ -17,8 +17,8 @@ from koszulmf.mf import (compose_mf_morphisms, orlov_fold, residue_homology,
 from koszulmf.reduce import (AmplitudeMinimalError, WitnessError, WitnessLog,
                              WitnessStep, amplitude_reduce,
                              amplitude_reduce_step, apply_step,
-                             codim_reduce_chart, default_points,
-                             eisenbud_operator, fold_with_witness,
+                             chart_operator, codim_reduce_chart,
+                             default_points, fold_with_witness,
                              validate_log)
 from koszulmf.ring import parse_poly, polynomial_ring, rationals
 
@@ -332,23 +332,14 @@ def test_codim_reduce_chart_variable_collision():
 
 def test_eisenbud_operators_validate_and_commute():
     m = corpus.by_name("fk_xyz").module     # n = 3
-    e1 = eisenbud_operator(m, 1)
-    e2 = eisenbud_operator(m, 2)
+    mf = orlov_fold(codim_reduce_chart(m))
+    e1 = chart_operator(mf, 1)
+    e2 = chart_operator(mf, 2)
     assert validate_mf_morphism(e1) == []
     assert validate_mf_morphism(e2) == []
     assert compose_mf_morphisms(e1, e2) == compose_mf_morphisms(e2, e1)
     both = compose_mf_morphisms(e1, e2)
     assert both.alpha0.at(0, 0) == parse_poly("t1*t2", both.source.ring)
-
-
-def test_eisenbud_operator_range_errors():
-    kuv = corpus.by_name("kuv").module
-    with pytest.raises(ValueError):
-        eisenbud_operator(kuv, 0)
-    with pytest.raises(ValueError):
-        eisenbud_operator(kuv, 2)
-    with pytest.raises(ValueError):
-        eisenbud_operator(corpus.by_name("m3").module, 1)
 
 
 def test_default_points():
