@@ -24,11 +24,15 @@ product of exponent tuples.  From the first pair of two non-constant
 entries, one of them with more than one term, a product works on packed
 monomials (`_Packing`): one scan of both operands fixes a field width per
 product, each exponent tuple becomes one int, and a monomial product is
-one int add into an int-keyed dict of the output entry.  Those sums are
-unpacked, once per distinct monomial, and merged into the entry's
-tuple-keyed sums.  Each surviving coefficient is then normalized once:
-divided by D_A * D_B over Q, reduced by one `% p` over F_p.  Coefficients
-that cancel are dropped, and an entry left empty is not stored.
+one int add into an int-keyed dict of the output entry.  An entry that
+only packed pairs reached is written in one pass over those sums: each
+coefficient is normalized (divided by D_A * D_B over Q, reduced by one
+`% p` over F_p), a zero is dropped, and each monomial is unpacked, once
+per distinct monomial of the product.  An entry that shortcut pairs
+reached as well first merges its packed sums into its tuple-keyed sums,
+and each of its coefficients is then normalized the same way.
+Coefficients that cancel are dropped, and an entry left empty is not
+stored.
 
 A product in which one operand is a selection, a matrix whose every
 stored row is one entry, the constant 1 (permutations, pads, trims,
@@ -45,10 +49,11 @@ rows of base-field scalars, each matrix evaluated once and each distinct
 entry once per `Evaluation`.  `PolyMatrix.evaluate` writes those rows out
 densely; `homology_dims_at` ranks them with `linalg.sparse_rank`.
 
-`graded_map` is the one block assembler of the graded constructions,
-`tensor_rule` the one sign rule of both tensor products, and `cone_rule`
-the one rule of every mapping cone: the chain and Koszul cones put the
-shifted source first, the factorization cone puts the target first.
+`graded_map` is the one block assembler of the graded constructions (it
+writes each block straight into the rows of the result), `tensor_rule`
+the one sign rule of both tensor products, and `cone_rule` the one rule
+of every mapping cone: the chain and Koszul cones put the shifted source
+first, the factorization cone puts the target first.
 """
 
 from fractions import Fraction
@@ -116,17 +121,33 @@ class _Packing:
                                           for k, v in poly.terms.items()]
         return pt
 
-    def merge(self, pacc, acc):
-        """Add each packed accumulator pacc[j] of a row into acc[j], keyed
-        by exponent tuples."""
+    def merge(self, pout, out):
+        """Add the packed sums pout of an output entry into its sums `out`,
+        keyed by exponent tuples."""
         unpacked, shifts, mask = self.unpacked, self.shifts, self.mask
-        for j, pout in pacc.items():
-            out = acc[j]
-            for m, v in pout.items():
+        for m, v in pout.items():
+            k = unpacked.get(m)
+            if k is None:
+                k = unpacked[m] = tuple([(m >> s) & mask for s in shifts])
+            out[k] = out.get(k, 0) + v
+
+    def normal_terms(self, pout, p, d):
+        """The terms of an output entry that only packed pairs reached, in
+        one pass over its packed sums: each sum reduced mod p over F_p or
+        divided by d over Q, zeros dropped, each monomial unpacked."""
+        unpacked, shifts, mask = self.unpacked, self.shifts, self.mask
+        terms = {}
+        for m, v in pout.items():
+            if p:
+                v %= p
+            elif d != 1:
+                v = v // d if v % d == 0 else Fraction(v, d)
+            if v:
                 k = unpacked.get(m)
                 if k is None:
                     k = unpacked[m] = tuple([(m >> s) & mask for s in shifts])
-                out[k] = out.get(k, 0) + v
+                terms[k] = v
+        return terms
 
 
 def _selection(nz, one):
@@ -342,7 +363,7 @@ class PolyMatrix:
             bnz, db = _cleared(bnz, ring)
             d = da * db
         packing = None      # built when a multi-term pair first meets
-        pacc = {}           # the packed-monomial part of acc
+        pacc = {}           # a row's packed sums, beside acc
         nz = {}
         for i, arow in anz.items():
             acc = {}
@@ -357,21 +378,9 @@ class PolyMatrix:
                 pa = None
                 for j, b in brow.items():
                     bt = b.terms
-                    out = acc.get(j)
-                    if out is None:
-                        out = acc[j] = {}
-                    if ca is not None:
-                        for kb, vb in bt.items():
-                            out[kb] = out.get(kb, 0) + ca * vb
-                    elif len(bt) == 1 and one in bt:
-                        cb = bt[one]
-                        for ka, va in at.items():
-                            out[ka] = out.get(ka, 0) + va * cb
-                    elif ma is not None and len(bt) == 1:
-                        (kb, vb), = bt.items()
-                        kab = tuple(map(add, ma, kb))
-                        out[kab] = out.get(kab, 0) + mc * vb
-                    else:
+                    # two non-constant entries, not both one-term: packed
+                    if ca is None and (len(bt) != 1
+                                       or ma is None and one not in bt):
                         if pa is None:
                             if packing is None:
                                 packing = _Packing(len(one), anz, bnz)
@@ -384,10 +393,32 @@ class PolyMatrix:
                             for kb, vb in pb:
                                 kab = ka + kb
                                 pout[kab] = pout.get(kab, 0) + va * vb
-            if pacc:
-                packing.merge(pacc, acc)
-                pacc = {}
+                        continue
+                    out = acc.get(j)
+                    if out is None:
+                        out = acc[j] = {}
+                    if ca is not None:
+                        for kb, vb in bt.items():
+                            out[kb] = out.get(kb, 0) + ca * vb
+                    elif one in bt:
+                        cb = bt[one]
+                        for ka, va in at.items():
+                            out[ka] = out.get(ka, 0) + va * cb
+                    else:
+                        (kb, vb), = bt.items()
+                        kab = tuple(map(add, ma, kb))
+                        out[kab] = out.get(kab, 0) + mc * vb
             row = {}
+            if pacc:
+                for j, pout in pacc.items():
+                    out = acc.get(j)
+                    if out is None:
+                        terms = packing.normal_terms(pout, p, d)
+                        if terms:
+                            row[j] = Poly(ring, terms, _normalized=True)
+                    else:
+                        packing.merge(pout, out)
+                pacc = {}
             for j, out in acc.items():
                 if p:
                     terms = {kab: r for kab, v in out.items() if (r := v % p)}
@@ -546,17 +577,40 @@ def graded_map(ring, src, tgt, rule):
     source summand of nonzero rank, `rule(key, rank)` returns or yields
     (target key, block) pairs.  A block whose target key is not a summand
     of `tgt` is dropped, so a rule may give a block towards a summand that
-    lies outside the target; every block not given is zero.
+    lies outside the target; every block not given is zero.  A rule gives
+    at most one block per target key.  Blocks are written straight into
+    the rows of the result, and one whose shape is not its slot's, or
+    whose ring is not `ring`, raises ValueError, as in `PolyMatrix.block`.
     """
-    tpos = {key: i for i, (key, _) in enumerate(tgt)}
-    grid = [[None] * len(src) for _ in tgt]
-    for col, (key, r) in enumerate(src):
-        if r:
-            for tkey, blk in rule(key, r):
-                if tkey in tpos:
-                    grid[tpos[tkey]][col] = blk
-    return PolyMatrix.block(ring, grid, [r for _, r in tgt],
-                            [r for _, r in src])
+    slots = {}      # target key -> (first row, rank)
+    r0 = 0
+    for key, r in tgt:
+        slots[key] = (r0, r)
+        r0 += r
+    nz = {}
+    c0 = 0
+    for key, cs in src:
+        if cs:
+            for tkey, blk in rule(key, cs):
+                slot = slots.get(tkey)
+                if slot is None:
+                    continue
+                top, rs = slot
+                if blk.rows != rs or blk.cols != cs:
+                    raise ValueError(
+                        f"block {key!r} -> {tkey!r} is {blk.rows}x{blk.cols}, "
+                        f"slot is {rs}x{cs}")
+                if blk.ring is not ring:
+                    raise ValueError(f"block {key!r} -> {tkey!r} has another "
+                                     f"ring")
+                for i, brow in blk.nz.items():
+                    row = nz.get(top + i)
+                    if row is None:
+                        row = nz[top + i] = {}
+                    for j, e in brow.items():
+                        row[c0 + j] = e
+        c0 += cs
+    return PolyMatrix(ring, r0, c0, trusted=nz)
 
 
 def tensor_rule(ring, fa, fb, rank_a, rank_b, move):

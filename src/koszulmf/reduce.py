@@ -66,10 +66,15 @@ class WitnessStep:
     A cone_off_free step is made from its `generators`, `target` and
     `components`; its `morphism` from the free module on the generators is
     built here and nowhere else, emitted or read, so that its source cannot
-    disagree with the generators.  An explicit_quasi_iso step holds its
-    `morphism`, a shift_by_two step its `offset`."""
+    disagree with the generators.  It is built on first read, so a replay
+    that stops early builds no free module for the steps it never reaches.
+    An explicit_quasi_iso step holds its `morphism`, a shift_by_two step
+    its `offset`."""
 
-    __slots__ = ("kind", "orientation", "morphism", "generators", "offset")
+    # `_pending` is (target, components) until a cone_off_free step's
+    # morphism is built
+    __slots__ = ("kind", "orientation", "generators", "offset", "_morphism",
+                 "_pending")
 
     def __init__(self, kind, orientation, morphism=None, generators=None,
                  offset=None, target=None, components=None):
@@ -77,17 +82,26 @@ class WitnessStep:
             raise ValueError(f"unknown step kind {kind!r}")
         if orientation not in ("forward", "backward"):
             raise ValueError(f"unknown orientation {orientation!r}")
-        if kind == "cone_off_free":
-            if morphism is not None:
-                raise ValueError("a cone_off_free step builds its morphism "
-                                 "from generators, target and components")
-            morphism = KoszulMorphism(
-                free_koszul(generators, target.potential), target, components)
+        if kind == "cone_off_free" and morphism is not None:
+            raise ValueError("a cone_off_free step builds its morphism "
+                             "from generators, target and components")
         self.kind = kind
         self.orientation = orientation
-        self.morphism = morphism
         self.generators = generators
         self.offset = offset
+        self._morphism = morphism
+        self._pending = ((target, components) if kind == "cone_off_free"
+                         else None)
+
+    @property
+    def morphism(self):
+        if self._pending is not None:
+            target, components = self._pending
+            self._morphism = KoszulMorphism(
+                free_koszul(self.generators, target.potential), target,
+                components)
+            self._pending = None
+        return self._morphism
 
     def __repr__(self):
         return f"WitnessStep({self.kind}, {self.orientation})"

@@ -54,6 +54,26 @@ def test_validate_reports_broken_object(capsys, tmp_path):
     assert lines[-1] == "status=failed"
 
 
+@pytest.mark.parametrize("obj", [
+    # r0 = 1, r1 = 2: phi1∘phi0 = x = f·id, phi0∘phi1 = [[x, 0], [0, 0]]
+    {"f": "x", "r0": 1, "r1": 2, "phi0": [["x"], ["0"]],
+     "phi1": [["1", "0"]]},
+    # f = 0: phi1∘phi0 = 0, phi0∘phi1 = [[0, 1], [0, 0]]
+    {"f": "0", "r0": 2, "r1": 2, "phi0": [["1", "0"], ["0", "0"]],
+     "phi1": [["0", "1"], ["0", "0"]]},
+], ids=["non-square", "zero-potential"])
+def test_validate_reports_a_failing_second_product(capsys, tmp_path, obj):
+    # phi1∘phi0 = f·id holds, and only phi0∘phi1 shows the fault
+    raw = {"ring": {"kind": "polynomial", "vars": ["x"]},
+           "potential": ["x"], "objects": {"a": {"type": "mf", **obj}}}
+    path = tmp_path / "one_sided.json"
+    path.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["validate", "--input", str(path)])
+    assert code == 1
+    assert lines == ["a=invalid phi0∘phi1 is not f·id on the odd part",
+                     "status=failed"]
+
+
 def test_validate_needs_input(capsys):
     code, lines = run(capsys, ["validate"])
     assert code == 3

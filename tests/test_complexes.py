@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulmf import complexes
 from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix, cone_chain,
                                 homology_dims_at, kron, shift_complex,
                                 validate_chain_map, validate_complex)
@@ -386,6 +387,58 @@ def test_packed_product_examples():
     prod = PolyMatrix(q, 1, 2, [half, three]) * PolyMatrix(q, 2, 1,
                                                            [three, half])
     assert prod.nz == {0: {0: Poly.const(q, 3)}}
+
+
+# a1, a2, and the two right-hand columns (b1, b2) and (a2, -a1): column 0
+# cancels in part, column 1 wholly (a1*a2 - a2*a1)
+PACKED_CANCELLING = {
+    # D > 1 on both sides: x^2 cancels, 7/3*x*y stays a Fraction and
+    # 3/2*y * 2/3*z is the int y*z
+    "Q": (QXYZ, "1/2*x + 1/3*y", "-1/2*x + 3/2*y", "x + y", "x + 2/3*z",
+          "7/3*x*y + 1/3*y^2 - 1/3*x*z + y*z"),
+    # 32002*x*y + x*y = 32003*x*y vanishes mod p, and so does
+    # a1*a2 + a2*(32002*a1) = 32003*a1*a2
+    "F32003": (F32003XYZ, "x + y", "2*x + 3*z", "32002*x + y", "x + z",
+               "x^2 + y^2 + 5*x*z + 3*z^2"),
+}
+
+
+def _count_calls(monkeypatch, cls, names):
+    """{name: calls} of the methods `names` of cls, counted from here on."""
+    seen = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(cls, name)):
+            seen[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cls, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("case", PACKED_CANCELLING)
+@pytest.mark.parametrize("mixed", [False, True], ids=["packed", "mixed"])
+def test_packed_sums_cancel_in_part_and_wholly(monkeypatch, case, mixed):
+    ring, *texts, want = PACKED_CANCELLING[case]
+    a1, a2, b1, b2 = (parse_poly(t, ring) for t in texts)
+    left = [[a1, a2]]
+    right = [[b1, a2], [b2, -a1]]
+    if mixed:
+        # a constant pair in each entry too: 1 * -(a1*b1) + a1*b1 + a2*b2
+        # keeps a2*b2, and 1 * -(2*a1*a2) + a1*a2 + a2*a1 is zero
+        one, two = Poly.one(ring), Poly.const(ring, 2)
+        left = [[one, a1, a2]]
+        right = [[-(a1 * b1), -(two * a1 * a2)], [b1, a2], [b2, a1]]
+        want = str(a2 * b2)
+    k = len(right)
+    seen = _count_calls(monkeypatch, complexes._Packing,
+                        ("normal_terms", "merge"))
+    got = _from_rows(ring, left, k) * _from_rows(ring, right, 2)
+    _same(got, _dense_mul(left, right, ring, k, 2), 1, 2)
+    assert got.nz == {0: {0: parse_poly(want, ring)}}
+    _assert_normal(got.nz[0][0])
+    # the entries take the one-pass write, or the merge when a constant
+    # pair reached them as well
+    assert seen == ({"normal_terms": 0, "merge": 2} if mixed
+                    else {"normal_terms": 2, "merge": 0})
 
 
 @pytest.mark.parametrize("ring", [QXYZ, F32003XYZ], ids=["Q", "F32003"])

@@ -1,8 +1,10 @@
 """Matrix factorizations: axioms, folding, residue homology."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import genmod
@@ -12,9 +14,14 @@ from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms,
                          fold_morphism, mf_cone, mf_shift, mf_tensor,
                          orlov_fold, orlov_unfold, residue_homology,
                          validate_mf, validate_mf_morphism)
-from koszulmf.ring import parse_poly, polynomial_ring, rationals
+from koszulmf.ring import Poly, parse_poly, polynomial_ring, prime_field, \
+    rationals
 
 QX = polynomial_ring(rationals(), ("x",))
+QXY = polynomial_ring(rationals(), ("x", "y"))
+F5XY = polynomial_ring(prime_field(5), ("x", "y"))
+EVEN = "phi1∘phi0 is not f·id on the even part"
+ODD = "phi0∘phi1 is not f·id on the odd part"
 
 
 def _m(ring, rows, cols, entries):
@@ -37,6 +44,132 @@ def test_validate_mf_accepts_and_rejects():
     bad = _mf1(QX, "x^2", "x", "x^2")
     rep = validate_mf(bad)
     assert rep and "f·id" in rep[0]
+
+
+def _two_products(m):
+    """The report of validate_mf with both products always taken, each
+    entry summed term by term."""
+    zero = Poly.zero(m.ring)
+
+    def is_f_id(a, b):
+        return all(sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), zero)
+                   == (m.potential if i == j else zero)
+                   for i in range(a.rows) for j in range(b.cols))
+
+    return ([EVEN] if not is_f_id(m.phi1, m.phi0) else []) + (
+        [ODD] if not is_f_id(m.phi0, m.phi1) else [])
+
+
+@st.composite
+def _polys(draw, ring, nonzero=False):
+    """Up to two terms in x, y with small fractions as coefficients, every
+    one a unit mod 5."""
+    terms = {}
+    for _ in range(draw(st.integers(1 if nonzero else 0, 2))):
+        exps = (draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+        terms[exps] = Fraction(draw(st.sampled_from([1, -1, 2, -3])),
+                               draw(st.sampled_from([1, 2, 3])))
+    return Poly(ring, terms)
+
+
+@st.composite
+def _matrices(draw, ring, rows, cols):
+    return PolyMatrix(ring, rows, cols,
+                      [draw(_polys(ring)) for _ in range(rows * cols)])
+
+
+@st.composite
+def _unimodular(draw, ring, n):
+    """(U, U^-1) for a product of up to two elementary matrices."""
+    u = v = PolyMatrix.identity(ring, n)
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        e = draw(_polys(ring))
+        el, inv = PolyMatrix.identity(ring, n), PolyMatrix.identity(ring, n)
+        el.put(i, j, e)
+        inv.put(i, j, -e)
+        u, v = u * el, inv * v
+    return u, v
+
+
+@st.composite
+def _pairs(draw, ring):
+    """A pair (phi0, phi1), valid or not, square or not, f zero or not.
+
+    The valid square core is P·diag(a)·Q^-1 and Q·(diag(b) + N)·P^-1, with
+    a_i·b_i = f, P and Q unimodular, and N nonzero only in the columns
+    where a_i = 0 (so only when f = 0, where phi0∘phi1 may then fail).
+    One side may get a zero block and the other a random one, which keeps
+    the first product f·id and breaks the second; one entry may then be
+    changed."""
+    g, h = draw(_polys(ring, True)), draw(_polys(ring, True))
+    zero, one = Poly.zero(ring), Poly.one(ring)
+    f = g * h if draw(st.booleans()) else zero
+    if f.is_zero:
+        factors = [(zero, g), (h, zero), (one, zero), (zero, zero)]
+    else:
+        two, half = Poly.const(ring, 2), Poly.const(ring, Fraction(1, 2))
+        factors = [(g, h), (h, g), (one, f), (f, one), (g * two, h * half)]
+    r = draw(st.integers(0, 3))
+    ab = [draw(st.sampled_from(factors)) for _ in range(r)]
+    a = PolyMatrix(ring, r, r, [ab[i][0] if i == j else zero
+                                for i in range(r) for j in range(r)])
+    b = PolyMatrix(ring, r, r, [
+        ab[i][1] if i == j else draw(_polys(ring, True)) if ab[j][0].is_zero
+        else zero for i in range(r) for j in range(r)])
+    p, p_inv = draw(_unimodular(ring, r))
+    q, q_inv = draw(_unimodular(ring, r))
+    phi0, phi1 = p * a * q_inv, q * b * p_inv
+    r0 = r1 = r
+    pad = draw(st.sampled_from([None, None, "odd", "even"]))
+    if pad == "odd":        # phi0 over a zero block, phi1 beside a random one
+        r1 += 1
+        phi0 = PolyMatrix.block(ring, [[phi0], [None]], [r, 1], [r])
+        phi1 = PolyMatrix.block(ring, [[phi1, draw(_matrices(ring, r, 1))]],
+                                [r], [r, 1])
+    elif pad == "even":     # the same with the roles of phi0, phi1 swapped
+        r0 += 1
+        phi0 = PolyMatrix.block(ring, [[phi0, draw(_matrices(ring, r, 1))]],
+                                [r], [r, 1])
+        phi1 = PolyMatrix.block(ring, [[phi1], [None]], [r, 1], [r])
+    if draw(st.integers(0, 2)) == 0 and r0 * r1:
+        mat = draw(st.sampled_from([phi0, phi1]))
+        i, j = draw(st.integers(0, mat.rows - 1)), draw(
+            st.integers(0, mat.cols - 1))
+        mat.put(i, j, mat.at(i, j) + draw(_polys(ring, True)))
+    return MFObject(ring, f, r0, r1, phi0, phi1)
+
+
+@pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_validate_mf_matches_the_two_product_report(ring, data):
+    m = data.draw(_pairs(ring))
+    assert validate_mf(m) == _two_products(m)
+
+
+def _non_square(f, phi0, phi1):
+    return MFObject(QX, parse_poly(f, QX), 1, 2, _m(QX, 2, 1, phi0),
+                    _m(QX, 1, 2, phi1))
+
+
+@pytest.mark.parametrize("m, products, report", [
+    # valid, square, f != 0: phi0∘phi1 follows and is not computed
+    (_mf1(QX, "x^2", "x", "x"), 1, []),
+    (_mf1(QX, "x^2", "x", "x^2"), 2, [EVEN, ODD]),
+    (_mf1(QX, "0", "x", "0"), 2, []),
+    (_mf1(QX, "0", "1", "x"), 2, [EVEN, ODD]),
+    (_non_square("0", ["0", "0"], ["0", "0"]), 2, []),
+    (_non_square("x", ["x", "0"], ["1", "0"]), 2, [ODD]),
+], ids=["valid", "broken", "zero-f", "zero-f-broken", "non-square",
+        "non-square-odd"])
+def test_validate_mf_product_count(monkeypatch, m, products, report):
+    calls = []
+    mul = PolyMatrix.__mul__
+    monkeypatch.setattr(PolyMatrix, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    assert validate_mf(m) == report
+    assert len(calls) == products
 
 
 def test_mf_constructor_shape_errors():
