@@ -184,17 +184,16 @@ def _print_residue_homology(mf, points):
 
 
 def _write_output(args, objects, points=None):
-    """Write `objects` (name -> Koszul module, factorization or ready
-    payload) to --output as one document over the first object's ring and
-    potential."""
+    """Write `objects` (name -> Koszul module, factorization, or morphism
+    between two of its factorizations) to --output as one document over
+    the first object's ring and potential."""
     if not args.output:
         return
     first = next(iter(objects.values()))
     potential = first.potential
     if isinstance(first, MFObject):
         potential = (potential,)
-    docs.write_json(args.output, docs.document_payload(
-        first.ring, potential, objects, points))
+    docs.write_document(args.output, first.ring, potential, objects, points)
 
 
 def _require_evidence(args, log, points):
@@ -209,7 +208,7 @@ def _require_evidence(args, log, points):
 
 def _write_witness(args, log, points):
     if args.witness:
-        docs.write_json(args.witness, docs.witness_payload(log, points))
+        docs.write_witness(args.witness, log, points)
 
 
 def _transform(args, want, typename, build, suffix, size=None):
@@ -431,11 +430,8 @@ def cmd_eisenbud(args):
                        == compose_mf_morphisms(ops[j], ops[i]))
             print(f"commute_{i}_{j}={'ok' if commute else 'failed'}")
             ok = ok and commute
-    folded = f"{name}_folded"
-    objects = {f"{name}_reduced": reduced, folded: mf}
-    for k, op in ops.items():
-        objects[f"t{k}"] = docs.mf_morphism_payload(op, folded, folded)
-    _write_output(args, objects)
+    _write_output(args, {f"{name}_reduced": reduced, f"{name}_folded": mf,
+                         **{f"t{k}": op for k, op in ops.items()}})
     if not ok:
         raise Invalid()
 

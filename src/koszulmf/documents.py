@@ -43,9 +43,15 @@ All dumps are deterministic: canonical polynomial strings, sorted keys,
 two-space indent, trailing newline.  `dumps` writes exactly the text of
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline, escaping
 strings with the C encoder instead of the pure-Python one that `indent`
-selects; `write_json` is the one function that writes files.
+selects; `write_json` is the one function that writes files.  A payload may
+hold a PolyMatrix as a leaf, which `dumps` writes from its nonzeros with
+the bytes its rows of entry strings would give; `write_document` and
+`write_witness` build their payloads that way.  `document_payload` and
+`witness_payload` still return plain JSON values, for callers that read or
+edit them.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -417,6 +423,12 @@ def _parse_morphism(ring, payload, objects, where, typ, memo):
 # ---------------------------------------------------------------------------
 # payload builders (library objects -> JSON-ready structures)
 # ---------------------------------------------------------------------------
+#
+# Every builder takes `leaf`, the function that turns a matrix into its
+# value in the payload.  The public builders default to `_matrix_payload`,
+# so what they return is plain JSON; `write_document` and `write_witness`
+# pass `_as_leaf`, which keeps the matrix itself for `dumps` to write from
+# its nonzeros.
 
 def ring_payload(ring):
     if ring.kind == "rationals":
@@ -430,10 +442,11 @@ def ring_payload(ring):
 
 
 def _matrix_payload(mat, texts=None):
-    """Rows of entry strings.  `texts` is the print memo of one payload:
-    id(poly) -> (poly, str(poly)).  A witness log repeats a few distinct
-    polys many times over, and each is printed once; the memo holds the
-    poly itself, so its id cannot be reused while the payload is built."""
+    """Rows of entry strings, the leaf of a plain payload.  `texts` is the
+    print memo of one payload: id(poly) -> (poly, str(poly)).  A witness log
+    repeats a few distinct polys many times over, and each is printed once;
+    the memo holds the poly itself, so its id cannot be reused while the
+    payload is built."""
     if texts is None:
         texts = {}
     out = [["0"] * mat.cols for _ in range(mat.rows)]
@@ -447,46 +460,46 @@ def _matrix_payload(mat, texts=None):
     return out
 
 
-def _degree_matrices_payload(get, lo, hi, texts=None):
+def _plain_leaf():
+    """`_matrix_payload` with one print memo for a whole payload."""
+    return functools.partial(_matrix_payload, texts={})
+
+
+def _as_leaf(mat):
+    """The leaf of a payload that only `dumps` reads: the matrix itself."""
+    return mat
+
+
+def _degree_matrices_payload(get, lo, hi, leaf=_matrix_payload):
     """{str(m): matrix get(m)} for each degree m of [lo, hi]: a differential,
     a contraction family or morphism components."""
-    return {str(m): _matrix_payload(get(m), texts) for m in range(lo, hi + 1)}
+    return {str(m): leaf(get(m)) for m in range(lo, hi + 1)}
 
 
-def complex_payload(c, texts=None):
+def complex_payload(c, leaf=_matrix_payload):
     return {
         "degrees": [c.lo, c.hi],
         "ranks": {str(m): c.rank(m) for m in range(c.lo, c.hi + 1)},
-        "d": _degree_matrices_payload(c.diff, c.lo, c.hi - 1, texts),
+        "d": _degree_matrices_payload(c.diff, c.lo, c.hi - 1, leaf),
     }
 
 
-def module_payload(m, texts=None):
-    out = complex_payload(m.underlying, texts)
+def module_payload(m, leaf=_matrix_payload):
+    out = complex_payload(m.underlying, leaf)
     out["h"] = [_degree_matrices_payload(lambda deg, i=i: m.hop(i, deg),
-                                         m.lo, m.hi, texts)
+                                         m.lo, m.hi, leaf)
                 for i in range(m.n)]
     return out
 
 
-def mf_payload(mf, texts=None):
+def mf_payload(mf, leaf=_matrix_payload):
     return {
         "type": "mf",
         "f": str(mf.potential),
         "r0": mf.r0,
         "r1": mf.r1,
-        "phi0": _matrix_payload(mf.phi0, texts),
-        "phi1": _matrix_payload(mf.phi1, texts),
-    }
-
-
-def mf_morphism_payload(g, source_name, target_name):
-    return {
-        "type": "mf_morphism",
-        "source": source_name,
-        "target": target_name,
-        "alpha0": _matrix_payload(g.alpha0),
-        "alpha1": _matrix_payload(g.alpha1),
+        "phi0": leaf(mf.phi0),
+        "phi1": leaf(mf.phi1),
     }
 
 
@@ -504,10 +517,8 @@ def total_rank(obj):
     return 0
 
 
-def document_payload(ring, potential, objects, points=None):
-    """objects: name -> Koszul module, factorization, or ready payload dict
-    (with its "type" key).  Entries the objects share are printed once."""
-    texts = {}
+def _document(ring, potential, objects, points, leaf):
+    names = {id(obj): name for name, obj in objects.items()}
     payloads = {}
     for name, obj in objects.items():
         size = total_rank(obj)
@@ -516,9 +527,13 @@ def document_payload(ring, potential, objects, points=None):
             raise ValueError(f"objects.{name}: total rank {size} is past "
                              f"{MAX_TOTAL_RANK}")
         if isinstance(obj, KoszulModule):
-            obj = {"type": "koszul_module", **module_payload(obj, texts)}
+            obj = {"type": "koszul_module", **module_payload(obj, leaf)}
         elif isinstance(obj, MFObject):
-            obj = mf_payload(obj, texts)
+            obj = mf_payload(obj, leaf)
+        elif isinstance(obj, MFMorphism):
+            obj = {"type": "mf_morphism", "source": names[id(obj.source)],
+                   "target": names[id(obj.target)],
+                   "alpha0": leaf(obj.alpha0), "alpha1": leaf(obj.alpha1)}
         payloads[name] = obj
     out = {
         "ring": ring_payload(ring),
@@ -530,12 +545,58 @@ def document_payload(ring, potential, objects, points=None):
     return out
 
 
+def document_payload(ring, potential, objects, points=None):
+    """The document as plain JSON values.  objects: name -> Koszul module,
+    factorization, factorization morphism (whose ends are objects of the
+    same document) or ready payload dict (with its "type" key).  Entries
+    the objects share are printed once."""
+    return _document(ring, potential, objects, points, _plain_leaf())
+
+
+def write_document(path, ring, potential, objects, points=None):
+    """Write `document_payload(...)` to `path`, each matrix written from its
+    nonzeros."""
+    write_json(path, _document(ring, potential, objects, points, _as_leaf))
+
+
 _encode_str = json.encoder.encode_basestring_ascii   # the C encoder
+_ZERO = _encode_str("0")
 
 
-def _write_value(obj, nl, out):
+def _write_matrix(mat, nl, out, memo):
+    """Append the text of `mat` as rows of entry strings, from its nonzeros:
+    an all-zero row is one string per (column count, indent), and a row
+    with nonzeros is one join of a copied zero row.  `memo` holds the
+    encoded text of each poly by id (the payload keeps every poly alive)
+    and each zero row by (cols, nl)."""
+    if not mat.rows:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    cols = mat.cols
+    zero = "[]"
+    if cols:
+        cell_sep = "," + inner + "  "
+        head, tail = "[" + inner + "  ", inner + "]"
+        zero = memo.get((cols, nl))
+        if zero is None:
+            zero = memo[cols, nl] = head + cell_sep.join([_ZERO] * cols) + tail
+    rows = [zero] * mat.rows
+    for i, row in mat.nz.items():
+        cells = [_ZERO] * cols
+        for j, e in row.items():
+            text = memo.get(id(e))
+            if text is None:
+                text = memo[id(e)] = _encode_str(str(e))
+            cells[j] = text
+        rows[i] = head + cell_sep.join(cells) + tail
+    out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+
+
+def _write_value(obj, nl, out, memo):
     """Append the canonical text of `obj` to `out`; `nl` is a newline plus
-    the indent of the line `obj` starts on."""
+    the indent of the line `obj` starts on, and `memo` is the one
+    `_write_matrix` memo of the whole text."""
     kind = type(obj)
     if kind is str:
         out.append(_encode_str(obj))
@@ -554,10 +615,10 @@ def _write_value(obj, nl, out):
             except TypeError:
                 pass
         out.append("[" + inner)
-        _write_value(obj[0], inner, out)
+        _write_value(obj[0], inner, out, memo)
         for item in obj[1:]:
             out.append(sep)
-            _write_value(item, inner, out)
+            _write_value(item, inner, out, memo)
         out.append(nl + "]")
     elif kind is dict:
         if not obj:
@@ -572,9 +633,11 @@ def _write_value(obj, nl, out):
         sep = inner
         for key in sorted(obj):
             out.append(sep + _encode_str(key) + ": ")
-            _write_value(obj[key], inner, out)
+            _write_value(obj[key], inner, out, memo)
             sep = "," + inner
         out.append(nl + "}")
+    elif kind is PolyMatrix:
+        _write_matrix(obj, nl, out, memo)
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -589,54 +652,73 @@ def _write_value(obj, nl, out):
 
 def dumps(payload):
     """Canonical JSON text of a payload of dicts with string keys, lists,
-    strings, ints, booleans and None: the bytes of
-    `json.dumps(payload, indent=2, sort_keys=True)` plus a newline, written
-    without the pure-Python encoder that `indent` selects.  Any other type
-    raises TypeError."""
+    strings, ints, booleans, None and PolyMatrix leaves: the bytes of
+    `json.dumps(plain, indent=2, sort_keys=True)` plus a newline, where
+    `plain` has each matrix leaf replaced by its rows of entry strings.  It
+    is written without the pure-Python encoder that `indent` selects, and
+    each distinct entry is printed once.  Any other type raises
+    TypeError."""
     out = []
-    _write_value(payload, "\n", out)
+    _write_value(payload, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
 def write_json(path, payload):
-    with open(path, "w") as fh:
-        fh.write(dumps(payload))
+    """Write `dumps(payload)` to `path`.  The text is rendered before the
+    file is opened, so a payload that cannot be rendered leaves the file as
+    it was; a path that cannot be written is a ValueError."""
+    text = dumps(payload)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror or e}")
 
 
 # ---------------------------------------------------------------------------
 # witness logs
 # ---------------------------------------------------------------------------
 
-def _step_payload(step, texts):
+def _step_payload(step, leaf):
     out = {"kind": step.kind, "orientation": step.orientation}
     if step.kind == "shift_by_two":
         out["offset"] = step.offset
         return out
     g = step.morphism
     if step.kind == "cone_off_free":
-        out["generators"] = complex_payload(step.generators, texts)
+        out["generators"] = complex_payload(step.generators, leaf)
     else:
-        out["source"] = module_payload(g.source, texts)
-    out["target"] = module_payload(g.target, texts)
+        out["source"] = module_payload(g.source, leaf)
+    out["target"] = module_payload(g.target, leaf)
     out["components"] = _degree_matrices_payload(g.component, g.lo, g.hi,
-                                                 texts)
+                                                 leaf)
     return out
 
 
-def witness_payload(log, points=None):
+def _witness(log, points, leaf):
     ring = log.start.ring
-    texts = {}      # one print memo for the whole log
     return {
         "schema": WITNESS_SCHEMA,
         "ring": ring_payload(ring),
         "potential": [str(f) for f in log.start.potential],
         "points": {name: point_payload(pt)
                    for name, pt in (points or {}).items()},
-        "start": module_payload(log.start, texts),
-        "end": module_payload(log.end, texts),
-        "steps": [_step_payload(s, texts) for s in log.steps],
+        "start": module_payload(log.start, leaf),
+        "end": module_payload(log.end, leaf),
+        "steps": [_step_payload(s, leaf) for s in log.steps],
     }
+
+
+def witness_payload(log, points=None):
+    """The log as plain JSON values, each distinct entry printed once."""
+    return _witness(log, points, _plain_leaf())
+
+
+def write_witness(path, log, points=None):
+    """Write `witness_payload(log, points)` to `path`, each matrix written
+    from its nonzeros."""
+    write_json(path, _witness(log, points, _as_leaf))
 
 
 def parse_witness(raw):

@@ -894,6 +894,35 @@ def test_parser_is_built_once_and_carries_no_state(capsys):
     assert run(capsys, ["fold", "--input", M3]) == plain
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["fold", "--input", M3], "--witness"),
+    (["reduce-amplitude", "--input", M3], "--witness"),
+    (["shift", "--input", A1], "--output"),
+    (["eisenbud", "--input", KUV], "--output"),
+])
+def test_an_unwritable_path_is_exit_3(capsys, tmp_path, argv, flag):
+    path = tmp_path / "missing" / "out.json"
+    code = cli.main(argv + [flag, str(path)])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 3 and captured.err == ""
+    assert [l for l in lines if l.startswith(("error=", "status="))] == [
+        f"error=precondition cannot write {path}: No such file or directory"]
+    assert not path.parent.exists()
+    # a directory is no better a file
+    assert cli.main(argv + [flag, str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"error=precondition cannot write {tmp_path}: Is a directory"
+
+
+def test_a_payload_that_cannot_be_rendered_leaves_the_file(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text("kept\n")
+    with pytest.raises(TypeError):
+        docs.write_json(path, {"steps": [1.5]})
+    assert path.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # malformed input ends in exit 2 (error=parse), never exit 3 or a traceback
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
+import genmod
 from koszulmf import cli
 from koszulmf import documents as docs
 from koszulmf.complexes import FreeComplex, PolyMatrix
 from koszulmf.koszul import KoszulModule, KoszulMorphism, validate_koszul
 from koszulmf.mf import MFObject
-from koszulmf.reduce import fold_with_witness, validate_log
+from koszulmf.reduce import (amplitude_reduce, fold_with_witness,
+                             validate_log)
 from koszulmf.ring import (Poly, parse_poly, polynomial_ring, prime_field,
                            rationals)
 
@@ -141,32 +144,101 @@ def _count_prints(monkeypatch):
     return printed
 
 
-def test_witness_payload_prints_each_entry_once(monkeypatch):
+def _written(write, path, *args):
+    """The text that `write(path, *args)` puts in the file."""
+    write(path, *args)
+    return path.read_text()
+
+
+def test_witness_payload_prints_each_entry_once(monkeypatch, tmp_path):
     entry = corpus.by_name("m3")
     _, log = fold_with_witness(entry.module, entry.points)
     want = docs.dumps(docs.witness_payload(log))
     printed = _count_prints(monkeypatch)
-    assert docs.dumps(docs.witness_payload(log)) == want
+    path = tmp_path / "w.json"
     potential = {id(f) for f in log.start.potential}
-    entries = [id(p) for p in printed if id(p) not in potential]
-    assert entries and len(entries) == len(set(entries))
+    # a plain payload and a written file, each printed anew
+    for text in (lambda: docs.dumps(docs.witness_payload(log)),
+                 lambda: _written(docs.write_witness, path, log)):
+        printed.clear()
+        assert text() == want
+        entries = [id(p) for p in printed if id(p) not in potential]
+        assert entries and len(entries) == len(set(entries))
 
 
-def test_document_payload_prints_shared_entries_once(monkeypatch):
+def test_document_payload_prints_shared_entries_once(monkeypatch, tmp_path):
     m3 = corpus.by_name("m3").module
     ready = {"type": "koszul_module", **docs.module_payload(m3)}
     want = docs.dumps(docs.document_payload(
         m3.ring, m3.potential, {"a": ready, "b": ready}))
     printed = _count_prints(monkeypatch)
-    got = docs.dumps(docs.document_payload(m3.ring, m3.potential,
-                                           {"a": m3, "b": m3}))
-    assert got == want
+    path = tmp_path / "d.json"
+    objects = {"a": m3, "b": m3}
     mats = [*m3.underlying.diffs.values(),
             *(mat for fam in m3.h for mat in fam.values())]
     distinct = {id(e) for mat in mats for row in mat.nz.values()
                 for e in row.values()}
-    # "b" repeats "a" and prints nothing new; the potential is printed once
-    assert len(printed) == len(distinct) + len(m3.potential)
+    for text in (lambda: docs.dumps(docs.document_payload(
+                     m3.ring, m3.potential, objects)),
+                 lambda: _written(docs.write_document, path, m3.ring,
+                                  m3.potential, objects)):
+        printed.clear()
+        assert text() == want
+        # "b" repeats "a" and prints nothing new; the potential is printed
+        # once
+        assert len(printed) == len(distinct) + len(m3.potential)
+
+
+def _only_plain_json(value):
+    """True when `value` holds nothing but dicts with string keys, lists,
+    strings and ints."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _only_plain_json(v)
+                   for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(_only_plain_json, value))
+    return type(value) in (str, int)
+
+
+def test_payload_functions_return_plain_json():
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    a1 = _doc("a1.json").objects["a1"]
+    payloads = [
+        docs.witness_payload(log, {"origin": entry.points[0]}),
+        docs.document_payload(entry.module.ring, entry.module.potential,
+                              {"m3": entry.module}),
+        docs.document_payload(a1.ring, (a1.potential,), {"a1": a1}),
+    ]
+    for payload in payloads:
+        assert _only_plain_json(payload)
+        assert json.loads(docs.dumps(payload)) == payload
+
+
+def _witness_logs():
+    """(name, log, points): a log of every corpus module, and of a few
+    seeded random modules per emitting command."""
+    for entry in corpus.CORPUS:
+        m = entry.module
+        log = (fold_with_witness(m, entry.points)[1] if m.n == 1
+               else amplitude_reduce(m)[1])
+        yield entry.name, log, {f"p{i}": pt
+                                for i, pt in enumerate(entry.points)}
+    for seed in range(3):
+        m = genmod.random_fold_input(random.Random(seed))
+        yield f"fold-{seed}", fold_with_witness(m)[1], None
+        m = genmod.random_module(random.Random(seed), n=2)
+        yield f"reduce-{seed}", amplitude_reduce(m)[1], None
+
+
+def test_written_witness_matches_the_plain_payload(tmp_path):
+    kinds = set()
+    path = tmp_path / "w.json"
+    for name, log, points in _witness_logs():
+        assert _written(docs.write_witness, path, log, points) == \
+            docs.dumps(docs.witness_payload(log, points)), name
+        kinds.update(s.kind for s in log.steps)
+    assert kinds == {"cone_off_free", "explicit_quasi_iso", "shift_by_two"}
 
 
 def test_document_payload_refuses_objects_past_the_budget():
@@ -460,6 +532,73 @@ _trees = st.recursive(
 @given(_trees)
 def test_dumps_matches_json_dumps(payload):
     assert docs.dumps(payload) == _reference_dumps(payload)
+
+
+_LEAF_RINGS = (polynomial_ring(rationals(), ("x", "y")),
+               polynomial_ring(prime_field(5), ("x", "y")))
+# negative integers and fractions whose denominators are units mod 5
+_COEFFS = st.integers(-7, 7) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _leaf_polys(draw, ring):
+    x, y = (Poly.var(ring, v) for v in ring.varnames)
+    terms = draw(st.lists(st.tuples(_COEFFS, st.integers(0, 2),
+                                    st.integers(0, 2)), min_size=1,
+                          max_size=3))
+    return sum((Poly.const(ring, c) * x ** a * y ** b for c, a, b in terms),
+               Poly.zero(ring))
+
+
+@st.composite
+def _leaf_matrices(draw, ring):
+    """A matrix of shape up to 4x4 (0x0, 0xn and nx0 included): all zero,
+    one entry, one full row, or entries at random spots."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = [[Poly.zero(ring)] * cols for _ in range(rows)]
+    if rows and cols:
+        shape = draw(st.sampled_from(["zero", "single", "row", "sparse"]))
+        i = draw(st.integers(0, rows - 1))
+        spots = {"zero": [], "single": [(i, draw(st.integers(0, cols - 1)))],
+                 "row": [(i, j) for j in range(cols)],
+                 "sparse": [(r, c) for r in range(rows) for c in range(cols)
+                            if draw(st.booleans())]}[shape]
+        for r, c in spots:
+            cells[r][c] = draw(_leaf_polys(ring))
+    return PolyMatrix(ring, rows, cols, [e for row in cells for e in row])
+
+
+def _plain(value):
+    """`value` with each matrix leaf replaced by its rows of entries."""
+    if isinstance(value, PolyMatrix):
+        return docs._matrix_payload(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_dumps_writes_matrix_leaves_as_their_rows(data):
+    ring = data.draw(st.sampled_from(_LEAF_RINGS))
+    mats = data.draw(st.lists(_leaf_matrices(ring), min_size=1, max_size=4))
+    # leaves at several depths: a factorization's phi at the top, a
+    # module's d inside a step, contraction families in a list, and one
+    # matrix written twice at different indents
+    payload = {
+        "phi0": mats[0],
+        "steps": [{"kind": "cone_off_free", "target": {
+            "d": {str(k): m for k, m in enumerate(mats)},
+            "h": [{"0": mats[-1]}, {}]}}],
+        "r0": 1,
+    }
+    want = _reference_dumps(_plain(payload))
+    assert docs.dumps(payload) == want
+    assert docs.dumps(mats[0]) == _reference_dumps(_plain(mats[0]))
+    assert docs.dumps([mats[-1], [mats[0]]]) == \
+        _reference_dumps(_plain([mats[-1], [mats[0]]]))
 
 
 @pytest.mark.parametrize("payload", [

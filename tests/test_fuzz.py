@@ -2,9 +2,10 @@
 
 Every mutant of a `tests/data` document or of an emitted witness log is
 run through the subcommands that read it.  A log may also have a step's
-orientation flipped or its stored points dropped.  Whatever the mutation, a run
-ends in one of the documented exit codes (0, 1, 2 or 3), or in argparse's
-usage exit 2; no other exception may escape `cli.main`.
+orientation flipped or its stored points dropped.  A few runs write to a path
+that cannot be written.  Whatever the mutation, a run ends in one of the
+documented exit codes (0, 1, 2 or 3), or in argparse's usage exit 2; no
+other exception may escape `cli.main`.
 """
 
 import contextlib
@@ -20,15 +21,20 @@ from hypothesis import strategies as st
 import corpus
 from koszulmf import cli
 
+# stands for a path under a missing directory, which cannot be written
+UNWRITABLE = "<unwritable>"
+
 # the commands run on each document, and on the witness log
 COMMANDS = {
     "a1.json": (["validate"], ["unfold"], ["shift"], ["residue-homology"],
-                ["residue-homology", "--points", "origin"]),
+                ["residue-homology", "--points", "origin"],
+                ["shift", "--output", UNWRITABLE]),
     "koszul_uv.json": (["validate"], ["reduce-codim"], ["eisenbud"],
                        ["reduce-codim", "--then", "fold", "--points",
                         "origin"]),
     "m3.json": (["validate"], ["fold", "--points", "origin,axis"],
-                ["reduce-amplitude"]),
+                ["reduce-amplitude"],
+                ["reduce-amplitude", "--witness", UNWRITABLE]),
 }
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None,
@@ -152,8 +158,10 @@ def test_mutated_documents_end_in_a_documented_exit(workdir, data):
         doc = _mutant(data, json.load(fh))
     path = workdir / "doc.json"
     path.write_text(json.dumps(doc))
+    unwritable = str(workdir / "missing" / "out.json")
     for cmd in COMMANDS[name]:
-        argv = [cmd[0], "--input", str(path), *cmd[1:]]
+        argv = [cmd[0], "--input", str(path),
+                *(unwritable if a == UNWRITABLE else a for a in cmd[1:])]
         assert _run(argv) in (0, 1, 2, 3), argv
 
 
