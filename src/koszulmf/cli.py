@@ -7,9 +7,10 @@ Output is byte-identical across runs for fixed input and flags.
 
 Subcommands validate what they read and build through `_require_valid`
 and raise; `main` alone turns an exception into its report lines and exit
-code, and prints status=ok once a subcommand returns.  Each subcommand
-accepts only the options it reads (`_OPTIONS`); its own parser refuses
-any other, so the usage line names the options it does read.
+code, and prints status=ok once a subcommand returns.  A subcommand ends
+with its one write step (`_write`), so a failed run writes no file.  Each
+subcommand accepts only the options it reads (`_OPTIONS`); its own parser
+refuses any other, so the usage line names the options it does read.
 """
 
 import argparse
@@ -183,17 +184,22 @@ def _print_residue_homology(mf, points):
         print(f"residue_homology[{pname}]=even={even} odd={odd}")
 
 
-def _write_output(args, objects, points=None):
-    """Write `objects` (name -> Koszul module, factorization, or morphism
-    between two of its factorizations) to --output as one document over
-    the first object's ring and potential."""
-    if not args.output:
-        return
-    first = next(iter(objects.values()))
-    potential = first.potential
-    if isinstance(first, MFObject):
-        potential = (potential,)
-    docs.write_document(args.output, first.ring, potential, objects, points)
+def _write(args, objects, points=None, log=None):
+    """Write `log` to --witness and `objects` (name -> Koszul module,
+    factorization, or morphism between two of its factorizations) to
+    --output as one document over the first object's ring and potential,
+    both with `points`: every file or none."""
+    files = []
+    if log is not None and args.witness:
+        files.append((args.witness, docs.witness(log, points)))
+    if args.output:
+        first = next(iter(objects.values()))
+        potential = first.potential
+        if isinstance(first, MFObject):
+            potential = (potential,)
+        files.append((args.output, docs.document(first.ring, potential,
+                                                 objects, points)))
+    docs.write_files(files)
 
 
 def _require_evidence(args, log, points):
@@ -204,11 +210,6 @@ def _require_evidence(args, log, points):
         raise Precondition("the witness log has an explicit_quasi_iso step "
                            "and no point to test its cone at; give --point "
                            "or --points")
-
-
-def _write_witness(args, log, points):
-    if args.witness:
-        docs.write_witness(args.witness, log, points)
 
 
 def _transform(args, want, typename, build, suffix, size=None):
@@ -225,7 +226,7 @@ def _transform(args, want, typename, build, suffix, size=None):
     out = _require_valid(f"{name}_{suffix}", build(obj))
     print(f"object={name}")
     _print_shape(out)
-    _write_output(args, {f"{name}_{suffix}": out}, doc.points)
+    _write(args, {f"{name}_{suffix}": out}, doc.points)
 
 
 def _fold_and_report(args, name, m, points, header=(), list_steps=False):
@@ -243,8 +244,7 @@ def _fold_and_report(args, name, m, points, header=(), list_steps=False):
     if list_steps:
         _print_steps(log)
     _print_residue_homology(mf, points)
-    _write_witness(args, log, points)
-    _write_output(args, {f"{name}_folded": mf}, points)
+    _write(args, {f"{name}_folded": mf}, points, log)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def cmd_tensor(args):
     print(f"object={name_a}*{name_b}")
     print(f"f={product.potential}")
     _print_shape(product)
-    _write_output(args, {f"{name_a}_{name_b}_tensor": product}, doc.points)
+    _write(args, {f"{name_a}_{name_b}_tensor": product}, doc.points)
 
 
 def cmd_reduce_amplitude(args):
@@ -332,8 +332,7 @@ def cmd_reduce_amplitude(args):
     print(f"reduction_steps={nred}")
     print(f"witness_steps={len(log.steps)}")
     _print_shape(reduced)
-    _write_witness(args, log, points)
-    _write_output(args, {f"{name}_reduced": reduced}, points)
+    _write(args, {f"{name}_reduced": reduced}, points, log)
 
 
 def cmd_reduce_codim(args):
@@ -361,7 +360,7 @@ def cmd_reduce_codim(args):
         if args.witness:
             raise Precondition("reduce-codim emits a witness only with "
                                "--then fold")
-        _write_output(args, {f"{name}_reduced": reduced}, points)
+        _write(args, {f"{name}_reduced": reduced}, points)
 
 
 def cmd_residue_homology(args):
@@ -430,10 +429,10 @@ def cmd_eisenbud(args):
                        == compose_mf_morphisms(ops[j], ops[i]))
             print(f"commute_{i}_{j}={'ok' if commute else 'failed'}")
             ok = ok and commute
-    _write_output(args, {f"{name}_reduced": reduced, f"{name}_folded": mf,
-                         **{f"t{k}": op for k, op in ops.items()}})
     if not ok:
         raise Invalid()
+    _write(args, {f"{name}_reduced": reduced, f"{name}_folded": mf,
+                  **{f"t{k}": op for k, op in ops.items()}})
 
 
 _HANDLERS = {

@@ -173,7 +173,7 @@ class PolyMatrix:
     """Sparse matrix of Polys.  Shape is explicit so 0-by-n edges stay sane.
 
     `nz` maps each row index that has a nonzero entry to {column index:
-    nonzero Poly}.  Read it freely; change entries only through `put`.
+    nonzero Poly}.  Read it freely.
     """
 
     __slots__ = ("ring", "rows", "cols", "nz")
@@ -255,26 +255,12 @@ class PolyMatrix:
 
     # --- access -------------------------------------------------------------
 
-    def _check_cell(self, i, j):
+    def at(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a "
                              f"{self.rows}x{self.cols} matrix")
-
-    def at(self, i, j):
-        self._check_cell(i, j)
         e = self.nz.get(i, {}).get(j)
         return Poly.zero(self.ring) if e is None else e
-
-    def put(self, i, j, poly):
-        self._check_cell(i, j)
-        if not isinstance(poly, Poly) or poly.ring is not self.ring:
-            raise ValueError("entries must be Polys over the matrix ring")
-        if poly.terms:
-            self.nz.setdefault(i, {})[j] = poly
-            return
-        row = self.nz.get(i)
-        if row is not None and row.pop(j, None) is not None and not row:
-            del self.nz[i]
 
     def row(self, i):
         if not 0 <= i < self.rows:
@@ -515,9 +501,8 @@ class Evaluation:
     is evaluated once and each distinct entry once: both memos are keyed by
     identity and hold the object they key, so an id cannot be reused while
     the memo lives.  The rows handed out are shared and must not be
-    modified, and a matrix must not be modified (`put`) while an
-    Evaluation that has seen it is kept.  Over Q a power whose value would
-    pass the coefficient budget raises ValueError (`ring.evaluate_at`).
+    modified.  Over Q a power whose value would pass the coefficient budget
+    raises ValueError (`ring.evaluate_at`).
     """
 
     __slots__ = ("ring", "vals", "_rows", "_entries")

@@ -40,19 +40,17 @@ memo per document maps entry text to its Poly, which every repeat shares
 polynomial parser allows is a DocumentError like any other malformed input.
 
 All dumps are deterministic: canonical polynomial strings, sorted keys,
-two-space indent, trailing newline.  `dumps` writes exactly the text of
-`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, escaping
-strings with the C encoder instead of the pure-Python one that `indent`
-selects; `write_json` is the one function that writes files.  A payload may
-hold a PolyMatrix as a leaf, which `dumps` writes from its nonzeros with
-the bytes its rows of entry strings would give; `write_document` and
-`write_witness` build their payloads that way.  `document_payload` and
-`witness_payload` still return plain JSON values, for callers that read or
-edit them.
+two-space indent, trailing newline.  Every payload holds each matrix as a
+PolyMatrix leaf; `plain` turns the leaves into rows of entry strings, and
+`document_payload` and `witness_payload` return `plain` of `document` and
+`witness`.  `dumps` writes exactly the text of `json.dumps(plain(payload),
+indent=2, sort_keys=True)` plus a newline, each matrix from its nonzeros and
+strings escaped by the C encoder.  `write_files` writes all of a command's
+files or none, each through `write_json`.
 """
 
-import functools
 import json
+import os
 from fractions import Fraction
 
 from koszulmf.complexes import MAX_TOTAL_RANK, FreeComplex, PolyMatrix
@@ -421,14 +419,8 @@ def _parse_morphism(ring, payload, objects, where, typ, memo):
 
 
 # ---------------------------------------------------------------------------
-# payload builders (library objects -> JSON-ready structures)
+# payload builders (library objects -> payloads with matrix leaves)
 # ---------------------------------------------------------------------------
-#
-# Every builder takes `leaf`, the function that turns a matrix into its
-# value in the payload.  The public builders default to `_matrix_payload`,
-# so what they return is plain JSON; `write_document` and `write_witness`
-# pass `_as_leaf`, which keeps the matrix itself for `dumps` to write from
-# its nonzeros.
 
 def ring_payload(ring):
     if ring.kind == "rationals":
@@ -441,65 +433,29 @@ def ring_payload(ring):
     return out
 
 
-def _matrix_payload(mat, texts=None):
-    """Rows of entry strings, the leaf of a plain payload.  `texts` is the
-    print memo of one payload: id(poly) -> (poly, str(poly)).  A witness log
-    repeats a few distinct polys many times over, and each is printed once;
-    the memo holds the poly itself, so its id cannot be reused while the
-    payload is built."""
-    if texts is None:
-        texts = {}
-    out = [["0"] * mat.cols for _ in range(mat.rows)]
-    for i, row in mat.nz.items():
-        out_row = out[i]
-        for j, e in row.items():
-            hit = texts.get(id(e))
-            if hit is None:
-                hit = texts[id(e)] = (e, str(e))
-            out_row[j] = hit[1]
-    return out
-
-
-def _plain_leaf():
-    """`_matrix_payload` with one print memo for a whole payload."""
-    return functools.partial(_matrix_payload, texts={})
-
-
-def _as_leaf(mat):
-    """The leaf of a payload that only `dumps` reads: the matrix itself."""
-    return mat
-
-
-def _degree_matrices_payload(get, lo, hi, leaf=_matrix_payload):
-    """{str(m): matrix get(m)} for each degree m of [lo, hi]: a differential,
-    a contraction family or morphism components."""
-    return {str(m): leaf(get(m)) for m in range(lo, hi + 1)}
-
-
-def complex_payload(c, leaf=_matrix_payload):
+def complex_payload(c):
     return {
         "degrees": [c.lo, c.hi],
         "ranks": {str(m): c.rank(m) for m in range(c.lo, c.hi + 1)},
-        "d": _degree_matrices_payload(c.diff, c.lo, c.hi - 1, leaf),
+        "d": {str(m): c.diff(m) for m in range(c.lo, c.hi)},
     }
 
 
-def module_payload(m, leaf=_matrix_payload):
-    out = complex_payload(m.underlying, leaf)
-    out["h"] = [_degree_matrices_payload(lambda deg, i=i: m.hop(i, deg),
-                                         m.lo, m.hi, leaf)
+def module_payload(m):
+    out = complex_payload(m.underlying)
+    out["h"] = [{str(d): m.hop(i, d) for d in range(m.lo, m.hi + 1)}
                 for i in range(m.n)]
     return out
 
 
-def mf_payload(mf, leaf=_matrix_payload):
+def mf_payload(mf):
     return {
         "type": "mf",
         "f": str(mf.potential),
         "r0": mf.r0,
         "r1": mf.r1,
-        "phi0": leaf(mf.phi0),
-        "phi1": leaf(mf.phi1),
+        "phi0": mf.phi0,
+        "phi1": mf.phi1,
     }
 
 
@@ -517,7 +473,10 @@ def total_rank(obj):
     return 0
 
 
-def _document(ring, potential, objects, points, leaf):
+def document(ring, potential, objects, points=None):
+    """The payload of a document.  objects: name -> Koszul module,
+    factorization, factorization morphism (whose ends are objects of the
+    same document) or ready payload dict (with its "type" key)."""
     names = {id(obj): name for name, obj in objects.items()}
     payloads = {}
     for name, obj in objects.items():
@@ -527,13 +486,13 @@ def _document(ring, potential, objects, points, leaf):
             raise ValueError(f"objects.{name}: total rank {size} is past "
                              f"{MAX_TOTAL_RANK}")
         if isinstance(obj, KoszulModule):
-            obj = {"type": "koszul_module", **module_payload(obj, leaf)}
+            obj = {"type": "koszul_module", **module_payload(obj)}
         elif isinstance(obj, MFObject):
-            obj = mf_payload(obj, leaf)
+            obj = mf_payload(obj)
         elif isinstance(obj, MFMorphism):
             obj = {"type": "mf_morphism", "source": names[id(obj.source)],
                    "target": names[id(obj.target)],
-                   "alpha0": leaf(obj.alpha0), "alpha1": leaf(obj.alpha1)}
+                   "alpha0": obj.alpha0, "alpha1": obj.alpha1}
         payloads[name] = obj
     out = {
         "ring": ring_payload(ring),
@@ -546,17 +505,36 @@ def _document(ring, potential, objects, points, leaf):
 
 
 def document_payload(ring, potential, objects, points=None):
-    """The document as plain JSON values.  objects: name -> Koszul module,
-    factorization, factorization morphism (whose ends are objects of the
-    same document) or ready payload dict (with its "type" key).  Entries
-    the objects share are printed once."""
-    return _document(ring, potential, objects, points, _plain_leaf())
+    """`plain(document(...))`: the document as plain JSON values."""
+    return plain(document(ring, potential, objects, points))
 
 
-def write_document(path, ring, potential, objects, points=None):
-    """Write `document_payload(...)` to `path`, each matrix written from its
-    nonzeros."""
-    write_json(path, _document(ring, potential, objects, points, _as_leaf))
+def plain(payload):
+    """`payload` as plain JSON values: each PolyMatrix leaf, at any depth,
+    becomes its rows of entry strings.  Dicts and lists are copied; other
+    values are kept.  The print memo `texts` (id(poly) -> str(poly)) prints
+    each distinct entry once; the payload keeps every poly alive."""
+    texts = {}
+
+    def walk(value):
+        kind = type(value)
+        if kind is dict:
+            return {k: walk(v) for k, v in value.items()}
+        if kind is list:
+            return [walk(v) for v in value]
+        if kind is not PolyMatrix:
+            return value
+        rows = [["0"] * value.cols for _ in range(value.rows)]
+        for i, row in value.nz.items():
+            out_row = rows[i]
+            for j, e in row.items():
+                text = texts.get(id(e))
+                if text is None:
+                    text = texts[id(e)] = str(e)
+                out_row[j] = text
+        return rows
+
+    return walk(payload)
 
 
 _encode_str = json.encoder.encode_basestring_ascii   # the C encoder
@@ -653,9 +631,8 @@ def _write_value(obj, nl, out, memo):
 def dumps(payload):
     """Canonical JSON text of a payload of dicts with string keys, lists,
     strings, ints, booleans, None and PolyMatrix leaves: the bytes of
-    `json.dumps(plain, indent=2, sort_keys=True)` plus a newline, where
-    `plain` has each matrix leaf replaced by its rows of entry strings.  It
-    is written without the pure-Python encoder that `indent` selects, and
+    `json.dumps(plain(payload), indent=2, sort_keys=True)` plus a newline.
+    It is written without the pure-Python encoder that `indent` selects, and
     each distinct entry is printed once.  Any other type raises
     TypeError."""
     out = []
@@ -667,36 +644,61 @@ def dumps(payload):
 def write_json(path, payload):
     """Write `dumps(payload)` to `path`.  The text is rendered before the
     file is opened, so a payload that cannot be rendered leaves the file as
-    it was; a path that cannot be written is a ValueError."""
+    it was."""
     text = dumps(payload)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def write_files(files):
+    """Write each (path, payload) pair of `files`, every one or none.
+    `write_json` writes each payload to a staged file in its path's
+    directory, and the staged files replace their paths only once all of
+    them are written.  On any failure the staged files are removed and no
+    path is created or changed; a path that cannot be written is a
+    ValueError naming it."""
+    staged = []     # (staged file, its path)
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ValueError(f"cannot write {path}: {e.strerror or e}")
+        for path, payload in files:
+            if os.path.isdir(path):     # else refused only by os.replace
+                raise ValueError(f"cannot write {path}: Is a directory")
+            tmp = os.path.join(os.path.dirname(path),
+                               f".koszulmf-{os.getpid()}-{len(staged)}.tmp")
+            staged.append((tmp, path))
+            write_json(tmp, payload)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException as e:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        if isinstance(e, OSError):
+            raise ValueError(f"cannot write {path}: {e.strerror or e}")
+        raise
 
 
 # ---------------------------------------------------------------------------
 # witness logs
 # ---------------------------------------------------------------------------
 
-def _step_payload(step, leaf):
+def _step_payload(step):
     out = {"kind": step.kind, "orientation": step.orientation}
     if step.kind == "shift_by_two":
         out["offset"] = step.offset
         return out
     g = step.morphism
     if step.kind == "cone_off_free":
-        out["generators"] = complex_payload(step.generators, leaf)
+        out["generators"] = complex_payload(step.generators)
     else:
-        out["source"] = module_payload(g.source, leaf)
-    out["target"] = module_payload(g.target, leaf)
-    out["components"] = _degree_matrices_payload(g.component, g.lo, g.hi,
-                                                 leaf)
+        out["source"] = module_payload(g.source)
+    out["target"] = module_payload(g.target)
+    out["components"] = {str(d): g.component(d)
+                         for d in range(g.lo, g.hi + 1)}
     return out
 
 
-def _witness(log, points, leaf):
+def witness(log, points=None):
+    """The payload of a witness log, with the points it records."""
     ring = log.start.ring
     return {
         "schema": WITNESS_SCHEMA,
@@ -704,21 +706,15 @@ def _witness(log, points, leaf):
         "potential": [str(f) for f in log.start.potential],
         "points": {name: point_payload(pt)
                    for name, pt in (points or {}).items()},
-        "start": module_payload(log.start, leaf),
-        "end": module_payload(log.end, leaf),
-        "steps": [_step_payload(s, leaf) for s in log.steps],
+        "start": module_payload(log.start),
+        "end": module_payload(log.end),
+        "steps": [_step_payload(s) for s in log.steps],
     }
 
 
 def witness_payload(log, points=None):
-    """The log as plain JSON values, each distinct entry printed once."""
-    return _witness(log, points, _plain_leaf())
-
-
-def write_witness(path, log, points=None):
-    """Write `witness_payload(log, points)` to `path`, each matrix written
-    from its nonzeros."""
-    write_json(path, _witness(log, points, _as_leaf))
+    """`plain(witness(log, points))`: the log as plain JSON values."""
+    return plain(witness(log, points))
 
 
 def parse_witness(raw):

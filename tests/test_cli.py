@@ -373,8 +373,8 @@ def test_cone_of_koszul_morphism(capsys, tmp_path):
         m3.ring, m3.potential,
         {"m3": {"type": "koszul_module", **docs.module_payload(m3)},
          "zid": {"type": "koszul_morphism", "source": "m3", "target": "m3",
-                 "components": docs._degree_matrices_payload(
-                     ident.component, ident.lo, ident.hi)}})
+                 "components": {str(u): ident.component(u)
+                                for u in range(ident.lo, ident.hi + 1)}}})
     ipath = tmp_path / "in.json"
     opath = tmp_path / "cone.json"
     docs.write_json(ipath, payload)
@@ -921,6 +921,45 @@ def test_a_payload_that_cannot_be_rendered_leaves_the_file(tmp_path):
     with pytest.raises(TypeError):
         docs.write_json(path, {"steps": [1.5]})
     assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["fold", "reduce-amplitude"])
+def test_a_run_that_cannot_write_its_output_writes_no_witness(
+        capsys, tmp_path, command):
+    witness = tmp_path / "w.json"
+    out = tmp_path / "missing" / "o.json"
+    argv = [command, "--input", M3, "--witness", str(witness),
+            "--output", str(out)]
+    code, lines = run(capsys, argv)
+    assert code == 3
+    assert [l for l in lines if l.startswith(("error=", "status="))] == [
+        f"error=precondition cannot write {out}: No such file or directory"]
+    assert os.listdir(tmp_path) == []
+    # a witness file from before the run is left byte for byte
+    witness.write_bytes(b"kept\n")
+    assert run(capsys, argv)[0] == 3
+    # so is one when the output path is a directory
+    assert run(capsys, argv[:-1] + [str(tmp_path)])[0] == 3
+    assert os.listdir(tmp_path) == ["w.json"]
+    assert witness.read_bytes() == b"kept\n"
+    # the same run with a writable output writes both files
+    out = tmp_path / "o.json"
+    assert run(capsys, argv[:-1] + [str(out)])[0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["o.json", "w.json"]
+    assert docs.load_witness(witness)[0].start == \
+        corpus.by_name("m3").module
+
+
+def test_eisenbud_writes_nothing_when_a_check_fails(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "validate_mf_morphism", lambda op: ["forced"])
+    out = tmp_path / "ops.json"
+    code, lines = run(capsys, ["eisenbud", "--input", KUV,
+                               "--output", str(out)])
+    assert code == 1
+    assert "eisenbud_1=invalid forced" in lines
+    assert lines[-1] == "status=failed"
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

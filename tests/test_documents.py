@@ -94,8 +94,8 @@ def test_morphism_round_trip():
         m3.ring, m3.potential,
         {"m3": {"type": "koszul_module", **docs.module_payload(m3)},
          "ident": {"type": "koszul_morphism", "source": "m3", "target": "m3",
-                   "components": docs._degree_matrices_payload(
-                       ident.component, ident.lo, ident.hi)}})
+                   "components": {str(u): ident.component(u)
+                                  for u in range(ident.lo, ident.hi + 1)}}})
     doc = docs.parse_document(json.loads(docs.dumps(payload)))
     g = doc.objects["ident"]
     assert isinstance(g, KoszulMorphism)
@@ -144,9 +144,9 @@ def _count_prints(monkeypatch):
     return printed
 
 
-def _written(write, path, *args):
-    """The text that `write(path, *args)` puts in the file."""
-    write(path, *args)
+def _written(path, payload):
+    """The text that `write_files` puts in the file for `payload`."""
+    docs.write_files([(path, payload)])
     return path.read_text()
 
 
@@ -159,7 +159,7 @@ def test_witness_payload_prints_each_entry_once(monkeypatch, tmp_path):
     potential = {id(f) for f in log.start.potential}
     # a plain payload and a written file, each printed anew
     for text in (lambda: docs.dumps(docs.witness_payload(log)),
-                 lambda: _written(docs.write_witness, path, log)):
+                 lambda: _written(path, docs.witness(log))):
         printed.clear()
         assert text() == want
         entries = [id(p) for p in printed if id(p) not in potential]
@@ -180,8 +180,8 @@ def test_document_payload_prints_shared_entries_once(monkeypatch, tmp_path):
                 for e in row.values()}
     for text in (lambda: docs.dumps(docs.document_payload(
                      m3.ring, m3.potential, objects)),
-                 lambda: _written(docs.write_document, path, m3.ring,
-                                  m3.potential, objects)):
+                 lambda: _written(path, docs.document(m3.ring, m3.potential,
+                                                      objects))):
         printed.clear()
         assert text() == want
         # "b" repeats "a" and prints nothing new; the potential is printed
@@ -200,21 +200,6 @@ def _only_plain_json(value):
     return type(value) in (str, int)
 
 
-def test_payload_functions_return_plain_json():
-    entry = corpus.by_name("m3")
-    _, log = fold_with_witness(entry.module, entry.points)
-    a1 = _doc("a1.json").objects["a1"]
-    payloads = [
-        docs.witness_payload(log, {"origin": entry.points[0]}),
-        docs.document_payload(entry.module.ring, entry.module.potential,
-                              {"m3": entry.module}),
-        docs.document_payload(a1.ring, (a1.potential,), {"a1": a1}),
-    ]
-    for payload in payloads:
-        assert _only_plain_json(payload)
-        assert json.loads(docs.dumps(payload)) == payload
-
-
 def _witness_logs():
     """(name, log, points): a log of every corpus module, and of a few
     seeded random modules per emitting command."""
@@ -231,14 +216,76 @@ def _witness_logs():
         yield f"reduce-{seed}", amplitude_reduce(m)[1], None
 
 
+def _documents():
+    """(name, document payload): each corpus module with its points, and
+    the factorization each one-potential module folds to."""
+    for entry in corpus.CORPUS:
+        m = entry.module
+        points = {f"p{i}": pt for i, pt in enumerate(entry.points)}
+        yield entry.name, docs.document(m.ring, m.potential, {"m": m}, points)
+        if m.n == 1:
+            mf = fold_with_witness(m, entry.points)[0]
+            yield f"{entry.name}-folded", docs.document(
+                m.ring, m.potential, {"mf": mf}, points)
+
+
+def test_payload_functions_return_plain_json():
+    payloads = [(name, docs.witness(log, points))
+                for name, log, points in _witness_logs()]
+    payloads += list(_documents())
+    for name, payload in payloads:
+        flat = docs.plain(payload)
+        assert _only_plain_json(flat), name
+        assert flat == json.loads(docs.dumps(payload)), name
+    entry = corpus.by_name("m3")
+    m3 = entry.module
+    log = fold_with_witness(m3, entry.points)[1]
+    assert docs.witness_payload(log) == docs.plain(docs.witness(log))
+    assert docs.document_payload(m3.ring, m3.potential, {"m3": m3}) == \
+        docs.plain(docs.document(m3.ring, m3.potential, {"m3": m3}))
+    # the builders hold the matrices themselves
+    payload = docs.module_payload(m3)
+    assert payload["d"]["-1"] is m3.diff(-1)
+    assert all(type(mat) is PolyMatrix
+               for fam in [payload["d"], *payload["h"]]
+               for mat in fam.values())
+
+
 def test_written_witness_matches_the_plain_payload(tmp_path):
     kinds = set()
     path = tmp_path / "w.json"
     for name, log, points in _witness_logs():
-        assert _written(docs.write_witness, path, log, points) == \
+        assert _written(path, docs.witness(log, points)) == \
             docs.dumps(docs.witness_payload(log, points)), name
         kinds.update(s.kind for s in log.steps)
     assert kinds == {"cone_off_free", "explicit_quasi_iso", "shift_by_two"}
+
+
+def test_write_files_writes_every_file_or_none(tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    new = tmp_path / "new.json"
+    missing = tmp_path / "missing" / "x.json"
+    # a later payload that cannot be rendered, a later path that cannot be
+    # written, and a later path that is a directory
+    with pytest.raises(TypeError):
+        docs.write_files([(new, {"a": 1}), (kept, {"b": 1.5})])
+    with pytest.raises(ValueError) as err:
+        docs.write_files([(kept, {"a": 1}), (new, []), (missing, {})])
+    assert str(err.value) == \
+        f"cannot write {missing}: No such file or directory"
+    with pytest.raises(ValueError) as err:
+        docs.write_files([(new, {"a": 1}), (tmp_path, {})])
+    assert str(err.value) == f"cannot write {tmp_path}: Is a directory"
+    assert os.listdir(tmp_path) == ["kept.json"]
+    assert kept.read_text() == "kept\n"
+    # every file written; a path given twice gets the last payload
+    docs.write_files([(new, {"a": 1}), (kept, [2]), (new, [3])])
+    assert sorted(os.listdir(tmp_path)) == ["kept.json", "new.json"]
+    assert kept.read_text() == docs.dumps([2])
+    assert new.read_text() == docs.dumps([3])
+    docs.write_files([])
+    assert sorted(os.listdir(tmp_path)) == ["kept.json", "new.json"]
 
 
 def test_document_payload_refuses_objects_past_the_budget():
@@ -465,7 +512,7 @@ def test_empty_matrix_payloads_are_fine():
     # a 0xN differential appears as an empty list; it must round-trip
     ring = corpus.by_name("m3").module.ring
     c = FreeComplex(ring, -1, 0, {-1: 2, 0: 0}, {})
-    payload = docs.complex_payload(c)
+    payload = docs.plain(docs.complex_payload(c))
     assert payload["d"]["-1"] == []
     again = docs.parse_complex_payload(ring, payload, "c")
     assert again == c
@@ -571,7 +618,7 @@ def _leaf_matrices(draw, ring):
 def _plain(value):
     """`value` with each matrix leaf replaced by its rows of entries."""
     if isinstance(value, PolyMatrix):
-        return docs._matrix_payload(value)
+        return [[str(e) for e in value.row(i)] for i in range(value.rows)]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, list):

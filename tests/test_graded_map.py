@@ -158,18 +158,18 @@ def koszul_complex_reference(ring, potential):
     n = len(potential)
     subsets = {k: list(combinations(range(n), k)) for k in range(n + 1)}
     ranks = {-k: len(subsets[k]) for k in range(n + 1)}
+    zero = Poly.zero(ring)
     diffs = {}
     for k in range(1, n + 1):
         src, tgt = subsets[k], subsets[k - 1]
         index = {S: i for i, S in enumerate(tgt)}
-        mat = PolyMatrix.zero(ring, len(tgt), len(src))
+        cells = [zero] * (len(tgt) * len(src))
         for col, S in enumerate(src):
             for j, i_j in enumerate(S):
                 rest = tuple(x for x in S if x != i_j)
                 coeff = potential[i_j] if j % 2 == 0 else -potential[i_j]
-                row = index[rest]
-                mat.put(row, col, mat.at(row, col) + coeff)
-        diffs[-k] = mat
+                cells[index[rest] * len(src) + col] += coeff
+        diffs[-k] = PolyMatrix(ring, len(tgt), len(src), cells)
     return FreeComplex(ring, -n, 0, ranks, diffs)
 
 

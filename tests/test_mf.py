@@ -78,6 +78,14 @@ def _matrices(draw, ring, rows, cols):
                       [draw(_polys(ring)) for _ in range(rows * cols)])
 
 
+def _elementary(ring, n, i, j, e):
+    """The n x n identity with `e` at (i, j), i != j."""
+    one, zero = Poly.one(ring), Poly.zero(ring)
+    return PolyMatrix(ring, n, n, [e if (r, c) == (i, j) else
+                                   one if r == c else zero
+                                   for r in range(n) for c in range(n)])
+
+
 @st.composite
 def _unimodular(draw, ring, n):
     """(U, U^-1) for a product of up to two elementary matrices."""
@@ -85,10 +93,8 @@ def _unimodular(draw, ring, n):
     for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
         i, j = draw(st.permutations(range(n)))[:2]
         e = draw(_polys(ring))
-        el, inv = PolyMatrix.identity(ring, n), PolyMatrix.identity(ring, n)
-        el.put(i, j, e)
-        inv.put(i, j, -e)
-        u, v = u * el, inv * v
+        u = u * _elementary(ring, n, i, j, e)
+        v = _elementary(ring, n, i, j, -e) * v
     return u, v
 
 
@@ -133,10 +139,15 @@ def _pairs(draw, ring):
                                 [r], [r, 1])
         phi1 = PolyMatrix.block(ring, [[phi1], [None]], [r, 1], [r])
     if draw(st.integers(0, 2)) == 0 and r0 * r1:
-        mat = draw(st.sampled_from([phi0, phi1]))
+        phis = [phi0, phi1]
+        k = draw(st.sampled_from([0, 1]))
+        mat = phis[k]
         i, j = draw(st.integers(0, mat.rows - 1)), draw(
             st.integers(0, mat.cols - 1))
-        mat.put(i, j, mat.at(i, j) + draw(_polys(ring, True)))
+        cells = mat.entries
+        cells[i * mat.cols + j] += draw(_polys(ring, True))
+        phis[k] = PolyMatrix(ring, mat.rows, mat.cols, cells)
+        phi0, phi1 = phis
     return MFObject(ring, f, r0, r1, phi0, phi1)
 
 
