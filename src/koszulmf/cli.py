@@ -194,9 +194,8 @@ def _write(args, objects, points=None, log=None):
         files.append((args.witness, docs.witness(log, points)))
     if args.output:
         first = next(iter(objects.values()))
-        potential = first.potential
-        if isinstance(first, MFObject):
-            potential = (potential,)
+        potential = ((first.potential,) if isinstance(first, MFObject)
+                     else first.potential)
         files.append((args.output, docs.document(first.ring, potential,
                                                  objects, points)))
     docs.write_files(files)

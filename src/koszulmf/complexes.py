@@ -37,12 +37,12 @@ stored.
 A product in which one operand is a selection, a matrix whose every
 stored row is one entry, the constant 1 (permutations, pads, trims,
 identities, and vacuously the zero matrix), is a reindexing with no
-arithmetic: S·B copies row k of B into row i wherever S[i] = {k: 1}, and
+arithmetic: S·B shares row k of B as row i wherever S[i] = {k: 1}, and
 A·S moves A[i][k] to column j wherever S[k] = {j: 1}.  Entries are shared
-with the operands, rows are fresh dicts.  A selection is found by a scan
-that stops at the first row that is not one constant 1; when two rows of
-a right-hand selection put their 1 in one column, the product is a sum
-and takes the fused kernel.
+with the operands; no matrix is changed once built, so S·B shares B's rows
+as they are.  A selection is found by a scan that stops at the first row
+that is not one constant 1; when two rows of a right-hand selection put
+their 1 in one column, the product is a sum and takes the fused kernel.
 
 Evaluation at a point goes through one loop, `Evaluation.rows`: sparse
 rows of base-field scalars, each matrix evaluated once and each distinct
@@ -173,7 +173,8 @@ class PolyMatrix:
     """Sparse matrix of Polys.  Shape is explicit so 0-by-n edges stay sane.
 
     `nz` maps each row index that has a nonzero entry to {column index:
-    nonzero Poly}.  Read it freely.
+    nonzero Poly}.  Read it freely, but never change it: matrices share
+    rows and entries.
     """
 
     __slots__ = ("ring", "rows", "cols", "nz")
@@ -182,8 +183,9 @@ class PolyMatrix:
         """`entries` is a flat row-major list of rows*cols Polys over `ring`.
 
         `trusted` instead takes rows already in the layout of `nz`, built
-        inside the library: fresh dicts, indices in range, every value a
-        nonzero Poly over `ring`.  They are used as they are, unchecked.
+        inside the library: indices in range, every value a nonzero Poly
+        over `ring`; rows may be shared with other matrices.  They are used
+        as they are, unchecked.
         """
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
@@ -332,7 +334,7 @@ class PolyMatrix:
         one = (0,) * len(ring.varnames)     # exponents of the monomial 1
         sel = _selection(anz, one)
         if sel is not None:
-            nz = {i: dict(bnz[k]) for i, k in sel.items() if k in bnz}
+            nz = {i: bnz[k] for i, k in sel.items() if k in bnz}
             return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
         sel = _selection(bnz, one)
         if sel is not None and len(set(sel.values())) == len(sel):

@@ -46,11 +46,14 @@ PolyMatrix leaf; `plain` turns the leaves into rows of entry strings, and
 `witness`.  `dumps` writes exactly the text of `json.dumps(plain(payload),
 indent=2, sort_keys=True)` plus a newline, each matrix from its nonzeros and
 strings escaped by the C encoder.  `write_files` writes all of a command's
-files or none, each through `write_json`.
+files or, when one cannot be staged or written, none, each through
+`write_json`.
 """
 
 import json
 import os
+import stat
+from collections import namedtuple
 from fractions import Fraction
 
 from koszulmf.complexes import MAX_TOTAL_RANK, FreeComplex, PolyMatrix
@@ -72,14 +75,9 @@ class DocumentError(ValueError):
     or an entry that fails to parse."""
 
 
-class Document:
-    __slots__ = ("ring", "potential", "objects", "points")
-
-    def __init__(self, ring, potential, objects, points):
-        self.ring = ring
-        self.potential = potential
-        self.objects = objects      # name -> library object, document order
-        self.points = points        # name -> {var: scalar}
+# a parsed document: objects maps name -> library object in document order,
+# points maps name -> {var: scalar}
+Document = namedtuple("Document", "ring potential objects points")
 
 
 def _expect(cond, msg):
@@ -171,11 +169,9 @@ def parse_ring_payload(payload):
 
 def _parse_entry(ring, text, where, memo=None):
     """Parse one entry, a string or an integer (JSON `true` and `false` are
-    not integers).  `memo` is the document's entry memo: entry text (after
-    the int -> str conversion) -> the Poly it parsed to.  Only successful
-    parses are stored, so a malformed entry is reported at its first
-    location.  Sharing a Poly between entries is safe because polys are
-    never mutated."""
+    not).  `memo` maps entry text to the Poly it parsed to, which every
+    repeat shares (polys are immutable); a malformed entry is not stored,
+    so it is reported at its first location."""
     if type(text) is int:
         text = str(text)
     _expect(isinstance(text, str),
@@ -631,10 +627,9 @@ def _write_value(obj, nl, out, memo):
 def dumps(payload):
     """Canonical JSON text of a payload of dicts with string keys, lists,
     strings, ints, booleans, None and PolyMatrix leaves: the bytes of
-    `json.dumps(plain(payload), indent=2, sort_keys=True)` plus a newline.
-    It is written without the pure-Python encoder that `indent` selects, and
-    each distinct entry is printed once.  Any other type raises
-    TypeError."""
+    `json.dumps(plain(payload), indent=2, sort_keys=True)` plus a newline,
+    written without the pure-Python encoder that `indent` selects and
+    printing each distinct entry once.  Any other type is a TypeError."""
     out = []
     _write_value(payload, "\n", out, {})
     out.append("\n")
@@ -642,30 +637,40 @@ def dumps(payload):
 
 
 def write_json(path, payload):
-    """Write `dumps(payload)` to `path`.  The text is rendered before the
-    file is opened, so a payload that cannot be rendered leaves the file as
-    it was."""
+    """Write `dumps(payload)` to `path`, rendered before the file is
+    opened: a payload that cannot be rendered leaves the file as it was."""
     text = dumps(payload)
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def write_files(files):
-    """Write each (path, payload) pair of `files`, every one or none.
-    `write_json` writes each payload to a staged file in its path's
-    directory, and the staged files replace their paths only once all of
-    them are written.  On any failure the staged files are removed and no
-    path is created or changed; a path that cannot be written is a
-    ValueError naming it."""
-    staged = []     # (staged file, its path)
+    """Write each (path, payload) pair of `files` through `write_json`: all
+    of them or, when one cannot be staged or written, none.  A directory is
+    refused first.  A path that is absent, or a regular file of one link
+    this process may write, in a directory it may write, gets a staged file
+    there.  Any other path (a device, FIFO or symlink, say) is written in
+    place once every staged file is, so it keeps its kind and links.  The
+    staged files replace their paths last; only a failure there leaves an
+    earlier path replaced.  An unwritable path is a ValueError naming it."""
+    staged, in_place = [], []   # (staged file, its path), (path, payload)
     try:
         for path, payload in files:
-            if os.path.isdir(path):     # else refused only by os.replace
+            if os.path.isdir(path):
                 raise ValueError(f"cannot write {path}: Is a directory")
-            tmp = os.path.join(os.path.dirname(path),
+            folder = os.path.dirname(path) or "."
+            st = os.lstat(path) if os.path.lexists(path) else None
+            if (st and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1
+                        or not os.access(path, os.W_OK))
+                    or not os.access(folder, os.W_OK)):
+                in_place.append((path, payload))
+                continue
+            tmp = os.path.join(folder,
                                f".koszulmf-{os.getpid()}-{len(staged)}.tmp")
             staged.append((tmp, path))
             write_json(tmp, payload)
+        for path, payload in in_place:
+            write_json(path, payload)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException as e:

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import stat
+import threading
 
 import pytest
 
@@ -948,6 +950,25 @@ def test_a_run_that_cannot_write_its_output_writes_no_witness(
     assert sorted(os.listdir(tmp_path)) == ["o.json", "w.json"]
     assert docs.load_witness(witness)[0].start == \
         corpus.by_name("m3").module
+
+
+def test_a_witness_fifo_gets_the_log_and_stays_a_fifo(capsys, tmp_path):
+    regular = tmp_path / "w.json"
+    assert run(capsys, ["fold", "--input", M3, "--witness", str(regular)])[0] \
+        == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(open(fifo).read()),
+                              daemon=True)
+    reader.start()
+    out = tmp_path / "o.json"
+    assert run(capsys, ["fold", "--input", M3, "--witness", str(fifo),
+                        "--output", str(out)])[0] == 0
+    reader.join(10)
+    assert got == [regular.read_text()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "o.json", "w.json"]
 
 
 def test_eisenbud_writes_nothing_when_a_check_fails(capsys, tmp_path,

@@ -4,6 +4,8 @@ import json
 import os
 import random
 import re
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -286,6 +288,69 @@ def test_write_files_writes_every_file_or_none(tmp_path):
     assert new.read_text() == docs.dumps([3])
     docs.write_files([])
     assert sorted(os.listdir(tmp_path)) == ["kept.json", "new.json"]
+
+
+def _reading(fifo):
+    """A started thread that reads `fifo` once a writer opens it, and the
+    list that gets the text it read."""
+    got = []
+    reader = threading.Thread(target=lambda: got.append(open(fifo).read()),
+                              daemon=True)
+    reader.start()
+    return reader, got
+
+
+def test_write_files_writes_in_place_what_it_must_not_replace(
+        tmp_path, monkeypatch):
+    new = tmp_path / "new.json"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    to_fifo = tmp_path / "to_fifo"
+    to_fifo.symlink_to(fifo)
+    # a FIFO, and a symlink to it, keep their kind and get the text
+    for target in (fifo, to_fifo):
+        reader, got = _reading(fifo)
+        docs.write_files([(new, {"a": 1}), (target, [1])])
+        reader.join(10)
+        assert got == [docs.dumps([1])]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert to_fifo.is_symlink()
+    assert new.read_text() == docs.dumps({"a": 1})
+    # a symlink to a regular file, and a file with two links, are written
+    # through, so the link and the linked file stay
+    linked = tmp_path / "linked.json"
+    linked.write_text("x\n")
+    to_linked = tmp_path / "to_linked.json"
+    to_linked.symlink_to(linked)
+    twin = tmp_path / "twin.json"
+    os.link(linked, twin)
+    inode = os.stat(linked).st_ino
+    docs.write_files([(to_linked, [2])])
+    assert to_linked.is_symlink() and twin.read_text() == docs.dumps([2])
+    docs.write_files([(twin, [3])])
+    assert linked.read_text() == docs.dumps([3])
+    assert os.stat(linked).st_ino == os.stat(twin).st_ino == inode
+    # a file in a read-only directory, or one this process may not write,
+    # is written in place (as root, both are pretended through os.access)
+    inode = os.stat(new).st_ino
+    access = os.access
+    for denied in (str(tmp_path), str(new)):
+        monkeypatch.setattr(os, "access", lambda path, mode:
+                            str(path) != denied and access(path, mode))
+        docs.write_files([(new, [4])])
+        assert new.read_text() == docs.dumps([4])
+        assert os.stat(new).st_ino == inode
+    monkeypatch.undo()
+    # an in-place path that cannot be written leaves every path as it was
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "missing" / "x.json")
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(ValueError) as err:
+        docs.write_files([(new, [5]), (dangling, [5])])
+    assert str(err.value) == \
+        f"cannot write {dangling}: No such file or directory"
+    assert sorted(os.listdir(tmp_path)) == before
+    assert new.read_text() == docs.dumps([4])
 
 
 def test_document_payload_refuses_objects_past_the_budget():
