@@ -45,9 +45,10 @@ that is not one constant 1; when two rows of a right-hand selection put
 their 1 in one column, the product is a sum and takes the fused kernel.
 
 Evaluation at a point goes through one loop, `Evaluation.rows`: sparse
-rows of base-field scalars, each matrix evaluated once and each distinct
-entry once per `Evaluation`.  `PolyMatrix.evaluate` writes those rows out
-densely; `homology_dims_at` ranks them with `linalg.sparse_rank`.
+rows of base-field scalars, each matrix evaluated once, each distinct
+entry once and each distinct monomial once per `Evaluation`.
+`PolyMatrix.evaluate` writes those rows out densely; `homology_dims_at`
+ranks them with `linalg.sparse_rank`.
 
 `graded_map` is the one block assembler of the graded constructions (it
 writes each block straight into the rows of the result), `tensor_rule`
@@ -499,21 +500,25 @@ class Evaluation:
     """Matrices over `ring` evaluated at one point (variable name ->
     scalar; every ring variable must be assigned), as sparse rows.
 
-    `rows(mat)` is {row: {column: nonzero base-field scalar}}.  Each matrix
-    is evaluated once and each distinct entry once: both memos are keyed by
-    identity and hold the object they key, so an id cannot be reused while
-    the memo lives.  The rows handed out are shared and must not be
-    modified.  Over Q a power whose value would pass the coefficient budget
-    raises ValueError (`ring.evaluate_at`).
+    `rows(mat)` is {row: {column: nonzero base-field scalar}}, each scalar
+    in the normal form of `ring.normalize_scalar`.  Three memos live as
+    long as the `Evaluation`: each matrix is evaluated once and each
+    distinct entry once, both keyed by identity and holding the object
+    they key, so an id cannot be reused while the memo lives; and each
+    distinct monomial (exponent tuple) is computed once, whichever entries
+    hold it (`ring.evaluate_at`).  The rows handed out are shared and must
+    not be modified.  Over Q a power whose value would pass the
+    coefficient budget raises ValueError.
     """
 
-    __slots__ = ("ring", "vals", "_rows", "_entries")
+    __slots__ = ("ring", "vals", "_rows", "_entries", "_powers")
 
     def __init__(self, ring, point):
         self.ring = ring
         self.vals = point_values(ring, point)
         self._rows = {}
         self._entries = {}
+        self._powers = {}
 
     def rows(self, mat):
         if mat.ring is not self.ring:
@@ -523,14 +528,14 @@ class Evaluation:
         hit = self._rows.get(id(mat))
         if hit is not None:
             return hit[1]
-        vals, entries = self.vals, self._entries
+        vals, entries, powers = self.vals, self._entries, self._powers
         out = {}
         for i, row in mat.nz.items():
             vrow = {}
             for j, e in row.items():
                 ev = entries.get(id(e))
                 if ev is None:
-                    ev = entries[id(e)] = (e, evaluate_at(e, vals))
+                    ev = entries[id(e)] = (e, evaluate_at(e, vals, powers))
                 if ev[1]:
                     vrow[j] = ev[1]
             if vrow:

@@ -25,6 +25,7 @@ and is the one source of every ParseError.
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 _VAR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
@@ -685,30 +686,64 @@ def _power_too_long(v, e):
     return (v.bit_length() - 1) * e >= _COEFF_LIMIT_BITS
 
 
-def evaluate_at(poly, vals):
+def _monomial(vals, exps, p):
+    """The monomial with these exponents at the coordinates: mod p each
+    power is reduced as it is built; over Q a power v^e whose value would
+    pass the coefficient budget is refused with a ValueError before it is
+    computed, and an integral value is an int."""
+    m = 1
+    for v, e in zip(vals, exps):
+        if not e:
+            continue
+        if p:
+            # x^(10^7) at a point is a few dozen products, not a
+            # ten-million-bit int
+            m = m * pow(v, e, p) % p
+        elif e > 1 and v and _power_too_long(v, e):
+            raise ValueError(f"the power ({v})^{e} at a point would "
+                             f"pass {MAX_COEFF_DIGITS} digits")
+        else:
+            m = m * v ** e
+    if type(m) is Fraction and m.denominator == 1:
+        m = m.numerator
+    return m
+
+
+def evaluate_at(poly, vals, powers=None):
     """Evaluate at coordinates already normalized by `point_values`.
 
-    Over Q a power v^e whose value would pass the coefficient budget is
-    refused with a ValueError before it is computed."""
+    `powers` is a memo of monomial values at these coordinates, exponent
+    tuple -> value, read and filled here, so that callers evaluating many
+    polynomials at one point compute each distinct monomial once.  The
+    terms are summed in ints: integral ones in one int, the others grouped
+    by denominator, and over Q one Fraction is made at the end; mod p the
+    sum is reduced once.  Over Q a power v^e whose value would pass the
+    coefficient budget is refused with a ValueError before it is computed.
+    """
     p = poly.ring.char
-    total = 0
+    if powers is None:
+        powers = {}
+    whole = 0
+    parts = {}
     for exps, c in poly.terms.items():
-        for v, e in zip(vals, exps):
-            if not e:
-                continue
-            if p:
-                # mod p the power is reduced as it is built: x^(10^7) at a
-                # point is a few dozen products, not a ten-million-bit int
-                c = c * pow(v, e, p) % p
-            elif e > 1 and v and _power_too_long(v, e):
-                raise ValueError(f"the power ({v})^{e} at a point would "
-                                 f"pass {MAX_COEFF_DIGITS} digits")
-            else:
-                c = c * v ** e
-        total = (total + c) % p if p else total + c
-    if type(total) is Fraction and total.denominator == 1:
-        total = total.numerator
-    return total
+        m = powers.get(exps)
+        if m is None:
+            m = powers[exps] = _monomial(vals, exps, p)
+        if not m:
+            continue
+        if type(c) is int and type(m) is int:
+            whole += c * m
+        else:
+            d = c.denominator * m.denominator
+            parts[d] = parts.get(d, 0) + c.numerator * m.numerator
+    if p:
+        return whole % p
+    if not parts:
+        return whole
+    den = lcm(*parts)
+    num = whole * den + sum(n * (den // d) for d, n in parts.items())
+    total = Fraction(num, den)
+    return total.numerator if total.denominator == 1 else total
 
 
 def evaluate(poly, point):

@@ -12,19 +12,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 import genmod
 from oracle_rank import rank_bruteforce
 
-from koszulmf import complexes, documents as docs
+from koszulmf import complexes, documents as docs, ring as ring_module
 from koszulmf.complexes import (Evaluation, FreeComplex, PolyMatrix,
                                 cone_chain)
 from koszulmf.koszul import (KoszulMorphism, cone_acyclic_at, counit_map,
                              free_koszul)
 from koszulmf.reduce import (WitnessLog, WitnessStep, amplitude_reduce,
                              fold_with_witness, validate_log)
-from koszulmf.ring import parse_poly, polynomial_ring, rationals
+from koszulmf.ring import (Poly, evaluate, parse_poly, point_values,
+                           polynomial_ring, prime_field, rationals)
 
 # the oracle is exponential: matrices past this size are not compared
 ORACLE_SIZE = 7
@@ -191,12 +193,133 @@ def test_replay_evaluates_each_entry_once_per_point(monkeypatch):
     seen = []
     real = complexes.evaluate_at
 
-    def counting(poly, vals):
+    def counting(poly, vals, powers=None):
         seen.append((poly, tuple(vals)))
-        return real(poly, vals)
+        return real(poly, vals, powers)
 
     monkeypatch.setattr(complexes, "evaluate_at", counting)
     assert validate_log(log, points) == []
     assert seen
     keys = [(id(poly), vals) for poly, vals in seen]
     assert len(keys) == len(set(keys))
+
+
+# ---------------------------------------------------------------------------
+# the evaluation memos: each monomial once per point, values in normal form
+# ---------------------------------------------------------------------------
+
+def _counting_monomials(monkeypatch):
+    """Record (exponents, coordinates) of every monomial value computed."""
+    seen = []
+    real = ring_module._monomial
+
+    def counting(vals, exps, p):
+        seen.append((exps, tuple(vals)))
+        return real(vals, exps, p)
+
+    monkeypatch.setattr(ring_module, "_monomial", counting)
+    return seen
+
+
+def test_each_monomial_is_computed_once_per_point(monkeypatch):
+    qxy = polynomial_ring(rationals(), ("x", "y"))
+    texts = ["x^2*y + 3*x - 1", "x^2*y - 1/2*y", "3*x + 7", "x^2*y",
+             "y - 1", "x^2*y + 3*x - 1"]
+    a = PolyMatrix(qxy, 2, 3, [parse_poly(t, qxy) for t in texts])
+    b = PolyMatrix(qxy, 1, 2, [parse_poly("x*y^3 - x^2*y", qxy),
+                               parse_poly("1/3", qxy)])
+    monomials = {k for mat in (a, b) for e in mat.entries for k in e.terms}
+    seen = _counting_monomials(monkeypatch)
+    points = [{"x": 2, "y": -1}, {"x": Fraction(1, 2), "y": 3}]
+    for pt in points:
+        at = Evaluation(qxy, pt)
+        before = len(seen)
+        rows = [at.rows(a), at.rows(b), at.rows(a)]
+        computed = [exps for exps, _ in seen[before:]]
+        # every distinct monomial once, at this point's coordinates
+        assert sorted(computed) == sorted(monomials)
+        assert {vals for _, vals in seen[before:]} == {tuple(at.vals)}
+        assert rows[0] is rows[2]
+        assert rows[0] == {i: {j: evaluate(e, pt) for j, e in row.items()}
+                           for i, row in a.nz.items()}
+        assert rows[1] == {0: {0: evaluate(b.at(0, 0), pt), 1: Fraction(1, 3)}}
+
+
+def test_replay_computes_each_monomial_once_per_point(monkeypatch):
+    m = corpus.by_name("m3").module
+    points = corpus.by_name("m3").points
+    _, log = fold_with_witness(m, points)
+    seen = _counting_monomials(monkeypatch)
+    assert validate_log(log, points) == []
+    assert seen
+    assert len(seen) == len(set(seen))
+    assert {vals for _, vals in seen} == {
+        tuple(point_values(m.ring, pt)) for pt in points}
+
+
+def _naive_value(poly, point):
+    """Σ c·Π v^e in Fractions, reduced mod p: the definition, no memo."""
+    ring = poly.ring
+    p = ring.char
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        term = Fraction(c)
+        for name, e in zip(ring.varnames, exps):
+            term *= Fraction(point[name]) ** e
+        total += term
+    if p:
+        return total.numerator * pow(total.denominator, -1, p) % p
+    return total
+
+
+_EVAL_RINGS = {0: polynomial_ring(rationals(), ("x", "y", "z")),
+               5: polynomial_ring(prime_field(5), ("x", "y", "z")),
+               32003: polynomial_ring(prime_field(32003), ("x", "y", "z"))}
+
+
+def _eval_poly(ring):
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                      st.sampled_from([1, 1, 2, 3, 7]))
+    return st.dictionaries(exps, coeff, max_size=4).map(
+        lambda d: Poly(ring, d))
+
+
+def _eval_point(char):
+    coord = st.one_of(st.integers(-5, 5),
+                      st.builds(Fraction, st.integers(-5, 5),
+                                st.sampled_from([2, 3, 4, 9])))
+    if char == 5:
+        # denominators that do not vanish mod 5
+        coord = coord.filter(lambda v: Fraction(v).denominator % 5)
+    return st.fixed_dictionaries({v: coord for v in ("x", "y", "z")})
+
+
+@pytest.mark.parametrize("char", sorted(_EVAL_RINGS), ids=lambda c: f"p{c}")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_evaluation_rows_agree_with_evaluate(char, data):
+    ring = _EVAL_RINGS[char]
+    pool = data.draw(st.lists(_eval_poly(ring), min_size=1, max_size=5))
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    # entries drawn from a small pool: shared entries and shared monomials
+    mats = [PolyMatrix(ring, rows, cols,
+                       [data.draw(st.sampled_from(pool))
+                        for _ in range(rows * cols)]) for _ in range(2)]
+    points = data.draw(st.lists(_eval_point(char), min_size=2, max_size=2))
+    for pt in points:
+        at = Evaluation(ring, pt)
+        for mat in mats:
+            got = at.rows(mat)
+            for i in range(rows):
+                for j in range(cols):
+                    e = mat.at(i, j)
+                    want = evaluate(e, pt)
+                    assert want == _naive_value(e, pt)
+                    v = got.get(i, {}).get(j, 0)
+                    assert v == want
+                    # normal form: no stored zero, no integral Fraction,
+                    # and mod p the representative in [0, p)
+                    assert type(v) is int or v.denominator > 1
+                    assert not char or 0 <= v < char
+                    assert (j in got.get(i, {})) == (want != 0)
