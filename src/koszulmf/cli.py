@@ -17,7 +17,7 @@ import argparse
 import functools
 
 from koszulmf import documents as docs
-from koszulmf.complexes import (MAX_TOTAL_RANK, FreeComplex,
+from koszulmf.complexes import (MAX_TOTAL_RANK, Evaluation, FreeComplex,
                                 validate_complex)
 from koszulmf.documents import DocumentError
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_koszul,
@@ -28,7 +28,7 @@ from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms, mf_cone,
 from koszulmf.reduce import (WitnessError, amplitude_reduce, chart_operator,
                              codim_reduce_chart, default_points,
                              fold_with_witness, validate_log)
-from koszulmf.ring import evaluate, normalize_scalar
+from koszulmf.ring import normalize_scalar
 
 
 class Precondition(ValueError):
@@ -153,14 +153,19 @@ def _resolve_points(doc, ring, args):
     return out
 
 
-def _require_on_locus(potential, points):
+def _require_on_locus(ring, potential, points):
+    """{name: `Evaluation`} of the points, refused off the locus: the one
+    each point has for the command's checks and residue homology."""
+    out = {}
     for pname, pt in points.items():
+        at = out[pname] = Evaluation(ring, pt)
         for f in potential:
-            val = evaluate(f, pt)
+            val = at.value(f)
             if val != 0:
                 raise Precondition(f"point {pname!r} is not on the zero "
                                    f"locus: a potential entry evaluates "
                                    f"to {val}")
+    return out
 
 
 def _print_shape(obj):
@@ -233,8 +238,8 @@ def _fold_and_report(args, name, m, points, header=(), list_steps=False):
     (default: the origin, if on the locus) and report; `header` lines are
     printed once the fold has been built."""
     points = points or default_points(m.ring, m.potential)
-    _require_on_locus(m.potential, points)
-    mf, log = fold_with_witness(m, list(points.values()))
+    at = _require_on_locus(m.ring, m.potential, points)
+    mf, log = fold_with_witness(m, list(at.values()))
     _require_evidence(args, log, points)
     for line in header:
         print(line)
@@ -242,7 +247,7 @@ def _fold_and_report(args, name, m, points, header=(), list_steps=False):
     print(f"witness_steps={len(log.steps)}")
     if list_steps:
         _print_steps(log)
-    _print_residue_homology(mf, points)
+    _print_residue_homology(mf, at)
     _write(args, {f"{name}_folded": mf}, points, log)
 
 
@@ -319,10 +324,10 @@ def cmd_reduce_amplitude(args):
     _require_valid(name, m)
     points = (_resolve_points(doc, doc.ring, args)
               or default_points(m.ring, m.potential))
-    _require_on_locus(m.potential, points)
+    at = _require_on_locus(m.ring, m.potential, points)
     reduced, log = amplitude_reduce(m)
     _require_evidence(args, log, points)
-    problems = validate_log(log, list(points.values()))
+    problems = validate_log(log, list(at.values()))
     if problems:
         raise Invalid(_report("witness", problems))
     nred = sum(1 for s in log.steps
@@ -387,10 +392,10 @@ def cmd_witness_check(args):
     extra = _resolve_points(doc, log.start.ring, args)
     for pname, pt in extra.items():
         points.setdefault(pname, pt)
-    _require_on_locus(log.start.potential, points)
+    at = _require_on_locus(log.start.ring, log.start.potential, points)
     print(f"steps={len(log.steps)}")
     print(f"points={len(points)}")
-    problems = validate_log(log, list(points.values()))
+    problems = validate_log(log, list(at.values()))
     if not problems:  # the replay relates the endpoints; check each too
         problems = [f"{which} module: {line}" for which, m in
                     (("start", log.start), ("end", log.end))

@@ -44,11 +44,10 @@ as they are.  A selection is found by a scan that stops at the first row
 that is not one constant 1; when two rows of a right-hand selection put
 their 1 in one column, the product is a sum and takes the fused kernel.
 
-Evaluation at a point goes through one loop, `Evaluation.rows`: sparse
-rows of base-field scalars, each matrix evaluated once, each distinct
-entry once and each distinct monomial once per `Evaluation`.
-`PolyMatrix.evaluate` writes those rows out densely; `homology_dims_at`
-ranks them with `linalg.sparse_rank`.
+A command evaluates each point through one `Evaluation`, shared by its
+locus check, replay evidence and residue homology: sparse scalar rows of
+each matrix once, each distinct entry once and each distinct monomial
+once.  `PolyMatrix.evaluate` and `homology_dims_at` are test references.
 
 `graded_map` is the one block assembler of the graded constructions (it
 writes each block straight into the rows of the result), `tensor_rule`
@@ -482,13 +481,10 @@ class PolyMatrix:
         """List of rows of base-field scalars: the sparse rows of
         `Evaluation` written out, absent entries the base-field zero."""
         zero = normalize_scalar(self.ring, 0)
-        out = [[zero] * self.cols for _ in range(self.rows)]
-        if self.rows and self.cols:
-            for i, row in Evaluation(self.ring, point).rows(self).items():
-                out_row = out[i]
-                for j, v in row.items():
-                    out_row[j] = v
-        return out
+        rows = (Evaluation(self.ring, point).rows(self)
+                if self.rows and self.cols else {})
+        return [[rows.get(i, {}).get(j, zero) for j in range(self.cols)]
+                for i in range(self.rows)]
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in self.row(i))
@@ -506,8 +502,9 @@ class Evaluation:
     distinct entry once, both keyed by identity and holding the object
     they key, so an id cannot be reused while the memo lives; and each
     distinct monomial (exponent tuple) is computed once, whichever entries
-    hold it (`ring.evaluate_at`).  The rows handed out are shared and must
-    not be modified.  Over Q a power whose value would pass the
+    hold it (`ring.evaluate_at`); `value(poly)` sends one polynomial
+    through the same monomial memo.  The rows handed out are shared and
+    must not be modified.  Over Q a monomial whose value would pass the
     coefficient budget raises ValueError.
     """
 
@@ -542,6 +539,16 @@ class Evaluation:
                 out[i] = vrow
         self._rows[id(mat)] = (mat, out)
         return out
+
+    def value(self, poly):
+        if poly.ring is not self.ring:
+            raise ValueError("polynomial over another ring")
+        return evaluate_at(poly, self.vals, self._powers)
+
+
+def as_evaluation(ring, point):
+    """`point` itself when it is an `Evaluation`, else a new one over ring."""
+    return point if isinstance(point, Evaluation) else Evaluation(ring, point)
 
 
 def kron(a, b):
@@ -828,7 +835,7 @@ def cone_chain(g, summands=None):
 
 
 # ---------------------------------------------------------------------------
-# pointwise homology (used by quasi-isomorphism checks)
+# pointwise homology (a reference for tests)
 # ---------------------------------------------------------------------------
 
 def homology_dims_at(c, point):

@@ -41,11 +41,12 @@ polynomial parser allows is a DocumentError like any other malformed input.
 
 All dumps are deterministic: canonical polynomial strings, sorted keys,
 two-space indent, trailing newline.  Every payload holds each matrix as a
-PolyMatrix leaf; `plain` turns the leaves into rows of entry strings, and
-`document_payload` and `witness_payload` return `plain` of `document` and
-`witness`.  `dumps` writes exactly the text of `json.dumps(plain(payload),
-indent=2, sort_keys=True)` plus a newline, each matrix from its nonzeros and
-strings escaped by the C encoder.  `write_files` writes all of a command's
+PolyMatrix leaf.  `dumps` writes exactly the text of `json.dumps(v,
+indent=2, sort_keys=True)` plus a newline, where v is the payload with each
+leaf replaced by its rows of entry strings, each matrix from its nonzeros
+and strings escaped by the C encoder.  `plain` reads that text back as
+plain JSON values, and `document_payload` and `witness_payload` return
+`plain` of `document` and `witness`.  `write_files` writes all of a command's
 files or, when one cannot be staged or written, none, each through
 `write_json`.
 """
@@ -506,31 +507,10 @@ def document_payload(ring, potential, objects, points=None):
 
 
 def plain(payload):
-    """`payload` as plain JSON values: each PolyMatrix leaf, at any depth,
-    becomes its rows of entry strings.  Dicts and lists are copied; other
-    values are kept.  The print memo `texts` (id(poly) -> str(poly)) prints
-    each distinct entry once; the payload keeps every poly alive."""
-    texts = {}
-
-    def walk(value):
-        kind = type(value)
-        if kind is dict:
-            return {k: walk(v) for k, v in value.items()}
-        if kind is list:
-            return [walk(v) for v in value]
-        if kind is not PolyMatrix:
-            return value
-        rows = [["0"] * value.cols for _ in range(value.rows)]
-        for i, row in value.nz.items():
-            out_row = rows[i]
-            for j, e in row.items():
-                text = texts.get(id(e))
-                if text is None:
-                    text = texts[id(e)] = str(e)
-                out_row[j] = text
-        return rows
-
-    return walk(payload)
+    """`payload` as plain JSON values, each PolyMatrix leaf, at any depth,
+    its rows of entry strings: the JSON text `dumps` writes, read back, so
+    the matrix layout has one owner."""
+    return json.loads(dumps(payload))
 
 
 _encode_str = json.encoder.encode_basestring_ascii   # the C encoder
@@ -627,9 +607,10 @@ def _write_value(obj, nl, out, memo):
 def dumps(payload):
     """Canonical JSON text of a payload of dicts with string keys, lists,
     strings, ints, booleans, None and PolyMatrix leaves: the bytes of
-    `json.dumps(plain(payload), indent=2, sort_keys=True)` plus a newline,
-    written without the pure-Python encoder that `indent` selects and
-    printing each distinct entry once.  Any other type is a TypeError."""
+    `json.dumps(v, indent=2, sort_keys=True)` plus a newline, v the payload
+    with each leaf replaced by its rows of entry strings, written without
+    the pure-Python encoder that `indent` selects and printing each
+    distinct entry once.  Any other type is a TypeError."""
     out = []
     _write_value(payload, "\n", out, {})
     out.append("\n")

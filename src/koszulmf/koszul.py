@@ -23,8 +23,8 @@ from functools import cache, partial
 from itertools import combinations
 
 from koszulmf import linalg
-from koszulmf.complexes import (ChainMap, Evaluation, FreeComplex,
-                                PolyMatrix, component_shape_report,
+from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
+                                as_evaluation, component_shape_report,
                                 cone_chain, cone_rule, cone_summands,
                                 embed_matrix, graded_map, shift_complex,
                                 shift_sign, tensor_rule, validate_chain_map,
@@ -362,7 +362,7 @@ def cone_acyclic_at(g, point):
     """
     src, tgt = g.source, g.target
     ring = src.ring
-    at = point if isinstance(point, Evaluation) else Evaluation(ring, point)
+    at = as_evaluation(ring, point)
     p = ring.char
     lo = min(src.lo - 1, tgt.lo)
     hi = max(src.hi - 1, tgt.hi)

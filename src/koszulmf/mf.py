@@ -14,14 +14,16 @@ product alone does not settle it: every ring here (Q, F_p, a polynomial
 ring over either) is a domain, so for r0 = r1 and f != 0, phi1∘phi0 =
 f·id implies phi0∘phi1 = f·id.  When r0 != r1, when f = 0, or when
 phi1∘phi0 already fails, both products are taken, and the report is the
-one that two products give on every input.
+one that two products give on every input.  `residue_homology` ranks
+both maps at a point as sparse rows of one `complexes.Evaluation`.
 """
 
 from koszulmf import linalg
-from koszulmf.complexes import (FreeComplex, PolyMatrix, cone_rule,
-                                embed_matrix, graded_map, tensor_rule)
+from koszulmf.complexes import (FreeComplex, PolyMatrix, as_evaluation,
+                                cone_rule, embed_matrix, graded_map,
+                                tensor_rule)
 from koszulmf.koszul import KoszulModule
-from koszulmf.ring import Poly, embed, evaluate, merge_rings
+from koszulmf.ring import Poly, embed, merge_rings
 
 
 class MFObject:
@@ -227,18 +229,19 @@ def compose_mf_morphisms(b, a):
 def residue_homology(m, point):
     """Even and odd homology dimensions of the factorization at a point.
 
-    The point must lie on the hypersurface; otherwise the evaluated value of
-    the potential is reported in the error.
+    `point` is a point or a caller's shared `Evaluation` at one.  It must
+    lie on the hypersurface; otherwise the evaluated value of the
+    potential is reported in the error.  phi0 and phi1 are ranked as the
+    sparse rows of that `Evaluation` by `linalg.sparse_rank`.
     """
-    val = evaluate(m.potential, point)
+    at = as_evaluation(m.ring, point)
+    val = at.value(m.potential)
     if val != 0:
         raise ValueError(f"point is not on the hypersurface: potential "
                          f"evaluates to {val}")
     p = m.ring.char
-    phi0 = m.phi0.evaluate(point)
-    phi1 = m.phi1.evaluate(point)
-    rk0 = linalg.rank(phi0, p)
-    rk1 = linalg.rank(phi1, p)
+    rk0 = linalg.sparse_rank(at.rows(m.phi0).values(), p)
+    rk1 = linalg.sparse_rank(at.rows(m.phi1).values(), p)
     even = m.r0 - rk0 - rk1
     odd = m.r1 - rk1 - rk0
     return even, odd

@@ -41,8 +41,8 @@ the checks the replay cannot make, those that guard the construction itself
 and the fold transport against `orlov_fold`.
 """
 
-from koszulmf.complexes import (MAX_TOTAL_RANK, Evaluation, FreeComplex,
-                                PolyMatrix, embed_matrix)
+from koszulmf.complexes import (MAX_TOTAL_RANK, FreeComplex, PolyMatrix,
+                                as_evaluation, embed_matrix)
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_acyclic_at,
                              cone_koszul, counit_components, fk_summands,
                              free_koszul, free_ranks, shift_koszul,
@@ -155,10 +155,10 @@ def apply_step(step, current):
 def validate_log(log, points=None):
     """Full re-validation of a log.  Returns a report; empty means valid.
 
-    The pointwise evidence at each point shares one `Evaluation`, made
-    here and dropped on return, so a matrix that several steps hold is
-    evaluated once per point."""
-    at = [Evaluation(log.start.ring, pt) for pt in points or []]
+    The pointwise evidence at each point shares one `Evaluation`, handed
+    in as `points` by a caller that shares it further or made here, so a
+    matrix that several steps hold is evaluated once per point."""
+    at = [as_evaluation(log.start.ring, pt) for pt in points or []]
     report = []
     current = log.start
     for i, step in enumerate(log.steps):
@@ -455,6 +455,8 @@ def fold_with_witness(m, points=None):
     (degree, index) of the input; after a round or the parity jump the
     labels are read off the move's slot table (`_relabel`).  Any mismatch
     is an internal error — the witness must transport the fold exactly.
+    The log is replayed at `points`, points or `Evaluation`s (default: the
+    origin, if on the locus), before it is returned.
     """
     if m.n != 1:
         raise ValueError("witnessed folding needs a single potential entry")

@@ -676,37 +676,38 @@ def point_values(ring, point):
     return [normalize_scalar(ring, point[v]) for v in names]
 
 
-def _power_too_long(v, e):
-    """Whether v^e over Q surely has a numerator or denominator of more
-    than MAX_COEFF_DIGITS digits, decided from e and the bit lengths of v:
-    |n|^e >= 2^((bits - 1) * e).  v in {0, 1, -1} never does."""
-    if type(v) is not int:
-        return (_power_too_long(v.numerator, e)
-                or _power_too_long(v.denominator, e))
-    return (v.bit_length() - 1) * e >= _COEFF_LIMIT_BITS
-
-
 def _monomial(vals, exps, p):
-    """The monomial with these exponents at the coordinates: mod p each
-    power is reduced as it is built; over Q a power v^e whose value would
-    pass the coefficient budget is refused with a ValueError before it is
-    computed, and an integral value is an int."""
+    """The monomial with these exponents at the coordinates, mod p with
+    each power reduced as it is built.  Over Q an integral value is an int,
+    and a monomial whose product of numerators or of denominators surely
+    passes the coefficient budget, |n|^e >= 2^((bits - 1)·e) summed over
+    its factors, is refused with a ValueError before any power is built."""
     m = 1
+    if p:
+        for v, e in zip(vals, exps):
+            if e:
+                # x^(10^7) at a point is a few dozen products, not a
+                # ten-million-bit int
+                m = m * pow(v, e, p) % p
+        return m
+    num = den = 0
     for v, e in zip(vals, exps):
-        if not e:
-            continue
-        if p:
-            # x^(10^7) at a point is a few dozen products, not a
-            # ten-million-bit int
-            m = m * pow(v, e, p) % p
-        elif e > 1 and v and _power_too_long(v, e):
-            raise ValueError(f"the power ({v})^{e} at a point would "
-                             f"pass {MAX_COEFF_DIGITS} digits")
-        else:
+        if e and v:
+            if type(v) is int:
+                num += (v.bit_length() - 1) * e
+            else:
+                num += (v.numerator.bit_length() - 1) * e
+                den += (v.denominator.bit_length() - 1) * e
+    if num >= _COEFF_LIMIT_BITS or den >= _COEFF_LIMIT_BITS:
+        big = [f"({v})^{e}" for v, e in zip(vals, exps)
+               if e and v not in (0, 1, -1)]
+        raise ValueError(f"the {'power' if len(big) == 1 else 'monomial'} "
+                         f"{'*'.join(big)} at a point would pass "
+                         f"{MAX_COEFF_DIGITS} digits")
+    for v, e in zip(vals, exps):
+        if e:
             m = m * v ** e
-    if type(m) is Fraction and m.denominator == 1:
-        m = m.numerator
-    return m
+    return m.numerator if type(m) is Fraction and m.denominator == 1 else m
 
 
 def evaluate_at(poly, vals, powers=None):
@@ -717,8 +718,8 @@ def evaluate_at(poly, vals, powers=None):
     polynomials at one point compute each distinct monomial once.  The
     terms are summed in ints: integral ones in one int, the others grouped
     by denominator, and over Q one Fraction is made at the end; mod p the
-    sum is reduced once.  Over Q a power v^e whose value would pass the
-    coefficient budget is refused with a ValueError before it is computed.
+    sum is reduced once.  Over Q a monomial past the coefficient budget is
+    refused with a ValueError before it is computed (`_monomial`).
     """
     p = poly.ring.char
     if powers is None:

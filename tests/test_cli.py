@@ -872,6 +872,32 @@ def test_evaluation_past_the_coefficient_budget_exit_3(capsys, tmp_path):
     assert (code, lines[-1]) == (0, "status=ok")
 
 
+def test_monomial_past_the_coefficient_budget_exit_3(capsys, tmp_path):
+    # each power 2^3000 is within the budget, their product of 15000 bits
+    # (4516 digits) is not, nor could it be printed in the error
+    f = "*".join(f"{v}^3000" for v in "abcde")
+    doc = tmp_path / "mono.json"
+    doc.write_text(json.dumps({
+        "ring": {"kind": "polynomial", "vars": list("abcde")},
+        "potential": [f],
+        "objects": {"m": {"type": "mf", "f": f, "r0": 1, "r1": 1,
+                          "phi0": [[f]], "phi1": [["1"]]}}}))
+    unfolded = tmp_path / "unfolded.json"
+    code, _ = run(capsys, ["unfold", "--input", str(doc), "--output",
+                           str(unfolded)])
+    assert code == 0
+    point = ["--point", "a=2,b=2,c=2,d=2,e=2"]
+    for argv in (["residue-homology", "--input", str(doc), *point],
+                 ["fold", "--input", str(unfolded), *point]):
+        code, lines = run(capsys, argv)
+        errors = [l for l in lines if l.startswith("error=")]
+        assert (code, errors) == (3, [
+            "error=precondition the monomial "
+            + "*".join(["(2)^3000"] * 5)
+            + " at a point would pass 1000 digits"])
+        assert errors == lines[-1:]
+
+
 def test_parser_is_built_once_and_carries_no_state(capsys):
     assert cli._parser() is cli._parser()
     args = cli._parser().parse_args(["fold", "--input", M3, "--points",

@@ -427,6 +427,29 @@ def test_evaluate_over_q_refuses_powers_past_the_coefficient_budget():
         evaluate(parse_poly("x^3322", QXY), {"x": 2, "y": 0})
 
 
+def test_evaluate_over_q_refuses_monomials_past_the_coefficient_budget():
+    # the budget is on the monomial: powers within it whose product is not
+    p = parse_poly("x^1661*y^1660", QXY)
+    assert evaluate(p, {"x": 2, "y": 2}) == 2 ** 3321
+    assert evaluate(p, {"x": 2, "y": Fraction(1, 2)}) == 2
+    with pytest.raises(ValueError, match=r"the monomial \(2\)\^1661\*"
+                                         r"\(-2\)\^1661 at a point would "
+                                         r"pass 1000 digits"):
+        evaluate(parse_poly("x^1661*y^1661", QXY), {"x": 2, "y": -2})
+    # numerators and denominators are bounded apart
+    q = parse_poly("x^1661*y^1661", QXY)
+    with pytest.raises(ValueError, match="monomial"):
+        evaluate(q, {"x": Fraction(1, 2), "y": Fraction(-1, 2)})
+    assert evaluate(q, {"x": 2, "y": Fraction(1, 2)}) == 1
+
+    class NoPower(int):
+        def __pow__(self, e):
+            raise AssertionError("a power was computed")
+
+    with pytest.raises(ValueError):
+        evaluate_at(parse_poly("x^2000*y^2000", QXY), [NoPower(2), 2])
+
+
 def test_evaluate_requires_all_vars():
     p = parse_poly("x + y", QXY)
     with pytest.raises(ValueError):
