@@ -28,7 +28,7 @@ from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms, mf_cone,
 from koszulmf.reduce import (WitnessError, amplitude_reduce, chart_operator,
                              codim_reduce_chart, default_points,
                              fold_with_witness, validate_log)
-from koszulmf.ring import normalize_scalar
+from koszulmf.ring import normalize_scalar, scalar_text
 
 
 class Precondition(ValueError):
@@ -164,7 +164,7 @@ def _require_on_locus(ring, potential, points):
             if val != 0:
                 raise Precondition(f"point {pname!r} is not on the zero "
                                    f"locus: a potential entry evaluates "
-                                   f"to {val}")
+                                   f"to {scalar_text(val)}")
     return out
 
 

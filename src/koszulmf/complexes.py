@@ -52,8 +52,10 @@ once.  `PolyMatrix.evaluate` and `homology_dims_at` are test references.
 `graded_map` is the one block assembler of the graded constructions (it
 writes each block straight into the rows of the result), `tensor_rule`
 the one sign rule of both tensor products, and `cone_rule` the one rule
-of every mapping cone: the chain and Koszul cones put the shifted source
-first, the factorization cone puts the target first.
+of every mapping cone: the Koszul cone puts the shifted source first, the
+factorization cone puts the target first.  Complexes come with their
+check and the sign rule of a degree shift; morphisms, their cones and
+shifts are those of Koszul modules (`koszulmf.koszul`).
 """
 
 from fractions import Fraction
@@ -747,91 +749,6 @@ def validate_complex(c):
 def shift_sign(mat, k):
     """`mat` with the sign (-1)^k of a degree shift by k."""
     return -mat if k % 2 else mat
-
-
-def shift_complex(c, k):
-    """Degree shift: the result at degree m is c at degree m+k, and every
-    differential picks up the sign (-1)^k."""
-    lo, hi = c.lo - k, c.hi - k
-    return FreeComplex(c.ring, lo, hi,
-                       {m: c.rank(m + k) for m in range(lo, hi + 1)},
-                       {m: shift_sign(c.diff(m + k), k)
-                        for m in range(lo, hi)})
-
-
-class ChainMap:
-    """A degree-0 map of complexes; component at m is rank_tgt(m) x rank_src(m).
-
-    Source and target need only `ring`, `lo`, `hi`, `rank` and `diff`, so a
-    Koszul morphism (a subclass) is a chain map of its modules as it is."""
-
-    __slots__ = ("source", "target", "components", "lo", "hi")
-
-    def __init__(self, source, target, components):
-        if source.ring is not target.ring:
-            raise ValueError("mixed rings")
-        self.source = source
-        self.target = target
-        self.lo = min(source.lo, target.lo)
-        self.hi = max(source.hi, target.hi)
-        # `component` reads the given dict; its zero fills the window
-        self.components = components
-        self.components = {m: self.component(m)
-                           for m in range(self.lo, self.hi + 1)}
-
-    def component(self, m):
-        g = self.components.get(m)
-        if g is None:
-            return PolyMatrix.zero(self.source.ring,
-                                   self.target.rank(m), self.source.rank(m))
-        return g
-
-
-def component_shape_report(g):
-    """Components whose shape is not target rank x source rank."""
-    src, tgt = g.source, g.target
-    return [f"degree {m}: component is {comp.rows}x{comp.cols}, "
-            f"want {tgt.rank(m)}x{src.rank(m)}"
-            for m, comp in g.components.items()
-            if (comp.rows, comp.cols) != (tgt.rank(m), src.rank(m))]
-
-
-def validate_chain_map(g):
-    report = component_shape_report(g)
-    if report:
-        return report
-    src, tgt = g.source, g.target
-    for m in range(g.lo, g.hi):
-        lhs = tgt.diff(m) * g.component(m)
-        rhs = g.component(m + 1) * src.diff(m)
-        if lhs != rhs:
-            report.append(f"degree {m}: square does not commute")
-    return report
-
-
-def cone_summands(src, tgt):
-    """The summands of the mapping cone of a map from src to tgt, degree by
-    degree over the cone's window: at m, the source at m + 1, keyed
-    ("s", m + 1), then the target at m, keyed ("t", m)."""
-    lo, hi = min(src.lo - 1, tgt.lo), max(src.hi - 1, tgt.hi)
-    return {m: [(("s", m + 1), src.rank(m + 1)), (("t", m), tgt.rank(m))]
-            for m in range(lo, hi + 1)}
-
-
-def cone_chain(g, summands=None):
-    """Mapping cone of a chain map: d is a `graded_map` of `cone_rule` with
-    move k + 1 on `cone_summands`, the shifted source first.  A caller that
-    builds more maps on those summands passes them in."""
-    src, tgt = g.source, g.target
-    if summands is None:
-        summands = cone_summands(src, tgt)
-    lo, hi = min(summands), max(summands)
-    rule = cone_rule(src.diff, tgt.diff, lambda k: k + 1, g.component)
-    return FreeComplex(src.ring, lo, hi,
-                       {m: sum(r for _, r in s) for m, s in summands.items()},
-                       {m: graded_map(src.ring, summands[m], summands[m + 1],
-                                      rule)
-                        for m in range(lo, hi)})
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ wedge coordinates: summands are ordered by descending exterior degree k,
 subsets of {1..n} in lex order within each k, then the basis of the
 underlying free module.  That order reproduces the classical block shapes
 (for n=1: [[-d, 0], [f, d]] with the wedge part first).  Every map of the
-free module, the counit and the box tensor is a `complexes.graded_map`, and
-the Koszul complex is the free module on one generator (`koszul_complex`).
+free module, the counit, the mapping cone and the box tensor is a
+`complexes.graded_map`, and the Koszul complex is the free module on one
+generator (`koszul_complex`).
 
-The pointwise quasi-isomorphism evidence, `cone_acyclic_at`, does not build
-the cone: it ranks the cone's differentials as sparse scalar rows,
-assembled from the evaluated blocks of the morphism and its two modules.
+The cone's summands are laid out once (`_cone_summands`), for
+`cone_koszul` and for the pointwise quasi-isomorphism evidence,
+`cone_acyclic_at`, which does not build the cone: it ranks the cone's
+differentials as sparse scalar rows, assembled from the evaluated blocks
+of the morphism and its two modules.
 """
 
 from bisect import bisect_left
@@ -23,12 +26,9 @@ from functools import cache, partial
 from itertools import combinations
 
 from koszulmf import linalg
-from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix,
-                                as_evaluation, component_shape_report,
-                                cone_chain, cone_rule, cone_summands,
-                                embed_matrix, graded_map, shift_complex,
-                                shift_sign, tensor_rule, validate_chain_map,
-                                validate_complex)
+from koszulmf.complexes import (FreeComplex, PolyMatrix, as_evaluation,
+                                cone_rule, embed_matrix, graded_map,
+                                shift_sign, tensor_rule, validate_complex)
 from koszulmf.ring import Poly, embed, merge_rings
 
 
@@ -219,25 +219,48 @@ def koszul_complex(ring, potential):
 # morphisms, the counit, cones
 # ---------------------------------------------------------------------------
 
-class KoszulMorphism(ChainMap):
-    """A chain map of the underlying complexes between modules over one
-    potential; `validate_koszul_morphism` also checks that it intertwines
-    every h_i."""
+class KoszulMorphism:
+    """A degree-0 map between modules over one potential: the component at
+    m is rank_tgt(m) x rank_src(m), over the union of the two windows.
+    `validate_koszul_morphism` checks that it is a chain map of the
+    underlying complexes and intertwines every h_i."""
 
-    __slots__ = ()
+    __slots__ = ("source", "target", "components", "lo", "hi")
 
     def __init__(self, source, target, components):
-        super().__init__(source, target, components)
+        if source.ring is not target.ring:
+            raise ValueError("mixed rings")
         if source.potential != target.potential:
             raise ValueError("sources of a morphism must share the potential")
+        self.source = source
+        self.target = target
+        self.lo = min(source.lo, target.lo)
+        self.hi = max(source.hi, target.hi)
+        # `component` reads the given dict; its zero fill covers the window
+        self.components = components
+        self.components = {m: self.component(m)
+                           for m in range(self.lo, self.hi + 1)}
+
+    def component(self, m):
+        g = self.components.get(m)
+        if g is None:
+            return PolyMatrix.zero(self.source.ring,
+                                   self.target.rank(m), self.source.rank(m))
+        return g
 
 
 def validate_koszul_morphism(g):
-    report = component_shape_report(g)
+    """Report of problems; empty means valid."""
+    src, tgt = g.source, g.target
+    report = [f"degree {m}: component is {c.rows}x{c.cols}, "
+              f"want {tgt.rank(m)}x{src.rank(m)}"
+              for m, c in g.components.items()
+              if (c.rows, c.cols) != (tgt.rank(m), src.rank(m))]
     if report:
         return report
-    report = validate_chain_map(g)
-    src, tgt = g.source, g.target
+    for m in range(g.lo, g.hi):
+        if tgt.diff(m) * g.component(m) != g.component(m + 1) * src.diff(m):
+            report.append(f"degree {m}: square does not commute")
     for i in range(src.n):
         for m in range(g.lo, g.hi + 1):
             lhs = tgt.hop(i, m) * g.component(m)
@@ -277,29 +300,51 @@ def counit_components(m):
             for u in e.degrees()}
 
 
+def _cone_summands(src, tgt):
+    """The summands of the cone of a morphism from src to tgt, degree by
+    degree over the cone's window: at m, the source at m + 1, keyed
+    ("s", m + 1), then the target at m, keyed ("t", m)."""
+    lo, hi = min(src.lo - 1, tgt.lo), max(src.hi - 1, tgt.hi)
+    return {m: [(("s", m + 1), src.rank(m + 1)), (("t", m), tgt.rank(m))]
+            for m in range(lo, hi + 1)}
+
+
 def cone_koszul(g):
-    """Mapping cone of a Koszul morphism: `cone_chain` on `cone_summands`,
-    the shifted source first, and each h_i a `graded_map` of `cone_rule`
-    on the same summands, with move k - 1 and no morphism block."""
+    """Mapping cone of a Koszul morphism on `_cone_summands`, the shifted
+    source first: d and each h_i are `graded_map`s of `cone_rule`, d with
+    move k + 1 and the morphism block, each h_i with move k - 1 and none."""
     src, tgt = g.source, g.target
-    summands = cone_summands(src, tgt)
-    underlying = cone_chain(g, summands)
-    rules = [cone_rule(partial(src.hop, i), partial(tgt.hop, i),
-                       lambda k: k - 1) for i in range(src.n)]
+    summands = _cone_summands(src, tgt)
+    lo, hi = min(summands), max(summands)
+
+    def maps(fs, ft, step, degrees, block=None):
+        rule = cone_rule(fs, ft, lambda k: k + step, block)
+        return {m: graded_map(src.ring, summands[m], summands[m + step], rule)
+                for m in degrees}
+
+    ranks = {m: sum(r for _, r in s) for m, s in summands.items()}
+    diffs = maps(src.diff, tgt.diff, 1, range(lo, hi), g.component)
     # h at the bottom degree maps to rank zero, which the module's zero
     # fill supplies
-    h = [{m: graded_map(src.ring, summands[m], summands[m - 1], rule)
-          for m in range(underlying.lo + 1, underlying.hi + 1)}
-         for rule in rules]
+    h = [maps(partial(src.hop, i), partial(tgt.hop, i), -1,
+              range(lo + 1, hi + 1)) for i in range(src.n)]
+    underlying = FreeComplex(src.ring, lo, hi, ranks, diffs)
     return KoszulModule(src.ring, src.potential, underlying, h)
 
 
 def shift_koszul(m, k):
-    """Degree shift by k: matrices pick up (-1)^k, degrees drop by k."""
-    shifted = shift_complex(m.underlying, k)
-    h = [{deg: shift_sign(m.hop(i, deg + k), k) for deg in shifted.degrees()}
-         for i in range(m.n)]
-    return KoszulModule(m.ring, m.potential, shifted, h)
+    """Degree shift by k: the result at degree u is m at u + k, and d and
+    every h_i pick up the sign (-1)^k."""
+    lo, hi = m.lo - k, m.hi - k
+
+    def shifted(f, degrees):
+        return {u: shift_sign(f(u + k), k) for u in degrees}
+
+    underlying = FreeComplex(m.ring, lo, hi,
+                             {u: m.rank(u + k) for u in range(lo, hi + 1)},
+                             shifted(m.diff, range(lo, hi)))
+    h = [shifted(partial(m.hop, i), range(lo, hi + 1)) for i in range(m.n)]
+    return KoszulModule(m.ring, m.potential, underlying, h)
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +400,19 @@ def cone_acyclic_at(g, point):
     caller shares between calls, so that a matrix met again is not
     evaluated again.  The cone is not built: each of its differentials is
     assembled from the evaluated blocks as sparse scalar rows, laid out as
-    `complexes.cone_rule` places them on `cone_summands` (in the columns
-    of the source at m + 1 first, -d_src above g, then d_tgt in those of
-    the target at m), and ranked by `linalg.sparse_rank`; the verdict is
-    the rank arithmetic of `homology_dims_at` on `cone_chain(g)`.
+    `cone_koszul` places them on `_cone_summands` (in the columns of the
+    source at m + 1 first, -d_src above g, then d_tgt in those of the
+    target at m), and ranked by `linalg.sparse_rank`; the verdict is the
+    rank arithmetic of `homology_dims_at` on `cone_koszul(g).underlying`.
     """
     src, tgt = g.source, g.target
     ring = src.ring
     at = as_evaluation(ring, point)
     p = ring.char
-    lo = min(src.lo - 1, tgt.lo)
-    hi = max(src.hi - 1, tgt.hi)
+    summands = _cone_summands(src, tgt)
     ranks = {}
-    for m in range(lo, hi):
-        shift = src.rank(m + 1)
+    for m in range(min(summands), max(summands)):
+        (_, shift), _ = summands[m]
         rows = [{j: (-v) % p if p else -v for j, v in row.items()}
                 for row in at.rows(src.diff(m + 1)).values()]
         bottom = {i: dict(row)
@@ -379,6 +423,5 @@ def cone_acyclic_at(g, point):
                 out[j + shift] = v
         rows.extend(bottom.values())
         ranks[m] = linalg.sparse_rank(rows, p)
-    return all(src.rank(m + 1) + tgt.rank(m)
-               == ranks.get(m, 0) + ranks.get(m - 1, 0)
-               for m in range(lo, hi + 1))
+    return all(sum(r for _, r in s) == ranks.get(m, 0) + ranks.get(m - 1, 0)
+               for m, s in summands.items())

@@ -23,7 +23,7 @@ from koszulmf.complexes import (FreeComplex, PolyMatrix, as_evaluation,
                                 cone_rule, embed_matrix, graded_map,
                                 tensor_rule)
 from koszulmf.koszul import KoszulModule
-from koszulmf.ring import Poly, embed, merge_rings
+from koszulmf.ring import Poly, embed, merge_rings, scalar_text
 
 
 class MFObject:
@@ -238,7 +238,7 @@ def residue_homology(m, point):
     val = at.value(m.potential)
     if val != 0:
         raise ValueError(f"point is not on the hypersurface: potential "
-                         f"evaluates to {val}")
+                         f"evaluates to {scalar_text(val)}")
     p = m.ring.char
     rk0 = linalg.sparse_rank(at.rows(m.phi0).values(), p)
     rk1 = linalg.sparse_rank(at.rows(m.phi1).values(), p)

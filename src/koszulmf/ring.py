@@ -24,6 +24,7 @@ and is the one source of every ParseError.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -413,6 +414,15 @@ _COEFF_LIMIT_BITS = _COEFF_LIMIT.bit_length()
 def _too_long(n):
     """Whether |n| has more than MAX_COEFF_DIGITS digits, without str()."""
     return n.bit_length() >= _COEFF_LIMIT_BITS and abs(n) >= _COEFF_LIMIT
+
+
+def scalar_text(v):
+    """str(v) of a base-field scalar, or, when its numerator or denominator
+    has more digits than the interpreter converts to text, a text saying so."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(v.numerator), v.denominator) >= 10 ** limit:
+        return f"a value of more than {limit} digits"
+    return str(v)
 
 
 def _tokenize(text):

@@ -1,0 +1,144 @@
+"""Mutants of the trusted base, each with the tests that must kill it.
+
+    python tests/mutants.py [NAME ...]
+
+runs every mutant (or the named ones) strictly one after another.  For
+each, the runner copies `src/` into a fresh temporary directory, replaces
+the mutant's text (which must occur exactly once in its file) and runs its
+pytest selection with `-x -q` against that copy, with a per-mutant
+timeout.  It prints one line per mutant: killed (the selection failed),
+survived (it passed) or timed out.  A mutant in EQUIVALENT cannot change
+what the program computes, and the reason is printed beside its verdict; a
+survivor that is not in EQUIVALENT is a hole in the tests.  The exit code
+is 1 when such a survivor or a timeout is found, else 0.
+
+The file is not collected by pytest (its name does not match `test_*.py`);
+tests/test_mutants.py checks that every mutant's text still occurs exactly
+once in `src/`, without running the mutants.  Background: DeMillo, Lipton
+and Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+# seconds one mutant's selection may run; a mutant can loop forever
+TIMEOUT = 600
+
+# name -> (file under src/, exact text, replacement, pytest selection)
+MUTANTS = {
+    "morphism_d_square_never_fails": (
+        "koszulmf/koszul.py",
+        "if tgt.diff(m) * g.component(m) != g.component(m + 1) * src.diff(m):",
+        "if tgt.diff(m) * g.component(m) != tgt.diff(m) * g.component(m):",
+        ["tests/test_koszul.py"]),
+    "morphism_shape_check_never_fails": (
+        "koszulmf/koszul.py",
+        "if (c.rows, c.cols) != (tgt.rank(m), src.rank(m))]",
+        "if (c.rows, c.cols) != (c.rows, c.cols)]",
+        ["tests/test_koszul.py"]),
+    "cone_without_morphism_block": (
+        "koszulmf/koszul.py",
+        "maps(src.diff, tgt.diff, 1, range(lo, hi), g.component)",
+        "maps(src.diff, tgt.diff, 1, range(lo, hi))",
+        ["tests/test_graded_map.py", "tests/test_koszul.py"]),
+    "cone_h_moves_up": (
+        "koszulmf/koszul.py",
+        "rule = cone_rule(fs, ft, lambda k: k + step, block)",
+        "rule = cone_rule(fs, ft, lambda k: k + 1, block)",
+        ["tests/test_graded_map.py", "tests/test_koszul.py"]),
+    "cone_window_lo": (
+        "koszulmf/koszul.py",
+        "lo, hi = min(src.lo - 1, tgt.lo), max(src.hi - 1, tgt.hi)",
+        "lo, hi = min(src.lo, tgt.lo), max(src.hi - 1, tgt.hi)",
+        ["tests/test_graded_map.py", "tests/test_evidence.py"]),
+    "cone_window_hi": (
+        "koszulmf/koszul.py",
+        "lo, hi = min(src.lo - 1, tgt.lo), max(src.hi - 1, tgt.hi)",
+        "lo, hi = min(src.lo - 1, tgt.lo), max(src.hi, tgt.hi)",
+        ["tests/test_graded_map.py", "tests/test_evidence.py"]),
+    "shift_without_sign": (
+        "koszulmf/koszul.py",
+        "return {u: shift_sign(f(u + k), k) for u in degrees}",
+        "return {u: f(u + k) for u in degrees}",
+        ["tests/test_koszul.py"]),
+    "evidence_without_previous_rank": (
+        "koszulmf/koszul.py",
+        "== ranks.get(m, 0) + ranks.get(m - 1, 0)",
+        "== ranks.get(m, 0)",
+        ["tests/test_evidence.py"]),
+    "evidence_source_rows_not_negated": (
+        "koszulmf/koszul.py",
+        "rows = [{j: (-v) % p if p else -v for j, v in row.items()}",
+        "rows = [{j: v for j, v in row.items()}",
+        ["tests/test_evidence.py"]),
+    "cone_rule_source_block_not_negated": (
+        "koszulmf/complexes.py",
+        'yield ("s", move(k)), -fs(k)',
+        'yield ("s", move(k)), fs(k)',
+        ["tests/test_graded_map.py", "tests/test_koszul.py"]),
+}
+
+EQUIVALENT = {
+    "evidence_source_rows_not_negated":
+        "the rows of the source block hold -d_src alone, and negating "
+        "whole rows keeps the rank the evidence compares",
+}
+
+
+def mutate(root, name):
+    """Apply mutant `name` to the copy of src/ under `root`."""
+    path, text, replacement, _ = MUTANTS[name]
+    full = os.path.join(root, path)
+    with open(full, encoding="utf-8") as fh:
+        code = fh.read()
+    if code.count(text) != 1:
+        raise ValueError(f"{name}: text occurs {code.count(text)} times "
+                         f"in {path}")
+    with open(full, "w", encoding="utf-8") as fh:
+        fh.write(code.replace(text, replacement))
+
+
+def run(name):
+    """'killed', 'survived' or 'timed out' for one mutant."""
+    selection = MUTANTS[name][3]
+    with tempfile.TemporaryDirectory(prefix="koszulmf-mutant-") as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(SRC, src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        mutate(src, name)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q",
+                 "-p", "no:cacheprovider", *selection],
+                cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timed out"
+    if done.returncode == 5:
+        raise ValueError(f"{name}: the selection collected no test")
+    return "survived" if done.returncode == 0 else "killed"
+
+
+def main(names):
+    names = names or list(MUTANTS)
+    holes = 0
+    for name in names:
+        verdict = run(name)
+        note = ""
+        if name in EQUIVALENT:
+            note = f" (equivalent: {EQUIVALENT[name]})"
+        elif verdict != "killed":
+            holes += 1
+        print(f"{name}: {verdict}{note}", flush=True)
+    print(f"mutants={len(names)} holes={holes}")
+    return 1 if holes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import stat
+import sys
 import threading
 
 import pytest
@@ -896,6 +897,38 @@ def test_monomial_past_the_coefficient_budget_exit_3(capsys, tmp_path):
             + "*".join(["(2)^3000"] * 5)
             + " at a point would pass 1000 digits"])
         assert errors == lines[-1:]
+
+
+def test_off_locus_value_past_the_conversion_limit_exit_3(capsys, tmp_path):
+    # each coordinate has about 1000 digits, within the budget; the value of
+    # f, over the product of the denominators, has about 5000, more than the
+    # interpreter converts to text
+    f = "a + b + c + d + e"
+    q = {v: f"1/{b ** e}" for v, b, e in zip(
+        "abcde", (3, 7, 11, 13, 17), (2095, 1182, 959, 896, 812))}
+    doc = tmp_path / "sum.json"
+    doc.write_text(json.dumps({
+        "ring": {"kind": "polynomial", "vars": list("abcde")},
+        "potential": [f], "points": {"q": q},
+        "objects": {"m": {"type": "mf", "f": f, "r0": 1, "r1": 1,
+                          "phi0": [[f]], "phi1": [["1"]]}}}))
+    unfolded = tmp_path / "unfolded.json"
+    code, _ = run(capsys, ["unfold", "--input", str(doc), "--output",
+                           str(unfolded)])
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    for argv, want in (
+            (["residue-homology", "--input", str(doc)],
+             "error=precondition point is not on the hypersurface: "
+             f"potential evaluates to a value of more than {limit} digits"),
+            (["fold", "--input", str(unfolded)],
+             "error=precondition point 'q' is not on the zero locus: a "
+             "potential entry evaluates to a value of more than "
+             f"{limit} digits")):
+        code, lines = run(capsys, [*argv, "--points", "q"])
+        assert (code, [l for l in lines if l.startswith("error=")]) == (
+            3, [want])
+        assert lines[-1] == want
 
 
 def test_parser_is_built_once_and_carries_no_state(capsys):

@@ -1,4 +1,4 @@
-"""Polynomial matrices, complexes, cones, shifts, pointwise homology."""
+"""Polynomial matrices, complexes, pointwise homology."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulmf import complexes
-from koszulmf.complexes import (ChainMap, FreeComplex, PolyMatrix, cone_chain,
-                                homology_dims_at, kron, shift_complex,
-                                validate_chain_map, validate_complex)
+from koszulmf.complexes import (FreeComplex, PolyMatrix, homology_dims_at,
+                                kron, validate_complex)
 from koszulmf.koszul import koszul_complex
 from koszulmf.ring import Poly, evaluate, parse_poly, polynomial_ring, \
     prime_field, rationals
@@ -498,34 +497,6 @@ def test_trim_drops_zero_boundary():
     t = c.trim()
     assert (t.lo, t.hi) == (-2, -1)
     assert t.diff(-2) == c.diff(-2)
-
-
-def test_shift_complex_signs_and_involution():
-    c = _two_term(QXY, "x")
-    s = shift_complex(c, 1)
-    assert (s.lo, s.hi) == (-2, -1)
-    assert s.diff(-2) == _m(QXY, 1, 1, ["-x"])
-    assert shift_complex(s, -1) == c
-    assert shift_complex(c, 2).diff(-3) == c.diff(-1)
-
-
-def test_cone_chain_is_a_complex():
-    src = _two_term(QXY, "x")
-    tgt = _two_term(QXY, "x")
-    g = ChainMap(src, tgt, {m: PolyMatrix.identity(QXY, src.rank(m))
-                            for m in (-1, 0)})
-    assert validate_chain_map(g) == []
-    cone = cone_chain(g)
-    assert validate_complex(cone) == []
-    assert (cone.lo, cone.hi) == (-2, 0)
-    assert [cone.rank(m) for m in (-2, -1, 0)] == [1, 2, 1]
-
-
-def test_chain_map_validation_catches_noncommuting():
-    src = _two_term(QXY, "x")
-    tgt = _two_term(QXY, "y")
-    g = ChainMap(src, tgt, {m: PolyMatrix.identity(QXY, 1) for m in (-1, 0)})
-    assert validate_chain_map(g) != []
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 `cone_acyclic_at` ranks the cone's differentials as sparse scalar rows,
 assembled from the evaluated blocks.  The reference builds the cone with
-`cone_chain`, evaluates it densely and ranks it with the brute-force
-oracle.  A replay shares one `Evaluation` per point between steps; its
+`cone_koszul`, evaluates its underlying complex densely and ranks it with
+the brute-force oracle.  A replay shares one `Evaluation` per point between steps; its
 verdicts must be those of a replay whose steps share no object.
 """
 
@@ -19,10 +19,9 @@ import genmod
 from oracle_rank import rank_bruteforce
 
 from koszulmf import complexes, documents as docs, ring as ring_module
-from koszulmf.complexes import (Evaluation, FreeComplex, PolyMatrix,
-                                cone_chain)
-from koszulmf.koszul import (KoszulMorphism, cone_acyclic_at, counit_map,
-                             free_koszul)
+from koszulmf.complexes import Evaluation, FreeComplex, PolyMatrix
+from koszulmf.koszul import (KoszulMorphism, cone_acyclic_at, cone_koszul,
+                             counit_map, free_koszul)
 from koszulmf.reduce import (WitnessLog, WitnessStep, amplitude_reduce,
                              fold_with_witness, validate_log)
 from koszulmf.ring import (Poly, evaluate, parse_poly, point_values,
@@ -35,7 +34,7 @@ ORACLE_SIZE = 7
 def _reference(g, point):
     """Exactness of the dense evaluated cone, ranked by the oracle; None
     when a differential is too large for it."""
-    cone = cone_chain(g)
+    cone = cone_koszul(g).underlying
     p = cone.ring.char or None
     ranks = {}
     for m in cone.degrees():

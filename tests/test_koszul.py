@@ -92,6 +92,24 @@ def test_validate_koszul_morphism_catches_noncommuting():
     assert validate_koszul_morphism(g) != []
 
 
+def test_validate_koszul_morphism_reports_a_noncommuting_square():
+    # R -x-> R with h = 1; the identity at degree 0 and zero at -1 breaks
+    # the square with d at -1 and the one with h_1 at 0, in that order
+    m = _point_module(QX, ["x"])
+    g = KoszulMorphism(m, m, {0: PolyMatrix.identity(QX, 1)})
+    assert validate_koszul_morphism(g) == [
+        "degree -1: square does not commute",
+        "degree 0: component does not intertwine h_1"]
+
+
+def test_validate_koszul_morphism_reports_each_bad_shape_once():
+    m = _point_module(QX, ["x"])
+    g = KoszulMorphism(m, m, {-1: _m(QX, 2, 1, ["1", "x"]),
+                              0: PolyMatrix.identity(QX, 1)})
+    assert validate_koszul_morphism(g) == [
+        "degree -1: component is 2x1, want 1x1"]
+
+
 def test_scalar_endo_is_valid():
     m = corpus.by_name("m3").module
     g = _scalar_endo(m, parse_poly("x*y", m.ring))
@@ -107,6 +125,16 @@ def test_cone_of_counit_is_valid():
     assert c.rank(0) == free.rank(1) + m.rank(0)
 
 
+def test_cone_koszul_of_an_identity_is_a_module():
+    m = _point_module(QX, ["x"])
+    g = _scalar_endo(m, parse_poly("1", QX))
+    assert validate_koszul_morphism(g) == []
+    cone = cone_koszul(g)
+    assert validate_koszul(cone) == []
+    assert (cone.lo, cone.hi) == (-2, 0)
+    assert [cone.rank(u) for u in (-2, -1, 0)] == [1, 2, 1]
+
+
 def test_cone_of_identity_is_valid_everywhere():
     for name in ("fk_x2", "kuv"):
         m = corpus.by_name(name).module
@@ -118,6 +146,18 @@ def test_cone_of_identity_is_valid_everywhere():
 # ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
+
+def test_shift_koszul_signs_and_involution():
+    m = _point_module(QX, ["x"])        # R -x-> R in degrees -1, 0, h = 1
+    s = shift_koszul(m, 1)
+    assert (s.lo, s.hi) == (-2, -1)
+    assert s.diff(-2) == _m(QX, 1, 1, ["-x"])
+    assert s.hop(0, -1) == _m(QX, 1, 1, ["-1"])
+    assert validate_koszul(s) == []
+    assert shift_koszul(s, -1) == m
+    two = shift_koszul(m, 2)
+    assert (two.diff(-3), two.hop(0, -2)) == (m.diff(-1), m.hop(0, 0))
+
 
 def test_shift_koszul_involution():
     m = corpus.by_name("m3").module

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import pickle
+import sys
 import time
 from fractions import Fraction
 
@@ -399,6 +400,17 @@ def test_evaluate_mod_p_reduces_large_powers():
     assert evaluate(p, {"x": 3, "y": 2}) == want
     assert evaluate(p, {"x": 3, "y": 0}) == 5 * pow(3, e + 1, 32003) % 32003
     assert evaluate(p, {"x": 0, "y": 1}) == 0
+
+
+def test_scalar_text_never_converts_past_the_interpreter_limit():
+    limit = sys.get_int_max_str_digits()
+    top = 10 ** limit - 1                   # the longest int that prints
+    for v in (0, 7, -Fraction(2, 3), top, -top, Fraction(1, top)):
+        assert ring.scalar_text(v) == str(v)
+    past = f"a value of more than {limit} digits"
+    for v in (top + 1, -(top + 1), Fraction(1, top + 1),
+              Fraction(top + 2, top + 1)):
+        assert ring.scalar_text(v) == past
 
 
 def test_evaluate_over_q_refuses_powers_past_the_coefficient_budget():
