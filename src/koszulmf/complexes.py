@@ -51,11 +51,13 @@ once.  `PolyMatrix.evaluate` and `homology_dims_at` are test references.
 
 `graded_map` is the one block assembler of the graded constructions (it
 writes each block straight into the rows of the result), `tensor_rule`
-the one sign rule of both tensor products, and `cone_rule` the one rule
-of every mapping cone: the Koszul cone puts the shifted source first, the
-factorization cone puts the target first.  Complexes come with their
-check and the sign rule of a degree shift; morphisms, their cones and
-shifts are those of Koszul modules (`koszulmf.koszul`).
+the one sign rule of both tensor products (its blocks hold the factors'
+own entries: `kron` pairs an entry with a constant 1 without a product),
+and `cone_rule` the one rule of every mapping cone: the Koszul cone puts
+the shifted source first, the factorization cone puts the target first.
+Complexes come with their check and the sign rule of a degree shift;
+morphisms, their cones and shifts are those of Koszul modules
+(`koszulmf.koszul`).
 """
 
 from fractions import Fraction
@@ -554,16 +556,19 @@ def as_evaluation(ring, point):
 
 
 def kron(a, b):
-    """Kronecker product, left factor major."""
+    """Kronecker product, left factor major.  Where one entry of a pair is
+    the constant 1, the result holds the other entry itself, not a product."""
     if a.ring is not b.ring:
         raise ValueError("mixed rings")
+    one = Poly.one(a.ring).terms
     nz = {}
     for ia, arow in a.nz.items():
         for ib, brow in b.nz.items():
             row = {}
             for ja, e in arow.items():
+                unit = e.terms == one
                 for jb, g in brow.items():
-                    t = e * g
+                    t = g if unit else e if g.terms == one else e * g
                     if t.terms:
                         row[ja * b.cols + jb] = t
             if row:
@@ -620,7 +625,7 @@ def tensor_rule(ring, fa, fb, rank_a, rank_b, move):
     second.  fa(p) maps the p-th summand of the first factor (rank
     rank_a(p)) to its move(p)-th, and fb(q) likewise for the second; both
     are matrices over `ring`.  Blocks are Kronecker products, left factor
-    major."""
+    major, with an identity, so they hold the entries of fa(p) and fb(q)."""
     def rule(key, r):
         p, q = key
         yield (move(p), q), kron(fa(p), PolyMatrix.identity(ring, rank_b(q)))

@@ -36,8 +36,10 @@ unknown key is malformed, so a misspelt field is never silently dropped.
 
 Reading a document or a log parses each distinct entry string once: one
 memo per document maps entry text to its Poly, which every repeat shares
-(polys are immutable).  Nesting deeper than the JSON decoder or the
-polynomial parser allows is a DocumentError like any other malformed input.
+(polys are immutable), and a second reads each distinct monomial and
+fraction once (`ring._flat_terms`).  Nesting deeper than the JSON decoder
+or the polynomial parser allows is a DocumentError like any other
+malformed input.
 
 All dumps are deterministic: canonical polynomial strings, sorted keys,
 two-space indent, trailing newline.  Every payload holds each matrix as a
@@ -170,20 +172,21 @@ def parse_ring_payload(payload):
 
 def _parse_entry(ring, text, where, memo=None):
     """Parse one entry, a string or an integer (JSON `true` and `false` are
-    not).  `memo` maps entry text to the Poly it parsed to, which every
-    repeat shares (polys are immutable); a malformed entry is not stored,
-    so it is reported at its first location."""
+    not).  `memo` is the pair of one read's memos: entry text -> the Poly
+    it parsed to, which every repeat shares (polys are immutable), and the
+    `parse_poly` memo of monomials and fractions, kept apart since "x*y" is
+    both kinds of text.  A malformed entry is not stored, so it is reported
+    at its first location."""
     if type(text) is int:
         text = str(text)
     _expect(isinstance(text, str),
             f"{where}: matrix entry {str(text)!r} is not a string or an "
             "integer")
-    if memo is None:
-        memo = {}
-    poly = memo.get(text)
+    entries, terms = ({}, {}) if memo is None else memo
+    poly = entries.get(text)
     if poly is None:
         try:
-            poly = memo[text] = parse_poly(text, ring)
+            poly = entries[text] = parse_poly(text, ring, terms)
         except ParseError as e:
             raise DocumentError(f"{where}: {e}")
     return poly
@@ -357,7 +360,7 @@ def parse_document(raw):
     # a witness log reads as a document without objects
     _fields(raw, "document", _WITNESS_KEYS
             if raw.get("schema") == WITNESS_SCHEMA else _DOCUMENT_KEYS)
-    memo = {}
+    memo = {}, {}
     ring, potential = _parse_ring_and_potential(raw, memo)
 
     # two passes: morphisms may name their endpoints anywhere in the file
@@ -709,7 +712,7 @@ def parse_witness(raw):
     _expect(raw.get("schema") == WITNESS_SCHEMA,
             f"unknown witness schema {raw.get('schema')!r}")
     _fields(raw, "witness", _WITNESS_KEYS)
-    memo = {}
+    memo = {}, {}
     ring, potential = _parse_ring_and_potential(raw, memo)
 
     def module_at(payload, where):

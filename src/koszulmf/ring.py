@@ -608,7 +608,19 @@ _FLAT_TERM_RE = re.compile(
     rf"({_DIGITS})(?:/({_DIGITS}))?(?:\*({_MONOMIAL}))?|({_MONOMIAL})")
 
 
-def _flat_terms(text, ring):
+def _exponents(mono, names):
+    """The exponent tuple of a *-joined run of x and x^e ("" is the
+    monomial 1) over the variables `names`, or None for an unknown one."""
+    exps = [0] * len(names)
+    for factor in mono.split("*") if mono else ():
+        name, _, e = factor.partition("^")
+        if name not in names:
+            return None
+        exps[names.index(name)] += int(e) if e else 1
+    return tuple(exps)
+
+
+def _flat_terms(text, ring, memo=None):
     """The term dict of a flat sum, or None to leave the text to `_Parser`.
 
     A flat sum is what `Poly.__str__` prints, in any term order and with a
@@ -618,7 +630,10 @@ def _flat_terms(text, ring):
     form, added left to right as `terms_add` adds.  Any other text, a zero
     denominator, a denominator that vanishes mod p or an unknown variable
     returns None.  A flat term is a literal times a monomial, which no
-    budget refuses.
+    budget refuses.  `memo`, one dict for one read over `ring`, maps each
+    monomial text to its exponent tuple and each signed fraction (sign,
+    c, d) to its normal form, so a read computes each once; a decline
+    stores nothing.
     """
     first, *rest = text.split(" ")
     negative = first[:1] == "-"
@@ -627,42 +642,48 @@ def _flat_terms(text, ring):
     if len(signs) != len(bodies):
         return None
     p = ring.char
-    index = {v: i for i, v in enumerate(ring.varnames)}
+    if memo is None:
+        memo = {}
     items = []
     for sign, body in zip(signs, bodies):
         m = _FLAT_TERM_RE.fullmatch(body)
         if m is None or sign not in ("+", "-"):
             return None
         num, den, mono, bare = m.groups()
-        mono = mono or bare
-        exps = [0] * len(index)
-        for factor in mono.split("*") if mono else ():
-            name, _, e = factor.partition("^")
-            i = index.get(name)
-            if i is None:
+        mono = mono or bare or ""
+        exps = memo.get(mono)
+        if exps is None:
+            exps = _exponents(mono, ring.varnames)
+            if exps is None:
                 return None
-            exps[i] += int(e) if e else 1
+            memo[mono] = exps
         c = int(num) if num else 1
         if sign == "-":
             c = -c
         if den is not None:
-            try:
-                c = normalize_scalar(ring, Fraction(c, int(den)))
-            except ZeroDivisionError:
-                return None
+            key = (sign, num, den)
+            hit = memo.get(key)
+            if hit is None:
+                try:
+                    hit = memo[key] = normalize_scalar(ring,
+                                                       Fraction(c, int(den)))
+                except ZeroDivisionError:
+                    return None
+            c = hit
         elif p:
             c %= p
         if c:
-            items.append((tuple(exps), c))
+            items.append((exps, c))
     out = {}
     _add_into(out, items, p)
     return out
 
 
-def parse_poly(text, ring):
+def parse_poly(text, ring, memo=None):
     """Parse polynomial text in the given ring.  Raises ParseError, also
-    when a coefficient of the result is past MAX_COEFF_DIGITS."""
-    terms = _flat_terms(text, ring)
+    when a coefficient of the result is past MAX_COEFF_DIGITS.  `memo` is
+    the `_flat_terms` memo of a read that parses many texts over `ring`."""
+    terms = _flat_terms(text, ring, memo)
     if terms is None:
         parser = _Parser(text, ring)
         terms = parser.expr()

@@ -82,6 +82,25 @@ MUTANTS = {
         'yield ("s", move(k)), -fs(k)',
         'yield ("s", move(k)), fs(k)',
         ["tests/test_graded_map.py", "tests/test_koszul.py"]),
+    "kron_shortcut_places_the_unit": (
+        "koszulmf/complexes.py",
+        "t = g if unit else e if g.terms == one else e * g",
+        "t = e if unit else e if g.terms == one else e * g",
+        ["tests/test_complexes.py"]),
+    "monomial_memo_keeps_a_declined_monomial": (
+        "koszulmf/ring.py",
+        "            if exps is None:\n"
+        "                return None\n"
+        "            memo[mono] = exps\n",
+        "            memo[mono] = exps or (0,) * len(ring.varnames)\n"
+        "            if exps is None:\n"
+        "                return None\n",
+        ["tests/test_ring.py"]),
+    "fraction_memo_keyed_without_the_sign": (
+        "koszulmf/ring.py",
+        "key = (sign, num, den)",
+        "key = (num, den)",
+        ["tests/test_ring.py"]),
 }
 
 EQUIVALENT = {

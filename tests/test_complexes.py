@@ -203,6 +203,46 @@ def test_sparse_matrix_matches_dense_reference(ring, density, data):
     assert A.evaluate(point) == [[evaluate(e, point) for e in p] for p in a]
 
 
+@pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kron_with_an_identity_holds_the_other_factors_entries(ring, data):
+    draw = data.draw
+    r, c, n = (draw(st.integers(0, 3)) for _ in range(3))
+    a = _dense(draw, ring, r, c, 0.6)
+    A = PolyMatrix(ring, r, c, _flat(a))
+    eye = PolyMatrix.identity(ring, n)
+    e = [[eye.at(i, j) for j in range(n)] for i in range(n)]
+    for got, want in ((kron(A, eye), _dense_kron(a, e, c, n)),
+                      (kron(eye, A), _dense_kron(e, a, n, c))):
+        _same(got, want, r * n, c * n)
+        _check_shared(got, A)
+
+
+def _check_shared(got, a):
+    """Each entry of `got` is the very Poly of an entry of `a`, except that
+    a constant 1 of `a` may be the identity's (the same value)."""
+    held = {id(x) for row in a.nz.values() for x in row.values()}
+    one = Poly.one(a.ring)
+    for row in got.nz.values():
+        for x in row.values():
+            assert id(x) in held or x == one
+
+
+def test_kron_shares_entries_and_multiplies_the_rest():
+    a = _m(QXY, 2, 2, ["1", "x", "0", "-1/2*y"])
+    b = _m(QXY, 1, 2, ["y", "x + 1"])
+    eye = PolyMatrix.identity(QXY, 2)
+    for got in (kron(a, eye), kron(eye, a)):
+        _check_shared(got, a)
+    assert kron(eye, a).row(1) == [parse_poly(t, QXY) for t in
+                                   ("0", "-1/2*y", "0", "0")]
+    # with no unit in a pair, an entry is the product
+    assert kron(a, b) == _m(QXY, 2, 4, [
+        "y", "x + 1", "x*y", "x^2 + x",
+        "0", "0", "-1/2*y^2", "-1/2*x*y - 1/2*y"])
+
+
 # ---------------------------------------------------------------------------
 # the fused product: common denominators, unreduced sums mod p, cancellation
 # ---------------------------------------------------------------------------

@@ -757,7 +757,7 @@ def test_dumps_rejects_other_types(payload):
 
 def test_memo_keeps_true_apart_from_one(tmp_path, capsys):
     ring = polynomial_ring(rationals(), ("x", "y"))
-    one = docs._parse_matrix(ring, [[1, "1"]], 1, 2, "m", {})
+    one = docs._parse_matrix(ring, [[1, "1"]], 1, 2, "m", ({}, {}))
     assert one.at(0, 0) == one.at(0, 1) == Poly.one(ring)
     # the int 1 is parsed (and memoized) before JSON true is reached
     raw = _m3_payload()
@@ -772,11 +772,11 @@ def test_memo_keeps_true_apart_from_one(tmp_path, capsys):
 
 def test_memo_int_and_string_entries_agree():
     ring = polynomial_ring(prime_field(5), ("x", "y"))
-    memo = {}
+    memo = {}, {}
     m = docs._parse_matrix(ring, [[5, "5", 7, "7", "x"]], 1, 5, "m", memo)
     assert m.at(0, 0) == m.at(0, 1) == parse_poly("5", ring)
     assert m.at(0, 2) == m.at(0, 3) == parse_poly("2", ring)
-    assert set(memo) == {"5", "7", "x"}
+    assert set(memo[0]) == {"5", "7", "x"}
 
 
 def test_memo_reports_a_repeated_bad_entry_at_its_first_location():
@@ -847,3 +847,16 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
                  ["witness-check", "--witness", str(path)]):
         assert cli.main(argv) == 2
         assert capsys.readouterr().out.startswith("error=parse")
+
+
+def test_each_read_has_its_own_monomial_memo():
+    # one process, two rings that order the same names differently
+    for names, exps in ((["x", "y"], (1, 2)), (["y", "x"], (2, 1))):
+        doc = docs.parse_document({
+            "ring": {"kind": "polynomial", "vars": names},
+            "potential": ["x*y^2"],
+            "objects": {"a": {"type": "mf", "f": "x*y^2", "r0": 1, "r1": 1,
+                              "phi0": [["x*y^2 - y"]], "phi1": [["1"]]}}})
+        assert doc.potential[0].terms == {exps: 1}
+        assert doc.objects["a"].phi0.at(0, 0).terms == {
+            exps: 1, tuple(int(v == "y") for v in names): -1}

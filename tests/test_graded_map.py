@@ -6,6 +6,7 @@ Kronecker blocks, a Koszul differential filled entry by entry, and 2x2
 `PolyMatrix.block` grids of each cone's maps.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from koszulmf.complexes import FreeComplex, PolyMatrix, embed_matrix, \
     graded_map, kron
-from koszulmf.koszul import KoszulModule, KoszulMorphism, cone_koszul, \
-    koszul_complex
+from koszulmf.koszul import KoszulModule, KoszulMorphism, box_tensor, \
+    cone_koszul, free_koszul, koszul_complex
 from koszulmf.mf import MFMorphism, MFObject, mf_cone, mf_tensor
 from koszulmf.ring import Poly, embed, merge_rings, polynomial_ring, \
     prime_field, rationals
@@ -180,6 +181,46 @@ def test_mf_tensor_matches_the_hand_written_grid(data):
     a = data.draw(factorizations(ra))
     b = data.draw(factorizations(rb))
     assert mf_tensor(a, b) == mf_tensor_reference(a, b)
+
+
+def test_tensor_products_multiply_no_polys(monkeypatch):
+    # every block of `tensor_rule` is a Kronecker product with an identity,
+    # which holds the factors' entries as they are
+    rng = random.Random(7)
+    terms = [{(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+              for _ in range(3)} for _ in range(16)]
+    entries = [Poly(QXY, t) for t in terms]
+    a = MFObject(QXY, entries[0], 2, 2,
+                 PolyMatrix(QXY, 2, 2, entries[1:5]),
+                 PolyMatrix(QXY, 2, 2, entries[5:9]))
+    b = MFObject(QXY, entries[9], 1, 2,
+                 PolyMatrix(QXY, 2, 1, entries[10:12]),
+                 PolyMatrix(QXY, 1, 2, entries[12:14]))
+    x = free_koszul(FreeComplex(QX, -1, 0, {-1: 2, 0: 1}, {
+        -1: PolyMatrix(QX, 1, 2, [Poly.var(QX, "x")] * 2)}),
+        (Poly(QX, {(2,): 1}),))
+    y = free_koszul(FreeComplex(QY, -1, 0, {-1: 1, 0: 1}, {
+        -1: PolyMatrix(QY, 1, 1, [Poly.var(QY, "y")])}),
+        (Poly(QY, {(3,): 1}),))
+    products = []
+    real = Poly.__mul__
+
+    def mul(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    def total(m):
+        return sum(m.rank(u) for u in range(m.lo, m.hi + 1))
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    t = mf_tensor(a, b)
+    box = box_tensor(x, y)
+    assert products == []
+    assert (t.r0, t.r1) == (6, 6) and total(box) == total(x) * total(y)
+    held = {id(e) for m in (a.phi0, a.phi1, b.phi0, b.phi1)
+            for row in m.nz.values() for e in row.values()}
+    assert any(id(e) in held for row in t.phi0.nz.values()
+               for e in row.values())
 
 
 @SETTINGS

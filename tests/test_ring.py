@@ -251,7 +251,7 @@ F32003 = prime_field(32003)
 def _full_parse(text, ring_):
     """parse_poly with every text left to the full parser."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring, "_flat_terms", lambda text, ring_: None)
+        mp.setattr(ring, "_flat_terms", lambda *args: None)
         return parse_poly(text, ring_)
 
 
@@ -629,11 +629,17 @@ def test_long_sign_runs_parse_without_recursion():
 
 F32003XY = polynomial_ring(F32003, ("x", "y"))
 
+# one `_flat_terms` memo per ring, kept across examples and tests, as one
+# read keeps it across entries: most monomials and fractions are hits
+_MEMOS = {}
+
 
 def _reads_like_the_parser(text, ring_):
-    got = ring._flat_terms(text, ring_)
-    assert got is not None, text
-    assert list(got.items()) == list(_full_parse(text, ring_).terms.items())
+    want = list(_full_parse(text, ring_).terms.items())
+    for memo in (None, _MEMOS.setdefault(ring_, {})):
+        got = ring._flat_terms(text, ring_, memo)
+        assert got is not None, text
+        assert list(got.items()) == want
 
 
 def _written_out(poly, reverse=True):
@@ -666,8 +672,10 @@ FLAT_TOKENS = ("x", "y", "0", "1", "2", "10", "32003", "/", "*", "^", "(",
 @given(st.lists(st.sampled_from(FLAT_TOKENS), max_size=9).map("".join),
        st.sampled_from([QXY, F5XY, F32003XY]))
 def test_flat_reader_declines_or_agrees(text, ring_):
-    # an accepted text is one the full parser reads, to the same dict
+    # an accepted text is one the full parser reads, to the same dict,
+    # whatever the memo holds
     got = ring._flat_terms(text, ring_)
+    assert ring._flat_terms(text, ring_, _MEMOS.setdefault(ring_, {})) == got
     if got is not None:
         assert list(got.items()) == list(
             _full_parse(text, ring_).terms.items())
@@ -700,6 +708,58 @@ def test_flat_reader_leaves_every_error_to_the_parser():
             parse_poly(text, ring_)
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+
+def test_flat_reader_memo_stores_no_decline():
+    memo = {}
+    assert ring._flat_terms("x + y", QXY, memo) == {(1, 0): 1, (0, 1): 1}
+    for _ in range(2):
+        assert ring._flat_terms("x + 0*z", QXY, memo) is None
+    with pytest.raises(ParseError) as exc:
+        parse_poly("x + 0*z", QXY, memo)
+    assert str(exc.value) == "unknown variable 'z' (at position 6)"
+    assert exc.value.position == 6
+    memo = {}
+    assert ring._flat_terms("1/3*x", F32003XY, memo) == \
+        {(1, 0): pow(3, -1, 32003)}
+    for _ in range(2):
+        assert ring._flat_terms("1/32003*x", F32003XY, memo) is None
+    with pytest.raises(ParseError, match="vanishes mod 32003"):
+        parse_poly("1/32003*x", F32003XY, memo)
+    assert "x" in memo and ("+", "1", "3") in memo
+
+
+def test_flat_reader_memo_keys_fractions_with_their_sign():
+    memo = {}
+    for text in ("1/3*x - 1/3*y", "-1/3*x + 1/3*y", "-2/6 + 2/6*x"):
+        assert ring._flat_terms(text, QXY, memo) == \
+            _full_parse(text, QXY).terms
+
+
+def test_one_read_splits_each_monomial_text_once(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "perfbench"))
+    import gen
+    split = []
+    real = ring._exponents
+
+    def exponents(mono, names):
+        split.append(mono)
+        return real(mono, names)
+
+    monkeypatch.setattr(ring, "_exponents", exponents)
+    for i, (text, _, _) in enumerate(gen.dense_inputs(1, 4, 4)):
+        path = tmp_path / f"dense{i}.json"
+        path.write_text(text)
+        split.clear()
+        doc = docs.load_document(str(path))
+        entries = {id(e): e for mf in doc.objects.values()
+                   for m in (mf.phi0, mf.phi1) for row in m.nz.values()
+                   for e in row.values()}
+        # each distinct monomial text once, where the terms of the
+        # distinct entries repeat them
+        assert len(split) == len(set(split))
+        assert len(split) < sum(len(e.terms) for e in entries.values())
 
 
 def _dense_document(path):
