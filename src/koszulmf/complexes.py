@@ -22,9 +22,11 @@ entry (the ±1 of permutation and identity blocks) adds c * v under the
 other side's exponent tuples, and a pair of two one-term entries adds one
 product of exponent tuples.  From the first pair of two non-constant
 entries, one of them with more than one term, a product works on packed
-monomials (`_Packing`): one scan of both operands fixes a field width per
+monomials (`_Packing`): one scan of both operands fixes a mixed radix per
 product, each exponent tuple becomes one int, and a monomial product is
-one int add into an int-keyed dict of the output entry.  An entry that
+one int add into the sums of the output entry, a list with a slot for
+every monomial of the radix box when such lists take no more slots than
+the product forms term pairs, else an int-keyed dict.  An entry that
 only packed pairs reached is written in one pass over those sums: each
 coefficient is normalized (divided by D_A * D_B over Q, reduced by one
 `% p` over F_p), a zero is dropped, and each monomial is unpacked, once
@@ -63,7 +65,7 @@ morphisms, their cones and shifts are those of Koszul modules
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, lshift
+from operator import add, itemgetter, mul
 
 from koszulmf import linalg
 from koszulmf.ring import (Poly, embed, evaluate_at, normalize_scalar,
@@ -96,23 +98,40 @@ def _cleared(nz, ring):
 class _Packing:
     """Packed monomials for one matrix product.
 
-    The exponents (e_1, ..., e_n) of a monomial become the int
-    Σ e_v << (w·v), where the field width w = (2 * top).bit_length() holds
-    twice the largest exponent `top` of either operand.  The product of two
-    monomials is then one int add, which never carries from one variable's
-    field into the next.  Each distinct entry is packed once, keyed by
-    identity, and each distinct output monomial is unpacked once.
+    The exponents (e_1, ..., e_n) of a monomial become Σ e_v·b^(v-1) in
+    mixed radix, base b = 2 * top + 1 for the largest exponent `top` of
+    either operand, so a monomial product is one int add that never carries
+    (e + e' <= 2 * top < b).  Each distinct entry is packed once, keyed by
+    identity, and each distinct output monomial is unpacked once.  The scan
+    that finds `top` counts the term pairs, Σ_k (terms in column k of A) ·
+    (terms in row k of B); when b^n × (rows of A) × (columns of B reached)
+    is no more, each output entry sums into a list of `size` = b^n slots,
+    else into a dict (`size` is None).
     """
 
-    __slots__ = ("shifts", "mask", "packed", "unpacked")
+    __slots__ = ("powers", "base", "size", "packed", "unpacked")
 
-    def __init__(self, nvars, *nzs):
-        top = max(chain.from_iterable(k for nz in nzs for row in nz.values()
-                                      for e in row.values() for k in e.terms),
-                  default=0)
-        w = (2 * top).bit_length()
-        self.shifts = [w * v for v in range(nvars)]
-        self.mask = (1 << w) - 1
+    def __init__(self, nvars, anz, bnz):
+        exps = []       # the exponent tuples of both operands
+        acol = {}       # terms in each column of A
+        for row in anz.values():
+            for k, e in row.items():
+                t = e.terms
+                exps += t
+                acol[k] = acol.get(k, 0) + len(t)
+        pairs = 0
+        cols = set()
+        for k, row in bnz.items():
+            n = len(exps)
+            for e in row.values():
+                exps += e.terms
+            pairs += acol.get(k, 0) * (len(exps) - n)
+            cols.update(row)
+        top = max(chain.from_iterable(exps))
+        b = self.base = 2 * top + 1
+        self.powers = [b ** v for v in range(nvars)]
+        size = b ** nvars
+        self.size = size if size * len(anz) * len(cols) <= pairs else None
         self.packed = {}
         self.unpacked = {}
 
@@ -120,28 +139,34 @@ class _Packing:
         """[(packed monomial, coefficient)] of one entry."""
         pt = self.packed.get(id(poly))
         if pt is None:
-            shifts = self.shifts
-            pt = self.packed[id(poly)] = [(sum(map(lshift, k, shifts)), v)
+            powers = self.powers
+            pt = self.packed[id(poly)] = [(sum(map(mul, k, powers)), v)
                                           for k, v in poly.terms.items()]
         return pt
+
+    def sums(self, pout):
+        """(packed monomial, sum) of an output entry; zero slots skipped."""
+        if self.size:
+            return filter(itemgetter(1), enumerate(pout))
+        return pout.items()
 
     def merge(self, pout, out):
         """Add the packed sums pout of an output entry into its sums `out`,
         keyed by exponent tuples."""
-        unpacked, shifts, mask = self.unpacked, self.shifts, self.mask
-        for m, v in pout.items():
+        unpacked, powers, b = self.unpacked, self.powers, self.base
+        for m, v in self.sums(pout):
             k = unpacked.get(m)
             if k is None:
-                k = unpacked[m] = tuple([(m >> s) & mask for s in shifts])
+                k = unpacked[m] = tuple([m // q % b for q in powers])
             out[k] = out.get(k, 0) + v
 
     def normal_terms(self, pout, p, d):
         """The terms of an output entry that only packed pairs reached, in
         one pass over its packed sums: each sum reduced mod p over F_p or
         divided by d over Q, zeros dropped, each monomial unpacked."""
-        unpacked, shifts, mask = self.unpacked, self.shifts, self.mask
+        unpacked, powers, b = self.unpacked, self.powers, self.base
         terms = {}
-        for m, v in pout.items():
+        for m, v in self.sums(pout):
             if p:
                 v %= p
             elif d != 1:
@@ -149,7 +174,7 @@ class _Packing:
             if v:
                 k = unpacked.get(m)
                 if k is None:
-                    k = unpacked[m] = tuple([(m >> s) & mask for s in shifts])
+                    k = unpacked[m] = tuple([m // q % b for q in powers])
                 terms[k] = v
         return terms
 
@@ -354,7 +379,7 @@ class PolyMatrix:
             anz, da = _cleared(anz, ring)
             bnz, db = _cleared(bnz, ring)
             d = da * db
-        packing = None      # built when a multi-term pair first meets
+        packing = size = None   # built when a multi-term pair first meets
         pacc = {}           # a row's packed sums, beside acc
         nz = {}
         for i, arow in anz.items():
@@ -376,11 +401,17 @@ class PolyMatrix:
                         if pa is None:
                             if packing is None:
                                 packing = _Packing(len(one), anz, bnz)
+                                size = packing.size
                             pa = packing.terms(a)
                         pb = packing.terms(b)
                         pout = pacc.get(j)
                         if pout is None:
-                            pout = pacc[j] = {}
+                            pout = pacc[j] = [0] * size if size else {}
+                        if size:
+                            for ka, va in pa:
+                                for kb, vb in pb:
+                                    pout[ka + kb] += va * vb
+                            continue
                         for ka, va in pa:
                             for kb, vb in pb:
                                 kab = ka + kb

@@ -416,6 +416,14 @@ def _too_long(n):
     return n.bit_length() >= _COEFF_LIMIT_BITS and abs(n) >= _COEFF_LIMIT
 
 
+def _check_budget(terms):
+    """ParseError at 0 for a parsed coefficient past MAX_COEFF_DIGITS."""
+    for c in terms.values():
+        if _too_long(c.numerator) or _too_long(c.denominator):
+            raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "
+                             "digits", 0)
+
+
 def scalar_text(v):
     """str(v) of a base-field scalar, or, when its numerator or denominator
     has more digits than the interpreter converts to text, a text saying so."""
@@ -629,11 +637,12 @@ def _flat_terms(text, ring, memo=None):
     full parser's, key order included: each signed coefficient in normal
     form, added left to right as `terms_add` adds.  Any other text, a zero
     denominator, a denominator that vanishes mod p or an unknown variable
-    returns None.  A flat term is a literal times a monomial, which no
-    budget refuses.  `memo`, one dict for one read over `ring`, maps each
-    monomial text to its exponent tuple and each signed fraction (sign,
-    c, d) to its normal form, so a read computes each once; a decline
-    stores nothing.
+    returns None.  A flat term's coefficient is within the budget (a
+    literal, a reduced fraction or a residue mod p); only a merge of equal
+    monomials can pass it, so the result is checked only after a merge.
+    `memo`, one dict for one read over `ring`, maps each monomial text to
+    its exponent tuple and each signed fraction (sign, c, d) to its normal
+    form, so a read computes each once; a decline stores nothing.
     """
     first, *rest = text.split(" ")
     negative = first[:1] == "-"
@@ -676,13 +685,16 @@ def _flat_terms(text, ring, memo=None):
             items.append((exps, c))
     out = {}
     _add_into(out, items, p)
+    if len(out) < len(items):   # a merge: a sum may pass the budget
+        _check_budget(out)
     return out
 
 
 def parse_poly(text, ring, memo=None):
     """Parse polynomial text in the given ring.  Raises ParseError, also
-    when a coefficient of the result is past MAX_COEFF_DIGITS.  `memo` is
-    the `_flat_terms` memo of a read that parses many texts over `ring`."""
+    when a coefficient of the result is past MAX_COEFF_DIGITS: checked on
+    the full parser's result, and by `_flat_terms` when terms merged.
+    `memo` is the `_flat_terms` memo of a read over `ring`."""
     terms = _flat_terms(text, ring, memo)
     if terms is None:
         parser = _Parser(text, ring)
@@ -690,10 +702,7 @@ def parse_poly(text, ring, memo=None):
         kind, val, pos = parser.peek()
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", pos)
-    for c in terms.values():
-        if _too_long(c.numerator) or _too_long(c.denominator):
-            raise ParseError(f"coefficient of more than {MAX_COEFF_DIGITS} "
-                             "digits", 0)
+        _check_budget(terms)
     return Poly(ring, terms, _normalized=True)
 
 

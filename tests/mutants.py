@@ -101,6 +101,26 @@ MUTANTS = {
         "key = (sign, num, den)",
         "key = (num, den)",
         ["tests/test_ring.py"]),
+    "packing_base_without_the_carry_digit": (
+        "koszulmf/complexes.py",
+        "b = self.base = 2 * top + 1",
+        "b = self.base = 2 * top",
+        ["tests/test_complexes.py"]),
+    "list_sums_skip_slot_0": (
+        "koszulmf/complexes.py",
+        "return filter(itemgetter(1), enumerate(pout))",
+        "return filter(itemgetter(1), enumerate(pout[1:], 1))",
+        ["tests/test_complexes.py"]),
+    "normal_terms_floor_divide": (
+        "koszulmf/complexes.py",
+        "v = v // d if v % d == 0 else Fraction(v, d)",
+        "v = v // d",
+        ["tests/test_complexes.py"]),
+    "flat_budget_unchecked_after_a_merge": (
+        "koszulmf/ring.py",
+        "if len(out) < len(items):",
+        "if False:",
+        ["tests/test_ring.py"]),
 }
 
 EQUIVALENT = {

@@ -1113,6 +1113,22 @@ def _a1_scaled(tmp_path, c):
     return str(doc)
 
 
+def test_a_merged_flat_sum_past_the_budget_exits_2(capsys, tmp_path):
+    # two literals within the budget on one monomial sum past it
+    nines = "9" * 1000
+    raw = json.load(open(A1))
+    raw["objects"]["a1"]["phi0"] = [[f"{nines}*x + {nines}*x"]]
+    doc = tmp_path / "merged.json"
+    doc.write_text(json.dumps(raw))
+    line = _expect_parse_error(capsys, ["validate", "--input", str(doc)])
+    assert line == ("error=parse objects.a1.phi0: coefficient of more than "
+                    "1000 digits (at position 0)")
+    raw["objects"]["a1"]["phi0"] = [[f"{nines}*x"]]
+    doc.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["validate", "--input", str(doc)])
+    assert not lines[-1].startswith("error=parse")
+
+
 def test_coefficients_past_the_budget_exit_2(capsys, tmp_path):
     # 3000 nines: the document used to pass validate, and shift --output
     # then died printing the 6000-digit f (exit 3)

@@ -1,18 +1,27 @@
 """Polynomial matrices, complexes, pointwise homology."""
 
+import contextlib
+import json
+import os
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from koszulmf import complexes
+from koszulmf import cli, complexes, documents as docs
 from koszulmf.complexes import (FreeComplex, PolyMatrix, homology_dims_at,
                                 kron, validate_complex)
 from koszulmf.koszul import koszul_complex
 from koszulmf.ring import Poly, evaluate, parse_poly, polynomial_ring, \
     prime_field, rationals
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+sys.path.insert(0, PERFBENCH)
+import gen  # noqa: E402
 
 QXY = polynomial_ring(rationals(), ("x", "y"))
 QUV = polynomial_ring(rationals(), ("u", "v"))
@@ -359,14 +368,76 @@ def _packed_entries(ring, top):
                                     max_size=3).map(lambda t: Poly(ring, t))
 
 
-@pytest.mark.parametrize("ring", [QX, QXYZ, F32003XYZ, rationals(),
-                                  prime_field(32003)],
-                         ids=["Qx", "Qxyz", "F32003xyz", "Q", "F32003"])
+def _box_entries(ring, top):
+    """For list sums: constants one time in five, else polys holding many
+    monomials of the box [0, top]^n, often the monomial 1 (slot 0) and the
+    corner (top, ..., top), whose square puts 2 * top in every digit."""
+    n = len(ring.varnames)
+    box = (top + 1) ** n
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    small = st.integers(-9, 9)
+    coeff = small if ring.char else small | st.builds(
+        Fraction, small, st.sampled_from([2, 3, 7]))
+    polys = st.tuples(
+        st.dictionaries(exps, coeff, min_size=max(2, box // 2),
+                        max_size=box),
+        st.dictionaries(st.sampled_from([(0,) * n, (top,) * n]), coeff),
+    ).map(lambda ts: Poly(ring, {**ts[0], **ts[1]}))
+    consts = st.sampled_from([0, 1, -1, 2]).map(lambda c: Poly.const(ring, c))
+    return st.integers(0, 4).flatmap(lambda i: polys if i else consts)
+
+
+F2XY = polynomial_ring(prime_field(2), ("x", "y"))
+F5XYZ = polynomial_ring(prime_field(5), ("x", "y", "z"))
+QA_H = polynomial_ring(rationals(), tuple("abcdefgh"))
+F2A_H = polynomial_ring(prime_field(2), tuple("abcdefgh"))
+
+# id -> (ring, entries, the tops drawn, the sums every packing of the case
+# takes: "list", "dict", None for either; a bare field packs nothing)
+PACKED_CASES = {
+    "Qx": (QX, _packed_entries, TOPS, None),
+    "Qxyz": (QXYZ, _packed_entries, TOPS, None),
+    "F32003xyz": (F32003XYZ, _packed_entries, TOPS, None),
+    "Q": (rationals(), _packed_entries, TOPS, None),
+    "F32003": (prime_field(32003), _packed_entries, TOPS, None),
+    # list sums: 1-3 variables, a small top, many terms
+    "list-Qx": (QX, _box_entries, [1, 2, 3], "list"),
+    "list-Qxy": (QXY, _box_entries, [1, 2], "list"),
+    "list-Qxyz": (QXYZ, _box_entries, [1], "list"),
+    "list-F32003xy": (F32003XY, _box_entries, [1, 2], "list"),
+    "list-F5xyz": (F5XYZ, _box_entries, [1], "list"),
+    "list-F2xy": (F2XY, _box_entries, [1, 2], "list"),
+    # dict sums: many variables and sparse entries
+    "dict-Qa-h": (QA_H, _packed_entries, TOPS, "dict"),
+    "dict-F2a-h": (F2A_H, _packed_entries, TOPS, "dict"),
+    "dict-F32003xyz": (F32003XYZ, _packed_entries, [7, 300, 100000], "dict"),
+}
+
+
+@contextlib.contextmanager
+def _packings():
+    """The sums ("list" or "dict") of every `_Packing` made in the block."""
+    made = []
+
+    class Recorded(complexes._Packing):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append("list" if self.size else "dict")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_Packing", Recorded)
+        yield made
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_packed_product_matches_dense_reference(ring, data):
+def test_packed_product_matches_dense_reference(case, data):
+    ring, entries, tops, sums = PACKED_CASES[case]
     draw = data.draw
-    entry = _packed_entries(ring, draw(st.sampled_from(TOPS)))
+    entry = entries(ring, draw(st.sampled_from(tops)))
     r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
 
     def dense(rows, cols):
@@ -377,12 +448,18 @@ def test_packed_product_matches_dense_reference(ring, data):
     a2 = [row if draw(st.booleans()) else dense(1, k)[0] for row in a]
     left = [p + q for p, q in zip(a, a2)]
     A = _from_rows(ring, left, 2 * k)
-    for right in (b + [[-e for e in row] for row in b], b + b):
-        got = A * _from_rows(ring, right, c)
-        _same(got, _dense_mul(left, right, ring, 2 * k, c), r, c)
-        for row in got.nz.values():
-            for e in row.values():
-                _assert_normal(e)
+    with _packings() as made:
+        for right in (b + [[-e for e in row] for row in b], b + b):
+            got = A * _from_rows(ring, right, c)
+            _same(got, _dense_mul(left, right, ring, 2 * k, c), r, c)
+            for row in got.nz.values():
+                for e in row.values():
+                    _assert_normal(e)
+    if not ring.varnames:
+        assert made == []
+    elif sums is not None:
+        # the rule itself is pinned by test_packing_rule_*
+        assume(made and set(made) == {sums})
 
 
 def test_packed_product_examples():
@@ -469,18 +546,25 @@ def test_packed_sums_cancel_in_part_and_wholly(monkeypatch, case, mixed):
                     else {"normal_terms": 2, "merge": 0})
 
 
-@pytest.mark.parametrize("ring", [QXYZ, F32003XYZ], ids=["Q", "F32003"])
+F2XYZ = polynomial_ring(prime_field(2), ("x", "y", "z"))
+
+
+@pytest.mark.parametrize("ring", [QXYZ, F32003XYZ, F5XYZ, F2XYZ],
+                         ids=["Q", "F32003", "F5", "F2"])
 def test_packed_product_matches_sympy(ring):
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols("x y z")
     domain = sympy.GF(ring.char) if ring.char else sympy.QQ
     rng = random.Random(32003)
 
-    def entry():
-        return Poly(ring, {tuple(rng.choice((0, 1, 2, 7, 8, 300))
-                                 for _ in gens):
-                           Fraction(rng.randint(-50, 50), rng.randint(1, 6))
-                           for _ in range(rng.randint(1, 6))})
+    # numerators and denominators that do not vanish mod p
+    nums = [n for n in range(-50, 51) if n % (ring.char or 101)]
+    dens = [d for d in range(1, 7) if d % (ring.char or 101)]
+
+    def entry(exps, terms):
+        return Poly(ring, {tuple(rng.choice(exps) for _ in gens):
+                           Fraction(rng.choice(nums), rng.choice(dens))
+                           for _ in range(rng.randint(*terms))})
 
     def to_sympy(e):
         return sympy.Poly.from_dict(
@@ -493,16 +577,105 @@ def test_packed_product_matches_sympy(ring):
                                        int(sympy.denom(c)))
                            for k, c in f.as_dict().items()})
 
-    for r, k, c in ((2, 3, 2), (3, 2, 3), (1, 4, 1)):
-        a = [[entry() for _ in range(k)] for _ in range(r)]
-        b = [[entry() for _ in range(c)] for _ in range(k)]
-        got = _from_rows(ring, a, k) * _from_rows(ring, b, c)
-        for i in range(r):
-            for j in range(c):
-                want = sum((to_sympy(a[i][m]) * to_sympy(b[m][j])
-                            for m in range(k)), sympy.Poly(0, *gens,
-                                                           domain=domain))
-                assert got.at(i, j) == from_sympy(want)
+    # sparse exponents up to 300 take dict sums; every monomial of the box
+    # {0, 1}^3, eight terms or so, takes list sums
+    for sums, exps, terms in (("dict", (0, 1, 2, 7, 8, 300), (1, 6)),
+                              ("list", (0, 1), (6, 12))):
+        for r, k, c in ((2, 3, 2), (3, 2, 3), (1, 4, 1)):
+            a = [[entry(exps, terms) for _ in range(k)] for _ in range(r)]
+            b = [[entry(exps, terms) for _ in range(c)] for _ in range(k)]
+            with _packings() as made:
+                got = _from_rows(ring, a, k) * _from_rows(ring, b, c)
+            assert made == [sums]
+            for i in range(r):
+                for j in range(c):
+                    want = sum((to_sympy(a[i][m]) * to_sympy(b[m][j])
+                                for m in range(k)),
+                               sympy.Poly(0, *gens, domain=domain))
+                    assert got.at(i, j) == from_sympy(want)
+
+
+def test_list_sums_examples(monkeypatch):
+    seen = _count_calls(monkeypatch, complexes._Packing,
+                        ("normal_terms", "merge"))
+
+    def product(ring, left, right):
+        with _packings() as made:
+            got = _m(ring, 1, len(left), left) * _m(ring, len(right), 1,
+                                                    right)
+        assert made == ["list"]
+        return got.nz.get(0, {}).get(0)
+
+    # top = 2, base 5: slot 0 is the monomial 1 and x^4 = x^(2*top) is the
+    # top digit; both output entries take the one-pass write
+    a = "1 + 2*x + 3*x^2"
+    assert product(QX, [a, a], [a, a]) == parse_poly(
+        "2 + 8*x + 20*x^2 + 24*x^3 + 18*x^4", QX)
+    # over Q with D > 1 on both sides the slot of x cancels
+    assert product(QX, ["1/3 + 1/2*x"], ["1/3 - 1/2*x"]) == parse_poly(
+        "1/9 - 1/4*x^2", QX)
+    # the sums cancel wholly mod 5 and mod 2
+    assert product(polynomial_ring(prime_field(5), ("x",)),
+                   [a, "4 + 3*x + 2*x^2"], [a, a]) is None
+    assert product(polynomial_ring(prime_field(2), ("x", "y")),
+                   ["1 + x + x*y"] * 2, ["x + y"] * 2) is None
+    assert seen == {"normal_terms": 4, "merge": 0}
+    # a constant pair reaches the entry too: its list sums are merged, and
+    # at the boundary 3 slots * 1 row * 1 column = 3 term pairs
+    assert product(QX, ["1", "1/2 + x"], ["-1/2*x", "x"]) == parse_poly(
+        "x^2", QX)
+    assert seen == {"normal_terms": 4, "merge": 1}
+
+
+def test_packing_rule_at_its_boundary():
+    # base 3 over Q[x] (top = 1): (1 + x)*x forms 2 term pairs for 3 slots
+    # and takes dict sums; (1 + x)*x + x*x forms 3 and takes list sums
+    for left, right, sums in ((["1 + x"], ["x"], "dict"),
+                              (["1 + x", "x"], ["x", "x"], "list")):
+        with _packings() as made:
+            prod = _m(QX, 1, len(left), left) * _m(QX, len(right), 1, right)
+        assert made == [sums]
+    assert prod == _m(QX, 1, 1, ["x + 2*x^2"])
+    # 3 slots * 2 rows of A * 2 columns of B = 12 slots for 4 * 4 = 16
+    # term pairs; a zero row or column adds no slot; a third column of B
+    # makes 18 slots, here for 4 * 4 = 16 term pairs again
+    u = "1 + x"
+    for rows, cols, sums in (([u, u], [u, u], "list"),
+                             ([u, "0", u], [u, "0", u], "list"),
+                             ([u, u], [u, "x", "x"], "dict")):
+        a = _m(QX, len(rows), 1, rows)
+        b = _m(QX, 1, len(cols), cols)
+        with _packings() as made:
+            a * b
+        assert made == [sums]
+
+
+@pytest.mark.parametrize("p", [0, 32003], ids=["Q", "F32003"])
+def test_packing_rule_picks_lists_for_dense_factorizations(p):
+    rng, trng = random.Random(f"rule:{p}"), random.Random("rule-template")
+    for k in (2, 3):
+        text = gen.dense_document(p, [gen.dense_mf(rng, trng, p, k,
+                                                   moves=4)])
+        mf = docs.parse_document(json.loads(text)).objects["mf0"]
+        with _packings() as made:
+            mf.phi1 * mf.phi0
+        assert made == ["list"]
+
+
+def test_packing_rule_picks_dicts_for_sparse_modules(tmp_path, capsys):
+    made_all = []
+    for i, (text, cmd) in enumerate(gen.emit_inputs(1, 6)):
+        doc = tmp_path / f"m{i}.json"
+        doc.write_text(text)
+        argv = [cmd, "--input", str(doc), "--witness",
+                str(tmp_path / f"w{i}.json")]
+        if cmd == "reduce-codim":
+            argv[1:1] = ["--then", "fold"]
+        with _packings() as made:
+            assert cli.main(argv) == 0
+        made_all += made
+    capsys.readouterr()
+    assert made_all and set(made_all) == {"dict"}
 
 
 # ---------------------------------------------------------------------------

@@ -693,6 +693,8 @@ def test_flat_reader_named_cases():
 
 
 def test_flat_reader_leaves_every_error_to_the_parser():
+    # but the budget of a merged sum, with the parser's own error: see
+    # test_flat_reader_checks_the_budget_only_on_merged_sums
     long = "1" * (MAX_COEFF_DIGITS + 1)
     for text, ring_, message, position in [
             ("1/32003*x", F32003XY, "denominator 32003 vanishes mod 32003",
@@ -708,6 +710,37 @@ def test_flat_reader_leaves_every_error_to_the_parser():
             parse_poly(text, ring_)
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+
+def test_flat_reader_checks_the_budget_only_on_merged_sums(monkeypatch):
+    nines = "9" * MAX_COEFF_DIGITS
+    calls = []
+    real = ring._too_long
+    monkeypatch.setattr(ring, "_too_long",
+                        lambda n: calls.append(n) or real(n))
+    # distinct monomials: every literal is within the budget, none checked
+    for text, ring_ in ((f"{nines}*x - 1/{nines}*y + 3", QXY),
+                        (f"{nines}*x*y + 2/3*x", F5XY)):
+        assert ring._flat_terms(text, ring_) is not None
+        assert list(parse_poly(text, ring_).terms.items()) == list(
+            _full_parse(text, ring_).terms.items())
+    assert parse_poly(nines + "*x", QX) == Poly(QX, {(1,): int(nines)})
+    calls.clear()
+    parse_poly(f"{nines}*x - 1/{nines}*y + 3", QXY)
+    assert calls == []
+    # equal monomials merge: the flat reader checks the sum itself, and
+    # refuses it as the full parser does; a merge within the budget passes
+    for parse in (ring._flat_terms, parse_poly, _full_parse):
+        with pytest.raises(ParseError) as exc:
+            parse(f"{nines}*x + {nines}*x", QXY)
+        assert str(exc.value) == ("coefficient of more than 1000 digits "
+                                  "(at position 0)")
+        assert calls
+        calls.clear()
+    assert parse_poly(f"{nines}*x - {nines}*x + y", QXY) == parse_poly(
+        "y", QXY)
+    assert parse_poly(f"{nines}*x + {nines}*x", F5XY) == parse_poly(
+        "3*x", F5XY)
 
 
 def test_flat_reader_memo_stores_no_decline():
