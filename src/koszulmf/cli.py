@@ -387,15 +387,26 @@ def cmd_witness_check(args):
         raise Precondition("witness-check needs --witness PATH")
     log, points = docs.load_witness(args.witness)
     doc = docs.load_document(args.input) if args.input else None
-    if doc is not None and doc.ring is not log.start.ring:
-        raise Precondition("document ring differs from the witness ring")
+    starts = None   # with --input: the modules the log may start at
+    if doc is not None:
+        if doc.ring is not log.start.ring:
+            raise Precondition("document ring differs from the witness ring")
+        # the emitting commands trim a module before their first step
+        starts = [o.trim() for o in doc.objects.values()
+                  if isinstance(o, KoszulModule)]
+        if not starts:
+            raise Precondition("the document has no koszul_module to bind "
+                               "the log to")
     extra = _resolve_points(doc, log.start.ring, args)
     for pname, pt in extra.items():
         points.setdefault(pname, pt)
     at = _require_on_locus(log.start.ring, log.start.potential, points)
     print(f"steps={len(log.steps)}")
     print(f"points={len(points)}")
-    problems = validate_log(log, list(at.values()))
+    if starts is not None and log.start not in starts:
+        problems = ["start module is not an object of the document"]
+    else:
+        problems = validate_log(log, list(at.values()))
     if not problems:  # the replay relates the endpoints; check each too
         problems = [f"{which} module: {line}" for which, m in
                     (("start", log.start), ("end", log.end))

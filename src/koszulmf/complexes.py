@@ -13,27 +13,23 @@ and checks that every entry is a Poly over the matrix ring; results built
 inside the library hand their rows to the keyword-only `trusted` argument
 and skip that per-entry check.
 
-The product is one fused kernel.  Over Q each operand is scanned once for
-the lcm D of its coefficient denominators and, only when D > 1, scaled to
-int coefficients; with D = 1 (and always over F_p) its entries are read in
-place.  Every term product a_ik * b_kj of an output entry is added as an
-int coefficient, with no intermediate Poly and no Fraction.  A constant
-entry (the ±1 of permutation and identity blocks) adds c * v under the
-other side's exponent tuples, and a pair of two one-term entries adds one
-product of exponent tuples.  From the first pair of two non-constant
-entries, one of them with more than one term, a product works on packed
-monomials (`_Packing`): one scan of both operands fixes a mixed radix per
-product, each exponent tuple becomes one int, and a monomial product is
-one int add into the sums of the output entry, a list with a slot for
-every monomial of the radix box when such lists take no more slots than
-the product forms term pairs, else an int-keyed dict.  An entry that
-only packed pairs reached is written in one pass over those sums: each
-coefficient is normalized (divided by D_A * D_B over Q, reduced by one
-`% p` over F_p), a zero is dropped, and each monomial is unpacked, once
-per distinct monomial of the product.  An entry that shortcut pairs
-reached as well first merges its packed sums into its tuple-keyed sums,
-and each of its coefficients is then normalized the same way.
-Coefficients that cancel are dropped, and an entry left empty is not
+The product is one fused kernel with one accumulator per product.  Over
+Q each operand is scanned once for the lcm D of its coefficient
+denominators and, only when D > 1, scaled to int coefficients; with D = 1
+(and always over F_p) its entries are read in place.  Every term product
+a_ik * b_kj of an output entry is added as an int coefficient, with no
+intermediate Poly and no Fraction.  A constant entry (the ±1 of
+permutation and identity blocks) adds c * v under the other side's
+exponent tuples, a pair of two one-term entries adds one product of
+exponent tuples, and any other pair adds the sums of its exponent tuples,
+all into dicts keyed by exponent tuple.  At the first pair of two
+non-constant entries, one of them with more than one term, the product
+asks `_dense_rows` once: when dense lists of packed monomials take no
+more slots than the product forms term pairs, that function computes the
+whole product on them, and the tuple sums built so far are dropped;
+otherwise the product goes on with its tuple dicts.  Each output entry
+is normalized once per coefficient (divided by D_A * D_B over Q, reduced
+by one `% p` over F_p), a zero is dropped, and an entry left empty is not
 stored.
 
 A product in which one operand is a selection, a matrix whose every
@@ -95,88 +91,86 @@ def _cleared(nz, ring):
              for i, row in nz.items()}, d)
 
 
-class _Packing:
-    """Packed monomials for one matrix product.
+def _dense_rows(ring, anz, bnz, p, d):
+    """The nonzero rows of the product of the nonzero rows `anz` and
+    `bnz`, summed in dense lists of packed monomials; None when the lists
+    would take more slots than the product forms term pairs.
 
-    The exponents (e_1, ..., e_n) of a monomial become Σ e_v·b^(v-1) in
-    mixed radix, base b = 2 * top + 1 for the largest exponent `top` of
-    either operand, so a monomial product is one int add that never carries
-    (e + e' <= 2 * top < b).  Each distinct entry is packed once, keyed by
-    identity, and each distinct output monomial is unpacked once.  The scan
-    that finds `top` counts the term pairs, Σ_k (terms in column k of A) ·
-    (terms in row k of B); when b^n × (rows of A) × (columns of B reached)
-    is no more, each output entry sums into a list of `size` = b^n slots,
-    else into a dict (`size` is None).
+    Over F_p, p is the characteristic.  Over Q, p is 0, the coefficients
+    of both operands are ints, and d is the product of their common
+    denominators.  A monomial x_1^e_1 ⋯ x_n^e_n is packed as Σ e_v·b^(v-1),
+    in the mixed radix of base b = 2·top + 1 for the largest exponent `top`
+    of either operand, so a monomial product is one int add that never
+    carries (e + e' ≤ 2·top < b).  Each output entry sums into a list of
+    b^n slots, one per monomial of the box, when b^n × (rows of A with a
+    nonzero) × (columns of B with a nonzero) is no more than the term
+    pairs, Σ_k (terms in column k of A)·(terms in row k of B).  The pairs,
+    rows and columns are counted first, and the exponents are read for
+    `top` only when base 3 passes the rule: the caller has met a
+    non-constant entry, so top ≥ 1 and b ≥ 3.  Each distinct entry is
+    packed once, keyed by identity.  An output entry is written in one
+    pass over its nonzero slots: each sum is reduced mod p or divided by
+    d, a zero is dropped, and each distinct monomial is unpacked once.
     """
-
-    __slots__ = ("powers", "base", "size", "packed", "unpacked")
-
-    def __init__(self, nvars, anz, bnz):
-        exps = []       # the exponent tuples of both operands
-        acol = {}       # terms in each column of A
-        for row in anz.values():
-            for k, e in row.items():
-                t = e.terms
-                exps += t
-                acol[k] = acol.get(k, 0) + len(t)
-        pairs = 0
-        cols = set()
-        for k, row in bnz.items():
-            n = len(exps)
-            for e in row.values():
-                exps += e.terms
-            pairs += acol.get(k, 0) * (len(exps) - n)
-            cols.update(row)
-        top = max(chain.from_iterable(exps))
-        b = self.base = 2 * top + 1
-        self.powers = [b ** v for v in range(nvars)]
-        size = b ** nvars
-        self.size = size if size * len(anz) * len(cols) <= pairs else None
-        self.packed = {}
-        self.unpacked = {}
-
-    def terms(self, poly):
-        """[(packed monomial, coefficient)] of one entry."""
-        pt = self.packed.get(id(poly))
-        if pt is None:
-            powers = self.powers
-            pt = self.packed[id(poly)] = [(sum(map(mul, k, powers)), v)
-                                          for k, v in poly.terms.items()]
-        return pt
-
-    def sums(self, pout):
-        """(packed monomial, sum) of an output entry; zero slots skipped."""
-        if self.size:
-            return filter(itemgetter(1), enumerate(pout))
-        return pout.items()
-
-    def merge(self, pout, out):
-        """Add the packed sums pout of an output entry into its sums `out`,
-        keyed by exponent tuples."""
-        unpacked, powers, b = self.unpacked, self.powers, self.base
-        for m, v in self.sums(pout):
-            k = unpacked.get(m)
-            if k is None:
-                k = unpacked[m] = tuple([m // q % b for q in powers])
-            out[k] = out.get(k, 0) + v
-
-    def normal_terms(self, pout, p, d):
-        """The terms of an output entry that only packed pairs reached, in
-        one pass over its packed sums: each sum reduced mod p over F_p or
-        divided by d over Q, zeros dropped, each monomial unpacked."""
-        unpacked, powers, b = self.unpacked, self.powers, self.base
-        terms = {}
-        for m, v in self.sums(pout):
-            if p:
-                v %= p
-            elif d != 1:
-                v = v // d if v % d == 0 else Fraction(v, d)
-            if v:
-                k = unpacked.get(m)
-                if k is None:
-                    k = unpacked[m] = tuple([m // q % b for q in powers])
-                terms[k] = v
-        return terms
+    acol = {}       # terms in each column of A
+    for row in anz.values():
+        for k, e in row.items():
+            acol[k] = acol.get(k, 0) + len(e.terms)
+    pairs = 0
+    cols = set()
+    for k, row in bnz.items():
+        pairs += acol.get(k, 0) * sum([len(e.terms) for e in row.values()])
+        cols.update(row)
+    n = len(ring.varnames)
+    slots = len(anz) * len(cols)
+    if 3 ** n * slots > pairs:
+        return None
+    entries = {id(e): e for side in (anz, bnz) for row in side.values()
+               for e in row.values()}
+    top = max(map(max, chain.from_iterable(
+        [e.terms for e in entries.values()])))
+    b = 2 * top + 1
+    size = b ** n
+    if size * slots > pairs:
+        return None
+    powers = [b ** v for v in range(n)]
+    packed = {i: [(sum(map(mul, k, powers)), v) for k, v in e.terms.items()]
+              for i, e in entries.items()}
+    unpacked = {}
+    nz = {}
+    for i, arow in anz.items():
+        sums = {}
+        for k, a in arow.items():
+            brow = bnz.get(k)
+            if brow is None:
+                continue
+            pa = packed[id(a)]
+            for j, e in brow.items():
+                out = sums.get(j)
+                if out is None:
+                    out = sums[j] = [0] * size
+                pb = packed[id(e)]
+                for ka, va in pa:
+                    for kb, vb in pb:
+                        out[ka + kb] += va * vb
+        row = {}
+        for j, out in sums.items():
+            terms = {}
+            for m, v in filter(itemgetter(1), enumerate(out)):
+                if p:
+                    v %= p
+                elif d != 1:
+                    v = v // d if v % d == 0 else Fraction(v, d)
+                if v:
+                    k = unpacked.get(m)
+                    if k is None:
+                        k = unpacked[m] = tuple([m // q % b for q in powers])
+                    terms[k] = v
+            if terms:
+                row[j] = Poly(ring, terms, _normalized=True)
+        if row:
+            nz[i] = row
+    return nz
 
 
 def _selection(nz, one):
@@ -379,8 +373,7 @@ class PolyMatrix:
             anz, da = _cleared(anz, ring)
             bnz, db = _cleared(bnz, ring)
             d = da * db
-        packing = size = None   # built when a multi-term pair first meets
-        pacc = {}           # a row's packed sums, beside acc
+        ask = True      # whether _dense_rows is still to be asked
         nz = {}
         for i, arow in anz.items():
             acc = {}
@@ -392,56 +385,35 @@ class PolyMatrix:
                 # the one term of a one-term a: a constant or a monomial
                 ma, mc = next(iter(at.items())) if len(at) == 1 else (None, 0)
                 ca = mc if ma == one else None
-                pa = None
                 for j, b in brow.items():
                     bt = b.terms
-                    # two non-constant entries, not both one-term: packed
-                    if ca is None and (len(bt) != 1
-                                       or ma is None and one not in bt):
-                        if pa is None:
-                            if packing is None:
-                                packing = _Packing(len(one), anz, bnz)
-                                size = packing.size
-                            pa = packing.terms(a)
-                        pb = packing.terms(b)
-                        pout = pacc.get(j)
-                        if pout is None:
-                            pout = pacc[j] = [0] * size if size else {}
-                        if size:
-                            for ka, va in pa:
-                                for kb, vb in pb:
-                                    pout[ka + kb] += va * vb
-                            continue
-                        for ka, va in pa:
-                            for kb, vb in pb:
-                                kab = ka + kb
-                                pout[kab] = pout.get(kab, 0) + va * vb
-                        continue
                     out = acc.get(j)
                     if out is None:
                         out = acc[j] = {}
                     if ca is not None:
                         for kb, vb in bt.items():
                             out[kb] = out.get(kb, 0) + ca * vb
-                    elif one in bt:
+                    elif len(bt) == 1 and one in bt:
                         cb = bt[one]
                         for ka, va in at.items():
                             out[ka] = out.get(ka, 0) + va * cb
-                    else:
+                    elif ma is not None and len(bt) == 1:
                         (kb, vb), = bt.items()
                         kab = tuple(map(add, ma, kb))
                         out[kab] = out.get(kab, 0) + mc * vb
-            row = {}
-            if pacc:
-                for j, pout in pacc.items():
-                    out = acc.get(j)
-                    if out is None:
-                        terms = packing.normal_terms(pout, p, d)
-                        if terms:
-                            row[j] = Poly(ring, terms, _normalized=True)
                     else:
-                        packing.merge(pout, out)
-                pacc = {}
+                        # two non-constant entries, not both one-term
+                        if ask:
+                            rows = _dense_rows(ring, anz, bnz, p, d)
+                            if rows is not None:
+                                return PolyMatrix(ring, self.rows,
+                                                  other.cols, trusted=rows)
+                            ask = False
+                        for ka, va in at.items():
+                            for kb, vb in bt.items():
+                                kab = tuple(map(add, ka, kb))
+                                out[kab] = out.get(kab, 0) + va * vb
+            row = {}
             for j, out in acc.items():
                 if p:
                     terms = {kab: r for kab, v in out.items() if (r := v % p)}

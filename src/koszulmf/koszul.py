@@ -404,6 +404,9 @@ def cone_acyclic_at(g, point):
     source at m + 1 first, -d_src above g, then d_tgt in those of the
     target at m), and ranked by `linalg.sparse_rank`; the verdict is the
     rank arithmetic of `homology_dims_at` on `cone_koszul(g).underlying`.
+    The rows of -d_src are ranked unnegated: they hold that block alone,
+    and negating whole rows keeps the rank.  They are the evaluation's own
+    rows, which the rank only reads.
     """
     src, tgt = g.source, g.target
     ring = src.ring
@@ -413,8 +416,7 @@ def cone_acyclic_at(g, point):
     ranks = {}
     for m in range(min(summands), max(summands)):
         (_, shift), _ = summands[m]
-        rows = [{j: (-v) % p if p else -v for j, v in row.items()}
-                for row in at.rows(src.diff(m + 1)).values()]
+        rows = list(at.rows(src.diff(m + 1)).values())
         bottom = {i: dict(row)
                   for i, row in at.rows(g.component(m + 1)).items()}
         for i, row in at.rows(tgt.diff(m)).items():

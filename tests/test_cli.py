@@ -13,7 +13,7 @@ import corpus
 from koszulmf import cli, reduce
 from koszulmf import documents as docs
 from koszulmf.complexes import FreeComplex, PolyMatrix
-from koszulmf.koszul import KoszulMorphism, free_koszul
+from koszulmf.koszul import KoszulModule, KoszulMorphism, free_koszul
 from koszulmf.mf import MFObject, mf_shift, orlov_unfold
 from koszulmf.reduce import WitnessLog, WitnessStep, fold_with_witness
 from koszulmf.ring import Poly, parse_poly, polynomial_ring, rationals
@@ -199,6 +199,80 @@ def test_witness_check_ring_mismatch(capsys, tmp_path):
                                "--input", A1])
     assert code == 3
     assert "ring" in lines[0]
+
+
+def _zero_step_log(path, module):
+    docs.write_json(path, docs.witness_payload(
+        WitnessLog(module, module, []), {}))
+
+
+def _negated(m):
+    """m with d and every h negated: again a Koszul module, but not m."""
+    u = m.underlying
+    return KoszulModule(m.ring, m.potential, FreeComplex(
+        m.ring, u.lo, u.hi, u.ranks, {k: -d for k, d in u.diffs.items()}),
+        [{k: -g for k, g in h.items()} for h in m.h])
+
+
+def test_witness_check_binds_the_log_to_the_input_document(capsys,
+                                                            tmp_path):
+    m3 = corpus.by_name("m3").module
+    wpath = tmp_path / "w.json"
+    _zero_step_log(wpath, _negated(m3))
+    # alone the log is valid; against m3.json it starts at no object of it
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath)])
+    assert (code, lines[-1]) == (0, "status=ok")
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", M3])
+    assert (code, lines) == (1, [
+        "steps=0", "points=0",
+        "check=start module is not an object of the document",
+        "status=failed"])
+    # a module of another shape over the same ring
+    other = free_koszul(FreeComplex(m3.ring, 0, 0, {0: 1}, {}), m3.potential)
+    _zero_step_log(wpath, other)
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", M3])
+    assert code == 1 and lines[-2] == ("check=start module is not an "
+                                       "object of the document")
+    # m3 itself is bound
+    _zero_step_log(wpath, m3)
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", M3])
+    assert (code, lines[-1]) == (0, "status=ok")
+
+
+def test_witness_check_binds_to_the_trimmed_module(capsys, tmp_path):
+    # m3 padded with zero-rank degrees -3 and 1: fold trims it before its
+    # first step, so its log starts at m3 and is bound to the document
+    raw = json.load(open(M3))
+    obj = raw["objects"]["m3"]
+    obj["degrees"] = [-3, 1]
+    obj["ranks"].update({"-3": 0, "1": 0})
+    doc, wpath = tmp_path / "padded.json", tmp_path / "w.json"
+    doc.write_text(json.dumps(raw))
+    code, _ = run(capsys, ["fold", "--input", str(doc), "--witness",
+                           str(wpath)])
+    assert code == 0
+    log, _ = docs.load_witness(str(wpath))
+    assert (log.start.lo, log.start.hi) == (-2, 0)
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", str(doc)])
+    assert (code, lines[-1]) == (0, "status=ok")
+
+
+def test_witness_check_needs_a_module_in_the_document(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    run(capsys, ["fold", "--input", M3, "--witness", str(wpath)])
+    raw = json.load(open(M3))
+    raw["objects"] = {}
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", str(doc)])
+    assert (code, lines) == (3, [
+        "error=precondition the document has no koszul_module to bind the "
+        "log to"])
 
 
 def _forged_m3_log(path):

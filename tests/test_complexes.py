@@ -1,5 +1,6 @@
 """Polynomial matrices, complexes, pointwise homology."""
 
+import collections
 import contextlib
 import json
 import os
@@ -345,7 +346,7 @@ def test_fused_product_examples():
 
 
 # ---------------------------------------------------------------------------
-# packed monomials: field widths, any number of variables, the merge
+# packed monomials: field widths, any number of variables, dense sums
 # ---------------------------------------------------------------------------
 
 QX = polynomial_ring(rationals(), ("x",))
@@ -392,8 +393,8 @@ F5XYZ = polynomial_ring(prime_field(5), ("x", "y", "z"))
 QA_H = polynomial_ring(rationals(), tuple("abcdefgh"))
 F2A_H = polynomial_ring(prime_field(2), tuple("abcdefgh"))
 
-# id -> (ring, entries, the tops drawn, the sums every packing of the case
-# takes: "list", "dict", None for either; a bare field packs nothing)
+# id -> (ring, entries, the tops drawn, what every `_dense_rows` call of the
+# case answers: "list", "dict", None for either; a bare field never asks)
 PACKED_CASES = {
     "Qx": (QX, _packed_entries, TOPS, None),
     "Qxyz": (QXYZ, _packed_entries, TOPS, None),
@@ -416,18 +417,19 @@ PACKED_CASES = {
 
 @contextlib.contextmanager
 def _packings():
-    """The sums ("list" or "dict") of every `_Packing` made in the block."""
+    """One answer per `_dense_rows` call in the block: "list" when it
+    computed the product on dense sums, "dict" when it declined and the
+    product went on with exponent-tuple dicts."""
     made = []
+    real = complexes._dense_rows
 
-    class Recorded(complexes._Packing):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append("list" if self.size else "dict")
+    def recorded(*args):
+        rows = real(*args)
+        made.append("dict" if rows is None else "list")
+        return rows
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_Packing", Recorded)
+        mp.setattr(complexes, "_dense_rows", recorded)
         yield made
 
 
@@ -508,20 +510,9 @@ PACKED_CANCELLING = {
 }
 
 
-def _count_calls(monkeypatch, cls, names):
-    """{name: calls} of the methods `names` of cls, counted from here on."""
-    seen = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _real=getattr(cls, name)):
-            seen[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(cls, name, counted)
-    return seen
-
-
 @pytest.mark.parametrize("case", PACKED_CANCELLING)
 @pytest.mark.parametrize("mixed", [False, True], ids=["packed", "mixed"])
-def test_packed_sums_cancel_in_part_and_wholly(monkeypatch, case, mixed):
+def test_packed_sums_cancel_in_part_and_wholly(case, mixed):
     ring, *texts, want = PACKED_CANCELLING[case]
     a1, a2, b1, b2 = (parse_poly(t, ring) for t in texts)
     left = [[a1, a2]]
@@ -534,16 +525,14 @@ def test_packed_sums_cancel_in_part_and_wholly(monkeypatch, case, mixed):
         right = [[-(a1 * b1), -(two * a1 * a2)], [b1, a2], [b2, a1]]
         want = str(a2 * b2)
     k = len(right)
-    seen = _count_calls(monkeypatch, complexes._Packing,
-                        ("normal_terms", "merge"))
-    got = _from_rows(ring, left, k) * _from_rows(ring, right, 2)
+    with _packings() as made:
+        got = _from_rows(ring, left, k) * _from_rows(ring, right, 2)
     _same(got, _dense_mul(left, right, ring, k, 2), 1, 2)
     assert got.nz == {0: {0: parse_poly(want, ring)}}
     _assert_normal(got.nz[0][0])
-    # the entries take the one-pass write, or the merge when a constant
-    # pair reached them as well
-    assert seen == ({"normal_terms": 0, "merge": 2} if mixed
-                    else {"normal_terms": 2, "merge": 0})
+    # 3^3 slots * 1 row * 2 columns pass the term pairs: the first general
+    # pair asks once, is declined, and every pair sums into tuple dicts
+    assert made == ["dict"]
 
 
 F2XYZ = polynomial_ring(prime_field(2), ("x", "y", "z"))
@@ -595,19 +584,19 @@ def test_packed_product_matches_sympy(ring):
                     assert got.at(i, j) == from_sympy(want)
 
 
-def test_list_sums_examples(monkeypatch):
-    seen = _count_calls(monkeypatch, complexes._Packing,
-                        ("normal_terms", "merge"))
+def test_list_sums_examples():
+    seen = collections.Counter({"list": 0, "dict": 0})
 
     def product(ring, left, right):
         with _packings() as made:
             got = _m(ring, 1, len(left), left) * _m(ring, len(right), 1,
                                                     right)
+        seen.update(made)
         assert made == ["list"]
         return got.nz.get(0, {}).get(0)
 
     # top = 2, base 5: slot 0 is the monomial 1 and x^4 = x^(2*top) is the
-    # top digit; both output entries take the one-pass write
+    # top digit
     a = "1 + 2*x + 3*x^2"
     assert product(QX, [a, a], [a, a]) == parse_poly(
         "2 + 8*x + 20*x^2 + 24*x^3 + 18*x^4", QX)
@@ -619,12 +608,13 @@ def test_list_sums_examples(monkeypatch):
                    [a, "4 + 3*x + 2*x^2"], [a, a]) is None
     assert product(polynomial_ring(prime_field(2), ("x", "y")),
                    ["1 + x + x*y"] * 2, ["x + y"] * 2) is None
-    assert seen == {"normal_terms": 4, "merge": 0}
-    # a constant pair reaches the entry too: its list sums are merged, and
-    # at the boundary 3 slots * 1 row * 1 column = 3 term pairs
+    assert seen == {"list": 4, "dict": 0}
+    # a constant pair comes first: its tuple sums are dropped when the
+    # general pair after it is accepted, at the boundary 3 slots * 1 row *
+    # 1 column = 3 term pairs, and the list sums start over from it
     assert product(QX, ["1", "1/2 + x"], ["-1/2*x", "x"]) == parse_poly(
         "x^2", QX)
-    assert seen == {"normal_terms": 4, "merge": 1}
+    assert seen == {"list": 5, "dict": 0}
 
 
 def test_packing_rule_at_its_boundary():
@@ -648,6 +638,90 @@ def test_packing_rule_at_its_boundary():
         with _packings() as made:
             a * b
         assert made == [sums]
+
+
+# ring -> (the constant entries of A's first two rows, the entries of its
+# last row, the entries of B): every entry of B has two terms
+AFTER_CONSTANTS = {
+    "Q": (QX, ["1/2", "-3", "0", "2/3"], ["1/3 + 2/3*x", "x - 1/2"],
+          ["1/3 + x", "2 - 1/2*x", "x + 7/2", "-x - 1/5"]),
+    "F32003": (polynomial_ring(prime_field(32003), ("x",)),
+               ["32002", "3", "0", "16002"], ["1 + 32002*x", "x + 5"],
+               ["1 + x", "2 + 32001*x", "x + 7", "32002 + 32002*x"]),
+    "F2": (polynomial_ring(prime_field(2), ("x",)), ["1", "0", "0", "1"],
+           ["1 + x", "x"], ["1 + x", "1 + x", "x + 1", "x"]),
+}
+
+
+@pytest.mark.parametrize("case", AFTER_CONSTANTS)
+def test_list_sums_start_over_after_constant_rows(case):
+    # rows 0 and 1 of A are constants, so their pairs sum into tuple dicts;
+    # the first general pair is in row 2, where the product is accepted
+    # (3 slots * 3 rows * 2 columns = 18, no more than the term pairs) and
+    # computed from its first pair, the earlier sums dropped
+    ring, consts, last, right = AFTER_CONSTANTS[case]
+    left = [[parse_poly(t, ring) for t in consts[:2]],
+            [parse_poly(t, ring) for t in consts[2:]],
+            [parse_poly(t, ring) for t in last]]
+    right = [[parse_poly(t, ring) for t in right[:2]],
+             [parse_poly(t, ring) for t in right[2:]]]
+    with _packings() as made:
+        got = _from_rows(ring, left, 2) * _from_rows(ring, right, 2)
+    assert made == ["list"]
+    want = _dense_mul(left, right, ring, 2, 2)
+    _same(got, want, 3, 2)
+    assert got.nz[0] and got.nz[1]
+    for row in got.nz.values():
+        for e in row.values():
+            _assert_normal(e)
+
+
+def test_sparse_products_decline_without_reading_exponents():
+    # a 24x24 shift pattern of two-term entries, as in the differentials
+    # of a module: 3^2 slots * 24 rows * 24 columns exceed its 96 term
+    # pairs, so the exponents are never read (only their scan calls `max`)
+    x, y = Poly.var(QXY, "x"), Poly.var(QXY, "y")
+    entries = [x + y, x - Poly.const(QXY, 2) * y * y,
+               x * y + Poly.one(QXY)]
+    zero = Poly.zero(QXY)
+    n = 24
+
+    def sparse(shift):
+        return [[entries[(i + j) % 3] if j == (i + shift) % n else zero
+                 for j in range(n)] for i in range(n)]
+
+    one = [[parse_poly("1 + x^2", QX)]]
+    # the control, one entry: base 3 passes and base 5 does not
+    for ring, left, right, read in ((QXY, sparse(1), sparse(5), False),
+                                    (QX, one, one, True)):
+        k, c = len(right), len(right[0])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return max(*args)
+
+        with _packings() as made, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes, "max", counted, raising=False)
+            got = _from_rows(ring, left, k) * _from_rows(ring, right, c)
+        assert (made, bool(calls)) == (["dict"], read)
+        _same(got, _dense_mul(left, right, ring, k, c), len(left), c)
+
+
+@pytest.mark.parametrize("field", [rationals(), prime_field(32003),
+                                   prime_field(2)], ids=["Q", "F32003", "F2"])
+def test_bare_field_never_asks_for_dense_sums(field):
+    rng = random.Random(7)
+    # odd denominators, which F_2 inverts
+    a = [[Poly.const(field, Fraction(rng.randint(-9, 9),
+                                     rng.choice([1, 3, 7, 9])))
+          for _ in range(4)] for _ in range(3)]
+    b = [[Poly.const(field, rng.randint(-BIG, BIG)) for _ in range(5)]
+         for _ in range(4)]
+    with _packings() as made:
+        got = _from_rows(field, a, 4) * _from_rows(field, b, 5)
+    assert made == []
+    _same(got, _dense_mul(a, b, field, 4, 5), 3, 5)
 
 
 @pytest.mark.parametrize("p", [0, 32003], ids=["Q", "F32003"])
