@@ -43,9 +43,10 @@ that is not one constant 1; when two rows of a right-hand selection put
 their 1 in one column, the product is a sum and takes the fused kernel.
 
 A command evaluates each point through one `Evaluation`, shared by its
-locus check, replay evidence and residue homology: sparse scalar rows of
-each matrix once, each distinct entry once and each distinct monomial
-once.  `PolyMatrix.evaluate` and `homology_dims_at` are test references.
+locus check, replay evidence and residue homology: each distinct entry
+once and each distinct monomial once, with new sparse scalar rows on
+every call.  `PolyMatrix.evaluate` and `homology_dims_at` are test
+references.
 
 `graded_map` is the one block assembler of the graded constructions (it
 writes each block straight into the rows of the result), `tensor_rule`
@@ -504,34 +505,28 @@ class Evaluation:
     scalar; every ring variable must be assigned), as sparse rows.
 
     `rows(mat)` is {row: {column: nonzero base-field scalar}}, each scalar
-    in the normal form of `ring.normalize_scalar`.  Three memos live as
-    long as the `Evaluation`: each matrix is evaluated once and each
-    distinct entry once, both keyed by identity and holding the object
-    they key, so an id cannot be reused while the memo lives; and each
-    distinct monomial (exponent tuple) is computed once, whichever entries
-    hold it (`ring.evaluate_at`); `value(poly)` sends one polynomial
-    through the same monomial memo.  The rows handed out are shared and
-    must not be modified.  Over Q a monomial whose value would pass the
-    coefficient budget raises ValueError.
+    in the normal form of `ring.normalize_scalar`, built new on every call:
+    the caller owns the dicts it gets.  Two memos live as long as the
+    `Evaluation`: each distinct entry is evaluated once, keyed by identity
+    and holding the object it keys, so an id cannot be reused while the
+    memo lives; and each distinct monomial (exponent tuple) is computed
+    once, whichever entries hold it (`ring.evaluate_at`); `value(poly)`
+    sends one polynomial through the same monomial memo.  Over Q a
+    monomial whose value would pass the coefficient budget raises
+    ValueError.
     """
 
-    __slots__ = ("ring", "vals", "_rows", "_entries", "_powers")
+    __slots__ = ("ring", "vals", "_entries", "_powers")
 
     def __init__(self, ring, point):
         self.ring = ring
         self.vals = point_values(ring, point)
-        self._rows = {}
         self._entries = {}
         self._powers = {}
 
     def rows(self, mat):
         if mat.ring is not self.ring:
             raise ValueError("matrix over another ring than the evaluation")
-        if not mat.nz:
-            return {}
-        hit = self._rows.get(id(mat))
-        if hit is not None:
-            return hit[1]
         vals, entries, powers = self.vals, self._entries, self._powers
         out = {}
         for i, row in mat.nz.items():
@@ -544,7 +539,6 @@ class Evaluation:
                     vrow[j] = ev[1]
             if vrow:
                 out[i] = vrow
-        self._rows[id(mat)] = (mat, out)
         return out
 
     def value(self, poly):

@@ -397,7 +397,7 @@ def cone_acyclic_at(g, point):
     """True when the cone of the underlying chain map is exact at the point.
 
     `point` is a point, or an `Evaluation` at one over g's ring that a
-    caller shares between calls, so that a matrix met again is not
+    caller shares between calls, so that an entry met again is not
     evaluated again.  The cone is not built: each of its differentials is
     assembled from the evaluated blocks as sparse scalar rows, laid out as
     `cone_koszul` places them on `_cone_summands` (in the columns of the
@@ -405,8 +405,9 @@ def cone_acyclic_at(g, point):
     target at m), and ranked by `linalg.sparse_rank`; the verdict is the
     rank arithmetic of `homology_dims_at` on `cone_koszul(g).underlying`.
     The rows of -d_src are ranked unnegated: they hold that block alone,
-    and negating whole rows keeps the rank.  They are the evaluation's own
-    rows, which the rank only reads.
+    and negating whole rows keeps the rank.  The evaluation hands out new
+    rows on each call, so the shifted rows of d_tgt are written straight
+    into those of g.
     """
     src, tgt = g.source, g.target
     ring = src.ring
@@ -417,8 +418,7 @@ def cone_acyclic_at(g, point):
     for m in range(min(summands), max(summands)):
         (_, shift), _ = summands[m]
         rows = list(at.rows(src.diff(m + 1)).values())
-        bottom = {i: dict(row)
-                  for i, row in at.rows(g.component(m + 1)).items()}
+        bottom = at.rows(g.component(m + 1))
         for i, row in at.rows(tgt.diff(m)).items():
             out = bottom.setdefault(i, {})
             for j, v in row.items():

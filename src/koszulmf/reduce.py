@@ -22,9 +22,9 @@ sits in mid coordinates); that permutation is its own iso step.
 The steps come from one reduction move, `_reduce_top(x, lo, hi, top)`: the
 cone on the counit of x, then splitting off the free module on degrees
 lo..hi of x, then truncating onto the kernel graph at degree `top`.  It has
-three uses: one amplitude reduction step is `(m.lo, m.lo + n, m.hi)`, the
-fold's two-degree round is `(lo, lo + 1, hi - 1)` followed by splitting off
-each middle degree, and the fold's parity jump on [t-1, t] is
+three uses: each round of amplitude reduction is `(m.lo, m.lo + n, m.hi)`,
+the fold's two-degree round is `(lo, lo + 1, hi - 1)` followed by splitting
+off each middle degree, and the fold's parity jump on [t-1, t] is
 `(t - 1, t - 1, t)`.  Every module it builds from another by picking
 coordinates (permuted, remainder, padded or trimmed) goes through
 `_reindex`, and a permutation, a padded or a trimmed window is an iso step
@@ -54,10 +54,6 @@ from koszulmf.ring import Poly, embed, evaluate, polynomial_ring
 class WitnessError(RuntimeError):
     """A witness step failed its check: the replay in `apply_step`, or a
     builder's guard on its own construction."""
-
-
-class AmplitudeMinimalError(ValueError):
-    """Raised when a one-step reduction is requested at minimal amplitude."""
 
 
 class WitnessStep:
@@ -156,8 +152,8 @@ def validate_log(log, points=None):
     """Full re-validation of a log.  Returns a report; empty means valid.
 
     The pointwise evidence at each point shares one `Evaluation`, handed
-    in as `points` by a caller that shares it further or made here, so a
-    matrix that several steps hold is evaluated once per point."""
+    in as `points` by a caller that shares it further or made here, so an
+    entry that several steps hold is evaluated once per point."""
     at = [as_evaluation(log.start.ring, pt) for pt in points or []]
     report = []
     current = log.start
@@ -368,36 +364,25 @@ def _reduce_top(x, lo, hi, top):
 
 
 # ---------------------------------------------------------------------------
-# one-degree amplitude reduction (any number of potentials)
+# amplitude reduction (any number of potentials)
 # ---------------------------------------------------------------------------
 
-def amplitude_reduce_step(m):
-    """Shorten a module by one degree at the top.
-
-    One reduction move: the free module generated by the bottom n+1 degrees
-    is split off and the new top is the kernel graph.  Raises
-    AmplitudeMinimalError when the amplitude is already at most n+1.
-    """
-    m = m.trim()
-    if m.amplitude <= m.n + 1:
-        raise AmplitudeMinimalError(
-            f"amplitude {m.amplitude} is already minimal for {m.n} potentials")
-    steps, out, _ = _reduce_top(m, m.lo, m.lo + m.n, m.hi)
-    return out, WitnessLog(m, out, steps)
-
-
 def amplitude_reduce(m):
-    """Reduce until the amplitude is at most n+1; concatenates the logs.
+    """Reduce until the amplitude is at most n+1, in one log.
 
-    A step may leave zero ranks at an end of the window; the window is
-    then trimmed by its own iso step, so each step starts from the module
-    the log has reached and the loop tests the amplitude it reduces."""
+    Each round is one reduction move: the free module generated by the
+    bottom n+1 degrees is split off and the new top is the kernel graph,
+    so the amplitude drops by one.  A move may leave zero ranks at an end
+    of the window; the window is then trimmed by its own iso step, so each
+    move starts from the trimmed module the log has reached and the loop
+    tests the amplitude it reduces."""
     m = m.trim()
     steps = []
     current = m
     while current.amplitude > current.n + 1:
-        current, log = amplitude_reduce_step(current)
-        steps.extend(log.steps)
+        moved, current, _ = _reduce_top(current, current.lo,
+                                        current.lo + current.n, current.hi)
+        steps.extend(moved)
         trimmed = current.trim()
         if trimmed is not current:
             step, current = _reindex_step(current, None, trimmed.lo,

@@ -100,13 +100,13 @@ class RingSpec:
 
     Specs are interned and immutable: constructing a spec equal to an
     existing one returns that same object, so equality is identity and the
-    ring checks throughout the library are `is` tests.  `char`, `is_field`,
-    `varnames` (empty for a field) and `base_field` (the spec itself for a
-    field) are fixed when the spec is first built.
+    ring checks throughout the library are `is` tests.  `char`, `varnames`
+    (empty for a field) and `base_field` (the spec itself for a field) are
+    fixed when the spec is first built.
     """
 
     __slots__ = ("kind", "p", "vars", "base",
-                 "char", "is_field", "varnames", "base_field")
+                 "char", "varnames", "base_field")
     _interned = {}
 
     def __new__(cls, kind, p=0, vars=(), base=None):
@@ -119,7 +119,6 @@ class RingSpec:
             field = kind != "polynomial"
             fields = {"kind": kind, "p": p, "vars": vars, "base": base,
                       "char": p if field else base.char,
-                      "is_field": field,
                       "varnames": () if field else vars,
                       "base_field": spec if field else base}
             for name, value in fields.items():

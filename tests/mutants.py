@@ -136,6 +136,41 @@ MUTANTS = {
         "if starts is not None and log.start not in starts:",
         "if False:",
         ["tests/test_cli.py"]),
+    "replay_skips_the_forward_source_joint": (
+        "koszulmf/reduce.py",
+        "if g.source != current:",
+        "if False:",
+        ["tests/test_reduce.py"]),
+    "replay_skips_the_backward_cone_joint": (
+        "koszulmf/reduce.py",
+        "if cone_koszul(psi) != current:",
+        "if False:",
+        ["tests/test_reduce.py"]),
+    "replay_skips_the_backward_target_joint": (
+        "koszulmf/reduce.py",
+        "if g.target != current:",
+        "if False:",
+        ["tests/test_reduce.py"]),
+    "free_koszul_contraction_unsigned": (
+        "koszulmf/koszul.py",
+        "f = potential[i_j] if j % 2 == 0 else neg_potential[i_j]",
+        "f = potential[i_j]",
+        ["tests/test_koszul.py"]),
+    "mf_shortcut_without_equal_ranks": (
+        "koszulmf/mf.py",
+        "elif m.r0 == m.r1 and not f.is_zero:",
+        "elif not f.is_zero:",
+        ["tests/test_mf.py"]),
+    "mf_shortcut_without_nonzero_potential": (
+        "koszulmf/mf.py",
+        "elif m.r0 == m.r1 and not f.is_zero:",
+        "elif m.r0 == m.r1:",
+        ["tests/test_mf.py"]),
+    "tensor_rule_without_sign": (
+        "koszulmf/complexes.py",
+        "yield (p, move(q)), blk if p % 2 == 0 else -blk",
+        "yield (p, move(q)), blk",
+        ["tests/test_graded_map.py", "tests/test_mf.py"]),
 }
 
 EQUIVALENT = {}

@@ -242,6 +242,31 @@ def test_witness_check_binds_the_log_to_the_input_document(capsys,
     assert (code, lines[-1]) == (0, "status=ok")
 
 
+@pytest.mark.parametrize("drop,line", [
+    (1, "step 1 (explicit_quasi_iso): morphism source does not match the "
+        "module"),
+    (2, "step 2 (cone_off_free): module is not the cone on the stored "
+        "morphism"),
+    (3, "step 3 (explicit_quasi_iso): morphism target does not match the "
+        "module"),
+])
+def test_witness_check_refuses_a_dropped_step(capsys, tmp_path, drop, line):
+    # m3's fold log with one step deleted from the file: the step after it
+    # starts from a module it does not join (tests/test_reduce.py names
+    # the steps)
+    wpath = tmp_path / "w.json"
+    code, _ = run(capsys, ["fold", "--input", M3, "--witness", str(wpath)])
+    assert code == 0
+    raw = json.load(open(wpath))
+    del raw["steps"][drop]
+    wpath.write_text(json.dumps(raw))
+    for extra in ([], ["--input", M3]):
+        code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                                   *extra])
+        assert (code, lines) == (1, ["steps=5", "points=1", f"check={line}",
+                                     "status=failed"])
+
+
 def test_witness_check_binds_to_the_trimmed_module(capsys, tmp_path):
     # m3 padded with zero-rank degrees -3 and 1: fold trims it before its
     # first step, so its log starts at m3 and is bound to the document

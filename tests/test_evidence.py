@@ -238,10 +238,27 @@ def test_each_monomial_is_computed_once_per_point(monkeypatch):
         # every distinct monomial once, at this point's coordinates
         assert sorted(computed) == sorted(monomials)
         assert {vals for _, vals in seen[before:]} == {tuple(at.vals)}
-        assert rows[0] is rows[2]
+        assert rows[0] == rows[2]
         assert rows[0] == {i: {j: evaluate(e, pt) for j, e in row.items()}
                            for i, row in a.nz.items()}
         assert rows[1] == {0: {0: evaluate(b.at(0, 0), pt), 1: Fraction(1, 3)}}
+
+
+def test_rows_are_new_on_every_call():
+    qxy = polynomial_ring(rationals(), ("x", "y"))
+    a = PolyMatrix(qxy, 2, 2, [parse_poly(t, qxy)
+                               for t in ("x + 1", "0", "y", "x*y - 2")])
+    at = Evaluation(qxy, {"x": 2, "y": 3})
+    first, second = at.rows(a), at.rows(a)
+    assert first == second == {0: {0: 3}, 1: {0: 3, 1: 4}}
+    assert first is not second
+    assert all(first[i] is not second[i] for i in first)
+    # the caller owns what it gets: changing it leaves later calls alone
+    first[0][5] = 7
+    first[1].clear()
+    first[2] = {0: 1}
+    assert at.rows(a) == {0: {0: 3}, 1: {0: 3, 1: 4}}
+    assert at.rows(PolyMatrix.zero(qxy, 2, 2)) == {}
 
 
 def test_replay_computes_each_monomial_once_per_point(monkeypatch):

@@ -14,12 +14,10 @@ from koszulmf.koszul import (KoszulMorphism, cone_koszul, counit_components,
                              validate_koszul)
 from koszulmf.mf import (compose_mf_morphisms, orlov_fold, residue_homology,
                          validate_mf_morphism)
-from koszulmf.reduce import (AmplitudeMinimalError, WitnessError, WitnessLog,
-                             WitnessStep, amplitude_reduce,
-                             amplitude_reduce_step, apply_step,
-                             chart_operator, codim_reduce_chart,
-                             default_points, fold_with_witness,
-                             validate_log)
+from koszulmf.reduce import (WitnessError, WitnessLog, WitnessStep,
+                             amplitude_reduce, apply_step, chart_operator,
+                             codim_reduce_chart, default_points,
+                             fold_with_witness, validate_log)
 from koszulmf.ring import parse_poly, polynomial_ring, rationals
 
 
@@ -131,6 +129,35 @@ def test_validate_log_catches_wrong_end():
     log = WitnessLog(m, shift_koszul(m, 2), [])
     report = validate_log(log)
     assert report and "end module" in report[0]
+
+
+# Every joint check of apply_step, each met by m3's fold log with one step
+# dropped.  The log is: 0 the pad below, 1 the cone on the counit, 2 the
+# permutation, 3 the split, 4 the truncation onto the kernel graph, 5 the
+# shift.  With step k dropped, step k + 1 moves to index k and starts from
+# a module it does not join, so the replay refuses it there.
+DROPPED_STEP_REPORTS = [
+    (0, "step 0 (cone_off_free): cone-off target does not match the module"),
+    (1, "step 1 (explicit_quasi_iso): morphism source does not match the "
+        "module"),
+    (2, "step 2 (cone_off_free): module is not the cone on the stored "
+        "morphism"),
+    (3, "step 3 (explicit_quasi_iso): morphism target does not match the "
+        "module"),
+]
+
+
+@pytest.mark.parametrize("drop,line", DROPPED_STEP_REPORTS)
+def test_validate_log_refuses_a_dropped_step_at_its_joint(drop, line):
+    entry = corpus.by_name("m3")
+    _, log = fold_with_witness(entry.module, entry.points)
+    assert [(s.kind, s.orientation) for s in log.steps] == [
+        ("explicit_quasi_iso", "forward"), ("cone_off_free", "forward"),
+        ("explicit_quasi_iso", "forward"), ("cone_off_free", "backward"),
+        ("explicit_quasi_iso", "backward"), ("shift_by_two", "forward")]
+    steps = log.steps[:drop] + log.steps[drop + 1:]
+    cut = WitnessLog(log.start, log.end, steps)
+    assert validate_log(cut, entry.points) == [line]
 
 
 def test_apply_step_rejects_odd_shift():
@@ -271,11 +298,10 @@ def test_amplitude_reduce_step_counts():
         max_rank, max_amp = caps[n]
         m = genmod.random_module(rng, ring, n=n, max_rank=max_rank,
                                  max_amp=max_amp).trim()
-        if m.amplitude <= m.n + 1:
-            with pytest.raises(AmplitudeMinimalError):
-                amplitude_reduce_step(m)
-            continue
         out, log = amplitude_reduce(m)
+        if m.amplitude <= m.n + 1:
+            assert out == m and len(log) == 0
+            continue
         reduced += 1
         assert out.amplitude <= m.n + 1
         assert validate_koszul(out) == []
@@ -288,18 +314,20 @@ def test_amplitude_reduce_step_counts():
 
 
 def test_amplitude_reduce_single_step_drops_one_degree():
-    m = corpus.by_name("fk_xy").module      # n = 1, amplitude 3
-    out, log = amplitude_reduce_step(m)
+    entry = corpus.by_name("fk_x2")
+    m = entry.module.trim()                 # n = 1, amplitude 3
+    assert (m.n, m.amplitude) == (1, 3)
+    out, log = amplitude_reduce(m)
     assert out.amplitude == m.amplitude - 1
-    assert validate_log(log, corpus.by_name("fk_xy").points) == []
+    assert [s.orientation for s in log.steps
+            if s.kind == "cone_off_free"] == ["forward", "backward"]
+    assert validate_log(log, entry.points) == []
 
 
 def test_amplitude_reduce_on_minimal_is_identity_log():
     m = corpus.by_name("a1_module").module
     out, log = amplitude_reduce(m)
     assert out == m and len(log) == 0
-    with pytest.raises(AmplitudeMinimalError):
-        amplitude_reduce_step(m)
 
 
 # ---------------------------------------------------------------------------
