@@ -133,12 +133,19 @@ def _inline_point(ring, spec):
         if "=" not in piece:
             raise DocumentError(f"--point: expected var=value, got {piece!r}")
         var, _, val = piece.partition("=")
-        raw[var.strip()] = val.strip()
+        var = var.strip()
+        if var in raw:
+            raise DocumentError(f"--point: duplicate variable {var!r}")
+        raw[var] = val.strip()
     return docs.parse_point_payload(ring, raw, "--point")
 
 
-def _resolve_points(doc, ring, args):
-    """Named points first (document order of the flag), then inline ones."""
+def _resolve_points(doc, ring, args, stored=None):
+    """Named points first (document order of the flag), then inline ones,
+    numbered point0, point1, ... past every name already taken.  `stored`,
+    the points of a witness log, are taken names; a named point stored
+    with another value is refused, an equal one adds nothing."""
+    stored = stored or {}
     out = {}
     if args.points:
         if doc is None:
@@ -147,8 +154,14 @@ def _resolve_points(doc, ring, args):
             name = name.strip()
             if name not in doc.points:
                 raise Precondition(f"unknown point {name!r}")
+            if stored.get(name, doc.points[name]) != doc.points[name]:
+                raise Precondition(f"point {name!r} differs from the "
+                                   f"witness log's point of that name")
             out[name] = doc.points[name]
-    for i, spec in enumerate(args.point):
+    i = 0
+    for spec in args.point:
+        while f"point{i}" in out or f"point{i}" in stored:
+            i += 1
         out[f"point{i}"] = _inline_point(ring, spec)
     return out
 
@@ -397,9 +410,7 @@ def cmd_witness_check(args):
         if not starts:
             raise Precondition("the document has no koszul_module to bind "
                                "the log to")
-    extra = _resolve_points(doc, log.start.ring, args)
-    for pname, pt in extra.items():
-        points.setdefault(pname, pt)
+    points.update(_resolve_points(doc, log.start.ring, args, points))
     at = _require_on_locus(log.start.ring, log.start.potential, points)
     print(f"steps={len(log.steps)}")
     print(f"points={len(points)}")

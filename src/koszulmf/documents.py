@@ -139,10 +139,16 @@ def _mapping(payload, where, what):
 
 
 def _degree(key, where):
+    """The degree a key spells as `str` prints it: int() also reads " -2",
+    "+1", "0_0" and "٠", and two spellings of one degree would replace each
+    other."""
     try:
-        return int(key)
+        deg = int(key)
     except ValueError:
-        raise DocumentError(f"{where}: bad degree key {key!r}")
+        deg = None
+    _expect(deg is not None and str(deg) == key,
+            f"{where}: bad degree key {key!r}")
+    return deg
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +429,12 @@ def _parse_morphism(ring, payload, objects, where, typ, memo):
 # ---------------------------------------------------------------------------
 
 def ring_payload(ring):
-    if ring.kind == "rationals":
-        return {"kind": "rationals"}
-    if ring.kind == "prime_field":
-        return {"kind": "prime_field", "p": ring.p}
-    out = {"kind": "polynomial", "vars": list(ring.vars)}
-    if ring.base.kind == "prime_field":
-        out["p"] = ring.base.p
+    if ring.varnames:
+        out = {"kind": "polynomial", "vars": list(ring.varnames)}
+    else:
+        out = {"kind": "prime_field" if ring.char else "rationals"}
+    if ring.char:
+        out["p"] = ring.char
     return out
 
 

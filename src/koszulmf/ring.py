@@ -62,65 +62,43 @@ def _is_prime(p):
     return True
 
 
-def _check_spec(kind, p, vars, base):
-    if kind == "rationals":
-        if p or vars or base is not None:
-            raise ValueError("rationals take no parameters")
-    elif kind == "prime_field":
-        if p >= MAX_CHAR:
-            raise ValueError(f"prime_field characteristic {p} is not below "
-                             f"2^64")
-        if not _is_prime(p):
-            raise ValueError(f"prime_field characteristic {p} is not prime")
-        if vars or base is not None:
-            raise ValueError("prime_field takes only p")
-    elif kind == "polynomial":
-        if not isinstance(base, RingSpec) or base.kind == "polynomial":
-            raise ValueError("polynomial ring needs a field as base")
-        if not vars:
-            raise ValueError("polynomial ring needs at least one variable")
-        seen = set()
-        for v in vars:
-            if not isinstance(v, str) or not _VAR_RE.match(v):
-                raise ValueError(f"bad variable name {v!r}")
-            if v in seen:
-                raise ValueError(f"duplicate variable {v!r}")
-            seen.add(v)
-        if p:
-            raise ValueError("characteristic lives on the base field")
-    else:
-        raise ValueError(f"unknown ring kind {kind!r}")
-
-
 class RingSpec:
-    """A base field, or a polynomial ring in finitely many variables over one.
+    """A polynomial ring over Q or F_p in finitely many variables; with
+    none, the base field itself.
 
-    kind is one of "rationals", "prime_field", "polynomial".  Nesting depth
-    is at most two: a polynomial ring's base must be a field.
-
-    Specs are interned and immutable: constructing a spec equal to an
-    existing one returns that same object, so equality is identity and the
-    ring checks throughout the library are `is` tests.  `char`, `varnames`
-    (empty for a field) and `base_field` (the spec itself for a field) are
-    fixed when the spec is first built.
+    A spec is its characteristic `char` (0 for Q, else a prime below 2^64)
+    and its variable names `varnames`.  Specs are interned and immutable:
+    constructing a spec equal to an existing one returns that same object,
+    so equality is identity and the ring checks throughout the library are
+    `is` tests.  `base_field`, the spec of `char` with no variables (the
+    spec itself for a field), is fixed when the spec is first built.
     """
 
-    __slots__ = ("kind", "p", "vars", "base",
-                 "char", "varnames", "base_field")
+    __slots__ = ("char", "varnames", "base_field")
     _interned = {}
 
-    def __new__(cls, kind, p=0, vars=(), base=None):
-        vars = tuple(vars)
-        key = (kind, p, vars, base)
+    def __new__(cls, char=0, varnames=()):
+        varnames = tuple(varnames)
+        key = (char, varnames)
         spec = cls._interned.get(key)
         if spec is None:
-            _check_spec(kind, p, vars, base)
+            if char:
+                if char >= MAX_CHAR:
+                    raise ValueError(f"prime_field characteristic {char} is "
+                                     f"not below 2^64")
+                if not _is_prime(char):
+                    raise ValueError(f"prime_field characteristic {char} is "
+                                     f"not prime")
+            seen = set()
+            for v in varnames:
+                if not isinstance(v, str) or not _VAR_RE.match(v):
+                    raise ValueError(f"bad variable name {v!r}")
+                if v in seen:
+                    raise ValueError(f"duplicate variable {v!r}")
+                seen.add(v)
             spec = super().__new__(cls)
-            field = kind != "polynomial"
-            fields = {"kind": kind, "p": p, "vars": vars, "base": base,
-                      "char": p if field else base.char,
-                      "varnames": () if field else vars,
-                      "base_field": spec if field else base}
+            fields = {"char": char, "varnames": varnames,
+                      "base_field": cls(char) if varnames else spec}
             for name, value in fields.items():
                 object.__setattr__(spec, name, value)
             spec = cls._interned.setdefault(key, spec)
@@ -130,23 +108,29 @@ class RingSpec:
         raise AttributeError("RingSpec is immutable")
 
     def __reduce__(self):
-        return (RingSpec, (self.kind, self.p, self.vars, self.base))
+        return (RingSpec, (self.char, self.varnames))
 
     def __repr__(self):
-        return (f"RingSpec(kind={self.kind!r}, p={self.p!r}, "
-                f"vars={self.vars!r}, base={self.base!r})")
+        return f"RingSpec(char={self.char!r}, varnames={self.varnames!r})"
 
 
 def rationals():
-    return RingSpec("rationals")
+    return RingSpec()
 
 
 def prime_field(p):
-    return RingSpec("prime_field", p=p)
+    if not p:   # RingSpec(0) is the rationals
+        raise ValueError(f"prime_field characteristic {p} is not prime")
+    return RingSpec(p)
 
 
 def polynomial_ring(base, varnames):
-    return RingSpec("polynomial", vars=tuple(varnames), base=base)
+    if not isinstance(base, RingSpec) or base.varnames:
+        raise ValueError("polynomial ring needs a field as base")
+    varnames = tuple(varnames)
+    if not varnames:
+        raise ValueError("polynomial ring needs at least one variable")
+    return RingSpec(base.char, varnames)
 
 
 def normalize_scalar(ring, c):
@@ -814,14 +798,11 @@ def embed(poly, ring, offset=0):
 
 
 def merge_rings(ra, rb):
-    """Polynomial ring on the disjoint union of variables, left vars first."""
-    base_a, base_b = ra.base_field, rb.base_field
-    if base_a is not base_b:
+    """Polynomial ring on the disjoint union of variables, left vars first
+    (the base field when neither ring has any)."""
+    if ra.base_field is not rb.base_field:
         raise ValueError("tensor factors must share the base field")
     va, vb = ra.varnames, rb.varnames
     if set(va) & set(vb):
         raise ValueError(f"variable names collide: {sorted(set(va) & set(vb))}")
-    merged_vars = va + vb
-    if not merged_vars:
-        return base_a
-    return polynomial_ring(base_a, merged_vars)
+    return RingSpec(ra.char, va + vb)

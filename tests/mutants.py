@@ -131,6 +131,22 @@ MUTANTS = {
         "if len(out) < len(items):",
         "if False:",
         ["tests/test_ring.py"]),
+    "ring_interning_key_drops_the_characteristic": (
+        "koszulmf/ring.py",
+        "key = (char, varnames)",
+        "key = varnames",
+        ["tests/test_ring.py"]),
+    "ring_payload_drops_p_of_a_polynomial_ring": (
+        "koszulmf/documents.py",
+        "    if ring.char:\n        out[\"p\"] = ring.char\n",
+        "    if ring.char and not ring.varnames:\n"
+        "        out[\"p\"] = ring.char\n",
+        ["tests/test_documents.py"]),
+    "degree_key_read_in_any_int_spelling": (
+        "koszulmf/documents.py",
+        "_expect(deg is not None and str(deg) == key,",
+        "_expect(deg is not None,",
+        ["tests/test_documents.py"]),
     "witness_check_skips_the_start_binding": (
         "koszulmf/cli.py",
         "if starts is not None and log.start not in starts:",

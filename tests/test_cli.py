@@ -179,6 +179,52 @@ def test_witness_check_with_extra_inline_point(capsys, tmp_path):
     assert "points=2" in lines
 
 
+def test_witness_check_tests_an_extra_point_past_the_stored_names(
+        capsys, tmp_path):
+    # the log stores its inline point as point0; an extra inline point is
+    # numbered after it, not dropped in its favour
+    wpath = tmp_path / "w.json"
+    code, _ = run(capsys, ["fold", "--input", M3, "--point", "x=0,y=0",
+                           "--witness", str(wpath)])
+    assert code == 0
+    assert list(json.loads(wpath.read_text())["points"]) == ["point0"]
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--point", "x=5,y=7"])
+    assert code == 3
+    assert lines == ["error=precondition point 'point1' is not on the zero "
+                     "locus: a potential entry evaluates to 35"]
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--point", "x=5,y=0", "--point", "x=0,y=3"])
+    assert (code, lines[1], lines[-1]) == (0, "points=3", "status=ok")
+
+
+def test_witness_check_refuses_a_named_point_stored_otherwise(capsys,
+                                                              tmp_path):
+    wpath = tmp_path / "w.json"
+    run(capsys, ["fold", "--input", M3, "--points", "origin,axis",
+                 "--witness", str(wpath)])
+    with open(M3) as fh:
+        raw = json.load(fh)
+    raw["points"]["axis"] = {"x": 2, "y": 0}
+    doc = tmp_path / "m3.json"
+    doc.write_text(json.dumps(raw))
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", str(doc), "--points", "axis"])
+    assert code == 3
+    assert lines == ["error=precondition point 'axis' differs from the "
+                     "witness log's point of that name"]
+    # stored with the same value it adds nothing
+    code, lines = run(capsys, ["witness-check", "--witness", str(wpath),
+                               "--input", M3, "--points", "axis"])
+    assert (code, lines[1]) == (0, "points=2")
+
+
+def test_inline_point_with_a_repeated_variable_exit_2(capsys):
+    code, lines = run(capsys, ["fold", "--input", M3, "--point", "x=1,x=0"])
+    assert code == 2
+    assert lines == ["error=parse --point: duplicate variable 'x'"]
+
+
 def test_witness_check_needs_witness(capsys):
     code, lines = run(capsys, ["witness-check", "--input", M3])
     assert code == 3

@@ -104,6 +104,29 @@ def test_morphism_round_trip():
     assert g.components == ident.components
 
 
+@pytest.mark.parametrize("ring, wire", [
+    (rationals(), {"kind": "rationals"}),
+    (prime_field(5), {"kind": "prime_field", "p": 5}),
+    (polynomial_ring(rationals(), ("x",)),
+     {"kind": "polynomial", "vars": ["x"]}),
+    (polynomial_ring(prime_field(5), ("x",)),
+     {"kind": "polynomial", "vars": ["x"], "p": 5}),
+], ids=["Q", "F5", "Qx", "F5x"])
+def test_document_round_trip_over_each_ring_kind(ring, wire):
+    six = Poly.const(ring, 6)
+    mf = MFObject(ring, six, 1, 1,
+                  PolyMatrix(ring, 1, 1, [Poly.const(ring, 2)]),
+                  PolyMatrix(ring, 1, 1, [Poly.const(ring, 3)]))
+    point = dict.fromkeys(ring.varnames, 0)
+    payload = docs.document_payload(ring, (six,), {"a": mf}, {"here": point})
+    assert payload["ring"] == wire
+    doc = docs.parse_document(json.loads(docs.dumps(payload)))
+    assert doc.ring is ring
+    assert doc.potential == (six,)
+    assert doc.objects["a"] == mf
+    assert doc.points == {"here": point}
+
+
 def test_dumps_is_deterministic():
     m3 = corpus.by_name("m3").module
     payload = docs.document_payload(
@@ -445,6 +468,29 @@ def test_fraction_point_values_parse():
     raw["points"]["origin"]["x"] = "1/2"
     doc = docs.parse_document(raw)
     assert doc.points["origin"]["x"] == Fraction(1, 2)
+
+
+def test_point_value_whose_denominator_vanishes_mod_p():
+    raw = _m3_payload()
+    raw["ring"]["p"] = 5
+    raw["points"]["origin"]["x"] = "1/5"
+    with pytest.raises(docs.DocumentError, match=r"^points\.origin\.x: "
+                       r"denominator vanishes mod p$"):
+        docs.parse_document(raw)
+
+
+# int() reads each of these as a degree that str() spells otherwise, so
+# two of them could name one degree and one matrix replace the other
+@pytest.mark.parametrize("key", [" -2", "-2 ", "+1", "-0", "01", "0_0",
+                                 "\u0660", "1" * 5000])
+@pytest.mark.parametrize("field", ["ranks", "d"])
+def test_degree_keys_spelled_otherwise_are_refused(key, field):
+    raw = _m3_payload()
+    raw["objects"]["m3"][field][key] = 0 if field == "ranks" else []
+    where = "objects.m3" + (".d" if field == "d" else "")
+    with pytest.raises(docs.DocumentError) as exc:
+        docs.parse_document(raw)
+    assert str(exc.value) == f"{where}: bad degree key {key!r}"
 
 
 def test_unknown_object_type():

@@ -37,6 +37,10 @@ def test_ring_spec_basics():
     assert QXY.varnames == ("x", "y")
     assert rationals().varnames == ()
     assert F5XY.base_field == prime_field(5)
+    assert repr(F5XY) == "RingSpec(char=5, varnames=('x', 'y'))"
+    # two bare fields merge to the field itself
+    assert ring.merge_rings(prime_field(5), prime_field(5)) is prime_field(5)
+    assert ring.merge_rings(QX, rationals()) is QX
 
 
 def test_ring_specs_are_interned():
@@ -55,7 +59,7 @@ def test_ring_specs_are_interned():
 def test_prime_field_characteristics():
     for p in (2, 5, 7, 32003, 2 ** 61 - 1, 10 ** 18 + 3):
         assert prime_field(p).char == p
-    for p in (1, 6, 1000000007 * 998244353):
+    for p in (0, 1, 6, 1000000007 * 998244353):
         with pytest.raises(ValueError, match="is not prime"):
             prime_field(p)
     with pytest.raises(ValueError, match="is not below 2\\^64"):
@@ -700,6 +704,7 @@ def test_flat_reader_leaves_every_error_to_the_parser():
             ("1/32003*x", F32003XY, "denominator 32003 vanishes mod 32003",
              2),
             ("1/0*x", QXY, "zero denominator", 2),
+            ("1/x", QXY, "expected integer denominator", 2),
             (long + "*x", QXY, "integer literal of 1001 digits is too long",
              0),
             ("x^" + long, QXY, "integer literal of 1001 digits is too long",
