@@ -6,11 +6,14 @@ failing identity), 2 for parse errors, 3 for precondition violations.
 Output is byte-identical across runs for fixed input and flags.
 
 Subcommands validate what they read and build through `_require_valid`
-and raise; `main` alone turns an exception into its report lines and exit
-code, and prints status=ok once a subcommand returns.  A subcommand ends
-with its one write step (`_write`), so a failed run writes no file.  Each
-subcommand accepts only the options it reads (`_OPTIONS`); its own parser
-refuses any other, so the usage line names the options it does read.
+and raise; `tensor` checks its product by its structure instead
+(`mf.validate_mf_tensor`), after refusing its size and checking both
+factors in full.  `main` alone turns an exception into its report lines
+and exit code, and prints status=ok once a subcommand returns.  A
+subcommand ends with its one write step (`_write`), so a failed run
+writes no file.  Each subcommand accepts only the options it reads
+(`_OPTIONS`); its own parser refuses any other, so the usage line names
+the options it does read.
 """
 
 import argparse
@@ -24,7 +27,8 @@ from koszulmf.koszul import (KoszulModule, KoszulMorphism, cone_koszul,
                              validate_koszul, validate_koszul_morphism)
 from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms, mf_cone,
                          mf_shift, mf_tensor, orlov_fold, orlov_unfold,
-                         residue_homology, validate_mf, validate_mf_morphism)
+                         residue_homology, validate_mf, validate_mf_morphism,
+                         validate_mf_tensor)
 from koszulmf.reduce import (WitnessError, amplitude_reduce, chart_operator,
                              codim_reduce_chart, default_points,
                              fold_with_witness, validate_log)
@@ -317,14 +321,17 @@ def cmd_tensor(args):
     found = [(n, o) for n, o in doc.objects.items() if isinstance(o, MFObject)]
     if len(found) != 2:
         raise Precondition(f"need exactly two mf objects, found {len(found)}")
-    for name, mf in found:
-        _require_valid(name, mf)
     (name_a, a), (name_b, b) = found
     size = (a.r0 + a.r1) * (b.r0 + b.r1)
     if size > MAX_TOTAL_RANK:
         raise Precondition(f"tensor product would have total rank {size}, "
                            f"past {MAX_TOTAL_RANK}")
-    product = _require_valid("tensor", mf_tensor(a, b))
+    for name, mf in found:
+        _require_valid(name, mf)
+    product = mf_tensor(a, b)
+    problems = validate_mf_tensor(a, b, product)
+    if problems:
+        raise Invalid(_report("tensor", problems))
     print(f"object={name_a}*{name_b}")
     print(f"f={product.potential}")
     _print_shape(product)

@@ -14,9 +14,24 @@ product alone does not settle it: every ring here (Q, F_p, a polynomial
 ring over either) is a domain, so for r0 = r1 and f != 0, phi1∘phi0 =
 f·id implies phi0∘phi1 = f·id.  When r0 != r1, when f = 0, or when
 phi1∘phi0 already fails, both products are taken, and the report is the
-one that two products give on every input.  `residue_homology` ranks
-both maps at a point as sparse rows of one `complexes.Evaluation`.
+one that two products give on every input.  A failed identity, and a
+square of `validate_mf_morphism` that does not commute, is reported with
+its first differing entry in row-major order, found only after the
+comparison has failed.
+
+`validate_mf_tensor` checks the tensor product of two validated
+factorizations by its structure, in time linear in its nonzeros: every
+stored entry must be the one factor entry its position names, and each
+map must store as many as the blocks phi_a ⊗ 1 and (-1)^p 1 ⊗ phi_b hold.
+A map made of exactly those blocks is a factorization of f_a + f_b, since
+the cross terms cancel by the sign (Yoshino; the argument is in its
+docstring), so no product is taken.  It calls no builder, and the
+`tensor` command uses it on its output; every other object goes through
+`validate_mf`.  `residue_homology` ranks both maps at a point as sparse
+rows of one `complexes.Evaluation`.
 """
+
+from itertools import chain
 
 from koszulmf import linalg
 from koszulmf.complexes import (FreeComplex, PolyMatrix, as_evaluation,
@@ -77,10 +92,21 @@ class MFMorphism:
                 and self.alpha0 == other.alpha0 and self.alpha1 == other.alpha1)
 
 
+def _first_difference(x, y):
+    """The text ' at (i, j)' that names the first entry, in row-major
+    order, at which the matrices x and y, of one shape and known to
+    differ, differ.  Only failure reports call it; it prints no value."""
+    for i in range(x.rows):
+        rx, ry = x.nz.get(i, {}), y.nz.get(i, {})
+        if rx != ry:
+            j = min(j for j in rx.keys() | ry.keys() if rx.get(j) != ry.get(j))
+            return f" at ({i}, {j})"
+
+
 def validate_mf(m):
     """Report of the identities that fail, phi1∘phi0 = f·id on the even
-    part and phi0∘phi1 = f·id on the odd part; empty means m is a
-    factorization.
+    part and phi0∘phi1 = f·id on the odd part, each with the first entry
+    (row-major) at which it fails; empty means m is a factorization.
 
     phi1∘phi0 is computed first.  When it is f·id, r0 = r1 = r and f != 0,
     the second identity follows and is not computed.  Every ring here (Q,
@@ -93,23 +119,169 @@ def validate_mf(m):
     well, so the report names each identity that fails."""
     report = []
     f = m.potential
-    if m.phi1 * m.phi0 != PolyMatrix.scalar(m.ring, m.r0, f):
-        report.append("phi1∘phi0 is not f·id on the even part")
+    even, want = m.phi1 * m.phi0, PolyMatrix.scalar(m.ring, m.r0, f)
+    if even != want:
+        report.append("phi1∘phi0 is not f·id on the even part"
+                      + _first_difference(even, want))
     elif m.r0 == m.r1 and not f.is_zero:
         return report
-    if m.phi0 * m.phi1 != PolyMatrix.scalar(m.ring, m.r1, f):
-        report.append("phi0∘phi1 is not f·id on the odd part")
+    odd, want = m.phi0 * m.phi1, PolyMatrix.scalar(m.ring, m.r1, f)
+    if odd != want:
+        report.append("phi0∘phi1 is not f·id on the odd part"
+                      + _first_difference(odd, want))
     return report
 
 
 def validate_mf_morphism(a):
+    """Report of the squares that do not commute, each with the first
+    entry (row-major) at which its two sides differ; empty means `a` is a
+    morphism."""
     report = []
     s, t = a.source, a.target
-    if t.phi0 * a.alpha0 != a.alpha1 * s.phi0:
-        report.append("even square does not commute")
-    if t.phi1 * a.alpha1 != a.alpha0 * s.phi1:
-        report.append("odd square does not commute")
+    for name, x, y in (("even", t.phi0 * a.alpha0, a.alpha1 * s.phi0),
+                       ("odd", t.phi1 * a.alpha1, a.alpha0 * s.phi1)):
+        if x != y:
+            report.append(f"{name} square does not commute"
+                          + _first_difference(x, y))
     return report
+
+
+def validate_mf_tensor(a, b, t):
+    """Report of what keeps `t` from being the tensor product of the
+    factorizations a and b, which the caller has validated; empty means
+    t is that product, and so a factorization of f_a + f_b.
+
+    The check is exact and reads each stored entry of t once; it takes no
+    product.  Write δ_a = phi0 ⊕ phi1 of a, an odd map of E0 ⊕ E1 with
+    δ_a² = f_a·id, δ_b likewise with δ_b² = f_b·id, and ε for (-1)^p on
+    E_p.  Then δ = δ_a ⊗ 1 + ε ⊗ δ_b has
+    δ² = δ_a² ⊗ 1 + (δ_a ε + ε δ_a) ⊗ δ_b + ε² ⊗ δ_b² = (f_a + f_b)·id,
+    since δ_a is odd (δ_a ε = -ε δ_a) and ε² = 1 (Yoshino, "Tensor
+    products of matrix factorizations", Nagoya Math. J. 152, 1998).  So a
+    map made exactly of the blocks phi_a(p) ⊗ 1 and (-1)^p 1 ⊗ phi_b(q) is
+    a factorization of f_a + f_b, and it is enough to check that t's maps
+    are those blocks, entry for entry.
+
+    After the ring, the potential and the ranks, each stored entry of
+    phi0 and phi1 is decoded into its target and source summands (p, q),
+    each the p-th summand of a tensored with the q-th of b and laid out
+    left factor major, and its local row and column.  That names the one
+    factor entry it must be: the embedded entry of phi_a(p) on the
+    diagonal of kron(phi_a(p), I), or (-1)^p times the embedded entry of
+    phi_b(q) in kron(I, phi_b(q)); anything else is refused.  Distinct
+    positions decode to distinct factor entries, so when each map also
+    stores Σ nnz(phi_a(p))·r_b(q) + r_a(p)·nnz(phi_b(q)) entries, summed
+    over its source summands, none is missing.  Nothing here calls
+    `mf_tensor`, `tensor_rule` or `graded_map`, so a fault of the builder
+    cannot also pass the check.  Each factor entry is embedded (and
+    negated) once per call, memoized by identity."""
+    if a.ring is b.ring:
+        ring, off = a.ring, 0
+    else:
+        ring, off = merge_rings(a.ring, b.ring), len(a.ring.varnames)
+    if not (t.ring is ring and t.phi0.ring is ring and t.phi1.ring is ring):
+        return ["ring is not the factors' merged ring"]
+    if t.potential != embed(a.potential, ring) + embed(b.potential, ring, off):
+        return ["potential is not the sum of the factors' potentials"]
+    ra, rb = (a.r0, a.r1), (b.r0, b.r1)
+    r0, r1 = ra[0] * rb[0] + ra[1] * rb[1], ra[0] * rb[1] + ra[1] * rb[0]
+    if (t.r0, t.r1) != (r0, r1):
+        return [f"ranks ({t.r0}, {t.r1}) are not the product's ({r0}, {r1})"]
+    fa = tuple(m.nz for m in (a.phi0, a.phi1))
+    fb = tuple(m.nz for m in (b.phi0, b.phi1))
+    memo = ({}, {})     # [negate]: id(factor entry) -> (entry, its image)
+
+    def image(x, offset, negate):
+        hit = memo[negate].get(id(x))
+        if hit is None:
+            y = embed(x, ring, offset)
+            hit = memo[negate][id(x)] = (x, -y if negate else y)
+        return hit[1]
+
+    return [line for k, mat in enumerate((t.phi0, t.phi1))
+            for line in _tensor_map_report(k, mat, ra, rb, fa, fb, off, image)]
+
+
+def _nnz(nz):
+    return sum(map(len, nz.values()))
+
+
+def _tensor_map_report(k, mat, ra, rb, fa, fb, off, image):
+    """[] when `mat` is map k of the tensor product of factors of ranks ra
+    and rb whose maps have the nonzero rows fa and fb, else the one line
+    that names its first wrong entry (row-major), or else its first
+    missing one.  Map k takes the summands (p, p + k) to (p, p + 1 - k),
+    mod 2, each list ordered by p; `image(x, offset, negate)` is the
+    factor entry x in the product's ring."""
+    split_col = ra[0] * rb[k]           # columns of the source (0, k)
+    split_row = ra[0] * rb[1 - k]       # rows of the target (0, 1 - k)
+    tgt = ((0, 1 - k), (1, k))
+
+    def decode(i):
+        """(tp, tq, ia, ib) of row i: its target summand (tp, tq) and its
+        rows of a and b; None outside the map."""
+        if 0 <= i < split_row:
+            (tp, tq), lr = tgt[0], i
+        elif split_row <= i < mat.rows:
+            (tp, tq), lr = tgt[1], i - split_row
+        else:
+            return None
+        return (tp, tq, *divmod(lr, rb[tq]))
+
+    def faults():
+        """Each stored (i, j) that is not the entry it must be."""
+        for i, row in mat.nz.items():
+            d = decode(i)
+            if d is None:
+                yield from ((i, j) for j in row)
+                continue
+            tp, tq, ia, ib = d
+            # source summand 1 - tp gives the a-block, source summand tp
+            # the b-block, with sign (-1)^tp
+            arow = fa[1 - tp].get(ia, {})
+            brow = fb[1 - tq].get(ib, {})
+            negate = tp == 1
+            for j, e in row.items():
+                if 0 <= j < split_col:
+                    source, lc = 0, j
+                elif split_col <= j < mat.cols:
+                    source, lc = 1, j - split_col
+                else:
+                    yield i, j
+                    continue
+                if source != tp:
+                    ja, jb = divmod(lc, rb[tq])
+                    x = arow.get(ja) if jb == ib else None
+                    w = None if x is None else image(x, 0, False)
+                else:
+                    ja, jb = divmod(lc, rb[1 - tq])
+                    x = brow.get(jb) if ja == ia else None
+                    w = None if x is None else image(x, off, negate)
+                if w is None or (e is not w and e != w):
+                    yield i, j
+
+    found = faults()
+    first = next(found, None)
+    if first is not None:
+        i, j = min(chain([first], found))
+        return [f"phi{k} is not the factors' tensor at ({i}, {j})"]
+    want = sum(_nnz(fa[p]) * rb[q] + ra[p] * _nnz(fb[q])
+               for p, q in ((0, k), (1, 1 - k)))
+    if _nnz(mat.nz) == want:
+        return []
+    # every stored entry is one the map must have, so one is missing
+    for i in range(mat.rows):
+        tp, tq, ia, ib = decode(i)
+        a0 = 0 if tp == 1 else split_col        # source summand 1 - tp
+        b0 = split_col - a0                     # source summand tp
+        stored = mat.nz.get(i, {})
+        missing = [j for j in chain(
+            (a0 + ja * rb[tq] + ib for ja in fa[1 - tp].get(ia, ())),
+            (b0 + ia * rb[1 - tq] + jb for jb in fb[1 - tq].get(ib, ())))
+            if j not in stored]
+        if missing:
+            return [f"phi{k} misses the factors' entry at ({i}, "
+                    f"{min(missing)})"]
 
 
 def mf_shift(m):

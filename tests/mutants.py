@@ -187,6 +187,37 @@ MUTANTS = {
         "yield (p, move(q)), blk if p % 2 == 0 else -blk",
         "yield (p, move(q)), blk",
         ["tests/test_graded_map.py", "tests/test_mf.py"]),
+    "tensor_check_without_the_second_factor_sign": (
+        "koszulmf/mf.py",
+        "negate = tp == 1",
+        "negate = False",
+        ["tests/test_mf.py"]),
+    "tensor_check_without_the_nnz_total": (
+        "koszulmf/mf.py",
+        "if _nnz(mat.nz) == want:",
+        "if True:",
+        ["tests/test_mf.py"]),
+    "tensor_check_without_the_potential": (
+        "koszulmf/mf.py",
+        "if t.potential != embed(a.potential, ring) + embed(b.potential, "
+        "ring, off):",
+        "if False:",
+        ["tests/test_mf.py"]),
+    "tensor_check_off_the_identity_diagonal": (
+        "koszulmf/mf.py",
+        "x = arow.get(ja) if jb == ib else None",
+        "x = arow.get(ja)",
+        ["tests/test_mf.py"]),
+    "tensor_check_off_the_first_factor_diagonal": (
+        "koszulmf/mf.py",
+        "x = brow.get(jb) if ja == ia else None",
+        "x = brow.get(jb)",
+        ["tests/test_mf.py"]),
+    "first_difference_scan_starts_at_row_1": (
+        "koszulmf/mf.py",
+        "for i in range(x.rows):",
+        "for i in range(1, x.rows):",
+        ["tests/test_mf.py"]),
 }
 
 EQUIVALENT = {}

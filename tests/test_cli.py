@@ -6,6 +6,7 @@ import re
 import stat
 import sys
 import threading
+import time
 
 import pytest
 
@@ -57,15 +58,16 @@ def test_validate_reports_broken_object(capsys, tmp_path):
     assert lines[-1] == "status=failed"
 
 
-@pytest.mark.parametrize("obj", [
+@pytest.mark.parametrize("obj, entry", [
     # r0 = 1, r1 = 2: phi1∘phi0 = x = f·id, phi0∘phi1 = [[x, 0], [0, 0]]
-    {"f": "x", "r0": 1, "r1": 2, "phi0": [["x"], ["0"]],
-     "phi1": [["1", "0"]]},
+    ({"f": "x", "r0": 1, "r1": 2, "phi0": [["x"], ["0"]],
+      "phi1": [["1", "0"]]}, "(1, 1)"),
     # f = 0: phi1∘phi0 = 0, phi0∘phi1 = [[0, 1], [0, 0]]
-    {"f": "0", "r0": 2, "r1": 2, "phi0": [["1", "0"], ["0", "0"]],
-     "phi1": [["0", "1"], ["0", "0"]]},
+    ({"f": "0", "r0": 2, "r1": 2, "phi0": [["1", "0"], ["0", "0"]],
+      "phi1": [["0", "1"], ["0", "0"]]}, "(0, 1)"),
 ], ids=["non-square", "zero-potential"])
-def test_validate_reports_a_failing_second_product(capsys, tmp_path, obj):
+def test_validate_reports_a_failing_second_product(capsys, tmp_path, obj,
+                                                   entry):
     # phi1∘phi0 = f·id holds, and only phi0∘phi1 shows the fault
     raw = {"ring": {"kind": "polynomial", "vars": ["x"]},
            "potential": ["x"], "objects": {"a": {"type": "mf", **obj}}}
@@ -73,8 +75,8 @@ def test_validate_reports_a_failing_second_product(capsys, tmp_path, obj):
     path.write_text(json.dumps(raw))
     code, lines = run(capsys, ["validate", "--input", str(path)])
     assert code == 1
-    assert lines == ["a=invalid phi0∘phi1 is not f·id on the odd part",
-                     "status=failed"]
+    assert lines == ["a=invalid phi0∘phi1 is not f·id on the odd part at "
+                     + entry, "status=failed"]
 
 
 def test_validate_needs_input(capsys):
@@ -610,6 +612,50 @@ def test_tensor_at_the_budget_is_built_and_written(capsys, tmp_path):
     assert "r0=500" in lines and "r1=500" in lines
     code, _ = run(capsys, ["validate", "--input", str(out)])
     assert code == 0
+
+
+def test_tensor_refuses_a_tampered_product_and_writes_nothing(
+        capsys, tmp_path, monkeypatch):
+    a1 = docs.load_document(A1).objects["a1"]
+    ipath, opath = tmp_path / "in.json", tmp_path / "t.json"
+    docs.write_json(ipath, docs.document_payload(
+        a1.ring, (a1.potential,),
+        {"a": docs.mf_payload(a1), "b": docs.mf_payload(a1)}))
+    build = cli.mf_tensor
+
+    def tampered(a, b):
+        # phi0 of a1 ⊗ a1 is [[x, x], [x, -x]]; its -x becomes x
+        t = build(a, b)
+        cells = t.phi0.entries
+        cells[3] = -cells[3]
+        return MFObject(t.ring, t.potential, t.r0, t.r1,
+                        PolyMatrix(t.ring, 2, 2, cells), t.phi1)
+
+    monkeypatch.setattr(cli, "mf_tensor", tampered)
+    code, lines = run(capsys, ["tensor", "--input", str(ipath),
+                               "--output", str(opath)])
+    assert (code, lines) == (1, ["tensor=invalid phi0 is not the factors' "
+                                 "tensor at (1, 1)", "status=failed"])
+    assert not opath.exists()
+
+
+def test_tensor_past_the_budget_is_refused_before_its_factors_are_checked(
+        capsys, tmp_path):
+    # two invalid factorizations of total rank 300, every entry x + y: the
+    # product's total rank 90,000 is refused without multiplying either
+    rows = [["x + y"] * 150 for _ in range(150)]
+    mf = {"type": "mf", "f": "x", "r0": 150, "r1": 150, "phi0": rows,
+          "phi1": rows}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ring": {"kind": "polynomial",
+                                         "vars": ["x", "y"]},
+                                "potential": ["x"],
+                                "objects": {"a": mf, "b": mf}}))
+    start = time.perf_counter()
+    code, lines = run(capsys, ["tensor", "--input", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, lines) == (3, ["error=precondition tensor product would "
+                                 "have total rank 90000, past 1000"])
 
 
 def test_tensor_needs_two_mfs(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import corpus
 import genmod
@@ -13,15 +13,19 @@ from koszulmf.koszul import KoszulMorphism
 from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms,
                          fold_morphism, mf_cone, mf_shift, mf_tensor,
                          orlov_fold, orlov_unfold, residue_homology,
-                         validate_mf, validate_mf_morphism)
+                         validate_mf, validate_mf_morphism,
+                         validate_mf_tensor)
 from koszulmf.ring import Poly, parse_poly, polynomial_ring, prime_field, \
     rationals
 
 QX = polynomial_ring(rationals(), ("x",))
 QXY = polynomial_ring(rationals(), ("x", "y"))
 F5XY = polynomial_ring(prime_field(5), ("x", "y"))
+QZW = polynomial_ring(rationals(), ("z", "w"))
+F5ZW = polynomial_ring(prime_field(5), ("z", "w"))
 EVEN = "phi1∘phi0 is not f·id on the even part"
 ODD = "phi0∘phi1 is not f·id on the odd part"
+AT00 = " at (0, 0)"
 
 
 def _m(ring, rows, cols, entries):
@@ -48,16 +52,17 @@ def test_validate_mf_accepts_and_rejects():
 
 def _two_products(m):
     """The report of validate_mf with both products always taken, each
-    entry summed term by term."""
+    entry summed term by term, and the first failing entry of each found by
+    a row-major scan."""
     zero = Poly.zero(m.ring)
 
-    def is_f_id(a, b):
-        return all(sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), zero)
-                   == (m.potential if i == j else zero)
-                   for i in range(a.rows) for j in range(b.cols))
+    def failing(a, b):
+        return [f" at ({i}, {j})" for i in range(a.rows) for j in range(b.cols)
+                if sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), zero)
+                != (m.potential if i == j else zero)][:1]
 
-    return ([EVEN] if not is_f_id(m.phi1, m.phi0) else []) + (
-        [ODD] if not is_f_id(m.phi0, m.phi1) else [])
+    return ([EVEN + at for at in failing(m.phi1, m.phi0)]
+            + [ODD + at for at in failing(m.phi0, m.phi1)])
 
 
 @st.composite
@@ -167,11 +172,11 @@ def _non_square(f, phi0, phi1):
 @pytest.mark.parametrize("m, products, report", [
     # valid, square, f != 0: phi0∘phi1 follows and is not computed
     (_mf1(QX, "x^2", "x", "x"), 1, []),
-    (_mf1(QX, "x^2", "x", "x^2"), 2, [EVEN, ODD]),
+    (_mf1(QX, "x^2", "x", "x^2"), 2, [EVEN + AT00, ODD + AT00]),
     (_mf1(QX, "0", "x", "0"), 2, []),
-    (_mf1(QX, "0", "1", "x"), 2, [EVEN, ODD]),
+    (_mf1(QX, "0", "1", "x"), 2, [EVEN + AT00, ODD + AT00]),
     (_non_square("0", ["0", "0"], ["0", "0"]), 2, []),
-    (_non_square("x", ["x", "0"], ["1", "0"]), 2, [ODD]),
+    (_non_square("x", ["x", "0"], ["1", "0"]), 2, [ODD + " at (1, 1)"]),
 ], ids=["valid", "broken", "zero-f", "zero-f-broken", "non-square",
         "non-square-odd"])
 def test_validate_mf_product_count(monkeypatch, m, products, report):
@@ -249,6 +254,240 @@ def test_mf_tensor_random_factors_validate():
             continue
         t = mf_tensor(a, b)
         assert validate_mf(t) == []
+
+
+def test_mf_tensor_random_factors_pass_the_structural_check():
+    rng = random.Random(414)
+    for _ in range(30):
+        a, b = genmod.random_mf(rng), genmod.random_mf(rng)
+        if a.ring != b.ring and set(a.ring.varnames) & set(b.ring.varnames):
+            continue
+        assert validate_mf_tensor(a, b, mf_tensor(a, b)) == []
+
+
+# ---------------------------------------------------------------------------
+# failure reports name the entry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)])
+def test_validate_mf_names_the_first_failing_entry(i, j):
+    # x·id, x·id of x^2 with 1 added to one entry of phi1: phi1∘phi0 and
+    # phi0∘phi1 both differ from f·id at (i, j) only
+    r = 3
+    diag = PolyMatrix.scalar(QX, r, parse_poly("x", QX))
+    cells = diag.entries
+    cells[i * r + j] += Poly.one(QX)
+    m = MFObject(QX, parse_poly("x^2", QX), r, r, diag,
+                 PolyMatrix(QX, r, r, cells))
+    assert validate_mf(m) == [f"{EVEN} at ({i}, {j})", f"{ODD} at ({i}, {j})"]
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_validate_mf_morphism_names_the_first_failing_entry(i, j):
+    # the identity of x·id, x·id with 1 added to one entry of alpha0: both
+    # squares differ at (i, j) only
+    r = 2
+    m = MFObject(QX, parse_poly("x^2", QX), r, r,
+                 PolyMatrix.scalar(QX, r, parse_poly("x", QX)),
+                 PolyMatrix.scalar(QX, r, parse_poly("x", QX)))
+    cells = PolyMatrix.identity(QX, r).entries
+    cells[i * r + j] += Poly.one(QX)
+    g = MFMorphism(m, m, PolyMatrix(QX, r, r, cells),
+                   PolyMatrix.identity(QX, r))
+    assert validate_mf_morphism(g) == [
+        f"even square does not commute at ({i}, {j})",
+        f"odd square does not commute at ({i}, {j})"]
+
+
+# ---------------------------------------------------------------------------
+# the structural check of the tensor product
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _factorizations(draw, ring):
+    """A factorization: P·diag(a)·Q^-1 and Q·diag(b)·P^-1 of rank 1 or 2
+    with a_i·b_i = f and P, Q unimodular; or, for f = 0, one map of ranks
+    up to 2 each way with nonzero entries and the other map zero."""
+    zero, one = Poly.zero(ring), Poly.one(ring)
+    if draw(st.booleans()):
+        g, h = draw(_polys(ring, True)), draw(_polys(ring, True))
+        f = g * h
+        r = draw(st.integers(1, 2))
+        ab = [draw(st.sampled_from([(g, h), (h, g), (one, f), (f, one)]))
+              for _ in range(r)]
+        a, b = (PolyMatrix(ring, r, r, [ab[i][k] if i == j else zero
+                                        for i in range(r) for j in range(r)])
+                for k in (0, 1))
+        p, p_inv = draw(_unimodular(ring, r))
+        q, q_inv = draw(_unimodular(ring, r))
+        return MFObject(ring, f, r, r, p * a * q_inv, q * b * p_inv)
+    r0, r1 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    phi = PolyMatrix(ring, r1, r0, [draw(_polys(ring, True))
+                                    for _ in range(r0 * r1)])
+    if draw(st.booleans()):
+        return MFObject(ring, zero, r0, r1, phi, PolyMatrix.zero(ring, r0, r1))
+    return MFObject(ring, zero, r1, r0, PolyMatrix.zero(ring, r0, r1), phi)
+
+
+FAULTS = ["entry", "sign", "move", "transpose", "drop", "stray", "shift"]
+
+
+def _blocks(a, b, k):
+    """Row and column ranges of the 2x2 summand blocks of map k of the
+    tensor product of a and b: summands (p, q) ordered by p."""
+    ra, rb = (a.r0, a.r1), (b.r0, b.r1)
+    rows, cols = [ra[0] * rb[1 - k], ra[1] * rb[k]], [ra[0] * rb[k],
+                                                      ra[1] * rb[1 - k]]
+    return ([range(0, rows[0]), range(rows[0], sum(rows))],
+            [range(0, cols[0]), range(cols[0], sum(cols))])
+
+
+def _plant(a, b, t, k, fault, pick):
+    """t with `fault` planted in map k, at the option `pick(n)` of the n
+    where it changes something; t itself when there is none.  An entry
+    is changed (1 added), dropped, added where there is none (a stray 1)
+    or shifted one column into an empty cell.  Block faults act on a
+    nonzero block (ti, si) of the map: its sign flipped, moved to the slot
+    (1 - ti, 1 - si) of the same shape, or transposed when square."""
+    mat = (t.phi0, t.phi1)[k]
+    cells = [mat.row(i) for i in range(mat.rows)]
+    zero, one = Poly.zero(t.ring), Poly.one(t.ring)
+    rows, cols = _blocks(a, b, k)
+    if fault in ("entry", "drop", "stray"):
+        options = [(i, j) for i in range(mat.rows) for j in range(mat.cols)
+                   if bool(cells[i][j]) == (fault != "stray")]
+    elif fault == "shift":
+        options = [(i, j, j + d) for i in range(mat.rows)
+                   for j in range(mat.cols) for d in (-1, 1)
+                   if cells[i][j] and 0 <= j + d < mat.cols
+                   and not cells[i][j + d]]
+    else:
+        options = [(ti, si) for ti in (0, 1) for si in (0, 1)
+                   if any(cells[i][j] for i in rows[ti] for j in cols[si])
+                   and (fault == "sign"
+                        or fault == "move" and (len(rows[ti]), len(cols[si]))
+                        == (len(rows[1 - ti]), len(cols[1 - si]))
+                        or fault == "transpose"
+                        and len(rows[ti]) == len(cols[si]))]
+    if not options:
+        return t
+    i, j, *to = options[pick(len(options))]
+    if fault == "shift":
+        cells[i][j], cells[i][to[0]] = zero, cells[i][j]
+    elif fault in ("entry", "drop", "stray"):
+        cells[i][j] = {"entry": cells[i][j] + one, "drop": zero,
+                       "stray": one}[fault]
+    else:
+        br, bc = rows[i], cols[j]
+        blk = [[cells[r][c] for c in bc] for r in br]
+        for x, r in enumerate(br):
+            for y, c in enumerate(bc):
+                cells[r][c] = (-blk[x][y] if fault == "sign" else zero
+                               if fault == "move" else blk[y][x])
+        if fault == "move":
+            for x, r in enumerate(rows[1 - i]):
+                for y, c in enumerate(cols[1 - j]):
+                    cells[r][c] = blk[x][y]
+    phis = [t.phi0, t.phi1]
+    phis[k] = PolyMatrix(t.ring, mat.rows, mat.cols,
+                         [e for row in cells for e in row])
+    return MFObject(t.ring, t.potential, t.r0, t.r1, *phis)
+
+
+@pytest.mark.parametrize("rings", [(QXY, QXY), (F5XY, F5XY), (QXY, QZW),
+                                   (F5XY, F5ZW)],
+                         ids=["Q-same", "F5-same", "Q-disjoint",
+                              "F5-disjoint"])
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_structural_tensor_check_refuses_every_planted_fault(rings, data):
+    a = data.draw(_factorizations(rings[0]))
+    b = data.draw(_factorizations(rings[1]))
+    t = mf_tensor(a, b)
+    assert validate_mf_tensor(a, b, t) == []
+    assert validate_mf(t) == []
+    k = data.draw(st.sampled_from([0, 1]))
+    fault = data.draw(st.sampled_from(FAULTS))
+    bad = _plant(a, b, t, k, fault,
+                 lambda n: data.draw(st.integers(0, n - 1)))
+    report = validate_mf_tensor(a, b, bad)
+    event(fault if bad != t else "nothing planted")
+    if bad != t:
+        assert report and report[0].startswith(f"phi{k} ")
+    if not report:      # ok by structure: then ok by the two products
+        assert validate_mf(bad) == []
+
+
+def _square_pair():
+    """Two 2x2 factorizations over Q[x, y] and Q[z, w], every block of
+    their tensor product nonzero and not symmetric."""
+    x, y, z, w = (parse_poly(v, r) for v, r in
+                  (("x", QXY), ("y", QXY), ("z", QZW), ("w", QZW)))
+    a = MFObject(QXY, x * y, 2, 2,
+                 PolyMatrix(QXY, 2, 2, [x, y, Poly.zero(QXY), y]),
+                 PolyMatrix(QXY, 2, 2, [y, -y, Poly.zero(QXY), x]))
+    b = MFObject(QZW, z * w, 2, 2,
+                 PolyMatrix(QZW, 2, 2, [z, Poly.zero(QZW), w, w]),
+                 PolyMatrix(QZW, 2, 2, [w, Poly.zero(QZW), -w, z]))
+    assert validate_mf(a) == validate_mf(b) == []
+    return a, b
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_structural_tensor_check_names_the_planted_fault(fault, k):
+    # every entry left alone is right, so the report names the first
+    # changed entry that is stored, or else the first one dropped
+    a, b = _square_pair()
+    t = mf_tensor(a, b)
+    assert validate_mf_tensor(a, b, t) == []
+    for choice in range(32):
+        bad = _plant(a, b, t, k, fault, lambda n: choice % n)
+        assert bad != t
+        old, new = ((m.phi0, m.phi1)[k] for m in (t, bad))
+        changed = [(i, j) for i in range(old.rows) for j in range(old.cols)
+                   if old.at(i, j) != new.at(i, j)]
+        wrong = [(i, j) for i, j in changed if new.at(i, j)]
+        if wrong:
+            want = f"phi{k} is not the factors' tensor at {min(wrong)}"
+        else:
+            want = f"phi{k} misses the factors' entry at {min(changed)}"
+        assert validate_mf_tensor(a, b, bad) == [want]
+
+
+def test_structural_tensor_check_refuses_ring_potential_and_ranks():
+    a, b = _square_pair()
+    t = mf_tensor(a, b)
+    assert validate_mf_tensor(a, a, t) == [
+        "ring is not the factors' merged ring"]
+    moved = MFObject(t.ring, t.potential + Poly.one(t.ring), t.r0, t.r1,
+                     t.phi0, t.phi1)
+    assert validate_mf_tensor(a, b, moved) == [
+        "potential is not the sum of the factors' potentials"]
+    # zero factorizations of ranks (1, 0) and (1, 2): the product has
+    # ranks (1, 2), and the one with the second factor shifted (2, 1)
+    c = MFObject(QXY, Poly.zero(QXY), 1, 0, PolyMatrix.zero(QXY, 0, 1),
+                 PolyMatrix.zero(QXY, 1, 0))
+    d = MFObject(QZW, Poly.zero(QZW), 1, 2, PolyMatrix.zero(QZW, 2, 1),
+                 PolyMatrix.zero(QZW, 1, 2))
+    assert validate_mf_tensor(c, d, mf_tensor(c, d)) == []
+    assert validate_mf_tensor(c, d, mf_tensor(c, mf_shift(d))) == [
+        "ranks (2, 1) are not the product's (1, 2)"]
+
+
+def test_structural_tensor_check_calls_no_builder(monkeypatch):
+    a, b = _square_pair()
+    t = mf_tensor(a, b)
+
+    def never(*args):
+        raise AssertionError("a builder or a product was called")
+
+    for target in ("koszulmf.mf.mf_tensor", "koszulmf.mf.graded_map",
+                   "koszulmf.mf.tensor_rule", "koszulmf.complexes.graded_map",
+                   "koszulmf.complexes.tensor_rule", "koszulmf.complexes.kron",
+                   "koszulmf.complexes.PolyMatrix.__mul__"):
+        monkeypatch.setattr(target, never)
+    assert validate_mf_tensor(a, b, t) == []
 
 
 # ---------------------------------------------------------------------------
