@@ -25,12 +25,24 @@ exponent tuples, and any other pair adds the sums of its exponent tuples,
 all into dicts keyed by exponent tuple.  At the first pair of two
 non-constant entries, one of them with more than one term, the product
 asks `_dense_rows` once: when dense lists of packed monomials take no
-more slots than the product forms term pairs, that function computes the
-whole product on them, and the tuple sums built so far are dropped;
-otherwise the product goes on with its tuple dicts.  Each output entry
-is normalized once per coefficient (divided by D_A * D_B over Q, reduced
-by one `% p` over F_p), a zero is dropped, and an entry left empty is not
-stored.
+more slots than the product forms term pairs, `_dense_sums` computes the
+whole product on them as raw int slot sums and `_dense_rows` decodes
+them, and the tuple sums built so far are dropped; otherwise the product
+goes on with its tuple dicts.  Each output entry is normalized once per
+coefficient (divided by D_A * D_B over Q, reduced by one `% p` over
+F_p), a zero is dropped, and an entry left empty is not stored.
+
+`proves_scalar_product(a, b, f)` is a second reader of the same slot
+sums: it decides a·b = f·id without a product matrix, a Poly or a
+Fraction.  Over Q, `_dense_sums` clears denominators while it packs, so
+the slots hold D_A·D_B times the product, and f is packed scaled by
+D_A·D_B in the same radix; over F_p each slot is reduced `% p`.  Off the
+diagonal every slot must be zero, and on it the slots must be packed f.
+The base b = 2·top + 1 bounds every exponent of the product, so packing
+never carries and equal slot lists mean equal polynomials.  It answers
+only "proved" or "undecided" (the layout declines, f has an exponent
+≥ b or a coefficient that D_A·D_B does not clear, or any slot differs),
+and `mf.validate_mf` takes its products only when it is undecided.
 
 A product in which one operand is a selection, a matrix whose every
 stored row is one entry, the constant 1 (permutations, pads, trims,
@@ -74,16 +86,23 @@ def _check_indices(idx, bound):
         raise IndexError(f"index out of range 0..{bound - 1}")
 
 
-def _cleared(nz, ring):
-    """(rows, D) for the nonzero rows of a matrix over Q: D is the lcm of
-    every coefficient denominator and rows are D times the matrix, with int
-    coefficients.  When D = 1 the rows are `nz` itself, not a copy."""
+def _denominator(nz):
+    """The lcm of every coefficient denominator of the nonzero rows `nz`
+    of a matrix over Q."""
     d = 1
     for row in nz.values():
         for e in row.values():
             for c in e.terms.values():
                 if type(c) is not int:
                     d = lcm(d, c.denominator)
+    return d
+
+
+def _cleared(nz, ring):
+    """(rows, D) for the nonzero rows of a matrix over Q: D is the lcm of
+    every coefficient denominator and rows are D times the matrix, with int
+    coefficients.  When D = 1 the rows are `nz` itself, not a copy."""
+    d = _denominator(nz)
     if d == 1:
         return nz, 1
     return ({i: {j: Poly(ring, {k: c.numerator * (d // c.denominator)
@@ -92,26 +111,29 @@ def _cleared(nz, ring):
              for i, row in nz.items()}, d)
 
 
-def _dense_rows(ring, anz, bnz, p, d):
-    """The nonzero rows of the product of the nonzero rows `anz` and
-    `bnz`, summed in dense lists of packed monomials; None when the lists
-    would take more slots than the product forms term pairs.
+def _dense_sums(anz, bnz, n, da=1, db=1):
+    """(b, sums) for the product of the nonzero rows `anz` and `bnz` over
+    a ring of n ≥ 1 variables, summed in dense lists of packed monomials;
+    None when the lists would take more slots than the product forms term
+    pairs.  `sums` maps each row i that a term pair reaches to {column j:
+    the list of the b^n slot sums of entry (i, j)}, rows and columns in
+    the order the pairs first reach them.
 
-    Over F_p, p is the characteristic.  Over Q, p is 0, the coefficients
-    of both operands are ints, and d is the product of their common
-    denominators.  A monomial x_1^e_1 ⋯ x_n^e_n is packed as Σ e_v·b^(v-1),
-    in the mixed radix of base b = 2·top + 1 for the largest exponent `top`
-    of either operand, so a monomial product is one int add that never
-    carries (e + e' ≤ 2·top < b).  Each output entry sums into a list of
-    b^n slots, one per monomial of the box, when b^n × (rows of A with a
+    A monomial x_1^e_1 ⋯ x_n^e_n is packed as Σ e_v·b^(v-1), in the mixed
+    radix of base b = 2·top + 1 for the largest exponent `top` of either
+    operand, so a monomial product is one int add that never carries
+    (e + e' ≤ 2·top < b).  Each output entry sums into a list of b^n
+    slots, one per monomial of the box, when b^n × (rows of A with a
     nonzero) × (columns of B with a nonzero) is no more than the term
     pairs, Σ_k (terms in column k of A)·(terms in row k of B).  The pairs,
     rows and columns are counted first, and the exponents are read for
-    `top` only when base 3 passes the rule: the caller has met a
-    non-constant entry, so top ≥ 1 and b ≥ 3.  Each distinct entry is
-    packed once, keyed by identity.  An output entry is written in one
-    pass over its nonzero slots: each sum is reduced mod p or divided by
-    d, a zero is dropped, and each distinct monomial is unpacked once.
+    `top` only when base 3, the least base of a non-constant entry, passes
+    the rule; a product with no term pair is declined.  Each distinct
+    entry is packed once per operand, keyed by identity, with its
+    coefficients cleared: da (db) is a multiple of every coefficient
+    denominator of A (B), 1 over F_p, and a coefficient u/v is packed as
+    the int u·(da/v).  So the slot sums are da·db times the coefficients
+    of the product, unreduced over F_p.
     """
     acol = {}       # terms in each column of A
     for row in anz.values():
@@ -122,40 +144,67 @@ def _dense_rows(ring, anz, bnz, p, d):
     for k, row in bnz.items():
         pairs += acol.get(k, 0) * sum([len(e.terms) for e in row.values()])
         cols.update(row)
-    n = len(ring.varnames)
     slots = len(anz) * len(cols)
-    if 3 ** n * slots > pairs:
+    if not pairs or 3 ** n * slots > pairs:
         return None
-    entries = {id(e): e for side in (anz, bnz) for row in side.values()
-               for e in row.values()}
+    sides = [{id(e): e for row in nz.values() for e in row.values()}
+             for nz in (anz, bnz)]
     top = max(map(max, chain.from_iterable(
-        [e.terms for e in entries.values()])))
+        [e.terms for side in sides for e in side.values()])))
     b = 2 * top + 1
     size = b ** n
     if size * slots > pairs:
         return None
     powers = [b ** v for v in range(n)]
-    packed = {i: [(sum(map(mul, k, powers)), v) for k, v in e.terms.items()]
-              for i, e in entries.items()}
-    unpacked = {}
-    nz = {}
+    pa, pb = ({i: [(sum(map(mul, k, powers)),
+                    v.numerator * (d // v.denominator))
+                   for k, v in e.terms.items()]
+               for i, e in side.items()}
+              for side, d in zip(sides, (da, db)))
+    sums = {}
     for i, arow in anz.items():
-        sums = {}
+        row = {}
         for k, a in arow.items():
             brow = bnz.get(k)
             if brow is None:
                 continue
-            pa = packed[id(a)]
+            pka = pa[id(a)]
             for j, e in brow.items():
-                out = sums.get(j)
+                out = row.get(j)
                 if out is None:
-                    out = sums[j] = [0] * size
-                pb = packed[id(e)]
-                for ka, va in pa:
-                    for kb, vb in pb:
+                    out = row[j] = [0] * size
+                pkb = pb[id(e)]
+                for ka, va in pka:
+                    for kb, vb in pkb:
                         out[ka + kb] += va * vb
+        if row:
+            sums[i] = row
+    return b, sums
+
+
+def _dense_rows(ring, anz, bnz, p, d):
+    """The nonzero rows of the product of the nonzero rows `anz` and
+    `bnz`, decoded from the slot sums of `_dense_sums`; None when it
+    declines.
+
+    Over F_p, p is the characteristic.  Over Q, p is 0, the coefficients
+    of both operands are ints, and d is the product of their common
+    denominators.  The caller has met a non-constant entry, so the ring
+    has variables.  An output entry is written in one pass over its
+    nonzero slots: each sum is reduced mod p or divided by d, a zero is
+    dropped, and each distinct monomial is unpacked once.
+    """
+    n = len(ring.varnames)
+    dense = _dense_sums(anz, bnz, n)
+    if dense is None:
+        return None
+    b, sums = dense
+    powers = [b ** v for v in range(n)]
+    unpacked = {}
+    nz = {}
+    for i, srow in sums.items():
         row = {}
-        for j, out in sums.items():
+        for j, out in srow.items():
             terms = {}
             for m, v in filter(itemgetter(1), enumerate(out)):
                 if p:
@@ -172,6 +221,63 @@ def _dense_rows(ring, anz, bnz, p, d):
         if row:
             nz[i] = row
     return nz
+
+
+def proves_scalar_product(a, b, f):
+    """True when the slot sums of `_dense_sums` prove a·b = f·id; False
+    leaves it undecided.  a, b and f are over one ring, and a·b is
+    square.  It builds no product matrix, no Poly and no Fraction.
+
+    Over Q the lcms D_A and D_B of the coefficient denominators of a and
+    b clear them, so each slot list holds D times an entry of a·b, with
+    D = D_A·D_B, and f is packed as D·f in the same radix; over F_p,
+    D = 1 and each slot is reduced % p.  An entry off the diagonal must
+    be all zeros and each diagonal entry must equal packed f.  The answer
+    is False when the ring has no variables or the layout declines, when
+    f has an exponent ≥ b, when D·c is not an int for a coefficient c of
+    f, or on any mismatch.
+
+    Why this is exact: every exponent of a monomial of a·b is the sum of
+    two exponents of the operands, at most 2·top < b = 2·top + 1, and so
+    is every exponent of f that passes the check.  So packing is
+    injective on the monomials of both sides, a sum of packed exponents
+    never carries from one digit into the next, and slot m of entry
+    (i, j) is exactly D times the coefficient of the one monomial that
+    packs to m (mod p over F_p).  Equal slot lists therefore mean equal
+    polynomials, since D ≠ 0."""
+    ring = a.ring
+    n = len(ring.varnames)
+    if not n:
+        return False
+    p = ring.char
+    da = db = 1
+    if not p:
+        da, db = _denominator(a.nz), _denominator(b.nz)
+    dense = _dense_sums(a.nz, b.nz, n, da, db)
+    if dense is None:
+        return False
+    base, sums = dense
+    d = da * db
+    powers = [base ** v for v in range(n)]
+    want = [0] * base ** n
+    for k, c in f.terms.items():
+        if max(k) >= base or d % c.denominator:
+            return False
+        want[sum(map(mul, k, powers))] = c.numerator * (d // c.denominator)
+    if len(sums) != a.rows:
+        return False
+    for i, row in sums.items():
+        diagonal = row.get(i)
+        if diagonal is None:
+            return False
+        if p:
+            diagonal = [v % p for v in diagonal]
+        if diagonal != want:
+            return False
+        for j, out in row.items():
+            if j != i and any(out) and (not p or any(v % p for v in out)):
+                return False
+    return True
 
 
 def _selection(nz, one):
@@ -731,8 +837,20 @@ class FreeComplex:
         return f"FreeComplex([{self.lo},{self.hi}] ranks {rs})"
 
 
+def _first_difference(x, y):
+    """The text ' at (i, j)' that names the first entry, in row-major
+    order, at which the matrices x and y, of one shape and known to
+    differ, differ.  Only failure reports call it; it prints no value."""
+    for i in range(x.rows):
+        rx, ry = x.nz.get(i, {}), y.nz.get(i, {})
+        if rx != ry:
+            j = min(j for j in rx.keys() | ry.keys() if rx.get(j) != ry.get(j))
+            return f" at ({i}, {j})"
+
+
 def validate_complex(c):
-    """Report of problems; empty list means the complex is valid."""
+    """Report of problems, each failed d∘d = 0 with its first nonzero
+    entry (row-major); empty list means the complex is valid."""
     report = []
     for m in range(c.lo, c.hi):
         d = c.diff(m)
@@ -744,7 +862,9 @@ def validate_complex(c):
     for m in range(c.lo, c.hi - 1):
         sq = c.diff(m + 1) * c.diff(m)
         if not sq.is_zero:
-            report.append(f"degree {m}: d∘d is nonzero")
+            zero = PolyMatrix.zero(c.ring, sq.rows, sq.cols)
+            report.append(f"degree {m}: d∘d is nonzero"
+                          + _first_difference(sq, zero))
     return report
 
 

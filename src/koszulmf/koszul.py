@@ -26,9 +26,10 @@ from functools import cache, partial
 from itertools import combinations
 
 from koszulmf import linalg
-from koszulmf.complexes import (FreeComplex, PolyMatrix, as_evaluation,
-                                cone_rule, embed_matrix, graded_map,
-                                shift_sign, tensor_rule, validate_complex)
+from koszulmf.complexes import (FreeComplex, PolyMatrix, _first_difference,
+                                as_evaluation, cone_rule, embed_matrix,
+                                graded_map, shift_sign, tensor_rule,
+                                validate_complex)
 from koszulmf.ring import Poly, embed, merge_rings
 
 
@@ -102,7 +103,8 @@ class KoszulModule:
 
 
 def validate_koszul(m):
-    """Report of broken axioms; empty means valid."""
+    """Report of broken axioms, each failed identity with its first
+    differing entry (row-major); empty means valid."""
     report = [f"underlying: {r}" for r in validate_complex(m.underlying)]
     for i in range(m.n):
         for deg in range(m.lo, m.hi + 1):
@@ -118,18 +120,24 @@ def validate_koszul(m):
         for deg in range(m.lo, m.hi + 1):
             sq = m.hop(i, deg - 1) * m.hop(i, deg)
             if not sq.is_zero:
-                report.append(f"h_{i + 1} squares to nonzero at degree {deg}")
+                zero = PolyMatrix.zero(m.ring, sq.rows, sq.cols)
+                report.append(f"h_{i + 1} squares to nonzero at degree {deg}"
+                              + _first_difference(sq, zero))
             anti = m.diff(deg - 1) * m.hop(i, deg) + m.hop(i, deg + 1) * m.diff(deg)
-            if anti != PolyMatrix.scalar(m.ring, m.rank(deg), f):
+            want = PolyMatrix.scalar(m.ring, m.rank(deg), f)
+            if anti != want:
                 report.append(
-                    f"d h_{i + 1} + h_{i + 1} d is not f_{i + 1}·id at degree {deg}")
+                    f"d h_{i + 1} + h_{i + 1} d is not f_{i + 1}·id at degree {deg}"
+                    + _first_difference(anti, want))
         for j in range(i + 1, m.n):
             for deg in range(m.lo, m.hi + 1):
                 mixed = (m.hop(i, deg - 1) * m.hop(j, deg)
                          + m.hop(j, deg - 1) * m.hop(i, deg))
                 if not mixed.is_zero:
+                    zero = PolyMatrix.zero(m.ring, mixed.rows, mixed.cols)
                     report.append(f"h_{i + 1} and h_{j + 1} fail to anticommute "
-                                  f"at degree {deg}")
+                                  f"at degree {deg}"
+                                  + _first_difference(mixed, zero))
     return report
 
 

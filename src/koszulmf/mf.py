@@ -9,12 +9,16 @@ two-term inverse.  The fold, the folded morphism (`fold_morphism`), the
 cone and the tensor product assemble their maps with
 `complexes.graded_map`.
 
-`validate_mf` computes phi1∘phi0 first, and phi0∘phi1 only when the first
-product alone does not settle it: every ring here (Q, F_p, a polynomial
-ring over either) is a domain, so for r0 = r1 and f != 0, phi1∘phi0 =
-f·id implies phi0∘phi1 = f·id.  When r0 != r1, when f = 0, or when
-phi1∘phi0 already fails, both products are taken, and the report is the
-one that two products give on every input.  A failed identity, and a
+Every ring here (Q, F_p, a polynomial ring over either) is a domain, so
+for r0 = r1 and f != 0, phi1∘phi0 = f·id implies phi0∘phi1 = f·id.  In
+that case `validate_mf` first asks `complexes.proves_scalar_product`,
+which decides phi1∘phi0 = f·id exactly on the product kernel's integer
+slot sums, with no product matrix, Poly or Fraction; when it proves the
+identity the report is empty.  Otherwise phi1∘phi0 is computed, and
+phi0∘phi1 only when the first product alone does not settle it: when
+r0 != r1, when f = 0, or when phi1∘phi0 fails, both products are taken,
+and the report is the one that two products give on every input (an
+invalid input pays the slot sums on top).  A failed identity, and a
 square of `validate_mf_morphism` that does not commute, is reported with
 its first differing entry in row-major order, found only after the
 comparison has failed.
@@ -34,8 +38,9 @@ rows of one `complexes.Evaluation`.
 from itertools import chain
 
 from koszulmf import linalg
-from koszulmf.complexes import (FreeComplex, PolyMatrix, as_evaluation,
-                                cone_rule, embed_matrix, graded_map,
+from koszulmf.complexes import (FreeComplex, PolyMatrix, _first_difference,
+                                as_evaluation, cone_rule, embed_matrix,
+                                graded_map, proves_scalar_product,
                                 tensor_rule)
 from koszulmf.koszul import KoszulModule
 from koszulmf.ring import Poly, embed, merge_rings, scalar_text
@@ -92,38 +97,34 @@ class MFMorphism:
                 and self.alpha0 == other.alpha0 and self.alpha1 == other.alpha1)
 
 
-def _first_difference(x, y):
-    """The text ' at (i, j)' that names the first entry, in row-major
-    order, at which the matrices x and y, of one shape and known to
-    differ, differ.  Only failure reports call it; it prints no value."""
-    for i in range(x.rows):
-        rx, ry = x.nz.get(i, {}), y.nz.get(i, {})
-        if rx != ry:
-            j = min(j for j in rx.keys() | ry.keys() if rx.get(j) != ry.get(j))
-            return f" at ({i}, {j})"
-
-
 def validate_mf(m):
     """Report of the identities that fail, phi1∘phi0 = f·id on the even
     part and phi0∘phi1 = f·id on the odd part, each with the first entry
     (row-major) at which it fails; empty means m is a factorization.
 
-    phi1∘phi0 is computed first.  When it is f·id, r0 = r1 = r and f != 0,
-    the second identity follows and is not computed.  Every ring here (Q,
-    F_p, a polynomial ring over either) is a domain, and there
-    det phi1 · det phi0 = f^r != 0, so det phi0 != 0.  Also
-    (phi0∘phi1 - f·id)∘phi0 = phi0∘(phi1∘phi0) - f·phi0 = 0; multiplied on
-    the right by adj phi0 this is (phi0∘phi1 - f·id)·det phi0 = 0, and
-    det phi0, a nonzero element of a domain, cancels.  In every other case
-    (r0 != r1, f = 0, or phi1∘phi0 already fails) phi0∘phi1 is computed as
-    well, so the report names each identity that fails."""
+    When r0 = r1 = r and f != 0, phi1∘phi0 = f·id implies the second
+    identity.  Every ring here (Q, F_p, a polynomial ring over either) is
+    a domain, and there det phi1 · det phi0 = f^r != 0, so det phi0 != 0.
+    Also (phi0∘phi1 - f·id)∘phi0 = phi0∘(phi1∘phi0) - f·phi0 = 0;
+    multiplied on the right by adj phi0 this is
+    (phi0∘phi1 - f·id)·det phi0 = 0, and det phi0, a nonzero element of a
+    domain, cancels.  In that case `complexes.proves_scalar_product` is
+    asked first, and when it proves phi1∘phi0 = f·id on the product
+    kernel's slot sums the report is empty, with no product matrix built.
+    Otherwise phi1∘phi0 is computed and compared with f·id, and phi0∘phi1
+    as well unless the first identity holds in that case (r0 != r1, f = 0,
+    or phi1∘phi0 already fails), so the report names each identity that
+    fails, as two products give it on every input."""
     report = []
     f = m.potential
+    square = m.r0 == m.r1 and not f.is_zero
+    if square and proves_scalar_product(m.phi1, m.phi0, f):
+        return report
     even, want = m.phi1 * m.phi0, PolyMatrix.scalar(m.ring, m.r0, f)
     if even != want:
         report.append("phi1∘phi0 is not f·id on the even part"
                       + _first_difference(even, want))
-    elif m.r0 == m.r1 and not f.is_zero:
+    elif square:
         return report
     odd, want = m.phi0 * m.phi1, PolyMatrix.scalar(m.ring, m.r1, f)
     if odd != want:

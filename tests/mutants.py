@@ -174,13 +174,38 @@ MUTANTS = {
         ["tests/test_koszul.py"]),
     "mf_shortcut_without_equal_ranks": (
         "koszulmf/mf.py",
-        "elif m.r0 == m.r1 and not f.is_zero:",
-        "elif not f.is_zero:",
+        "square = m.r0 == m.r1 and not f.is_zero",
+        "square = not f.is_zero",
         ["tests/test_mf.py"]),
     "mf_shortcut_without_nonzero_potential": (
         "koszulmf/mf.py",
-        "elif m.r0 == m.r1 and not f.is_zero:",
-        "elif m.r0 == m.r1:",
+        "square = m.r0 == m.r1 and not f.is_zero",
+        "square = m.r0 == m.r1",
+        ["tests/test_mf.py"]),
+    "slot_reader_skips_the_off_diagonal": (
+        "koszulmf/complexes.py",
+        "if j != i and any(out) and (not p or any(v % p for v in out)):",
+        "if False:",
+        ["tests/test_mf.py"]),
+    "slot_reader_diagonal_without_mod_p": (
+        "koszulmf/complexes.py",
+        "diagonal = [v % p for v in diagonal]",
+        "diagonal = list(diagonal)",
+        ["tests/test_mf.py"]),
+    "slot_reader_packs_f_without_d": (
+        "koszulmf/complexes.py",
+        "want[sum(map(mul, k, powers))] = c.numerator * (d // c.denominator)",
+        "want[sum(map(mul, k, powers))] = c.numerator * (1 // c.denominator)",
+        ["tests/test_mf.py"]),
+    "slot_reader_packs_f_past_the_box": (
+        "koszulmf/complexes.py",
+        "if max(k) >= base or d % c.denominator:",
+        "if d % c.denominator:",
+        ["tests/test_mf.py"]),
+    "slot_reader_floors_a_coefficient_of_f": (
+        "koszulmf/complexes.py",
+        "if max(k) >= base or d % c.denominator:",
+        "if max(k) >= base:",
         ["tests/test_mf.py"]),
     "tensor_rule_without_sign": (
         "koszulmf/complexes.py",
@@ -214,10 +239,15 @@ MUTANTS = {
         "x = brow.get(jb)",
         ["tests/test_mf.py"]),
     "first_difference_scan_starts_at_row_1": (
-        "koszulmf/mf.py",
+        "koszulmf/complexes.py",
         "for i in range(x.rows):",
         "for i in range(1, x.rows):",
         ["tests/test_mf.py"]),
+    "first_difference_column_off_by_one": (
+        "koszulmf/complexes.py",
+        'return f" at ({i}, {j})"',
+        'return f" at ({i}, {j + 1})"',
+        ["tests/test_complexes.py", "tests/test_koszul.py"]),
 }
 
 EQUIVALENT = {}

@@ -161,9 +161,9 @@ def test_witness_check_validates_the_endpoints(capsys, tmp_path):
     assert code == 1
     assert lines == ["steps=0", "points=0",
                      "check=start module: underlying: degree 0: d∘d is "
-                     "nonzero",
+                     "nonzero at (0, 0)",
                      "check=end module: underlying: degree 0: d∘d is "
-                     "nonzero",
+                     "nonzero at (0, 0)",
                      "status=failed"]
     # the same log over a valid module passes
     module["d"] = {"0": [["0"]], "1": [["1"]]}

@@ -372,7 +372,7 @@ def _cases():
     ]
 
 
-def record():
+def record(path=GOLDEN):
     inputs = _build_inputs()
     cases = []
     with tempfile.TemporaryDirectory() as in_dir:
@@ -382,19 +382,20 @@ def record():
                 code, lines, files = run_case(argv, in_dir, out_dir)
             cases.append({"id": case_id, "argv": argv, "code": code,
                           "stdout": lines, "files": files})
-    write_golden({"inputs": inputs, "cases": cases})
-    print(f"recorded {len(cases)} cases to {GOLDEN}")
+    write_golden({"inputs": inputs, "cases": cases}, path)
+    return len(cases)
 
 
-def write_golden(golden):
-    """One line per case and per input document."""
+def write_golden(golden, path):
+    """One line per case, in transcript order, and per input document,
+    sorted by file name, so that a re-record moves only what changed."""
     cases = ",\n  ".join(json.dumps(c, sort_keys=True)
                           for c in golden["cases"])
     inputs = ",\n  ".join(
         f"{json.dumps(name)}: {json.dumps(raw, sort_keys=True)}"
-        for name, raw in golden["inputs"].items())
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
+        for name, raw in sorted(golden["inputs"].items()))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
         fh.write('{\n "cases": [\n  ' + cases + '\n ],\n "inputs": {\n  '
                  + inputs + "\n }\n}\n")
 
@@ -437,7 +438,14 @@ def test_transcript(case, in_dir, tmp_path):
     assert files == case["files"]
 
 
+def test_a_re_record_leaves_the_transcript_byte_identical(tmp_path):
+    path = str(tmp_path / "golden" / "cli_transcript.json")
+    assert record(path) == len(_CASES)
+    with open(path, "rb") as fh, open(GOLDEN, "rb") as committed:
+        assert fh.read() == committed.read()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(__doc__)
-    record()
+    print(f"recorded {record()} cases to {GOLDEN}")

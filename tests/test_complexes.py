@@ -771,6 +771,18 @@ def test_validate_complex_catches_dd_nonzero():
     assert validate_complex(good) == []
 
 
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)])
+def test_validate_complex_names_the_first_nonzero_entry(i, j):
+    # d_{-1}·d_{-2} = d_{-1}, nonzero at (i, j) and at the last entry
+    r = 3
+    d = _m(QXY, r, r, ["x" if (a, b) in ((i, j), (r - 1, r - 1)) else "0"
+                       for a in range(r) for b in range(r)])
+    c = FreeComplex(QXY, -2, 0, {-2: r, -1: r, 0: r},
+                    {-2: PolyMatrix.identity(QXY, r), -1: d})
+    assert validate_complex(c) == [
+        f"degree -2: d∘d is nonzero at ({i}, {j})"]
+
+
 def test_validate_complex_catches_bad_shapes():
     c = FreeComplex(QXY, -1, 0, {-1: 1, 0: 1},
                     {-1: _m(QXY, 2, 1, ["x", "y"])})

@@ -5,10 +5,11 @@ import pytest
 import corpus
 from koszulmf import koszul
 from koszulmf.complexes import FreeComplex, PolyMatrix, kron
-from koszulmf.koszul import (KoszulMorphism, box_tensor, cone_acyclic_at,
-                             cone_koszul, counit_map, fk_summands,
-                             free_koszul, koszul_complex, shift_koszul,
-                             validate_koszul, validate_koszul_morphism)
+from koszulmf.koszul import (KoszulModule, KoszulMorphism, box_tensor,
+                             cone_acyclic_at, cone_koszul, counit_map,
+                             fk_summands, free_koszul, koszul_complex,
+                             shift_koszul, validate_koszul,
+                             validate_koszul_morphism)
 from koszulmf.ring import parse_poly, polynomial_ring, rationals
 
 QX = polynomial_ring(rationals(), ("x",))
@@ -71,6 +72,34 @@ def test_fk_layout_descending_wedge_degree():
 def test_validate_koszul_on_corpus(name):
     entry = corpus.by_name(name)
     assert validate_koszul(entry.module) == []
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)])
+def test_validate_koszul_names_the_first_failing_entry(i, j):
+    r = 3
+    x, zero = parse_poly("x", QX), parse_poly("0", QX)
+    eye = PolyMatrix.identity(QX, r)
+    e = PolyMatrix(QX, r, r, [parse_poly("1" if (a, b) == (i, j) else "0",
+                                         QX)
+                              for a in range(r) for b in range(r)])
+    # d = x·id and h_1 = x·id + E on two terms, f = x^2: d h + h d is
+    # x^2·id + x·E at both degrees
+    two = FreeComplex(QX, -1, 0, {-1: r, 0: r},
+                      {-1: PolyMatrix.scalar(QX, r, x)})
+    m = KoszulModule(QX, (x * x,), two,
+                     [{0: PolyMatrix.scalar(QX, r, x) + e}])
+    assert validate_koszul(m) == [
+        f"d h_1 + h_1 d is not f_1·id at degree {deg} at ({i}, {j})"
+        for deg in (-1, 0)]
+    # d = 0 and f = 0 on three terms: h_1 = id, then E squares to E; with
+    # the E in h_2 the two fail to anticommute by E
+    three = FreeComplex(QX, -2, 0, {-2: r, -1: r, 0: r}, {})
+    m = KoszulModule(QX, (zero,), three, [{0: eye, -1: e}])
+    assert validate_koszul(m) == [
+        f"h_1 squares to nonzero at degree 0 at ({i}, {j})"]
+    m = KoszulModule(QX, (zero, zero), three, [{0: eye}, {-1: e}])
+    assert validate_koszul(m) == [
+        f"h_1 and h_2 fail to anticommute at degree 0 at ({i}, {j})"]
 
 
 # ---------------------------------------------------------------------------

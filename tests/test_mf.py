@@ -1,5 +1,6 @@
 """Matrix factorizations: axioms, folding, residue homology."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import corpus
 import genmod
-from koszulmf.complexes import PolyMatrix
+from koszulmf import complexes
+from koszulmf.complexes import PolyMatrix, proves_scalar_product
 from koszulmf.koszul import KoszulMorphism
 from koszulmf.mf import (MFMorphism, MFObject, compose_mf_morphisms,
                          fold_morphism, mf_cone, mf_shift, mf_tensor,
@@ -156,12 +158,198 @@ def _pairs(draw, ring):
     return MFObject(ring, f, r0, r1, phi0, phi1)
 
 
+def _wide(ring, draw_int):
+    """A nonzero poly of up to four terms in the box {0, 1}^n, with
+    coefficients that are units mod 5 and denominators 1, 2 and 3."""
+    terms = {}
+    while not terms:
+        for _ in range(draw_int(1, 4)):
+            exps = tuple(draw_int(0, 1) for _ in ring.varnames)
+            terms[exps] = Fraction([1, -1, 2, -3][draw_int(0, 3)],
+                                   draw_int(1, 3))
+    return Poly(ring, terms)
+
+
+def _dense_mf(ring, k, draw_int):
+    """A factorization of rank 2^(k-1) whose entries fill in: the tensor
+    product of the rank-one factorizations (a_i, b_i), i < k, of wide
+    polys, with both bases changed by constant elementary moves (phi0 to
+    V·phi0·U^-1, phi1 to U·phi1·V^-1).  It is valid, of a sum of k
+    products a_i·b_i; `draw_int(lo, hi)` draws every choice."""
+    m = None
+    for _ in range(k):
+        a, b = _wide(ring, draw_int), _wide(ring, draw_int)
+        one = MFObject(ring, a * b, 1, 1, PolyMatrix(ring, 1, 1, [a]),
+                       PolyMatrix(ring, 1, 1, [b]))
+        m = one if m is None else mf_tensor(m, one)
+    r = m.r0
+    u = u_inv = v = v_inv = PolyMatrix.identity(ring, r)
+    for _ in range(3 * r if r > 1 else 0):
+        i = draw_int(0, r - 1)
+        j = (i + draw_int(1, r - 1)) % r
+        c = Poly.const(ring, [1, -1, 2][draw_int(0, 2)])
+        e, e_inv = (_elementary(ring, r, i, j, c),
+                    _elementary(ring, r, i, j, -c))
+        if draw_int(0, 1):
+            u, u_inv = u * e, e_inv * u_inv
+        else:
+            v, v_inv = v * e, e_inv * v_inv
+    return MFObject(ring, m.potential, r, r, v * m.phi0 * u_inv,
+                    u * m.phi1 * v_inv)
+
+
+def _unit_at(ring, r, i, j):
+    """The r x r matrix with 1 at (i, j) and zeros elsewhere."""
+    return PolyMatrix(ring, r, r, [Poly.one(ring) if (a, b) == (i, j)
+                                   else Poly.zero(ring)
+                                   for a in range(r) for b in range(r)])
+
+
+@st.composite
+def _dense_pairs(draw, ring):
+    """A square factorization of rank 2 or 4 with dense multi-term
+    entries, which the slot reader of the product kernel decides, valid
+    or with one fault: an entry of phi0 or phi1 changed, f moved by one
+    monomial (each diagonal slot of that monomial off), or phi1 replaced
+    by (I + E)·phi1 for a unit E off the diagonal, which leaves the
+    diagonal of phi1∘phi0 at f and puts f at E's place."""
+    def draw_int(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    m = _dense_mf(ring, draw_int(2, 3), draw_int)
+    r, f = m.r0, m.potential
+    fault = draw(st.sampled_from([None, None, "entry", "f", "off"]))
+    if fault == "entry":
+        phis = [m.phi0, m.phi1]
+        k = draw_int(0, 1)
+        cells = phis[k].entries
+        cells[draw_int(0, r * r - 1)] += draw(_polys(ring, True))
+        phis[k] = PolyMatrix(ring, r, r, cells)
+        return MFObject(ring, f, r, r, *phis)
+    if fault == "f":
+        exps = tuple(draw_int(0, 2) for _ in ring.varnames)
+        return MFObject(ring, f + Poly(ring, {exps: 1}), r, r, m.phi0,
+                        m.phi1)
+    if fault == "off":
+        i = draw_int(0, r - 1)
+        j = (i + draw_int(1, r - 1)) % r
+        eye = PolyMatrix.identity(ring, r)
+        return MFObject(ring, f, r, r, m.phi0,
+                        (eye + _unit_at(ring, r, i, j)) * m.phi1)
+    return m
+
+
 @pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_validate_mf_matches_the_two_product_report(ring, data):
-    m = data.draw(_pairs(ring))
+    m = data.draw(_pairs(ring) | _dense_pairs(ring))
+    decided = (m.r0 == m.r1 and not m.potential.is_zero
+               and proves_scalar_product(m.phi1, m.phi0, m.potential))
+    event(f"slot reader: {'proved' if decided else 'undecided'}")
     assert validate_mf(m) == _two_products(m)
+
+
+def _r8(ring, seed=8):
+    """A valid factorization of rank 8, with entries that fill in."""
+    return _dense_mf(ring, 4, random.Random(seed).randint)
+
+
+def _slot_sums(m):
+    """(b, D, sums) of phi1∘phi0 as the slot reader sees them."""
+    da = db = 1
+    if not m.ring.char:
+        da = complexes._denominator(m.phi1.nz)
+        db = complexes._denominator(m.phi0.nz)
+    b, sums = complexes._dense_sums(m.phi1.nz, m.phi0.nz,
+                                    len(m.ring.varnames), da, db)
+    return b, da * db, sums
+
+
+@pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
+def test_slot_reader_proves_a_valid_rank_8_factorization(monkeypatch, ring):
+    m = _r8(ring)
+    _, d, sums = _slot_sums(m)
+    if ring.char:
+        # sums off the diagonal vanish only mod p, and the diagonal's
+        # unreduced sums are not f's coefficients
+        off = [v for i, row in sums.items() for j, out in row.items()
+               if j != i for v in out]
+        assert any(off) and not any(v % 5 for v in off)
+        assert any(v >= 5 for v in sums[0][0])
+    else:
+        # D > 1, and f has a coefficient that is not an int
+        assert d > 1
+        assert any(type(c) is not int for c in m.potential.terms.values())
+    assert proves_scalar_product(m.phi1, m.phi0, m.potential) is True
+    calls = []
+    mul = PolyMatrix.__mul__
+    monkeypatch.setattr(PolyMatrix, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    assert validate_mf(m) == []
+    assert calls == []
+
+
+def _aliased_exponent(m):
+    """f with one term x^e·y^e' (e' ≥ 1) moved to x^(e + b)·y^(e' - 1),
+    which packs to the same slot in base b."""
+    b, _, _ = _slot_sums(m)
+    terms = dict(m.potential.terms)
+    k = next(k for k in terms if k[1] >= 1)
+    terms[(k[0] + b, k[1] - 1)] = terms.pop(k)
+    return Poly(m.ring, terms)
+
+
+def _aliased_coefficient(m):
+    """f with one coefficient c moved to D·c / v, for a v in (D/2, D)
+    that does not divide D and is prime to D·c: floored, D // v = 1
+    would pack it as D·c."""
+    _, d, _ = _slot_sums(m)
+    terms = dict(m.potential.terms)
+    k, c = next(iter(terms.items()))
+    t = c * d
+    v = next(v for v in range(d // 2 + 1, d)
+             if d % v and math.gcd(t.numerator, v) == 1)
+    terms[k] = Fraction(t.numerator, v)
+    return Poly(m.ring, terms)
+
+
+# fault -> (rings, the new (f, phi0, phi1) of the rank-8 factorization m,
+# the entry where phi1∘phi0 first fails); each fault aims at one check of
+# the slot reader, which must leave the identity undecided
+READER_FAULTS = {
+    # 1/D (over F_5, 1) more of one monomial in every diagonal entry
+    "diagonal-slot-off-by-one": (
+        [QXY, F5XY],
+        lambda m: (m.potential
+                   + Poly(m.ring, {(1, 1): Fraction(1, _slot_sums(m)[1])}),
+                   m.phi0, m.phi1), (0, 0)),
+    # (I + E)·phi1 with E the unit at (2, 5): the diagonal stays f
+    "off-diagonal-only": (
+        [QXY, F5XY],
+        lambda m: (m.potential, m.phi0,
+                   (PolyMatrix.identity(m.ring, 8)
+                    + _unit_at(m.ring, 8, 2, 5)) * m.phi1), (2, 5)),
+    "exponent-past-2-top": (
+        [QXY, F5XY],
+        lambda m: (_aliased_exponent(m), m.phi0, m.phi1), (0, 0)),
+    "coefficient-not-integral-after-D": (
+        [QXY],
+        lambda m: (_aliased_coefficient(m), m.phi0, m.phi1), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("fault", READER_FAULTS)
+def test_slot_reader_leaves_planted_faults_undecided(fault):
+    rings, plant, (i, j) = READER_FAULTS[fault]
+    for ring in rings:
+        f, phi0, phi1 = plant(_r8(ring))
+        bad = MFObject(ring, f, 8, 8, phi0, phi1)
+        assert proves_scalar_product(bad.phi1, bad.phi0,
+                                     bad.potential) is False
+        report = validate_mf(bad)
+        assert report == _two_products(bad)
+        assert report[0] == f"{EVEN} at ({i}, {j})"
 
 
 def _non_square(f, phi0, phi1):
