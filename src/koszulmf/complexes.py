@@ -45,14 +45,18 @@ only "proved" or "undecided" (the layout declines, f has an exponent
 and `mf.validate_mf` takes its products only when it is undecided.
 
 A product in which one operand is a selection, a matrix whose every
-stored row is one entry, the constant 1 (permutations, pads, trims,
-identities, and vacuously the zero matrix), is a reindexing with no
-arithmetic: S·B shares row k of B as row i wherever S[i] = {k: 1}, and
-A·S moves A[i][k] to column j wherever S[k] = {j: 1}.  Entries are shared
-with the operands; no matrix is changed once built, so S·B shares B's rows
-as they are.  A selection is found by a scan that stops at the first row
-that is not one constant 1; when two rows of a right-hand selection put
-their 1 in one column, the product is a sum and takes the fused kernel.
+stored row is one entry, a constant ±1 (permutations, pads, trims,
+identities, signed blocks such as -id, and vacuously the zero matrix), is
+a reindexing with no arithmetic: S·B takes row k of B as row i wherever
+S[i] = {k: ±1}, and A·S moves A[i][k] to column j wherever S[k] = {j: ±1}.
+Entries taken with sign +1 are shared with the operands, rows too for S·B;
+no matrix is changed once built, so S·B shares B's rows as they are.  An
+entry taken with sign -1 is negated, and each distinct entry once per
+product: a memo keyed by identity holds its negation.  -1 is read in
+normal form, p - 1 over F_p.  A selection is found by a scan that stops
+at the first row that is not one constant ±1; when two rows of a
+right-hand selection put their entry in one column, the product is a sum
+and takes the fused kernel.
 
 A command evaluates each point through one `Evaluation`, shared by its
 locus check, replay evidence and residue homology: each distinct entry
@@ -280,23 +284,51 @@ def proves_scalar_product(a, b, f):
     return True
 
 
-def _selection(nz, one):
-    """{row: column} when every stored row of `nz` is one entry, the
-    constant 1 (`one` is the exponent tuple of the monomial 1); else None.
-    The scan stops at the first row that is not."""
-    sel = {}
-    unit = None     # the last entry found to be 1; rows often share it
+def _selection(nz, one, minus):
+    """(columns, negated) when every stored row of `nz` is one entry, a
+    constant ±1: columns is {row: column}, and negated the set of rows
+    whose entry is -1.  `one` is the exponent tuple of the monomial 1 and
+    `minus` the normal form of -1 (p - 1 over F_p, so over F_2 no row is
+    negated).  None when a row is not; the scan stops at the first such
+    row."""
+    cols = {}
+    negated = set()
+    plus = neg = None   # the last entries found to be 1 and -1, often shared
     for i, row in nz.items():
         if len(row) != 1:
             return None
         (k, e), = row.items()
-        if e is not unit:
-            t = e.terms
-            if len(t) != 1 or t.get(one) != 1:
-                return None
-            unit = e
-        sel[i] = k
-    return sel
+        if e is not plus:
+            if e is neg:
+                negated.add(i)
+            else:
+                t = e.terms
+                if len(t) != 1:
+                    return None
+                c = t.get(one)
+                if c == 1:
+                    plus = e
+                elif c == minus:
+                    neg = e
+                    negated.add(i)
+                else:
+                    return None
+        cols[i] = k
+    return cols, negated
+
+
+def _negated(row, memo):
+    """{column: -entry} for the stored row `row`.  `memo` maps the id of
+    each entry negated so far to its negation, so each distinct entry is
+    negated once while the memo lives; the caller keeps the memo no longer
+    than the matrices that hold those entries."""
+    out = {}
+    for j, e in row.items():
+        n = memo.get(id(e))
+        if n is None:
+            n = memo[id(e)] = -e
+        out[j] = n
+    return out
 
 
 class PolyMatrix:
@@ -462,18 +494,30 @@ class PolyMatrix:
         ring = self.ring
         anz, bnz = self.nz, other.nz
         one = (0,) * len(ring.varnames)     # exponents of the monomial 1
-        sel = _selection(anz, one)
-        if sel is not None:
-            nz = {i: bnz[k] for i, k in sel.items() if k in bnz}
+        minus = ring.char - 1 if ring.char else -1
+        left = _selection(anz, one, minus)
+        if left is not None:
+            cols, negated = left
+            nz = {i: bnz[k] for i, k in cols.items() if k in bnz}
+            memo = {}
+            for i in negated.intersection(nz):
+                nz[i] = _negated(nz[i], memo)
             return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
-        sel = _selection(bnz, one)
-        if sel is not None and len(set(sel.values())) == len(sel):
-            nz = {}
-            for i, arow in anz.items():
-                row = {sel[k]: a for k, a in arow.items() if k in sel}
-                if row:
-                    nz[i] = row
-            return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
+        right = _selection(bnz, one, minus)
+        if right is not None:
+            cols, negated = right
+            if len(set(cols.values())) == len(cols):
+                nz = {}
+                memo = {}
+                for i, arow in anz.items():
+                    row = {cols[k]: a for k, a in arow.items() if k in cols}
+                    if row:
+                        if negated:
+                            row.update(_negated(
+                                {cols[k]: arow[k]
+                                 for k in negated.intersection(arow)}, memo))
+                        nz[i] = row
+                return PolyMatrix(ring, self.rows, other.cols, trusted=nz)
         p = ring.char
         d = 1
         if not p:
@@ -566,17 +610,11 @@ class PolyMatrix:
 
     def __neg__(self):
         # entries are often one shared Poly (a unit, a potential): each
-        # distinct entry is negated once, keyed by identity
-        negated = {}
-        nz = {}
-        for i, row in self.nz.items():
-            out = nz[i] = {}
-            for j, e in row.items():
-                n = negated.get(id(e))
-                if n is None:
-                    n = negated[id(e)] = -e
-                out[j] = n
-        return PolyMatrix(self.ring, self.rows, self.cols, trusted=nz)
+        # distinct entry is negated once
+        memo = {}
+        return PolyMatrix(self.ring, self.rows, self.cols,
+                          trusted={i: _negated(row, memo)
+                                   for i, row in self.nz.items()})
 
     def scale(self, poly):
         self._same_ring(poly)

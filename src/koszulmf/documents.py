@@ -199,9 +199,18 @@ def _parse_entry(ring, text, where, memo=None):
 
 
 def _parse_matrix(ring, payload, rows, cols, where, memo):
-    _expect(isinstance(payload, list) and len(payload) == rows
-            and all(isinstance(r, list) and len(r) == cols for r in payload),
+    """The rows x cols matrix of a payload of rows of entries.  The row
+    types and lengths are checked in C-level passes; each cell other than
+    "0" is looked up in the read's entry memo first and goes to
+    `_parse_entry` only when it misses, so a malformed entry is still
+    reported at its first location, and a zero entry is never stored."""
+    _expect(type(payload) is list and len(payload) == rows
+            and set(map(type, payload)) <= {list}
+            and set(map(len, payload)) <= {cols},
             f"{where}: expected a {rows}x{cols} matrix")
+    if memo is None:
+        memo = {}, {}
+    get = memo[0].get
     nz = {}
     for i, row in enumerate(payload):
         if row.count("0") == cols:
@@ -209,7 +218,12 @@ def _parse_matrix(ring, payload, rows, cols, where, memo):
         parsed = {}
         for j, text in enumerate(row):
             if text != "0":
-                e = _parse_entry(ring, text, where, memo)
+                try:
+                    e = get(text)
+                except TypeError:   # unhashable: _parse_entry refuses it
+                    e = None
+                if e is None:
+                    e = _parse_entry(ring, text, where, memo)
                 if e.terms:
                     parsed[j] = e
         if parsed:

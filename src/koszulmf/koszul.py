@@ -257,8 +257,34 @@ class KoszulMorphism:
         return g
 
 
+def _side(a, b):
+    """a·b, one side of a square.  When a or b has no nonzero entry it is
+    the zero matrix of its shape, built without a product, after the shape
+    and ring checks that `PolyMatrix.__mul__` makes."""
+    if a.nz and b.nz or a.cols != b.rows or a.ring is not b.ring:
+        return a * b
+    return PolyMatrix.zero(a.ring, a.rows, b.cols)
+
+
+def _square(a, b, c, d):
+    """None when a·b = c·d; else the text ' at (i, j)' of their first
+    differing entry (`_first_difference`), or '' when the two sides differ
+    in shape."""
+    lhs, rhs = _side(a, b), _side(c, d)
+    if lhs == rhs:
+        return None
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        return ""
+    return _first_difference(lhs, rhs)
+
+
 def validate_koszul_morphism(g):
-    """Report of problems; empty means valid."""
+    """Report of problems, each failed square with its first differing
+    entry (row-major); empty means valid.
+
+    A side of a square with a factor that has no nonzero entry is zero: it
+    is compared as the zero matrix, without a product, and still makes the
+    shape and ring checks of the product (`_side`)."""
     src, tgt = g.source, g.target
     report = [f"degree {m}: component is {c.rows}x{c.cols}, "
               f"want {tgt.rank(m)}x{src.rank(m)}"
@@ -267,15 +293,17 @@ def validate_koszul_morphism(g):
     if report:
         return report
     for m in range(g.lo, g.hi):
-        if tgt.diff(m) * g.component(m) != g.component(m + 1) * src.diff(m):
-            report.append(f"degree {m}: square does not commute")
+        at = _square(tgt.diff(m), g.component(m),
+                     g.component(m + 1), src.diff(m))
+        if at is not None:
+            report.append(f"degree {m}: square does not commute{at}")
     for i in range(src.n):
         for m in range(g.lo, g.hi + 1):
-            lhs = tgt.hop(i, m) * g.component(m)
-            rhs = g.component(m - 1) * src.hop(i, m)
-            if lhs != rhs:
+            at = _square(tgt.hop(i, m), g.component(m),
+                         g.component(m - 1), src.hop(i, m))
+            if at is not None:
                 report.append(f"degree {m}: component does not intertwine "
-                              f"h_{i + 1}")
+                              f"h_{i + 1}{at}")
     return report
 
 

@@ -6,7 +6,11 @@ runs every mutant (or the named ones) strictly one after another.  For
 each, the runner copies `src/` into a fresh temporary directory, replaces
 the mutant's text (which must occur exactly once in its file) and runs its
 pytest selection with `-x -q` against that copy, with a per-mutant
-timeout.  It prints one line per mutant: killed (the selection failed),
+timeout.  The selection runs under the Hypothesis profile `mutants` of
+tests/conftest.py (no shrink phase, no example database) and a fixed
+Hypothesis seed: `-x` stops at the first failure, which shrinking would
+only make smaller, and the same mutant meets the same examples on every
+run.  It prints one line per mutant: killed (the selection failed),
 survived (it passed) or timed out.  A mutant in EQUIVALENT cannot change
 what the program computes, and the reason is printed beside its verdict; a
 survivor that is not in EQUIVALENT is a hole in the tests.  The exit code
@@ -30,12 +34,27 @@ SRC = os.path.join(ROOT, "src")
 # seconds one mutant's selection may run; a mutant can loop forever
 TIMEOUT = 600
 
+# the Hypothesis options of every selection (see the module docstring)
+HYPOTHESIS = ["--hypothesis-profile", "mutants", "--hypothesis-seed", "0"]
+
 # name -> (file under src/, exact text, replacement, pytest selection)
 MUTANTS = {
     "morphism_d_square_never_fails": (
         "koszulmf/koszul.py",
-        "if tgt.diff(m) * g.component(m) != g.component(m + 1) * src.diff(m):",
-        "if tgt.diff(m) * g.component(m) != tgt.diff(m) * g.component(m):",
+        "at = _square(tgt.diff(m), g.component(m),\n"
+        "                     g.component(m + 1), src.diff(m))",
+        "at = _square(tgt.diff(m), g.component(m),\n"
+        "                     tgt.diff(m), g.component(m))",
+        ["tests/test_koszul.py"]),
+    "zero_factor_side_compares_equal": (
+        "koszulmf/koszul.py",
+        "if lhs == rhs:",
+        "if lhs == rhs or lhs.is_zero or rhs.is_zero:",
+        ["tests/test_koszul.py"]),
+    "zero_factor_side_skips_the_shape_check": (
+        "koszulmf/koszul.py",
+        "if a.nz and b.nz or a.cols != b.rows or a.ring is not b.ring:",
+        "if a.nz and b.nz:",
         ["tests/test_koszul.py"]),
     "morphism_shape_check_never_fails": (
         "koszulmf/koszul.py",
@@ -118,8 +137,16 @@ MUTANTS = {
         ["tests/test_complexes.py"]),
     "right_selection_not_injective": (
         "koszulmf/complexes.py",
-        "if sel is not None and len(set(sel.values())) == len(sel):",
-        "if sel is not None:",
+        "if len(set(cols.values())) == len(cols):",
+        "if True:",
+        ["tests/test_selection.py", "tests/test_complexes.py"]),
+    "signed_selection_drops_sign": (
+        "koszulmf/complexes.py",
+        "                elif c == minus:\n"
+        "                    neg = e\n"
+        "                    negated.add(i)\n",
+        "                elif c == minus:\n"
+        "                    plus = e\n",
         ["tests/test_selection.py", "tests/test_complexes.py"]),
     "normal_terms_floor_divide": (
         "koszulmf/complexes.py",
@@ -141,6 +168,19 @@ MUTANTS = {
         "    if ring.char:\n        out[\"p\"] = ring.char\n",
         "    if ring.char and not ring.varnames:\n"
         "        out[\"p\"] = ring.char\n",
+        ["tests/test_documents.py"]),
+    "memo_first_skips_zero_entry_check": (
+        "koszulmf/documents.py",
+        "                if e is None:\n"
+        "                    e = _parse_entry(ring, text, where, memo)\n"
+        "                if e.terms:\n"
+        "                    parsed[j] = e\n",
+        "                if e is None:\n"
+        "                    e = _parse_entry(ring, text, where, memo)\n"
+        "                    if e.terms:\n"
+        "                        parsed[j] = e\n"
+        "                else:\n"
+        "                    parsed[j] = e\n",
         ["tests/test_documents.py"]),
     "degree_key_read_in_any_int_spelling": (
         "koszulmf/documents.py",
@@ -278,7 +318,7 @@ def run(name):
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q",
-                 "-p", "no:cacheprovider", *selection],
+                 "-p", "no:cacheprovider", *HYPOTHESIS, *selection],
                 cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timed out"

@@ -428,6 +428,28 @@ def test_wrong_matrix_shape():
         docs.parse_document(raw)
 
 
+@pytest.mark.parametrize("payload", [
+    "x", {"0": ["x", "y"]}, None,      # not a list
+    [["x"]],                           # a short row
+    [["x", "y", "0"]],                 # a long row
+    ["xy"], [{"x": 1, "y": 2}],        # rows that are not lists
+    [5],                               # an int row
+    [], [["x", "y"], ["x", "y"]],      # the wrong row count
+], ids=["str", "dict", "null", "short-row", "long-row", "str-row",
+        "dict-row", "int-row", "no-rows", "two-rows"])
+def test_each_malformed_matrix_shape_is_named(payload, tmp_path, capsys):
+    raw = _m3_payload()
+    raw["objects"]["m3"]["d"]["-1"] = payload
+    msg = "objects.m3.d[-1]: expected a 1x2 matrix"
+    with pytest.raises(docs.DocumentError) as err:
+        docs.parse_document(raw)
+    assert str(err.value) == msg
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().out == f"error=parse {msg}\n"
+
+
 def test_bad_polynomial_entry():
     raw = _m3_payload()
     raw["objects"]["m3"]["d"]["-1"] = [["x +", "y"]]
@@ -832,6 +854,36 @@ def test_memo_reports_a_repeated_bad_entry_at_its_first_location():
     with pytest.raises(docs.DocumentError,
                        match=r"^objects\.m3\.d\[-2\]: unknown variable"):
         docs.parse_document(raw)
+
+
+def test_memo_reports_a_bad_entry_of_a_later_matrix_at_its_first_location(
+        tmp_path, capsys):
+    # "z" is first met in h[0] at degree 0, read after d; its repeats in
+    # h[0] at -1 and in a later object are memo misses that fail again
+    raw = _m3_payload()
+    raw["objects"]["m3"]["h"][0]["0"] = [["y"], ["z"]]
+    raw["objects"]["m3"]["h"][0]["-1"] = [["z", "-y"]]
+    raw["objects"]["zz"] = dict(raw["objects"]["m3"])
+    msg = "objects.m3.h[0][0]: unknown variable 'z'"
+    with pytest.raises(docs.DocumentError) as err:
+        docs.parse_document(raw)
+    assert str(err.value).startswith(msg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(f"error=parse {msg}")
+
+
+@pytest.mark.parametrize("zero", ["0*x", "-0", "x - x", 0])
+def test_memo_hits_of_a_zero_entry_are_not_stored(zero):
+    ring = polynomial_ring(rationals(), ("x", "y"))
+    memo = {}, {}
+    x = parse_poly("x", ring)
+    first = docs._parse_matrix(ring, [[zero, "x"], [zero, zero]], 2, 2, "m",
+                               memo)
+    later = docs._parse_matrix(ring, [[zero], [zero]], 2, 1, "n", memo)
+    assert first.nz == {0: {1: x}}
+    assert later.nz == {}
 
 
 def test_parsing_a_document_twice_gives_equal_objects():

@@ -4,7 +4,8 @@ import pytest
 
 import corpus
 from koszulmf import koszul
-from koszulmf.complexes import FreeComplex, PolyMatrix, kron
+from koszulmf.complexes import (FreeComplex, PolyMatrix, _first_difference,
+                                kron)
 from koszulmf.koszul import (KoszulModule, KoszulMorphism, box_tensor,
                              cone_acyclic_at, cone_koszul, counit_map,
                              fk_summands, free_koszul, koszul_complex,
@@ -127,8 +128,8 @@ def test_validate_koszul_morphism_reports_a_noncommuting_square():
     m = _point_module(QX, ["x"])
     g = KoszulMorphism(m, m, {0: PolyMatrix.identity(QX, 1)})
     assert validate_koszul_morphism(g) == [
-        "degree -1: square does not commute",
-        "degree 0: component does not intertwine h_1"]
+        "degree -1: square does not commute at (0, 0)",
+        "degree 0: component does not intertwine h_1 at (0, 0)"]
 
 
 def test_validate_koszul_morphism_reports_each_bad_shape_once():
@@ -137,6 +138,83 @@ def test_validate_koszul_morphism_reports_each_bad_shape_once():
                               0: PolyMatrix.identity(QX, 1)})
     assert validate_koszul_morphism(g) == [
         "degree -1: component is 2x1, want 1x1"]
+
+
+def _reference_report(g):
+    """The report of `validate_koszul_morphism` for a morphism of valid
+    shapes, from both products of every square."""
+    src, tgt = g.source, g.target
+    report = []
+    for m in range(g.lo, g.hi):
+        lhs = tgt.diff(m) * g.component(m)
+        rhs = g.component(m + 1) * src.diff(m)
+        if lhs != rhs:
+            report.append(f"degree {m}: square does not commute"
+                          + _first_difference(lhs, rhs))
+    for i in range(src.n):
+        for m in range(g.lo, g.hi + 1):
+            lhs = tgt.hop(i, m) * g.component(m)
+            rhs = g.component(m - 1) * src.hop(i, m)
+            if lhs != rhs:
+                report.append(f"degree {m}: component does not intertwine "
+                              f"h_{i + 1}" + _first_difference(lhs, rhs))
+    return report
+
+
+def test_morphism_report_names_the_first_differing_entry():
+    # the identity of m3 with a 1 planted at (1, 0) of its degree -1
+    # component: [[y], [y - x]] against [[y], [-x]] at degree -2,
+    # [[x + y, y]] against [[x, y]] at -1, then the h_1 squares
+    m = corpus.by_name("m3").module
+    ring = m.ring
+    comps = {u: PolyMatrix.identity(ring, m.rank(u)) for u in (-2, 0)}
+    comps[-1] = _m(ring, 2, 2, ["1", "0", "1", "1"])
+    g = KoszulMorphism(m, m, comps)
+    assert validate_koszul_morphism(g) == _reference_report(g) == [
+        "degree -2: square does not commute at (1, 0)",
+        "degree -1: square does not commute at (0, 0)",
+        "degree -1: component does not intertwine h_1 at (0, 0)",
+        "degree 0: component does not intertwine h_1 at (1, 0)"]
+
+
+@pytest.mark.parametrize("name", ["m3", "fk_x2", "kuv", "two_term_xy"])
+def test_a_zero_component_against_a_nonzero_side(name):
+    # each component of the counit zeroed in turn: the zero side is not
+    # formed as a product, and the report is the one both products give
+    g = counit_map(corpus.by_name(name).module)
+    faults = 0
+    for u in range(g.lo, g.hi + 1):
+        c = g.component(u)
+        if c.is_zero:
+            continue
+        comps = dict(g.components)
+        comps[u] = PolyMatrix.zero(c.ring, c.rows, c.cols)
+        bad = KoszulMorphism(g.source, g.target, comps)
+        report = validate_koszul_morphism(bad)
+        assert report and report == _reference_report(bad)
+        faults += 1
+    assert faults
+
+
+def test_a_zero_factor_keeps_the_product_shape_check():
+    # m3 with d at -1 widened to 1x3: the square at -1 has a zero component
+    # on the left, and still fails the product's shape check
+    m = corpus.by_name("m3").module
+    ring = m.ring
+    bad = FreeComplex(ring, m.lo, m.hi, m.underlying.ranks,
+                      {-2: m.diff(-2), -1: _m(ring, 1, 3, ["x", "y", "0"])})
+    wide = KoszulModule(ring, m.potential, bad, m.h)
+    comps = {-1: PolyMatrix.zero(ring, 2, 2), 0: PolyMatrix.identity(ring, 1)}
+    with pytest.raises(ValueError, match=r"shape mismatch 1x3 \* 2x2"):
+        validate_koszul_morphism(KoszulMorphism(m, wide, comps))
+    # sides of two shapes differ, with no entry to name
+    tall = FreeComplex(ring, m.lo, m.hi, m.underlying.ranks,
+                       {-2: _m(ring, 3, 1, ["y", "-x", "0"]),
+                        -1: m.diff(-1)})
+    ident = {u: PolyMatrix.identity(ring, m.rank(u)) for u in (-2, -1, 0)}
+    g = KoszulMorphism(m, KoszulModule(ring, m.potential, tall, m.h), ident)
+    assert validate_koszul_morphism(g) == [
+        "degree -2: square does not commute"]
 
 
 def test_scalar_endo_is_valid():

@@ -1,10 +1,11 @@
 """Products with a selection operand, against a dense reference.
 
-A selection is a matrix whose every stored row is one entry, the constant
-1: permutations, identities, pads and trims, and the zero matrix.  Such a
-product is a reindexing that shares the other operand's entries; a
-right-hand selection that sends two rows to one column sums, and takes the
-fused kernel.
+A selection is a matrix whose every stored row is one entry, a constant
+±1: permutations, identities, pads and trims, signed blocks, and the zero
+matrix.  Such a product is a reindexing that shares the other operand's
+entries where the sign is +1 and negates each distinct entry once where
+it is -1; a right-hand selection that sends two rows to one column sums,
+and takes the fused kernel.
 """
 
 from fractions import Fraction
@@ -19,7 +20,10 @@ SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
 
 QXY = polynomial_ring(rationals(), ("x", "y"))
 F5XY = polynomial_ring(prime_field(5), ("x", "y"))
+F32003XY = polynomial_ring(prime_field(32003), ("x", "y"))
 RINGS = pytest.mark.parametrize("ring", [QXY, F5XY], ids=["Q", "F5"])
+SIGNED_RINGS = pytest.mark.parametrize("ring", [QXY, F32003XY],
+                                       ids=["Q", "F32003"])
 
 
 @st.composite
@@ -64,10 +68,13 @@ def column_maps(draw, rows, cols):
     return [None] * rows
 
 
-def _selection(ring, cmap, cols):
+def _selection(ring, cmap, cols, signs=None):
+    """The dense rows of the selection `cmap`; row i holds -1 where
+    signs[i] is true."""
     one, zero = Poly.one(ring), Poly.zero(ring)
-    return [[one if cmap[i] == j else zero for j in range(cols)]
-            for i in range(len(cmap))]
+    signs = signs or [False] * len(cmap)
+    return [[(-one if signs[i] else one) if cmap[i] == j else zero
+             for j in range(cols)] for i in range(len(cmap))]
 
 
 def _matrix(ring, rows, cols):
@@ -139,6 +146,55 @@ def test_selection_times_selection(ring, data):
     s2 = _selection(ring, draw(column_maps(k, c)), c)
     prod = _matrix(ring, s1, k) * _matrix(ring, s2, c)
     _check(ring, prod, _dense_mul(ring, s1, s2, c), r, c)
+
+
+@SIGNED_RINGS
+@SETTINGS
+@given(data=st.data())
+def test_signed_selections_on_either_side(ring, data):
+    # S·B and A·S for ±1 selections S, injective or not (column_maps draws
+    # repeated columns too), against the schoolbook product
+    draw = data.draw
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    signs = [draw(st.booleans()) for _ in range(r + k)]
+    s1 = _selection(ring, draw(column_maps(r, k)), k, signs[:r])
+    s2 = _selection(ring, draw(column_maps(k, c)), c, signs[r:])
+    a, b = draw(dense(ring, r, k)), draw(dense(ring, k, c))
+    for x, y in ((s1, b), (a, s2), (s1, s2)):
+        prod = _matrix(ring, x, k) * _matrix(ring, y, c)
+        _check(ring, prod, _dense_mul(ring, x, y, c), r, c)
+
+
+@SIGNED_RINGS
+def test_signed_selection_negates_each_entry_once(ring):
+    x, y = Poly.var(ring, "x"), Poly.var(ring, "y")
+    one, zero = Poly.one(ring), Poly.zero(ring)
+    # rows 0 and 2 of S take row 0 of B with -1, row 1 takes it with +1
+    s = _matrix(ring, [[-one, zero], [one, zero], [-one, zero]], 2)
+    b = _matrix(ring, [[x, x + y], [y, zero]], 2)
+    prod = s * b
+    assert prod == _matrix(ring, [[-x, -x - y], [x, x + y], [-x, -x - y]], 2)
+    assert prod.nz[1] is b.nz[0]
+    assert prod.nz[0][0] is prod.nz[2][0]
+    assert prod.nz[0][1] is prod.nz[2][1]
+    # A·S: the -1 of S's row 1 negates column 1 of A into column 0
+    s = _matrix(ring, [[zero, one], [-one, zero]], 2)
+    a = _matrix(ring, [[x, y], [y, y]], 2)
+    prod = a * s
+    assert prod == _matrix(ring, [[-y, x], [-y, y]], 2)
+    assert prod.nz[0][0] is prod.nz[1][0]
+    assert prod.nz[0][1] is a.nz[0][0]
+
+
+@SIGNED_RINGS
+def test_signed_rows_into_one_column_sum(ring):
+    # rows 0 and 1 of S put 1 and -1 in column 0: A*S subtracts A's
+    # column 1 from its column 0
+    x, y = Poly.var(ring, "x"), Poly.var(ring, "y")
+    one, zero = Poly.one(ring), Poly.zero(ring)
+    a = _matrix(ring, [[x, y, one], [x, x, zero]], 3)
+    s = _matrix(ring, [[one, zero], [-one, zero], [zero, -one]], 2)
+    assert a * s == _matrix(ring, [[x - y, -one], [zero, zero]], 2)
 
 
 @RINGS
